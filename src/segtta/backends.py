@@ -9,9 +9,12 @@ exchange, so hooking up an actual segmenter is one small script.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -135,31 +138,40 @@ def _predict_external(
         nifti.write_volume(volume, input_path, datatype=16)
         command = (
             backend.command
-            .replace("{input}", input_path)
-            .replace("{output}", output_path)
+            .replace("{input}", shlex.quote(input_path))
+            .replace("{output}", shlex.quote(output_path))
             .replace("{classes}", str(num_classes))
         )
         started = time.monotonic()
-        try:
-            proc = subprocess.run(
-                command, shell=True, capture_output=True, text=True,
-                timeout=backend.timeout,
-            )
-        except subprocess.TimeoutExpired as e:
-            raise ProcessFailure(
-                f"backend {backend.name!r} timed out after {backend.timeout}s: "
-                f"{command}"
-            ) from e
+        # A session of its own makes the shell and everything it starts one
+        # process group, so a timeout (or an interrupt) kills the model, not
+        # just the shell.
+        with subprocess.Popen(
+            command, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=backend.timeout)
+            except BaseException as e:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                if isinstance(e, subprocess.TimeoutExpired):
+                    raise ProcessFailure(
+                        f"backend {backend.name!r} timed out after "
+                        f"{backend.timeout}s: {command}"
+                    ) from e
+                raise
         logger.info(
             "external backend %s finished in %.2fs (exit %d)",
             backend.name, time.monotonic() - started, proc.returncode,
-            extra={"child_stdout": proc.stdout[-2000:],
-                   "child_stderr": proc.stderr[-2000:]},
+            extra={"child_stdout": stdout[-2000:],
+                   "child_stderr": stderr[-2000:]},
         )
         if proc.returncode != 0:
             raise ProcessFailure(
                 f"backend {backend.name!r} exited with {proc.returncode}; "
-                f"stderr: {proc.stderr[-500:]!r}"
+                f"stderr: {stderr[-500:]!r}"
             )
         if not os.path.exists(output_path):
             raise ProcessFailure(

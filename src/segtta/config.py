@@ -243,18 +243,36 @@ def load_manifest(path) -> DatasetManifest:
     base = path.parent
     entries = []
     for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise SegTTAError(
+                f"{path}: case {i} must be a JSON object, got {type(item).__name__}"
+            )
         extra = set(item) - {"id", "image", "label", "classes"}
         if extra:
             raise SegTTAError(f"{path}: case {i} has unknown fields {sorted(extra)}")
-        try:
-            entries.append(
-                ManifestEntry(
-                    case_id=str(item["id"]),
-                    image=str(base / item["image"]),
-                    num_classes=int(item["classes"]),
-                    label=str(base / item["label"]) if item.get("label") else None,
+        missing = [f for f in ("id", "image", "classes") if f not in item]
+        if missing:
+            raise SegTTAError(f"{path}: case {i} is missing field {missing[0]!r}")
+        for field in ("id", "image", "label"):
+            value = item.get(field)
+            if not isinstance(value, str) and not (field == "label" and value is None):
+                raise SegTTAError(
+                    f"{path}: case {i} field {field!r} must be a string, "
+                    f"got {type(value).__name__}"
                 )
+        try:
+            num_classes = int(item["classes"])
+        except (TypeError, ValueError) as e:
+            raise SegTTAError(
+                f"{path}: case {i} field 'classes' must be an integer: {e}"
+            ) from e
+        label = item.get("label")
+        entries.append(
+            ManifestEntry(
+                case_id=item["id"],
+                image=str(base / item["image"]),
+                num_classes=num_classes,
+                label=str(base / label) if label else None,
             )
-        except KeyError as e:
-            raise SegTTAError(f"{path}: case {i} is missing field {e}") from e
+        )
     return DatasetManifest(name=path.stem, entries=tuple(entries))

@@ -16,9 +16,14 @@ A surface voxel is a foreground voxel with at least one face-adjacent
 border count their out-of-bounds neighbors as outside.
 
 The nearest-surface distances come from an exact Euclidean distance
-transform (separable lower-envelope algorithm, one parabolic pass per
-axis), which handles anisotropic spacing and runs in O(n) per axis. The
-quadratic all-pairs computation lives in the test suite as its oracle.
+transform that handles anisotropic spacing: two linear sweeps along the
+first axis, then one min-plus pass per remaining axis over the squared
+distances, out[i] = min_j f[j] + (delta*(i-j))^2, as whole-array numpy
+operations per offset. A pass stops at the first offset whose cost
+reaches the largest value left, which is exact since every later term is
+larger still. A voxel with no seed in the volume is at distance inf. HD95
+runs both transforms on the joint bounding box of the two surfaces only.
+The quadratic all-pairs computation lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -150,76 +155,45 @@ def surface_voxels(mask: LabelMask, class_set=None) -> np.ndarray:
     return np.argwhere(_surface(_foreground(mask, class_set)))
 
 
-# Sentinel squared distance for "no seed on this line yet"; any real
-# squared distance inside the volume is smaller.
-def _far(dims, spacing: Spacing) -> float:
-    reach = dims[0] * spacing.dx + dims[1] * spacing.dy + dims[2] * spacing.dz
-    return 4.0 * reach * reach + 1.0
+def _min_plus_pass(f2: np.ndarray, delta: float) -> None:
+    """``out[i] = min_j f2[j] + (delta*(i-j))^2`` along axis 0, exactly.
 
-
-def _envelope_pass(f2: np.ndarray, delta: float) -> np.ndarray:
-    """One parabolic lower-envelope pass along the last axis.
-
-    ``f2`` holds squared distances, shape (lines, n). For each output site
-    i this computes min_j (f2[j] + (delta*(i-j))^2) exactly, by maintaining
-    the lower envelope of the n parabolas (Felzenszwalb-Huttenlocher).
-    The inputs must be finite; intersection sentinels may be infinite.
+    ``f2`` holds squared distances, shape (n, lines), inf where a line has
+    no seed yet; it is overwritten with the result. Lines holding no finite
+    value stay inf and are left out. Offsets stop at the first k whose cost
+    reaches the largest value left: every later term is at least that large.
     """
-    nlines, n = f2.shape
-    if n == 1:
-        return f2.copy()
-    inf = float("inf")
-    out = np.empty_like(f2)
-    d2 = delta * delta
-    twod2 = 2.0 * d2
-    v = [0] * n
-    z = [0.0] * (n + 1)
-    for li in range(nlines):
-        f = f2[li].tolist()
-        k = 0
-        v[0] = 0
-        z[0] = -inf
-        z[1] = inf
-        for q in range(1, n):
-            fq = f[q] + d2 * q * q
-            while True:
-                vk = v[k]
-                s = (fq - (f[vk] + d2 * vk * vk)) / (twod2 * (q - vk))
-                if s <= z[k]:
-                    k -= 1
-                else:
-                    break
-            k += 1
-            v[k] = q
-            z[k] = s
-            z[k + 1] = inf
-        k = 0
-        res = [0.0] * n
-        for q in range(n):
-            while z[k + 1] < q:
-                k += 1
-            vk = v[k]
-            res[q] = d2 * (q - vk) * (q - vk) + f[vk]
-        out[li] = res
-    return out
+    live = np.isfinite(f2).any(axis=0)
+    f = np.compress(live, f2, axis=1)
+    n = f.shape[0]
+    out = f.copy()
+    term = np.empty_like(f)
+    for k in range(1, n):
+        cost = delta * delta * k * k
+        if cost >= out.max(initial=0.0):
+            break
+        shifted = term[k:]
+        np.add(f[k:], cost, out=shifted)  # seeds k after each site
+        np.minimum(out[:-k], shifted, out=out[:-k])
+        np.add(f[:-k], cost, out=shifted)  # seeds k before each site
+        np.minimum(out[k:], shifted, out=out[k:])
+    f2[:, live] = out
 
 
 def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     """Exact Euclidean distance (mm) from every voxel to the nearest seed.
 
     Separable: the first axis is resolved with two linear sweeps on the
-    binary input, then each remaining axis applies a parabolic
-    lower-envelope pass over the squared distances. Voxels on seedless
-    volumes (or lines, transiently) carry a large finite sentinel rather
-    than inf so the envelope arithmetic stays well defined.
+    binary input, then each remaining axis applies one min-plus pass over
+    the squared distances (see ``_min_plus_pass``). A voxel with no seed
+    anywhere in the volume, so every voxel of a seedless input, gets inf.
     """
     if seeds.ndim != 3:
         raise DimensionMismatch(f"seed mask must be 3D, got shape {seeds.shape}")
-    far = _far(seeds.shape, spacing)
     deltas = spacing.as_tuple()
 
     # Axis 0: distance along x by forward/backward sweeps, then square.
-    d = np.where(seeds, 0.0, np.sqrt(far))
+    d = np.where(seeds, 0.0, np.inf)
     nx = seeds.shape[0]
     for i in range(1, nx):
         np.minimum(d[i], d[i - 1] + deltas[0], out=d[i])
@@ -228,11 +202,20 @@ def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     d2 = d * d
 
     for axis in (1, 2):
-        moved = np.moveaxis(d2, axis, -1)
-        lines = np.ascontiguousarray(moved).reshape(-1, seeds.shape[axis])
-        lines = _envelope_pass(lines, deltas[axis])
-        d2 = np.moveaxis(lines.reshape(moved.shape), -1, axis)
+        lines = np.ascontiguousarray(np.moveaxis(d2, axis, 0))
+        _min_plus_pass(lines.reshape(lines.shape[0], -1), deltas[axis])
+        d2 = np.moveaxis(lines, 0, axis)
     return np.sqrt(d2)
+
+
+def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """Slices of the smallest box holding every True voxel of ``mask``."""
+    box = []
+    for axis in range(mask.ndim):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hit = np.flatnonzero(mask.any(axis=others))
+        box.append(slice(hit[0], hit[-1] + 1))
+    return tuple(box)
 
 
 def hd95(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> float | None:
@@ -240,6 +223,8 @@ def hd95(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> float | None:
 
     Both surfaces empty gives 0 (nothing disagrees); exactly one empty is
     undefined and returns None so aggregation can exclude and count it.
+    The distance transforms run on the joint bounding box of the two
+    surfaces only, which holds every seed and every query voxel.
     """
     _check_dims(pred, gt)
     pred_surface = _surface(pred.labels > 0)
@@ -250,6 +235,8 @@ def hd95(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> float | None:
         return 0.0
     if not pred_any or not gt_any:
         return None
+    box = _bounding_box(pred_surface | gt_surface)
+    pred_surface, gt_surface = pred_surface[box], gt_surface[box]
     to_gt = distance_transform(gt_surface, spacing)
     to_pred = distance_transform(pred_surface, spacing)
     pooled = np.concatenate([to_gt[pred_surface], to_pred[gt_surface]])

@@ -1,10 +1,13 @@
 import os
+import shlex
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
+import segtta
 from segtta import (
     BackendDescriptor,
     LabelMask,
@@ -21,6 +24,16 @@ from segtta.errors import (
     NotProbabilistic,
     ProcessFailure,
 )
+
+
+@pytest.fixture(autouse=True)
+def child_imports_segtta(monkeypatch):
+    """Model scripts run in child interpreters, which must import the same
+    segtta as the tests, also when only pytest's own path setting finds it."""
+    src = os.path.dirname(os.path.dirname(segtta.__file__))
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
 
 
 @pytest.fixture
@@ -164,6 +177,19 @@ def script_command(tmp_path, body, name="backend.py"):
     return f"{sys.executable} {path} {{input}} {{output}} {{classes}}"
 
 
+def process_alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
 class TestExternalProcess:
     def test_round_trip_through_child(self, case, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGTTA_TMPDIR", str(tmp_path))
@@ -195,6 +221,33 @@ class TestExternalProcess:
         backend = BackendDescriptor("external", name="x", command=cmd, timeout=1.0)
         with pytest.raises(ProcessFailure, match="timed out"):
             predict(backend, volume, 2, stream())
+
+    def test_timeout_kills_the_whole_process_group(self, case, tmp_path):
+        volume, _ = case
+        pid_file = tmp_path / "model.pid"
+        cmd = f"sleep 30 & echo $! > {shlex.quote(str(pid_file))}; wait"
+        backend = BackendDescriptor("external", name="x", command=cmd, timeout=1.0)
+        with pytest.raises(ProcessFailure, match="timed out"):
+            predict(backend, volume, 2, stream())
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 10.0
+        while process_alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_alive(pid)
+
+    def test_exchange_dir_with_space(self, case, tmp_path, monkeypatch):
+        spaced = tmp_path / "exchange dir"
+        spaced.mkdir()
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(spaced))
+        volume, _ = case
+        backend = BackendDescriptor(
+            "external", name="x", command=script_command(tmp_path, ECHO_BACKEND),
+            timeout=60.0,
+        )
+        out = predict(backend, volume, 2, stream())
+        np.testing.assert_array_equal(
+            np.argmax(out.probs, axis=-1) == 1, volume.data > 0.5
+        )
 
     def test_missing_output(self, case, tmp_path):
         volume, _ = case

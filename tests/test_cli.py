@@ -94,6 +94,24 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, field", [
+        (5, "JSON object"),
+        (["case000"], "JSON object"),
+        ({"id": 3, "image": "a.nii", "classes": 2}, "'id'"),
+        ({"id": "a", "image": ["a.nii"], "classes": 2}, "'image'"),
+        ({"id": "a", "image": "a.nii", "label": 7, "classes": 2}, "'label'"),
+        ({"id": "a", "image": "a.nii", "classes": [2]}, "'classes'"),
+    ])
+    def test_malformed_manifest_is_diagnosed(self, config_path, tmp_path, capsys,
+                                             entry, field):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([entry]))
+        code = run_cli("run", "--config", config_path, "--manifest", manifest)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "case 0" in err and field in err
+
 
 class TestAblateAndSweep:
     def test_ablate(self, dataset_dir, config_path, tmp_path):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import segtta
 
 from segtta import (
     LabelMask,
@@ -18,6 +24,15 @@ from conftest import brute_force_hd95, oracle_surface, random_mask
 
 def mask(labels, num_classes=2):
     return LabelMask(np.asarray(labels, dtype=np.uint8), num_classes)
+
+
+def brute_force_distances(seeds, spacing):
+    """All-pairs distance from every voxel to its nearest seed, in mm."""
+    scale = np.asarray(spacing.as_tuple())
+    voxels = np.argwhere(np.ones(seeds.shape, dtype=bool)) * scale
+    points = np.argwhere(seeds) * scale
+    diff = voxels[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2)).min(axis=1).reshape(seeds.shape)
 
 
 def box_mask(dims, lo, hi, num_classes=2, value=1):
@@ -145,6 +160,36 @@ class TestDistanceTransform:
         )
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 9, 7), (8, 1, 6), (7, 5, 1), (11, 6, 9), (4, 13, 3)]
+    )
+    def test_matches_all_pairs_oracle(self, rng, shape):
+        for _ in range(5):
+            seeds = rng.random(shape) < 0.08
+            seeds.flat[rng.integers(seeds.size)] = True
+            spacing = Spacing(*rng.uniform(0.3, 2.5, size=3))
+            d = distance_transform(seeds, spacing)
+            np.testing.assert_allclose(
+                d, brute_force_distances(seeds, spacing), rtol=0, atol=1e-9
+            )
+
+    def test_seedless_volume_is_all_inf(self):
+        d = distance_transform(np.zeros((4, 5, 3), dtype=bool), Spacing(1, 2, 3))
+        assert np.isposinf(d).all()
+
+    @pytest.mark.parametrize("shape", [(2, 90, 3), (3, 2, 90)])
+    def test_corner_seed_reaches_far_end(self, shape):
+        # Distances along the long axis keep growing up to its far end, so
+        # no pass may stop before the last offset.
+        seeds = np.zeros(shape, dtype=bool)
+        seeds[0, 0, 0] = True
+        spacing = Spacing(0.9, 1.1, 0.7)
+        d = distance_transform(seeds, spacing)
+        np.testing.assert_allclose(
+            d, brute_force_distances(seeds, spacing), rtol=0, atol=1e-9
+        )
+        assert np.isfinite(d).all()
+
 
 class TestHd95:
     def test_identical_masks_zero(self, rng):
@@ -184,6 +229,16 @@ class TestHd95:
         doubled = hd95(a, b, Spacing(1.0, 2.0, 3.0))
         assert doubled == 2.0 * base
 
+    def test_small_structures_in_large_volume(self, rng):
+        # The distance transforms run on the surfaces' bounding box only.
+        dims = (48, 40, 36)
+        for lo_pred, lo_gt in [((3, 4, 5), (6, 5, 7)), ((30, 2, 20), (35, 30, 28))]:
+            pred = box_mask(dims, lo_pred, tuple(v + 4 for v in lo_pred))
+            gt = box_mask(dims, lo_gt, tuple(v + 5 for v in lo_gt))
+            spacing = Spacing(*rng.uniform(0.4, 2.5, size=3))
+            want = brute_force_hd95(pred, gt, spacing)
+            assert abs(hd95(pred, gt, spacing) - want) < 1e-9
+
     def test_both_empty_is_zero(self):
         empty = mask(np.zeros((4, 4, 4)))
         assert hd95(empty, empty, Spacing(1, 1, 1)) == 0.0
@@ -216,3 +271,16 @@ class TestEvaluate:
         m = make_blob_mask((10, 10, 10), seed=9, threshold=0.58)
         r = evaluate(m, m, Spacing(1, 1, 1))
         assert r.aiou == 1.0 and r.hd95_mm == 0.0 and r.undefined_reason is None
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: importing it would add set-up time
+    # and resident memory to every run.
+    src = os.path.dirname(os.path.dirname(segtta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, segtta; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
