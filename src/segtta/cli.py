@@ -147,6 +147,7 @@ def _cmd_run(args) -> int:
             )
     finally:
         detach_run_log(handler)
+        log.close()
     return _finish_run(result, args)
 
 

@@ -14,8 +14,11 @@ Three per-voxel rules are provided:
   with S_hat = S / sum_k w_k(x). The normalization keeps a fixed tau
   meaningful for any ensemble size.
 
-All ties break toward the lower class index. Fusion inputs are sorted by
-source tag, so results do not depend on the order maps were supplied in.
+Fusion streams: one pass over the maps in source-tag order adds each into
+preallocated accumulators (S and W, or integer vote counts for majority),
+and the decision reads them once. Nothing is stacked, so memory is
+O(voxels x C) for any ensemble size; the fixed order makes the masks
+independent of input order. Ties break toward the lower class index.
 """
 
 from __future__ import annotations
@@ -51,22 +54,15 @@ class FusionInput:
             raise InconsistentMaps("fusion input needs at least one probability map")
         dims, classes = maps[0].dims, maps[0].num_classes
         for m in maps[1:]:
-            if m.dims != dims:
+            if (m.dims, m.num_classes) != (dims, classes):
                 raise InconsistentMaps(
-                    f"map {m.source_tag!r} dims {m.dims} != {dims} "
-                    f"of {maps[0].source_tag!r}"
-                )
-            if m.num_classes != classes:
-                raise InconsistentMaps(
-                    f"map {m.source_tag!r} has {m.num_classes} classes, "
-                    f"expected {classes}"
+                    f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
+                    f"classes; {maps[0].source_tag!r} has {dims} and {classes}"
                 )
         if self.mode not in VOTING_MODES:
             raise ValueError(f"voting mode {self.mode!r} not in {VOTING_MODES}")
         _check_tau(self.tau)
-        object.__setattr__(
-            self, "maps", tuple(sorted(maps, key=lambda m: m.source_tag))
-        )
+        object.__setattr__(self, "maps", tuple(sorted(maps, key=lambda m: m.source_tag)))
 
     @property
     def dims(self):
@@ -76,64 +72,67 @@ class FusionInput:
     def num_classes(self) -> int:
         return self.maps[0].num_classes
 
-    def stacked(self) -> np.ndarray:
-        """Probabilities stacked to shape (N, nx, ny, nz, C), sorted order."""
-        return np.stack([m.probs for m in self.maps])
+
+def _class_max(values: np.ndarray) -> np.ndarray:
+    """max over the last (class) axis as pairwise maxima, one per class."""
+    out = values[..., 0].copy()
+    for c in range(1, values.shape[-1]):
+        np.maximum(out, values[..., c], out=out)
+    return out
 
 
-def _require_mode(input: FusionInput, mode: str):
+def _weighted_scores(maps) -> tuple[np.ndarray, np.ndarray]:
+    """S(x,c) = sum_k w_k(x) P_k(x,c) and W(x) = sum_k w_k(x), streamed."""
+    scores = np.zeros_like(maps[0].probs)
+    total_weight = np.zeros(scores.shape[:-1])
+    weighted = np.empty_like(scores)
+    for m in maps:
+        weight = _class_max(m.probs)
+        np.multiply(m.probs, weight[..., None], out=weighted)
+        scores += weighted
+        total_weight += weight
+    return scores, total_weight
+
+
+def _fuse(input: FusionInput, mode: str) -> LabelMask:
+    """Accumulate the maps in tag order, then decide every voxel at once."""
     if input.mode != mode:
         raise ValueError(f"fusion input has mode {input.mode!r}, expected {mode!r}")
+    if mode == "majority":
+        counts = np.zeros(input.maps[0].probs.shape, dtype=np.int32)
+        classes = np.arange(input.num_classes)
+        for m in input.maps:  # lower index on per-map ties
+            counts += np.argmax(m.probs, axis=-1)[..., None] == classes
+        labels = np.argmax(counts, axis=-1)
+    elif mode == "confidence_weighted":
+        labels = np.argmax(_weighted_scores(input.maps)[0], axis=-1)
+    else:
+        scores, total_weight = _weighted_scores(input.maps)
+        # W >= 1/C > 0 (a map's per-voxel max is >= 1/C), so S_hat is in [0, 1].
+        scores /= total_weight[..., None]
+        labels = np.argmax(scores, axis=-1)
+        labels[_class_max(scores) < input.tau] = 0
+    return LabelMask(labels, input.num_classes)
 
 
 def majority_vote(input: FusionInput) -> LabelMask:
     """Most frequent per-map argmax wins; ties go to the lower class index."""
-    _require_mode(input, "majority")
-    stacked = input.stacked()
-    votes = np.argmax(stacked, axis=-1)  # (N, nx, ny, nz), lower index on ties
-    counts = (votes[..., None] == np.arange(input.num_classes)).sum(axis=0)
-    return LabelMask(np.argmax(counts, axis=-1), input.num_classes)
-
-
-def _weighted_scores(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (scores, total_weight): S(x,c) = sum_k w_k(x) P_k(x,c)."""
-    weights = stacked.max(axis=-1)  # (N, nx, ny, nz)
-    scores = np.einsum("nxyzc,nxyz->xyzc", stacked, weights)
-    return scores, weights.sum(axis=0)
+    return _fuse(input, "majority")
 
 
 def confidence_weighted_vote(input: FusionInput) -> LabelMask:
     """Argmax of confidence-weighted class scores."""
-    _require_mode(input, "confidence_weighted")
-    scores, _ = _weighted_scores(input.stacked())
-    return LabelMask(np.argmax(scores, axis=-1), input.num_classes)
+    return _fuse(input, "confidence_weighted")
 
 
 def threshold_weighted_vote(input: FusionInput) -> LabelMask:
-    """Confidence-weighted vote gated by the normalized-score threshold.
-
-    The total weight is always positive (each map's per-voxel max is at
-    least 1/C), so the normalized score is well defined and lies in [0, 1].
-    """
-    _require_mode(input, "threshold_weighted")
-    tau = _check_tau(input.tau)
-    scores, total_weight = _weighted_scores(input.stacked())
-    normalized = scores / total_weight[..., None]
-    best = np.argmax(normalized, axis=-1)
-    confident = np.max(normalized, axis=-1) >= tau
-    return LabelMask(np.where(confident, best, 0), input.num_classes)
-
-
-_VOTE_FOR_MODE = {
-    "majority": majority_vote,
-    "confidence_weighted": confidence_weighted_vote,
-    "threshold_weighted": threshold_weighted_vote,
-}
+    """Confidence-weighted vote gated by the normalized-score threshold."""
+    return _fuse(input, "threshold_weighted")
 
 
 def fuse(input: FusionInput) -> LabelMask:
-    """Dispatch to the voting rule selected by the input's mode."""
-    return _VOTE_FOR_MODE[input.mode](input)
+    """Fuse with the voting rule selected by the input's mode."""
+    return _fuse(input, input.mode)
 
 
 def foreground_volume(mask: LabelMask, spacing: Spacing) -> float:

@@ -31,6 +31,8 @@ from .errors import (
 
 HEADER_SIZE = 348
 MIN_VOX_OFFSET = 352
+#: Exclusive upper bound on vox_offset; any real data offset is far below it.
+VOX_OFFSET_LIMIT = 2**31
 MAGIC_SINGLE = b"n+1\x00"
 
 DTYPE_FOR_CODE = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
@@ -162,10 +164,15 @@ def _parse_header(raw: bytes, path) -> NiftiHeader:
         if dim[i] < 1:
             raise CorruptHeader(f"{path}: dim[{i}]={dim[i]} must be >= 1")
     vox_offset = float(rec["vox_offset"])
-    if not (vox_offset >= MIN_VOX_OFFSET and vox_offset == int(vox_offset)):
+    if not (MIN_VOX_OFFSET <= vox_offset < VOX_OFFSET_LIMIT
+            and vox_offset.is_integer()):
         raise CorruptHeader(
-            f"{path}: vox_offset={vox_offset} must be an integer >= {MIN_VOX_OFFSET}"
+            f"{path}: vox_offset={vox_offset} must be an integer in "
+            f"[{MIN_VOX_OFFSET}, {VOX_OFFSET_LIMIT})"
         )
+    for name in ("scl_slope", "scl_inter"):
+        if not np.isfinite(rec[name]):
+            raise CorruptHeader(f"{path}: {name}={float(rec[name])} must be finite")
     pixdim = tuple(float(p) for p in rec["pixdim"])
     for i in (1, 2, 3):
         if not (np.isfinite(pixdim[i]) and pixdim[i] > 0):

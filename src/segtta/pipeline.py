@@ -1,19 +1,28 @@
-"""End-to-end orchestration: baseline inference, test-time augmentation,
-voting aggregation, and the ablation / threshold-sweep protocols.
+"""End-to-end orchestration: one variant engine behind every experiment.
 
-For every case, every backend predicts on the original (normalized) volume
-and on each augmented view; the resulting probability maps are fused per
-the configured voting rule. Per-case failures are recorded and skipped so
-one corrupt scan cannot void a long run. All randomness is stream-keyed by
-content (seed, case id, augmentation label, backend name), which makes
-results independent of worker count and lets the prediction cache serve
-ablation variants and threshold sweeps without recomputation.
+An experiment is a list of variants. A variant is a named result row: the
+views it fuses and its threshold tau. Every experiment runs the same engine
+once:
+
+1. prepare: every case is loaded, normalized and augmented once, and every
+   backend predicts every view of it once;
+2. score: each case fuses and scores each variant once, and the masks of
+   the variants that have an output directory are written.
+
+``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
+``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
+``run_threshold_sweep`` is one ``tau=<t>`` row per threshold. A case whose
+load or any prediction fails is recorded once and skipped, so one corrupt
+scan cannot void a long run. All randomness is stream-keyed by content
+(seed, case id, augmentation label, backend name), so a row equals the
+fused row of a from-scratch run of the same views, whatever the worker
+count; the prediction cache reuses predictions across calls.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import hashlib
 import json
 import logging
@@ -50,23 +59,35 @@ def source_tag(backend_name: str, view: str) -> str:
 
 
 class EventLog:
-    """Append-only line-delimited JSON event log, safe across threads."""
+    """Append-only line-delimited JSON event log, safe across threads.
+
+    The file stays open; every line is flushed as it is written, so the
+    log is readable up to the last event even if the process dies.
+    """
 
     def __init__(self, path=None):
-        self._path = Path(path) if path else None
+        self._file = None
         self._lock = threading.Lock()
-        if self._path:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.write_text("")
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(path, "w")
 
     def emit(self, event: str, **fields):
-        if self._path is None:
+        if self._file is None:
             return
         record = {"t": time.time(), "event": event, **fields}
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
-            with open(self._path, "a") as f:
-                f.write(line + "\n")
+            if self._file is not None:
+                self._file.write(line + "\n")
+                self._file.flush()
+
+    def close(self):
+        """Close the file; later events are dropped."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 class _EventLogHandler(logging.Handler):
@@ -91,8 +112,8 @@ class PredictionCache:
 
     The key covers everything a prediction depends on: backend descriptor,
     view (augmentation content label), volume content, seed, and class
-    count. Ablation variants and threshold sweeps therefore reuse shared
-    predictions exactly.
+    count. One experiment predicts each (case, backend, view) once anyway;
+    experiments that share a cache reuse each other's predictions exactly.
     """
 
     def __init__(self):
@@ -357,7 +378,7 @@ def _predict_all(config: RunConfig, cases: list, num_classes: int,
 
 def _prepare(config: RunConfig, manifest: DatasetManifest,
              cache: PredictionCache, log: EventLog):
-    """Load cases and collect every prediction; shared by run and sweep."""
+    """Load every case and collect every prediction, each exactly once."""
     t0 = time.monotonic()
     cases, load_failures = _load_cases(config, manifest, log)
     t1 = time.monotonic()
@@ -370,68 +391,106 @@ def _prepare(config: RunConfig, manifest: DatasetManifest,
     return surviving, maps, load_failures + predict_failures, timings
 
 
-def _variant_tags(config: RunConfig, case: _Case, variant: str):
-    """Source tags participating in a report variant for one case."""
-    if variant == FUSED_VARIANT:
-        views = list(case.views)
-    else:
-        views = [variant]
-    allowed = set(config.subset) if config.subset is not None else None
-    tags = []
-    for backend in config.backends:
-        for view in views:
-            if view not in case.views:
-                continue
-            if allowed is not None and (backend.name, view) not in allowed:
-                continue
-            tags.append(source_tag(backend.name, view))
-    return tags
+# --- the variant engine --------------------------------------------------------
 
 
-def _variant_names(config: RunConfig) -> list[str]:
-    names = []
-    if config.include_baseline:
-        names.append(BASELINE_VIEW)
-    for spec in config.augmentations:
-        if spec.label() not in names:
+def _view_names(config: RunConfig, drop: int | None = None) -> tuple[str, ...]:
+    """The views a config fuses, in config order; ``drop`` leaves out the
+    augmentation at that index (a view another spec shares stays)."""
+    names = [BASELINE_VIEW] if config.include_baseline else []
+    for i, spec in enumerate(config.augmentations):
+        if i != drop and spec.label() not in names:
             names.append(spec.label())
-    names.append(FUSED_VARIANT)
-    return names
+    return tuple(names)
 
 
-def _score_case(config: RunConfig, case: _Case, case_maps: dict,
-                variants: list[str], tau: float):
-    """Fuse and score every variant of one case.
+def _score_variants(config: RunConfig, cases: list, maps: dict, variants,
+                    mask_dirs: dict, log: EventLog):
+    """Fuse and score each ``(name, views, tau)`` variant once per case.
 
-    Returns ``(reports, fg, fused_mask)``; reports values are None when the
-    case has no ground truth.
+    A variant with no prediction in a case is left out of that case's row.
+    Masks of the variants named in ``mask_dirs`` are written there. Returns
+    ``(per_case, fg_volume, timings)``; reports are None without ground
+    truth.
     """
-    reports: dict[str, MetricReport | None] = {}
-    fg: dict[str, float] = {}
-    fused_mask = None
-    for variant in variants:
-        tags = [t for t in _variant_tags(config, case, variant) if t in case_maps]
-        if not tags:
-            continue
-        selection = FusionInput(
-            tuple(case_maps[t] for t in tags), mode=config.voting, tau=tau
-        )
-        mask = fuse(selection)
-        if variant == FUSED_VARIANT:
-            fused_mask = mask
-        fg[variant] = foreground_volume(mask, case.volume.spacing)
-        reports[variant] = (
-            evaluate(mask, case.gt, case.volume.spacing)
-            if case.gt is not None
-            else None
-        )
-    return reports, fg, fused_mask
+    per_case: dict = {}
+    fg_volume: dict = {}
+    timings = {"fuse_s": 0.0, "score_s": 0.0, "write_s": 0.0}
+    for case in cases:
+        case_maps = maps[case.case_id]
+        reports = per_case[case.case_id] = {}
+        fg = fg_volume[case.case_id] = {}
+        for name, views, tau in variants:
+            tags = [
+                tag
+                for backend in config.backends
+                for view in views
+                if (tag := source_tag(backend.name, view)) in case_maps
+            ]
+            if not tags:
+                continue
+            t0 = time.monotonic()
+            mask = fuse(FusionInput(
+                tuple(case_maps[t] for t in tags), mode=config.voting, tau=tau
+            ))
+            t1 = time.monotonic()
+            fg[name] = foreground_volume(mask, case.volume.spacing)
+            reports[name] = (
+                evaluate(mask, case.gt, case.volume.spacing)
+                if case.gt is not None
+                else None
+            )
+            t2 = time.monotonic()
+            if name in mask_dirs:
+                directory = mask_dirs[name]
+                directory.mkdir(parents=True, exist_ok=True)
+                nifti.write_label_mask(
+                    mask, case.volume.spacing,
+                    directory / f"{case.case_id}.nii.gz",
+                )
+            timings["fuse_s"] += t1 - t0
+            timings["score_s"] += t2 - t1
+            timings["write_s"] += time.monotonic() - t2
+        log.emit("case_done", case=case.case_id)
+    return per_case, fg_volume, timings
 
 
-def _write_mask(mask: LabelMask, case: _Case, directory: Path):
-    directory.mkdir(parents=True, exist_ok=True)
-    nifti.write_label_mask(
-        mask, case.volume.spacing, directory / f"{case.case_id}.nii.gz"
+def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
+                  reference, result_config: dict, out_dir, masks: dict,
+                  cache: PredictionCache | None, log: EventLog | None) -> RunResult:
+    """Prepare once, score every variant, and shape the result.
+
+    ``masks`` maps a variant name to the directory under ``out_dir`` that
+    receives its masks; nothing is written without an output directory.
+    """
+    mask_dirs = (
+        {name: Path(out_dir) / sub for name, sub in masks.items()}
+        if out_dir is not None else {}
+    )
+    cache = cache if cache is not None else PredictionCache()
+    log = log if log is not None else EventLog(None)
+    log.emit("run_start", dataset=manifest.name, config=result_config)
+    cases, maps, failures, timings = _prepare(config, manifest, cache, log)
+    per_case, fg_volume, score_timings = _score_variants(
+        config, cases, maps, variants, mask_dirs, log
+    )
+    timings.update(score_timings)
+    for stage, seconds in timings.items():
+        log.emit("stage", stage=stage, seconds=round(seconds, 6))
+    names = [name for name, _, _ in variants]
+    log.emit("run_done", dataset=manifest.name, cases=len(per_case),
+             failures=len(failures))
+    return RunResult(
+        dataset=manifest.name,
+        num_classes=manifest.num_classes,
+        variants=tuple(names),
+        reference=reference,
+        per_case=per_case,
+        fg_volume=fg_volume,
+        aggregates=_aggregate(per_case, fg_volume, names),
+        failures=tuple(failures),
+        config=result_config,
+        timings=timings,
     )
 
 
@@ -440,44 +499,19 @@ def run_segtta(config: RunConfig, manifest: DatasetManifest, out_dir=None,
                log: EventLog | None = None) -> RunResult:
     """One full pass: predict on baseline and augmented views, fuse, score.
 
-    Fused masks are written under ``out_dir/masks`` when an output
-    directory is given; metrics are computed for cases with ground truth.
+    Rows are one per view plus ``fused``, which fuses them all. Fused masks
+    are written under ``out_dir/masks`` when an output directory is given;
+    metrics are computed for cases with ground truth.
     """
-    cache = cache if cache is not None else PredictionCache()
-    log = log if log is not None else EventLog(None)
-    log.emit("run_start", dataset=manifest.name, config=config.to_dict())
-    cases, maps, failures, timings = _prepare(config, manifest, cache, log)
-    variants = _variant_names(config)
-
-    t0 = time.monotonic()
-    per_case: dict = {}
-    fg_volume: dict = {}
-    for case in cases:
-        reports, fg, fused_mask = _score_case(
-            config, case, maps[case.case_id], variants, config.tau
-        )
-        per_case[case.case_id] = reports
-        fg_volume[case.case_id] = fg
-        if out_dir is not None and fused_mask is not None:
-            _write_mask(fused_mask, case, Path(out_dir) / "masks")
-        log.emit("case_done", case=case.case_id)
-    timings["fuse_and_score_s"] = time.monotonic() - t0
-
-    result = RunResult(
-        dataset=manifest.name,
-        num_classes=manifest.num_classes,
-        variants=tuple(variants),
+    views = _view_names(config)
+    variants = [(view, (view,), config.tau) for view in views]
+    variants.append((FUSED_VARIANT, views, config.tau))
+    return _run_variants(
+        config, manifest, variants,
         reference=BASELINE_VIEW if config.include_baseline else None,
-        per_case=per_case,
-        fg_volume=fg_volume,
-        aggregates=_aggregate(per_case, fg_volume, variants),
-        failures=tuple(failures),
-        config=config.to_dict(),
-        timings=timings,
+        result_config=config.to_dict(),
+        out_dir=out_dir, masks={FUSED_VARIANT: "masks"}, cache=cache, log=log,
     )
-    log.emit("run_done", dataset=manifest.name, cases=len(per_case),
-             failures=len(failures))
-    return result
 
 
 def run_ablation(config: RunConfig, manifest: DatasetManifest, out_dir=None,
@@ -485,65 +519,26 @@ def run_ablation(config: RunConfig, manifest: DatasetManifest, out_dir=None,
                  log: EventLog | None = None) -> RunResult:
     """Leave-one-augmentation-out comparison against the full set.
 
-    Runs the full configuration plus one variant per removed augmentation;
-    shared (backend, view) predictions are computed once via the cache.
-    Deltas in the report are taken against the full set.
+    Each ``w/o <aug>`` row fuses the views of the config without that
+    augmentation, so it equals the fused row of a from-scratch run of the
+    reduced config. Deltas in the report are taken against ``full``, whose
+    masks are written under ``out_dir/masks``.
     """
     if len(config.augmentations) < 2:
         raise InsufficientAugmentations(
             f"ablation needs >= 2 augmentations, got {len(config.augmentations)}"
         )
-    cache = cache if cache is not None else PredictionCache()
-    log = log if log is not None else EventLog(None)
-
-    full = run_segtta(config, manifest, out_dir=out_dir, cache=cache, log=log)
-
-    variants = (["baseline"] if config.include_baseline else []) + ["full"]
-    per_case: dict = {}
-    fg_volume: dict = {}
-    for case_id, row in full.per_case.items():
-        per_case[case_id] = {}
-        fg_volume[case_id] = {}
-        if config.include_baseline and BASELINE_VIEW in row:
-            per_case[case_id]["baseline"] = row[BASELINE_VIEW]
-            fg_volume[case_id]["baseline"] = full.fg_volume[case_id][BASELINE_VIEW]
-        per_case[case_id]["full"] = row[FUSED_VARIANT]
-        fg_volume[case_id]["full"] = full.fg_volume[case_id][FUSED_VARIANT]
-
-    failures = list(full.failures)
-    timings = dict(full.timings)
-    for i, spec in enumerate(config.augmentations):
-        variant = f"w/o {spec.label()}"
-        variants.append(variant)
-        reduced = replace(
-            config,
-            augmentations=tuple(
-                s for j, s in enumerate(config.augmentations) if j != i
-            ),
-        )
-        partial = run_segtta(reduced, manifest, out_dir=None, cache=cache, log=log)
-        for case_id, row in partial.per_case.items():
-            per_case.setdefault(case_id, {})[variant] = row[FUSED_VARIANT]
-            fg_volume.setdefault(case_id, {})[variant] = (
-                partial.fg_volume[case_id][FUSED_VARIANT]
-            )
-        for failure in partial.failures:
-            if failure not in failures:
-                failures.append(failure)
-        for key, value in partial.timings.items():
-            timings[key] = timings.get(key, 0.0) + value
-
-    return RunResult(
-        dataset=manifest.name,
-        num_classes=manifest.num_classes,
-        variants=tuple(variants),
-        reference="full",
-        per_case=per_case,
-        fg_volume=fg_volume,
-        aggregates=_aggregate(per_case, fg_volume, variants),
-        failures=tuple(failures),
-        config={**config.to_dict(), "experiment": "ablation"},
-        timings=timings,
+    variants = [("full", _view_names(config), config.tau)]
+    if config.include_baseline:
+        variants.insert(0, (BASELINE_VIEW, (BASELINE_VIEW,), config.tau))
+    variants += [
+        (f"w/o {spec.label()}", _view_names(config, drop=i), config.tau)
+        for i, spec in enumerate(config.augmentations)
+    ]
+    return _run_variants(
+        config, manifest, variants, reference="full",
+        result_config={**config.to_dict(), "experiment": "ablation"},
+        out_dir=out_dir, masks={"full": "masks"}, cache=cache, log=log,
     )
 
 
@@ -552,50 +547,24 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
                         log: EventLog | None = None) -> RunResult:
     """Fuse one shared prediction set at each threshold in ``taus``.
 
-    Reports metrics and fused foreground volume per threshold; the
-    reference row for deltas is tau=0.6 when present, else the first.
+    Reports metrics and fused foreground volume per threshold, and writes
+    each threshold's masks under ``out_dir/masks/tau=<t>``; the reference
+    row for deltas is tau=0.6 when present, else the first.
     """
-    taus = [(_check_tau(t)) for t in taus]
+    taus = [_check_tau(t) for t in taus]
     if not taus:
         raise SegTTAError("sweep needs at least one tau")
-    cache = cache if cache is not None else PredictionCache()
-    log = log if log is not None else EventLog(None)
-    log.emit("sweep_start", dataset=manifest.name, taus=taus)
-
-    cases, maps, failures, timings = _prepare(config, manifest, cache, log)
-    variant_names = [f"tau={t:g}" for t in taus]
+    views = _view_names(config)
+    variants = [(f"tau={t:g}", views, t) for t in taus]
     reference = next(
-        (name for name, t in zip(variant_names, taus) if abs(t - 0.6) < 1e-12),
-        variant_names[0],
+        (name for name, _, t in variants if abs(t - 0.6) < 1e-12),
+        variants[0][0],
     )
-
-    t0 = time.monotonic()
-    per_case: dict = {}
-    fg_volume: dict = {}
-    for case in cases:
-        per_case[case.case_id] = {}
-        fg_volume[case.case_id] = {}
-        for name, tau in zip(variant_names, taus):
-            reports, fg, fused_mask = _score_case(
-                config, case, maps[case.case_id], [FUSED_VARIANT], tau
-            )
-            per_case[case.case_id][name] = reports.get(FUSED_VARIANT)
-            fg_volume[case.case_id][name] = fg[FUSED_VARIANT]
-            if out_dir is not None and fused_mask is not None:
-                _write_mask(fused_mask, case, Path(out_dir) / "masks" / name)
-    timings["fuse_and_score_s"] = time.monotonic() - t0
-
-    return RunResult(
-        dataset=manifest.name,
-        num_classes=manifest.num_classes,
-        variants=tuple(variant_names),
-        reference=reference,
-        per_case=per_case,
-        fg_volume=fg_volume,
-        aggregates=_aggregate(per_case, fg_volume, variant_names),
-        failures=tuple(failures),
-        config={**config.to_dict(), "experiment": "sweep", "taus": taus},
-        timings=timings,
+    return _run_variants(
+        config, manifest, variants, reference=reference,
+        result_config={**config.to_dict(), "experiment": "sweep", "taus": taus},
+        out_dir=out_dir, masks={name: f"masks/{name}" for name, _, _ in variants},
+        cache=cache, log=log,
     )
 
 

@@ -345,7 +345,10 @@ def test_criterion_9_cache_soundness(tmp_path):
 
         shared = PredictionCache()
         ablation = run_ablation(config, manifest, cache=shared)
-        assert shared.hits > 0, "ablation never reused a prediction"
+        views = 1 + len(config.augmentations)
+        assert shared.hits == 0, "ablation predicted a view twice"
+        assert shared.misses == len(manifest.entries) * len(config.backends) * views, \
+            "ablation did not predict every (case, backend, view) exactly once"
         for i, spec in enumerate(config.augmentations):
             reduced = replace(
                 config,

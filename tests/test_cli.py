@@ -1,4 +1,6 @@
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -111,6 +113,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "case 0" in err and field in err
+
+    def test_corrupt_header_fails_only_its_case(self, dataset_dir, config_path,
+                                                tmp_path, capsys):
+        image = dataset_dir / "case001.nii.gz"
+        with gzip.open(image, "rb") as f:
+            raw = bytearray(f.read())
+        struct.pack_into("<f", raw, 108, float("inf"))  # vox_offset
+        with gzip.open(image, "wb") as f:
+            f.write(bytes(raw))
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--config", config_path,
+            "--manifest", dataset_dir / "manifest.json", "--out", out,
+        )
+        assert code == 0
+        saved = json.loads((out / "result.json").read_text())
+        assert sorted(saved["per_case"]) == ["case000", "case002"]
+        assert [f[0] for f in saved["failures"]] == ["case001"]
+        assert "vox_offset" in saved["failures"][0][1]
+        assert "FAILED case001" in capsys.readouterr().err
 
 
 class TestAblateAndSweep:

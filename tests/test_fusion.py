@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,23 @@ class TestSharedProperties:
         single = fuse(FusionInput(tuple(maps), mode=mode, tau=0.6))
         doubled = fuse(FusionInput(tuple(maps) + copies, mode=mode, tau=0.6))
         np.testing.assert_array_equal(single.labels, doubled.labels)
+
+
+class TestStreamingMemory:
+    @pytest.mark.parametrize("mode", ["majority", "confidence_weighted",
+                                      "threshold_weighted"])
+    def test_peak_independent_of_ensemble_size(self, rng, mode):
+        # A stack of the 16 maps, or any N-way temporary, would need 16x.
+        maps = tuple(dyadic_prob_maps(rng, 16, (32, 32, 16), 2))
+        input = FusionInput(maps, mode=mode, tau=0.6)
+        one_map = maps[0].probs.nbytes
+        tracemalloc.start()
+        try:
+            fuse(input)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * one_map
 
 
 class TestValidation:

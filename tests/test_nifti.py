@@ -156,6 +156,19 @@ class TestHeaderValidation:
         with pytest.raises(DimensionMismatch, match=r"dim\[0\]=4"):
             read_volume(tmp_path / "4d.nii")
 
+    @pytest.mark.parametrize("offset, field, value", [
+        (108, "vox_offset", float("inf")),
+        (108, "vox_offset", 1e30),
+        (112, "scl_slope", float("nan")),
+        (116, "scl_inter", float("inf")),
+    ])
+    def test_out_of_range_float_field_named(self, tmp_path, offset, field, value):
+        raw = bytearray(build_nifti_bytes((2, 2, 2), np.zeros(8, "<f4").tobytes()))
+        struct.pack_into("<f", raw, offset, value)
+        (tmp_path / "f.nii").write_bytes(bytes(raw))
+        with pytest.raises(CorruptHeader, match=field):
+            read_volume(tmp_path / "f.nii")
+
     def test_truncated_header(self, tmp_path):
         (tmp_path / "short.nii").write_bytes(b"\x00" * 100)
         with pytest.raises(CorruptHeader, match="header"):

@@ -1,5 +1,8 @@
 from dataclasses import replace
+import json
 from pathlib import Path
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from segtta import (
     run_threshold_sweep,
     write_phantom_dataset,
 )
+import segtta.augment
 from segtta.errors import InsufficientAugmentations, InvalidTau
+import segtta.pipeline
+from segtta.pipeline import EventLog
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +202,10 @@ class TestAblation:
         config = noisy_config()
         cache = PredictionCache()
         ablation = run_ablation(config, dataset, cache=cache)
-        assert cache.hits > 0
+        # Every (case, backend, view) prediction is computed exactly once.
+        views = 1 + len(config.augmentations)
+        assert cache.hits == 0
+        assert cache.misses == len(dataset.entries) * len(config.backends) * views
         for i, spec in enumerate(config.augmentations):
             reduced = replace(
                 config,
@@ -211,6 +220,27 @@ class TestAblation:
                     ablation.per_case[case_id][variant]
                     == scratch.per_case[case_id]["fused"]
                 )
+
+    def test_each_case_prepared_and_row_scored_once(self, dataset, monkeypatch):
+        calls = {"evaluate": 0, "apply": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(segtta.pipeline, "evaluate",
+                            counted("evaluate", segtta.pipeline.evaluate))
+        monkeypatch.setattr(segtta.augment, "apply",
+                            counted("apply", segtta.augment.apply))
+        config = noisy_config()
+        result = run_ablation(config, dataset)
+        cases = len(dataset.entries)
+        augmentations = len(config.augmentations)
+        assert len(result.per_case) == cases
+        assert calls["evaluate"] == cases * (2 + augmentations)
+        assert calls["apply"] == cases * augmentations
 
     def test_full_row_matches_plain_run(self, dataset):
         config = noisy_config()
@@ -261,3 +291,45 @@ class TestSweep:
     def test_invalid_tau(self, dataset):
         with pytest.raises(InvalidTau):
             run_threshold_sweep(noisy_config(), dataset, [0.5, 1.5])
+
+
+class TestObservability:
+    def test_stage_timings_reported_and_logged(self, dataset, tmp_path):
+        path = tmp_path / "run.log.jsonl"
+        log = EventLog(path)
+        result = run_ablation(noisy_config(), dataset, log=log)
+        log.close()
+        stages = {"load_s", "predict_s", "fuse_s", "score_s", "write_s"}
+        assert set(result.timings) == stages
+        assert all(v >= 0 for v in result.timings.values())
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        logged = {e["stage"]: e["seconds"] for e in events if e["event"] == "stage"}
+        assert set(logged) == stages
+        assert sum(e["event"] == "run_start" for e in events) == 1
+
+    def test_event_log_threads(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = EventLog(path)
+
+        def writer(i):
+            for j in range(200):
+                log.emit("tick", thread=i, j=j, pad="x" * 50)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        log.close()
+        log.emit("after_close")  # dropped, not an error
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(records) == 800
+        assert {(r["thread"], r["j"]) for r in records} == {
+            (i, j) for i in range(4) for j in range(200)
+        }
