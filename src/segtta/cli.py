@@ -43,7 +43,8 @@ def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output directory (masks, report, result, log)")
     p.add_argument("--tau", type=float, help="override the voting threshold")
     p.add_argument("--seed", type=int, help="override the random seed")
-    p.add_argument("--jobs", type=int, help="override the worker pool size")
+    p.add_argument("--jobs", type=int,
+                   help="override the number of cases processed in parallel")
     p.add_argument("--format", choices=FORMATS, default="markdown",
                    help="report format (default markdown)")
 

@@ -7,12 +7,12 @@ individual config fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import json
 import math
 from pathlib import Path
 
-from .core import AugmentationSpec, default_augmentations
+from .core import AugmentationSpec, _check_field_types, default_augmentations
 from .errors import SegTTAError
 from .fusion import VOTING_MODES, _check_tau
 
@@ -54,6 +54,7 @@ class BackendDescriptor:
     timeout: float = 60.0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if not (0.0 <= self.flip_prob <= 1.0):
@@ -87,11 +88,7 @@ class BackendDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackendDescriptor":
-        known = {
-            "kind", "name", "ground_truth", "confidence", "jitter",
-            "flip_prob", "constant_class", "command", "timeout",
-        }
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown backend fields {sorted(extra)}")
         return cls(**d)
@@ -103,9 +100,10 @@ class RunConfig:
 
     ``subset`` optionally restricts the backend x view cross product to the
     listed ``(backend name, view label)`` pairs; views are "baseline" or an
-    augmentation's canonical label. ``jobs`` bounds the prediction worker
-    pool and ``process_jobs`` additionally bounds concurrent external
-    processes; neither affects results.
+    augmentation's canonical label. ``jobs`` is the number of cases in
+    flight: each worker loads, predicts, fuses and scores one case at a
+    time. ``process_jobs`` bounds the external model processes running at
+    once across those workers. Neither affects results.
     """
 
     backends: tuple[BackendDescriptor, ...]
@@ -119,6 +117,7 @@ class RunConfig:
     subset: tuple[tuple[str, str], ...] | None = None
 
     def __post_init__(self):
+        _check_field_types(self)
         backends = tuple(self.backends)
         if not backends:
             raise ValueError("config needs at least one backend")
@@ -138,6 +137,14 @@ class RunConfig:
         if self.jobs < 1 or self.process_jobs < 1:
             raise ValueError("jobs and process_jobs must be >= 1")
         if self.subset is not None:
+            if not (isinstance(self.subset, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                for pair in self.subset
+            )):
+                raise SegTTAError(
+                    f"config field 'subset' must be a list of [backend, view] "
+                    f"pairs, got {self.subset!r}"
+                )
             object.__setattr__(
                 self, "subset", tuple((str(b), str(v)) for b, v in self.subset)
             )
@@ -159,28 +166,32 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {
-            "backends", "augmentations", "voting", "tau", "seed",
-            "include_baseline", "jobs", "process_jobs", "subset",
-        }
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
         if "backends" not in d:
             raise ValueError("config needs a 'backends' list")
         kwargs = dict(d)
         kwargs["backends"] = tuple(
-            BackendDescriptor.from_dict(b) for b in d["backends"]
+            BackendDescriptor.from_dict(b) for b in _objects(d, "backends")
         )
         if "augmentations" in d:
             kwargs["augmentations"] = tuple(
-                AugmentationSpec.from_dict(a) for a in d["augmentations"]
+                AugmentationSpec.from_dict(a) for a in _objects(d, "augmentations")
             )
         else:
             kwargs["augmentations"] = default_augmentations()
-        if "subset" in d and d["subset"] is not None:
-            kwargs["subset"] = tuple((p[0], p[1]) for p in d["subset"])
         return cls(**kwargs)
+
+
+def _objects(d: dict, field: str) -> list:
+    """Config field ``field``, which must be a JSON list of objects."""
+    value = d[field]
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise SegTTAError(
+            f"config field {field!r} must be a list of objects, got {value!r}"
+        )
+    return value
 
 
 def load_config(path) -> RunConfig:

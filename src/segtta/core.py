@@ -8,8 +8,9 @@ layout is on disk into this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (
     InvalidGamma,
     InvalidSigma,
     NotProbabilistic,
+    SegTTAError,
 )
 
 #: Tolerance accepted from backends before a map is rejected as
@@ -28,6 +30,32 @@ PROB_TOL = 1e-3
 #: Renormalization skips voxels already summing to 1 within this bound,
 #: which makes renormalization exactly idempotent.
 RENORM_TOL = 1e-12
+
+
+_SCALAR_TYPES = {
+    "bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str,
+}
+
+
+def _check_field_types(obj) -> None:
+    """Raise SegTTAError naming the first field of dataclass ``obj`` whose
+    value does not match its scalar annotation (``bool``, ``int``,
+    ``float`` or ``str``, optionally ``| None``). A bool is not a number.
+    Fields of other types are left to their own checks.
+    """
+    for f in fields(obj):
+        kind, _, rest = f.type.partition(" | ")
+        if kind not in _SCALAR_TYPES:
+            continue
+        value = getattr(obj, f.name)
+        if value is None and rest == "None":
+            continue
+        if (isinstance(value, bool) != (kind == "bool")
+                or not isinstance(value, _SCALAR_TYPES[kind])):
+            raise SegTTAError(
+                f"{type(obj).__name__} field {f.name!r} must be {kind}"
+                f"{' or null' if rest else ''}, got {value!r}"
+            )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -208,6 +236,7 @@ class AugmentationSpec:
     slice_axis: int | None = 2
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.kind not in AUGMENTATION_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
         if self.slice_axis is not None and self.slice_axis not in (0, 1, 2):
@@ -253,8 +282,7 @@ class AugmentationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationSpec":
-        known = {"kind", "sigma", "gamma", "alpha", "beta", "slice_axis"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown augmentation fields {sorted(extra)}")
         return cls(**d)

@@ -1,28 +1,34 @@
-"""End-to-end orchestration: one variant engine behind every experiment.
+"""End-to-end orchestration: one pass per case behind every experiment.
 
 An experiment is a list of variants. A variant is a named result row: the
-views it fuses and its threshold tau. Every experiment runs the same engine
-once:
+views it fuses and its threshold tau. Every experiment runs each case of
+the manifest through the same pass, in the worker pool:
 
-1. prepare: every case is loaded, normalized and augmented once, and every
-   backend predicts every view of it once;
-2. score: each case fuses and scores each variant once, and the masks of
-   the variants that have an output directory are written.
+1. load the case, normalize it and augment it once per distinct view;
+2. predict each (backend, view) once, in config order;
+3. fuse and score each variant once, and write the masks of the variants
+   that have an output directory.
+
+The case's predictions are dropped when its pass ends, so memory is
+bounded by the cases in flight. The result is assembled in manifest order.
 
 ``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
 ``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
 ``run_threshold_sweep`` is one ``tau=<t>`` row per threshold. A case whose
-load or any prediction fails is recorded once and skipped, so one corrupt
-scan cannot void a long run. All randomness is stream-keyed by content
-(seed, case id, augmentation label, backend name), so a row equals the
-fused row of a from-scratch run of the same views, whatever the worker
-count; the prediction cache reuses predictions across calls.
+load or any prediction fails is recorded once, with the reason of its first
+failure, and skipped, so one corrupt scan cannot void a long run. All
+randomness is stream-keyed by content (seed, case id, augmentation label,
+backend name), so a row equals the fused row of a from-scratch run of the
+same views, whatever the worker count. A ``PredictionCache`` passed in
+reuses predictions across calls; without one nothing is hashed or kept.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass
+import functools
 import hashlib
 import json
 import logging
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import augment, backends, nifti
 from .config import DatasetManifest, RunConfig
-from .core import LabelMask, ProbabilityMap, Volume, normalize_intensity
+from .core import ProbabilityMap, Volume, normalize_intensity
 from .errors import InsufficientAugmentations, SegTTAError
 from .fusion import FusionInput, fuse, foreground_volume, _check_tau
 from .metrics import MetricReport, evaluate
@@ -159,7 +165,10 @@ class RunResult:
     ``per_case[case][variant]`` holds a MetricReport (None when the case
     has no ground truth); ``fg_volume`` the fused-mask foreground volume in
     mm^3 per variant. Aggregates are plain means over cases with defined
-    values; undefined HD95 entries are excluded and counted.
+    values; undefined HD95 entries are excluded and counted. ``failures``
+    lists ``(case, reason)`` in manifest order. ``timings`` holds the
+    seconds of each stage summed over cases, so with several workers it
+    counts worker time, not wall time.
     """
 
     dataset: str
@@ -254,144 +263,9 @@ def _aggregate(per_case: dict, fg_volume: dict, variants) -> dict:
     return aggregates
 
 
-# --- case loading and prediction ---------------------------------------------
+# --- the per-case engine -------------------------------------------------------
 
-
-@dataclass
-class _Case:
-    case_id: str
-    volume: Volume  # normalized to [0, 1]
-    gt: LabelMask | None
-    views: dict  # view label -> Volume, insertion order fixed by config
-
-
-def _load_cases(config: RunConfig, manifest: DatasetManifest, log: EventLog):
-    cases: list[_Case] = []
-    failures: list[tuple[str, str]] = []
-    for entry in manifest.entries:
-        try:
-            volume = nifti.read_volume(entry.image)
-            volume = Volume(volume.data, volume.spacing, vol_id=entry.case_id)
-            gt = (
-                nifti.read_label_mask(entry.label, entry.num_classes)
-                if entry.label
-                else None
-            )
-            if gt is not None and gt.dims != volume.dims:
-                raise SegTTAError(
-                    f"label dims {gt.dims} != image dims {volume.dims}"
-                )
-            normalized, _, _ = normalize_intensity(volume)
-            views = {}
-            if config.include_baseline:
-                views[BASELINE_VIEW] = normalized
-            for spec in config.augmentations:
-                label = spec.label()
-                if label in views:
-                    continue  # identical specs would produce identical views
-                rng = augmentation_rng(config.seed, entry.case_id, label)
-                views[label] = augment.apply(spec, normalized, rng)
-            cases.append(_Case(entry.case_id, normalized, gt, views))
-            log.emit("case_loaded", case=entry.case_id, views=list(views))
-        except (SegTTAError, ValueError, OSError) as e:
-            failures.append((entry.case_id, f"load: {e}"))
-            log.emit("case_failed", case=entry.case_id, error=str(e))
-    return cases, failures
-
-
-def _predict_all(config: RunConfig, cases: list, num_classes: int,
-                 cache: PredictionCache, log: EventLog):
-    """Run the backend x view cross product, bounded by the worker pool.
-
-    Returns ``(maps, failures)`` where ``maps[case_id][tag]`` holds every
-    prediction of the surviving cases.
-    """
-    allowed = set(config.subset) if config.subset is not None else None
-    tasks = []
-    for case in cases:
-        for backend in config.backends:
-            for view in case.views:
-                if allowed is not None and (backend.name, view) not in allowed:
-                    continue
-                tasks.append((case, backend, view))
-
-    maps: dict[str, dict[str, ProbabilityMap]] = {c.case_id: {} for c in cases}
-    failed: dict[str, str] = {}
-    lock = threading.Lock()
-    process_slots = threading.Semaphore(config.process_jobs)
-
-    def run_task(task):
-        case, backend, view = task
-        tag = source_tag(backend.name, view)
-        volume = case.views[view]
-        key = cache.key(backend.to_dict(), view, volume, config.seed, num_classes)
-        cached = cache.get(key)
-        try:
-            if cached is None:
-                rng = prediction_rng(config.seed, case.case_id, backend.name, view)
-                started = time.monotonic()
-                if backend.kind == "external":
-                    with process_slots:
-                        pmap = backends.predict(
-                            backend, volume, num_classes, rng,
-                            ground_truth=case.gt, source_tag=tag,
-                        )
-                else:
-                    pmap = backends.predict(
-                        backend, volume, num_classes, rng,
-                        ground_truth=case.gt, source_tag=tag,
-                    )
-                cache.put(key, pmap)
-                log.emit(
-                    "prediction", case=case.case_id, backend=backend.name,
-                    view=view, elapsed_s=round(time.monotonic() - started, 4),
-                    cached=False,
-                )
-            else:
-                pmap = cached.retagged(tag)
-                log.emit(
-                    "prediction", case=case.case_id, backend=backend.name,
-                    view=view, cached=True,
-                )
-            with lock:
-                maps[case.case_id][tag] = pmap
-        except (SegTTAError, ValueError) as e:
-            with lock:
-                failed.setdefault(case.case_id, f"{tag}: {e}")
-            log.emit(
-                "case_failed", case=case.case_id, backend=backend.name,
-                view=view, error=str(e),
-            )
-
-    if config.jobs == 1:
-        for task in tasks:
-            run_task(task)
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            list(pool.map(run_task, tasks))
-
-    failures = [(case_id, failed[case_id]) for case_id in sorted(failed)]
-    for case_id in failed:
-        maps.pop(case_id, None)
-    return maps, failures
-
-
-def _prepare(config: RunConfig, manifest: DatasetManifest,
-             cache: PredictionCache, log: EventLog):
-    """Load every case and collect every prediction, each exactly once."""
-    t0 = time.monotonic()
-    cases, load_failures = _load_cases(config, manifest, log)
-    t1 = time.monotonic()
-    maps, predict_failures = _predict_all(
-        config, cases, manifest.num_classes, cache, log
-    )
-    t2 = time.monotonic()
-    surviving = [c for c in cases if c.case_id in maps]
-    timings = {"load_s": t1 - t0, "predict_s": t2 - t1}
-    return surviving, maps, load_failures + predict_failures, timings
-
-
-# --- the variant engine --------------------------------------------------------
+_STAGES = ("load_s", "predict_s", "fuse_s", "score_s", "write_s")
 
 
 def _view_names(config: RunConfig, drop: int | None = None) -> tuple[str, ...]:
@@ -404,79 +278,157 @@ def _view_names(config: RunConfig, drop: int | None = None) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _score_variants(config: RunConfig, cases: list, maps: dict, variants,
-                    mask_dirs: dict, log: EventLog):
-    """Fuse and score each ``(name, views, tau)`` variant once per case.
+def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
+              mask_dirs: dict, cache: PredictionCache | None, log: EventLog,
+              process_slots: threading.Semaphore):
+    """Load, predict, fuse, score and write one case.
 
-    A variant with no prediction in a case is left out of that case's row.
-    Masks of the variants named in ``mask_dirs`` are written there. Returns
-    ``(per_case, fg_volume, timings)``; reports are None without ground
-    truth.
+    Returns ``(reports, fg, seconds, None)``: per variant the metric report
+    (None without ground truth) and the fused foreground volume, and the
+    case's seconds per stage. A variant with no prediction in the case is
+    left out of its row. A case that fails to load, or at its first failing
+    prediction in config order, returns ``(None, None, seconds, reason)``.
+    The case's maps die with this call unless ``cache`` keeps them.
     """
-    per_case: dict = {}
-    fg_volume: dict = {}
-    timings = {"fuse_s": 0.0, "score_s": 0.0, "write_s": 0.0}
-    for case in cases:
-        case_maps = maps[case.case_id]
-        reports = per_case[case.case_id] = {}
-        fg = fg_volume[case.case_id] = {}
-        for name, views, tau in variants:
-            tags = [
-                tag
-                for backend in config.backends
-                for view in views
-                if (tag := source_tag(backend.name, view)) in case_maps
-            ]
-            if not tags:
-                continue
-            t0 = time.monotonic()
-            mask = fuse(FusionInput(
-                tuple(case_maps[t] for t in tags), mode=config.voting, tau=tau
-            ))
-            t1 = time.monotonic()
-            fg[name] = foreground_volume(mask, case.volume.spacing)
-            reports[name] = (
-                evaluate(mask, case.gt, case.volume.spacing)
-                if case.gt is not None
-                else None
+    case_id = entry.case_id
+    seconds = dict.fromkeys(_STAGES, 0.0)
+    t0 = time.monotonic()
+    try:
+        volume = nifti.read_volume(entry.image)
+        volume = Volume(volume.data, volume.spacing, vol_id=case_id)
+        gt = (
+            nifti.read_label_mask(entry.label, entry.num_classes)
+            if entry.label
+            else None
+        )
+        if gt is not None and gt.dims != volume.dims:
+            raise SegTTAError(f"label dims {gt.dims} != image dims {volume.dims}")
+        volume, _, _ = normalize_intensity(volume)
+        views = {BASELINE_VIEW: volume} if config.include_baseline else {}
+        for spec in config.augmentations:
+            label = spec.label()
+            if label not in views:  # identical specs give identical views
+                rng = augmentation_rng(config.seed, case_id, label)
+                views[label] = augment.apply(spec, volume, rng)
+    except (SegTTAError, ValueError, OSError) as e:
+        log.emit("case_failed", case=case_id, error=str(e))
+        return None, None, seconds, f"load: {e}"
+    finally:
+        seconds["load_s"] = time.monotonic() - t0
+    log.emit("case_loaded", case=case_id, views=list(views))
+
+    t0 = time.monotonic()
+    maps: dict[str, ProbabilityMap] = {}
+    try:
+        for backend in config.backends:
+            for view, view_volume in views.items():
+                if (config.subset is not None
+                        and (backend.name, view) not in config.subset):
+                    continue
+                tag = source_tag(backend.name, view)
+                key = cached = None
+                if cache is not None:
+                    key = cache.key(backend.to_dict(), view, view_volume,
+                                    config.seed, num_classes)
+                    cached = cache.get(key)
+                if cached is not None:
+                    maps[tag] = cached.retagged(tag)
+                    log.emit("prediction", case=case_id, backend=backend.name,
+                             view=view, cached=True)
+                    continue
+                started = time.monotonic()
+                rng = prediction_rng(config.seed, case_id, backend.name, view)
+                with (process_slots if backend.kind == "external"
+                      else contextlib.nullcontext()):
+                    maps[tag] = backends.predict(
+                        backend, view_volume, num_classes, rng,
+                        ground_truth=gt, source_tag=tag,
+                    )
+                if cache is not None:
+                    cache.put(key, maps[tag])
+                log.emit("prediction", case=case_id, backend=backend.name,
+                         view=view, cached=False,
+                         elapsed_s=round(time.monotonic() - started, 4))
+    except (SegTTAError, ValueError) as e:
+        log.emit("case_failed", case=case_id, backend=backend.name, view=view,
+                 error=str(e))
+        return None, None, seconds, f"{tag}: {e}"
+    finally:
+        seconds["predict_s"] = time.monotonic() - t0
+
+    reports: dict = {}
+    fg: dict = {}
+    for name, views_of_variant, tau in variants:
+        tags = [
+            tag
+            for backend in config.backends
+            for view in views_of_variant
+            if (tag := source_tag(backend.name, view)) in maps
+        ]
+        if not tags:
+            continue
+        t0 = time.monotonic()
+        mask = fuse(FusionInput(
+            tuple(maps[t] for t in tags), mode=config.voting, tau=tau
+        ))
+        t1 = time.monotonic()
+        fg[name] = foreground_volume(mask, volume.spacing)
+        reports[name] = (
+            evaluate(mask, gt, volume.spacing) if gt is not None else None
+        )
+        t2 = time.monotonic()
+        if name in mask_dirs:
+            mask_dirs[name].mkdir(parents=True, exist_ok=True)
+            nifti.write_label_mask(
+                mask, volume.spacing, mask_dirs[name] / f"{case_id}.nii.gz"
             )
-            t2 = time.monotonic()
-            if name in mask_dirs:
-                directory = mask_dirs[name]
-                directory.mkdir(parents=True, exist_ok=True)
-                nifti.write_label_mask(
-                    mask, case.volume.spacing,
-                    directory / f"{case.case_id}.nii.gz",
-                )
-            timings["fuse_s"] += t1 - t0
-            timings["score_s"] += t2 - t1
-            timings["write_s"] += time.monotonic() - t2
-        log.emit("case_done", case=case.case_id)
-    return per_case, fg_volume, timings
+        seconds["fuse_s"] += t1 - t0
+        seconds["score_s"] += t2 - t1
+        seconds["write_s"] += time.monotonic() - t2
+    log.emit("case_done", case=case_id)
+    return reports, fg, seconds, None
 
 
 def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
                   reference, result_config: dict, out_dir, masks: dict,
                   cache: PredictionCache | None, log: EventLog | None) -> RunResult:
-    """Prepare once, score every variant, and shape the result.
+    """Run every case through :func:`_run_case` and shape the result.
 
     ``masks`` maps a variant name to the directory under ``out_dir`` that
     receives its masks; nothing is written without an output directory.
+    Without a cache nothing is hashed or kept across cases.
     """
     mask_dirs = (
         {name: Path(out_dir) / sub for name, sub in masks.items()}
         if out_dir is not None else {}
     )
-    cache = cache if cache is not None else PredictionCache()
     log = log if log is not None else EventLog(None)
     log.emit("run_start", dataset=manifest.name, config=result_config)
-    cases, maps, failures, timings = _prepare(config, manifest, cache, log)
-    per_case, fg_volume, score_timings = _score_variants(
-        config, cases, maps, variants, mask_dirs, log
+    run_case = functools.partial(
+        _run_case, config=config, variants=variants,
+        num_classes=manifest.num_classes, mask_dirs=mask_dirs, cache=cache,
+        log=log, process_slots=threading.Semaphore(config.process_jobs),
     )
-    timings.update(score_timings)
-    for stage, seconds in timings.items():
-        log.emit("stage", stage=stage, seconds=round(seconds, 6))
+    if config.jobs == 1:
+        outcomes = [run_case(entry) for entry in manifest.entries]
+    else:
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            outcomes = list(pool.map(run_case, manifest.entries))
+
+    per_case: dict = {}
+    fg_volume: dict = {}
+    failures = []
+    timings = dict.fromkeys(_STAGES, 0.0)
+    for entry, (reports, fg, seconds, failure) in zip(manifest.entries, outcomes):
+        for stage in _STAGES:
+            timings[stage] += seconds[stage]
+        if failure is not None:
+            failures.append((entry.case_id, failure))
+        else:
+            per_case[entry.case_id] = reports
+            fg_volume[entry.case_id] = fg
+    for stage, total in timings.items():
+        log.emit("stage", stage=stage, seconds=round(total, 6))
     names = [name for name, _, _ in variants]
     log.emit("run_done", dataset=manifest.name, cases=len(per_case),
              failures=len(failures))

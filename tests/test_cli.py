@@ -114,6 +114,31 @@ class TestRun:
         assert err.startswith("error: ")
         assert "case 0" in err and field in err
 
+    @pytest.mark.parametrize("override, field", [
+        ({"seed": "5"}, "seed"),
+        ({"jobs": "2"}, "jobs"),
+        ({"backends": [5]}, "backends"),
+        ({"augmentations": [3]}, "augmentations"),
+        ({"subset": [["a"]]}, "subset"),
+        ({"include_baseline": "no"}, "include_baseline"),
+        ({"backends": [{"kind": "oracle", "confidence": "0.9"}]}, "confidence"),
+        ({"backends": [{"kind": "noisy_oracle", "jitter": 1.5}]}, "jitter"),
+        ({"augmentations": [{"kind": "gaussian_blur", "sigma": "1"}]}, "sigma"),
+    ])
+    def test_config_field_of_wrong_type_is_diagnosed(
+            self, dataset_dir, config_path, tmp_path, capsys, override, field):
+        config = {**json.loads(config_path.read_text()), **override}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = run_cli(
+            "run", "--config", bad, "--manifest", dataset_dir / "manifest.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(field) in err
+        assert "Traceback" not in err
+
     def test_corrupt_header_fails_only_its_case(self, dataset_dir, config_path,
                                                 tmp_path, capsys):
         image = dataset_dir / "case001.nii.gz"

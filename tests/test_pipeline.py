@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from segtta import (
     default_augmentations,
     load_manifest,
     read_label_mask,
+    render,
     run_ablation,
     run_segtta,
     run_threshold_sweep,
     write_phantom_dataset,
 )
 import segtta.augment
+import segtta.backends
 from segtta.errors import InsufficientAugmentations, InvalidTau
 import segtta.pipeline
 from segtta.pipeline import EventLog
@@ -121,6 +124,58 @@ class TestRunSegtta:
         assert len(result.failures) == 1
         assert result.failures[0][0] == "missing"
         assert list(result.per_case) == ["ok"]
+
+    def test_failures_in_manifest_order_with_first_reason(self, dataset, tmp_path):
+        manifest_path = tmp_path / "mixed.json"
+        manifest_path.write_text(json.dumps([
+            {"id": "a", "image": dataset.entries[0].image, "classes": 2},
+            {"id": "b", "image": "nope.nii", "classes": 2},
+            {"id": "c", "image": dataset.entries[1].image,
+             "label": dataset.entries[1].label, "classes": 2},
+        ]))
+        manifest = load_manifest(manifest_path)
+        results = []
+        for jobs in (1, 4):
+            config = RunConfig(
+                backends=(BackendDescriptor("oracle", name="o", confidence=0.9),),
+                augmentations=default_augmentations(),
+                jobs=jobs,
+            )
+            results.append(run_segtta(config, manifest))
+        result = results[0]
+        assert [f[0] for f in result.failures] == ["a", "b"]
+        # The oracle needs ground truth; case a has none, so its first
+        # prediction in config order fails.
+        assert result.failures[0][1].startswith("o|baseline: ")
+        assert result.failures[1][1].startswith("load: ")
+        assert list(result.per_case) == ["c"]
+        assert results[1].failures == result.failures
+        assert render(results[1], "markdown") == render(result, "markdown")
+
+    def test_maps_live_only_while_their_case_runs(self, dataset, monkeypatch):
+        config = noisy_config(jobs=1)
+        per_case = len(config.backends) * (1 + len(config.augmentations))
+        refs = []  # weak references: maps hash their arrays, so no WeakSet
+        most = [0]
+        predict = segtta.backends.predict
+
+        def tracked(*args, **kwargs):
+            alive = sum(ref() is not None for ref in refs)
+            most[0] = max(most[0], alive)
+            assert alive < per_case
+            pmap = predict(*args, **kwargs)
+            refs.append(weakref.ref(pmap))
+            return pmap
+
+        def no_hashing(*args, **kwargs):
+            raise AssertionError("a run without a cache hashed a volume")
+
+        monkeypatch.setattr(segtta.backends, "predict", tracked)
+        monkeypatch.setattr(PredictionCache, "key", no_hashing)
+        result = run_segtta(config, dataset)
+        assert not result.failures
+        assert len(result.per_case) == len(dataset.entries)
+        assert most[0] == per_case - 1
 
     def test_subset_filter(self, dataset):
         config = noisy_config(2, subset=(("nb0", "baseline"),))
