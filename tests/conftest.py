@@ -98,6 +98,42 @@ def oracle_surface(fg):
     return fg & ~core
 
 
+def face_neighbours(labels, x, y, z):
+    """Labels of the six face neighbours of voxel (x, y, z), plain indexing;
+    a neighbour off the volume counts as background (0)."""
+    out = []
+    for axis in range(3):
+        for step in (-1, 1):
+            at = [x, y, z]
+            at[axis] += step
+            inside = all(0 <= at[a] < labels.shape[a] for a in range(3))
+            out.append(int(labels[tuple(at)]) if inside else 0)
+    return out
+
+
+def brute_force_neighbourhood_ops(labels):
+    """(surface, dilated, eroded) of an integer label volume, voxel by voxel.
+
+    surface: foreground voxels with a background face neighbour. dilated: a
+    background voxel with a foreground neighbour takes the lowest class
+    among them. eroded: surface voxels become background.
+    """
+    surface = np.zeros(labels.shape, dtype=bool)
+    dilated = labels.copy()
+    eroded = labels.copy()
+    for x in range(labels.shape[0]):
+        for y in range(labels.shape[1]):
+            for z in range(labels.shape[2]):
+                around = face_neighbours(labels, x, y, z)
+                if labels[x, y, z] > 0:
+                    if 0 in around:
+                        surface[x, y, z] = True
+                        eroded[x, y, z] = 0
+                elif any(around):
+                    dilated[x, y, z] = min(c for c in around if c > 0)
+    return surface, dilated, eroded
+
+
 def _percentile95(values):
     ordered = np.sort(np.asarray(values, dtype=np.float64))
     h = (len(ordered) - 1) * 0.95

@@ -18,12 +18,16 @@ from segtta import (
     predict,
     write_label_mask,
 )
+from segtta.backends import _dilate_step, _erode_step
 from segtta.errors import (
     DimensionMismatch,
     GroundTruthMissing,
     NotProbabilistic,
     ProcessFailure,
 )
+from segtta.metrics import _surface
+
+from conftest import brute_force_neighbourhood_ops
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +143,44 @@ class TestNoisyOracle:
         out = predict(backend, volume, 3, stream(), ground_truth=gt)
         pred = np.argmax(out.probs, axis=-1)
         assert (pred != gt.labels).all()
+
+
+def random_label_volumes(count, seed=7):
+    """Random uint8 label volumes with 2-3 classes; axes of length 1 and 2
+    are common, and some volumes are mostly background."""
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        dims = tuple(int(gen.choice([1, 2, 3, 4, 6])) for _ in range(3))
+        num_classes = int(gen.integers(2, 4))
+        fill = gen.choice([0.3, 0.7, 0.95])
+        labels = gen.integers(1, num_classes, size=dims)
+        labels[gen.random(dims) > fill] = 0
+        yield labels.astype(np.uint8)
+
+
+class TestNeighbourhood:
+    """The surface, dilation and erosion steps against a voxel-by-voxel
+    neighbour loop."""
+
+    def test_match_the_brute_force_oracle(self):
+        for labels in random_label_volumes(120):
+            surface, dilated, eroded = brute_force_neighbourhood_ops(labels)
+            np.testing.assert_array_equal(_surface(labels > 0), surface)
+            np.testing.assert_array_equal(_dilate_step(labels), dilated)
+            np.testing.assert_array_equal(_erode_step(labels), eroded)
+
+    def test_dilation_takes_the_lowest_neighbouring_class(self):
+        labels = np.zeros((3, 1, 1), dtype=np.uint8)
+        labels[0], labels[2] = 2, 1
+        np.testing.assert_array_equal(_dilate_step(labels).ravel(), [2, 1, 1])
+        labels[0], labels[2] = 1, 2
+        np.testing.assert_array_equal(_dilate_step(labels).ravel(), [1, 1, 2])
+
+    def test_full_volume_erodes_from_the_edge(self):
+        labels = np.ones((3, 3, 3), dtype=np.uint8)
+        eroded = _erode_step(labels)
+        assert eroded.sum() == 1 and eroded[1, 1, 1] == 1
+        np.testing.assert_array_equal(_dilate_step(labels), labels)
 
 
 class TestConstant:
