@@ -3,6 +3,9 @@
 All transforms are deterministic functions ``Volume -> Volume`` (noise
 takes an explicit seeded stream), preserve dims and spacing, and never
 touch geometry, so ground-truth masks remain valid for augmented views.
+Parameters are validated in one place, ``AugmentationSpec``: each function
+checks its arguments by building the matching spec, so a bad value raises
+the same error whether it comes from a config or a direct call.
 
 Blur applies per 2D slice by default (slices perpendicular to z), matching
 slice-wise segmentation backends; pass ``slice_axis=None`` for full 3D
@@ -17,7 +20,6 @@ import math
 import numpy as np
 
 from .core import AugmentationSpec, Volume
-from .errors import InvalidAlpha, InvalidGamma, InvalidSigma
 from .rng import SeededRng
 
 
@@ -36,8 +38,7 @@ class GaussianKernel1D:
 
     @classmethod
     def from_sigma(cls, sigma: float) -> "GaussianKernel1D":
-        if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
-            raise InvalidSigma(f"blur sigma={sigma!r} must be finite and > 0")
+        AugmentationSpec("gaussian_blur", sigma=sigma)
         radius = math.ceil(3.0 * sigma)
         x = np.arange(-radius, radius + 1, dtype=np.float64)
         w = np.exp(-0.5 * (x / sigma) ** 2)
@@ -69,9 +70,8 @@ def gaussian_blur(v: Volume, sigma: float, slice_axis: int | None = 2) -> Volume
     output range is clipped to the input range (the normalized kernel only
     forms convex combinations, so this guards float round-off only).
     """
+    AugmentationSpec("gaussian_blur", sigma=sigma, slice_axis=slice_axis)
     kernel = GaussianKernel1D.from_sigma(sigma)
-    if slice_axis is not None and slice_axis not in (0, 1, 2):
-        raise ValueError(f"slice_axis={slice_axis!r} not in (0, 1, 2) or None")
     axes = (0, 1, 2) if slice_axis is None else tuple(a for a in (0, 1, 2) if a != slice_axis)
     out = v.data
     for axis in axes:
@@ -88,8 +88,7 @@ def gaussian_noise(v: Volume, sigma: float, rng: SeededRng) -> Volume:
     Fully reproducible given the stream: the same (seed, key) always
     produces the same noise field.
     """
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0):
-        raise InvalidSigma(f"noise sigma={sigma!r} must be finite and >= 0")
+    AugmentationSpec("gaussian_noise", sigma=sigma)
     if sigma == 0:
         return v
     noise = rng.generator().normal(0.0, sigma, size=v.dims)
@@ -103,8 +102,7 @@ def gamma_correction(v: Volume, gamma: float) -> Volume:
     maximum, so maximal voxels are fixed points. Requires non-negative
     intensities; all-zero volumes pass through unchanged.
     """
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
-        raise InvalidGamma(f"gamma={gamma!r} must be finite and > 0")
+    AugmentationSpec("gamma_correction", gamma=gamma)
     if v.data.min() < 0:
         raise ValueError("gamma correction requires non-negative intensities")
     if gamma == 1.0:
@@ -117,10 +115,7 @@ def gamma_correction(v: Volume, gamma: float) -> Volume:
 
 def contrast_enhancement(v: Volume, alpha: float, beta: float = 0.0) -> Volume:
     """Linear remap out = alpha * I + beta, clipped to the input's [0, I_max]."""
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-        raise InvalidAlpha(f"alpha={alpha!r} must be finite and > 0")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta={beta!r} must be finite")
+    AugmentationSpec("contrast_enhancement", alpha=alpha, beta=beta)
     if alpha == 1.0 and beta == 0.0:
         return v
     imax = max(float(v.data.max()), 0.0)

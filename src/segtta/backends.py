@@ -31,6 +31,7 @@ from .errors import (
     SegTTAError,
 )
 from . import nifti
+from .metrics import _FACES, _surface
 from .rng import SeededRng
 
 logger = logging.getLogger("segtta.backends")
@@ -49,44 +50,22 @@ def _soften(labels: np.ndarray, num_classes: int, confidence: float) -> np.ndarr
     return np.where(onehot, confidence, rest)
 
 
-def _shift_labels(labels: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """Labels shifted by one voxel along an axis, background past the edge."""
-    out = np.zeros_like(labels)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    if step > 0:
-        src[axis], dst[axis] = slice(None, -1), slice(1, None)
-    else:
-        src[axis], dst[axis] = slice(1, None), slice(None, -1)
-    out[tuple(dst)] = labels[tuple(src)]
-    return out
-
-
 def _dilate_step(labels: np.ndarray) -> np.ndarray:
     """Grow the foreground by one voxel (6-connectivity); a new voxel takes
     the lowest class among its labeled neighbors."""
+    # int16 holds the sentinel 256 above every class; uint8 would wrap it to 0.
+    keyed = labels.astype(np.int16)
+    keyed[labels == 0] = 256
     candidate = np.full(labels.shape, 256, dtype=np.int16)
-    for axis in range(3):
-        for step in (-1, 1):
-            neighbor = _shift_labels(labels, axis, step).astype(np.int16)
-            neighbor[neighbor == 0] = 256
-            np.minimum(candidate, neighbor, out=candidate)
-    out = labels.copy()
+    for site, neighbour, _ in _FACES:
+        np.minimum(candidate[site], keyed[neighbour], out=candidate[site])
     grow = (labels == 0) & (candidate < 256)
-    out[grow] = candidate[grow].astype(labels.dtype)
-    return out
+    return np.where(grow, candidate, labels).astype(labels.dtype)
 
 
 def _erode_step(labels: np.ndarray) -> np.ndarray:
     """Shrink the foreground by one voxel; out-of-bounds counts as background."""
-    fg = labels > 0
-    keep = fg.copy()
-    for axis in range(3):
-        for step in (-1, 1):
-            keep &= _shift_labels(fg.astype(np.uint8), axis, step) > 0
-    out = labels.copy()
-    out[fg & ~keep] = 0
-    return out
+    return np.where(_surface(labels > 0), 0, labels)
 
 
 def _resolve_ground_truth(

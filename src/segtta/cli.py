@@ -20,21 +20,21 @@ import sys
 
 from . import augment, nifti
 from .config import load_config, load_manifest
-from .core import AugmentationSpec, Spacing, normalize_intensity
+from .core import AUGMENTATION_KINDS, AugmentationSpec, Spacing, normalize_intensity
 from .errors import SegTTAError
-from .fusion import FusionInput, fuse
+from .fusion import VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
 from .pipeline import (
     EventLog,
     RunResult,
     attach_run_log,
+    augmentation_rng,
     detach_run_log,
     run_ablation,
     run_segtta,
     run_threshold_sweep,
 )
 from .report import FORMATS, emit_report, render
-from .rng import SeededRng
 
 
 def _add_run_options(p: argparse.ArgumentParser):
@@ -67,10 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aug = sub.add_parser("augment", help="apply one transform to a volume")
     aug.add_argument("--input", required=True)
     aug.add_argument("--output", required=True)
-    aug.add_argument("--kind", required=True, choices=[
-        "identity", "gaussian_blur", "gaussian_noise",
-        "gamma_correction", "contrast_enhancement",
-    ])
+    aug.add_argument("--kind", required=True, choices=AUGMENTATION_KINDS)
     aug.add_argument("--sigma", type=float)
     aug.add_argument("--gamma", type=float)
     aug.add_argument("--alpha", type=float)
@@ -84,9 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fz = sub.add_parser("fuse", help="fuse precomputed probability maps")
     fz.add_argument("maps", nargs="+", help="4D float32 NIfTI probability maps")
     fz.add_argument("--output", required=True, help="fused mask (uint8 NIfTI)")
-    fz.add_argument("--mode", default="threshold_weighted", choices=[
-        "majority", "confidence_weighted", "threshold_weighted",
-    ])
+    fz.add_argument("--mode", default="threshold_weighted", choices=VOTING_MODES)
     fz.add_argument("--tau", type=float, default=0.6)
 
     met = sub.add_parser("metrics", help="score a mask against ground truth")
@@ -133,6 +128,11 @@ def _finish_run(result: RunResult, args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.command == "sweep":
+        try:
+            taus = [float(t) for t in args.taus.split(",") if t.strip()]
+        except ValueError as e:
+            raise SegTTAError(f"--taus: {e}") from e
     config = _apply_overrides(load_config(args.config), args)
     manifest = load_manifest(args.manifest)
     log, handler = _open_log(args)
@@ -142,7 +142,6 @@ def _cmd_run(args) -> int:
         elif args.command == "ablate":
             result = run_ablation(config, manifest, out_dir=args.out, log=log)
         else:
-            taus = [float(t) for t in args.taus.split(",") if t.strip()]
             result = run_threshold_sweep(
                 config, manifest, taus, out_dir=args.out, log=log
             )
@@ -167,7 +166,7 @@ def _cmd_augment(args) -> int:
         kind=args.kind, sigma=args.sigma, gamma=args.gamma,
         alpha=args.alpha, beta=args.beta, slice_axis=axis,
     )
-    rng = SeededRng(args.seed, "augment", volume.vol_id, spec.label())
+    rng = augmentation_rng(args.seed, volume.vol_id, spec.label())
     out = augment.apply(spec, volume, rng)
     nifti.write_volume(out, args.output, datatype=16)
     print(f"wrote {args.output}")

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from .core import AugmentationSpec, _check_field_types, default_augmentations
-from .errors import SegTTAError
+from .errors import IoFailure, SegTTAError
 from .fusion import VOTING_MODES, _check_tau
 
 BACKEND_KINDS = ("oracle", "noisy_oracle", "constant", "external")
@@ -194,9 +194,20 @@ def _objects(d: dict, field: str) -> list:
     return value
 
 
+def _read_json(path):
+    """The JSON document at ``path``; a missing or unreadable file raises
+    IoFailure and malformed JSON a SegTTAError, each naming the path."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise IoFailure(f"cannot read {path}: {e}") from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise SegTTAError(f"{path}: malformed JSON: {e}") from e
+
+
 def load_config(path) -> RunConfig:
-    with open(path) as f:
-        return RunConfig.from_dict(json.load(f))
+    return RunConfig.from_dict(_read_json(path))
 
 
 def save_config(config: RunConfig, path):
@@ -247,8 +258,7 @@ def load_manifest(path) -> DatasetManifest:
     directory. The dataset name is the manifest file's stem.
     """
     path = Path(path)
-    with open(path) as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise SegTTAError(f"{path}: manifest must be a JSON list of cases")
     base = path.parent
@@ -271,12 +281,12 @@ def load_manifest(path) -> DatasetManifest:
                     f"{path}: case {i} field {field!r} must be a string, "
                     f"got {type(value).__name__}"
                 )
-        try:
-            num_classes = int(item["classes"])
-        except (TypeError, ValueError) as e:
+        num_classes = item["classes"]
+        if isinstance(num_classes, bool) or not isinstance(num_classes, int):
             raise SegTTAError(
-                f"{path}: case {i} field 'classes' must be an integer: {e}"
-            ) from e
+                f"{path}: case {i} field 'classes' must be an integer, "
+                f"got {num_classes!r}"
+            )
         label = item.get("label")
         entries.append(
             ManifestEntry(

@@ -2,6 +2,7 @@
 
 All types are immutable after construction (frozen dataclasses over
 read-only numpy arrays), so they are safe to share across worker threads.
+The array-holding types compare and hash by identity.
 Arrays are indexed ``[x, y, z]`` throughout; file readers convert whatever
 layout is on disk into this convention.
 """
@@ -90,7 +91,7 @@ class Spacing:
         return Spacing(self.dx * s, self.dy * s, self.dz * s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume:
     """A 3D scalar intensity grid with physical voxel spacing.
 
@@ -123,7 +124,7 @@ class Volume:
         return Volume(data, self.spacing, self.vol_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
 
@@ -181,7 +182,7 @@ class ProbabilityMap:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelMask:
     """Per-voxel integer class assignment, 0 = background."""
 

@@ -28,7 +28,7 @@ The quadratic all-pairs computation lives in the test suite as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,20 +132,27 @@ def _foreground(mask: LabelMask, class_set=None) -> np.ndarray:
     return fg
 
 
+#: The six face directions as (site, neighbour, edge) index triples:
+#: ``a[site]`` and ``a[neighbour]`` pair every voxel with its neighbour in
+#: that direction, and ``a[edge]`` holds the voxels whose neighbour in that
+#: direction lies off the volume.
+_STEPS = (
+    (slice(None, -1), slice(1, None), slice(-1, None)),  # neighbour at +1
+    (slice(1, None), slice(None, -1), slice(None, 1)),  # neighbour at -1
+)
+_FACES = tuple(
+    tuple((slice(None),) * axis + (s,) + (slice(None),) * (2 - axis) for s in step)
+    for axis in range(3)
+    for step in _STEPS
+)
+
+
 def _surface(fg: np.ndarray) -> np.ndarray:
     """Foreground voxels with a 6-neighbor outside the set (or off-volume)."""
     interior = fg.copy()
-    for axis in range(3):
-        shifted = np.zeros_like(fg)
-        src = [slice(None)] * 3
-        dst = [slice(None)] * 3
-        src[axis], dst[axis] = slice(1, None), slice(None, -1)
-        shifted[tuple(dst)] = fg[tuple(src)]
-        interior &= shifted
-        shifted = np.zeros_like(fg)
-        src[axis], dst[axis] = slice(None, -1), slice(1, None)
-        shifted[tuple(dst)] = fg[tuple(src)]
-        interior &= shifted
+    for site, neighbour, edge in _FACES:
+        interior[site] &= fg[neighbour]
+        interior[edge] = False
     return fg & ~interior
 
 
@@ -251,13 +258,4 @@ def evaluate(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> MetricReport:
     if distance is None:
         empty = "prediction" if not pred.labels.any() else "ground truth"
         reason = f"{empty} has empty foreground"
-    return MetricReport(
-        report.per_class_iou,
-        report.per_class_dice,
-        report.miou,
-        report.mdice,
-        report.aiou,
-        report.adice,
-        hd95_mm=distance,
-        undefined_reason=reason,
-    )
+    return replace(report, hd95_mm=distance, undefined_reason=reason)

@@ -7,6 +7,11 @@ orders are handled; endianness is detected from dim[0], which must land in
 but not applied; only the pixdim voxel spacing is honored, since nothing in
 this pipeline resamples.
 
+Each reader reads its file once: the header is parsed from the bytes
+read, and the data size the header claims is checked against the bytes
+present before any array is built, so a short file or an oversized claim
+is reported as truncated. ``read_header`` alone reads just the header.
+
 Written files are canonical: vox_offset=352, scl_slope=1, scl_inter=0,
 little-endian unless asked otherwise, and gzip members carry mtime=0 so
 identical volumes produce identical bytes.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import gzip
+import math
 from pathlib import Path
 
 import numpy as np
@@ -200,32 +206,34 @@ def read_header(path) -> NiftiHeader:
     return _parse_header(raw, path)
 
 
-def _read_array(path, header: NiftiHeader) -> np.ndarray:
-    """Read the data section as an array shaped per the header, [x, y, z(, c)]."""
-    shape = header.shape()
-    dtype = np.dtype(DTYPE_FOR_CODE[header.datatype]).newbyteorder(header.byteorder)
-    count = int(np.prod(shape))
-    nbytes = count * dtype.itemsize
+def _read(path, ndim: int, what: str) -> tuple[NiftiHeader, np.ndarray]:
+    """Read the file once; return its header and its data section, checked
+    against the size the header claims, as a read-only array view of the
+    bytes read, shaped [x, y, z(, c)]."""
     with _open_read(path) as f:
         try:
-            f.seek(header.vox_offset)
-            raw = f.read(nbytes)
+            raw = f.read()
         except (OSError, gzip.BadGzipFile, EOFError) as e:
-            raise IoFailure(f"cannot read data from {path}: {e}") from e
-    if len(raw) < nbytes:
+            raise IoFailure(f"cannot read {path}: {e}") from e
+    header = _parse_header(raw, path)
+    if header.ndim != ndim:
+        raise DimensionMismatch(f"{path}: dim[0]={header.ndim}, expected a {what}")
+    shape = header.shape()
+    dtype = np.dtype(DTYPE_FOR_CODE[header.datatype]).newbyteorder(header.byteorder)
+    nbytes = math.prod(shape) * dtype.itemsize
+    data = memoryview(raw)[header.vox_offset : header.vox_offset + nbytes]
+    if len(data) < nbytes:
         raise IoFailure(
-            f"{path}: data section truncated ({len(raw)} of {nbytes} bytes)"
+            f"{path}: data section truncated ({len(data)} of {nbytes} bytes)"
         )
     # File order is x fastest; reshape with Fortran order to index [x, y, z].
-    return np.frombuffer(raw, dtype=dtype).reshape(shape, order="F")
+    return header, np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
 
 
 def read_volume(path) -> Volume:
     """Read a 3D volume, applying scl_slope/scl_inter when slope is nonzero."""
-    header = read_header(path)
-    if header.ndim != 3:
-        raise DimensionMismatch(f"{path}: dim[0]={header.ndim}, expected a 3D volume")
-    arr = _read_array(path, header).astype(np.float64)
+    header, arr = _read(path, 3, "3D volume")
+    arr = arr.astype(np.float64)
     if header.scl_slope != 0.0 and (header.scl_slope, header.scl_inter) != (1.0, 0.0):
         arr = arr * header.scl_slope + header.scl_inter
     spacing = Spacing(*header.pixdim[1:4])
@@ -234,10 +242,7 @@ def read_volume(path) -> Volume:
 
 def read_label_mask(path, num_classes: int) -> LabelMask:
     """Read an integer label mask stored as any supported datatype."""
-    header = read_header(path)
-    if header.ndim != 3:
-        raise DimensionMismatch(f"{path}: dim[0]={header.ndim}, expected a 3D mask")
-    arr = _read_array(path, header)
+    _, arr = _read(path, 3, "3D mask")
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(arr)
         if not np.array_equal(rounded, arr):
@@ -248,16 +253,13 @@ def read_label_mask(path, num_classes: int) -> LabelMask:
 
 def read_probability_map(path) -> ProbabilityMap:
     """Read a 4D float32 probability map with dim[4] = num_classes."""
-    header = read_header(path)
-    if header.ndim != 4:
-        raise DimensionMismatch(f"{path}: dim[0]={header.ndim}, expected a 4D map")
+    header, arr = _read(path, 4, "4D map")
     if header.datatype != 16:
         raise UnsupportedDatatype(
             f"{path}: probability maps must be float32 (datatype=16), "
             f"got {header.datatype}"
         )
-    arr = _read_array(path, header).astype(np.float64)
-    return ProbabilityMap(arr, source_tag=_stem(path))
+    return ProbabilityMap(arr.astype(np.float64), source_tag=_stem(path))
 
 
 def _stem(path) -> str:

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment, backends, nifti
-from .config import DatasetManifest, RunConfig
+from .config import DatasetManifest, RunConfig, _read_json
 from .core import ProbabilityMap, Volume, normalize_intensity
 from .errors import InsufficientAugmentations, SegTTAError
 from .fusion import FusionInput, fuse, foreground_volume, _check_tau
@@ -232,8 +232,7 @@ class RunResult:
 
     @classmethod
     def load(cls, path) -> "RunResult":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(_read_json(path))
 
 
 def _aggregate(per_case: dict, fg_volume: dict, variants) -> dict:

@@ -176,12 +176,6 @@ class TestNeighbourhood:
         labels[0], labels[2] = 1, 2
         np.testing.assert_array_equal(_dilate_step(labels).ravel(), [1, 1, 2])
 
-    def test_full_volume_erodes_from_the_edge(self):
-        labels = np.ones((3, 3, 3), dtype=np.uint8)
-        eroded = _erode_step(labels)
-        assert eroded.sum() == 1 and eroded[1, 1, 1] == 1
-        np.testing.assert_array_equal(_dilate_step(labels), labels)
-
 
 class TestConstant:
     def test_background_constant(self, case):

@@ -103,6 +103,9 @@ class TestRun:
         ({"id": "a", "image": ["a.nii"], "classes": 2}, "'image'"),
         ({"id": "a", "image": "a.nii", "label": 7, "classes": 2}, "'label'"),
         ({"id": "a", "image": "a.nii", "classes": [2]}, "'classes'"),
+        ({"id": "a", "image": "a.nii", "classes": 2.9}, "'classes'"),
+        ({"id": "a", "image": "a.nii", "classes": "2"}, "'classes'"),
+        ({"id": "a", "image": "a.nii", "classes": True}, "'classes'"),
     ])
     def test_malformed_manifest_is_diagnosed(self, config_path, tmp_path, capsys,
                                              entry, field):
@@ -139,6 +142,33 @@ class TestRun:
         assert repr(field) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, named", [
+        ("run --config {missing} --manifest {manifest}", "{missing}"),
+        ("run --config {config} --manifest {missing}", "{missing}"),
+        ("report --result {missing}", "{missing}"),
+        ("run --config {malformed} --manifest {manifest}", "{malformed}"),
+        ("run --config {config} --manifest {malformed}", "{malformed}"),
+        ("report --result {malformed}", "{malformed}"),
+        ("sweep --config {config} --manifest {manifest} --taus 0.3,abc",
+         "--taus"),
+    ], ids=["missing-config", "missing-manifest", "missing-result",
+            "malformed-config", "malformed-manifest", "malformed-result",
+            "bad-taus"])
+    def test_bad_input_file_or_flag_is_named(self, dataset_dir, config_path,
+                                             tmp_path, capsys, command, named):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"backends": [}')
+        paths = {
+            "missing": tmp_path / "missing.json", "malformed": malformed,
+            "config": config_path, "manifest": dataset_dir / "manifest.json",
+        }
+        code = main([arg.format(**paths) for arg in command.split()])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named.format(**paths) in err
+        assert "Traceback" not in err
+
     def test_corrupt_header_fails_only_its_case(self, dataset_dir, config_path,
                                                 tmp_path, capsys):
         image = dataset_dir / "case001.nii.gz"
@@ -158,6 +188,27 @@ class TestRun:
         assert [f[0] for f in saved["failures"]] == ["case001"]
         assert "vox_offset" in saved["failures"][0][1]
         assert "FAILED case001" in capsys.readouterr().err
+
+
+    def test_header_claiming_huge_volume_fails_only_its_case(
+            self, dataset_dir, config_path, tmp_path, capsys):
+        image = dataset_dir / "case001.nii.gz"
+        with gzip.open(image, "rb") as f:
+            raw = bytearray(f.read())
+        struct.pack_into("<3h", raw, 42, 30000, 30000, 30000)  # dim[1:4]
+        with gzip.open(image, "wb") as f:
+            f.write(bytes(raw))
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--config", config_path,
+            "--manifest", dataset_dir / "manifest.json", "--out", out,
+        )
+        assert code == 0
+        saved = json.loads((out / "result.json").read_text())
+        assert sorted(saved["per_case"]) == ["case000", "case002"]
+        [(case, reason)] = saved["failures"]
+        assert case == "case001"
+        assert reason.startswith("load: ") and "truncated" in reason
 
 
 class TestAblateAndSweep:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,19 @@ class TestProbabilityMap:
     def test_rejects_single_class(self):
         with pytest.raises(DimensionMismatch):
             ProbabilityMap(np.ones((2, 2, 2, 1)))
+
+    def test_identity_equality_and_hashing(self, rng):
+        a, b = dyadic(rng, (2, 2, 2), 2), dyadic(rng, (2, 2, 2), 2)
+        twin = ProbabilityMap(a.probs, source_tag=a.source_tag)
+        assert a == a and a != twin and a != b
+        maps = weakref.WeakSet([a, b, twin])
+        assert len(maps) == 3 and a in maps
+        del b
+        gc.collect()
+        assert len(maps) == 2
+        volume = make_volume(np.zeros((2, 2, 2)))
+        mask = LabelMask(np.zeros((2, 2, 2), dtype=np.uint8), 2)
+        assert len({volume, mask, volume, mask}) == 2
 
 
 def dyadic(rng, dims, num_classes):

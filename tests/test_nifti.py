@@ -1,6 +1,7 @@
 import gzip
 import struct
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from segtta.errors import (
     DimensionMismatch,
     IoFailure,
     NotProbabilistic,
+    SegTTAError,
     UnrepresentableValue,
     UnsupportedDatatype,
 )
@@ -294,3 +296,82 @@ def _data_bytes(path) -> bytes:
     with opener(path, "rb") as f:
         raw = f.read()
     return raw[352:]
+
+
+# --- header mutations -----------------------------------------------------------
+
+
+def _valid_files():
+    """Valid float32 volume, label and probability-map files, built byte by
+    byte, each with the reader that should accept it."""
+    gen = np.random.default_rng(5)
+    dims = (3, 4, 2)
+    volume = gen.random(dims).astype("<f4")
+    labels = gen.integers(0, 3, dims).astype("<f4")
+    probs = np.where(labels[..., None] == np.arange(3), 0.5, 0.25).astype("<f4")
+    return {
+        "volume": (build_nifti_bytes(dims, volume.tobytes(order="F")),
+                   read_volume, Volume),
+        "label": (build_nifti_bytes(dims, labels.tobytes(order="F")),
+                  lambda path: read_label_mask(path, 3), LabelMask),
+        "map": (build_nifti_bytes((*dims, 3), probs.tobytes(order="F")),
+                read_probability_map, ProbabilityMap),
+    }
+
+
+VALID_FILES = _valid_files()
+
+#: field -> (byte offset, struct format, element count) in the header.
+HEADER_FIELDS = {
+    "dim": (40, "h", 8),
+    "datatype": (70, "h", 1),
+    "bitpix": (72, "h", 1),
+    "pixdim": (76, "f", 8),
+    "vox_offset": (108, "f", 1),
+    "scl_slope": (112, "f", 1),
+    "scl_inter": (116, "f", 1),
+}
+
+
+@st.composite
+def header_mutations(draw):
+    """(byte offset, new bytes) that overwrite one header field element."""
+    field = draw(st.sampled_from([*HEADER_FIELDS, "magic"]))
+    if field == "magic":
+        return 344, draw(st.binary(min_size=4, max_size=4))
+    offset, fmt, count = HEADER_FIELDS[field]
+    index = draw(st.integers(0, count - 1))
+    if fmt == "h":
+        value = draw(st.one_of(st.integers(-2, 70), st.integers(-2**15, 2**15 - 1)))
+    else:
+        value = draw(st.one_of(st.integers(-2, 400).map(float), st.floats(width=32)))
+    return offset + index * struct.calcsize(fmt), struct.pack("<" + fmt, value)
+
+
+class TestMutatedHeaders:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(kind=st.sampled_from(sorted(VALID_FILES)), mutation=header_mutations())
+    def test_valid_object_or_named_error(self, tmp_path_factory, kind, mutation):
+        raw, reader, expected = VALID_FILES[kind]
+        offset, value = mutation
+        mutated = bytearray(raw)
+        mutated[offset : offset + len(value)] = value
+        path = tmp_path_factory.getbasetemp() / "mutated.nii"
+        path.write_bytes(bytes(mutated))
+        try:
+            out = reader(path)
+        except SegTTAError:
+            return
+        assert isinstance(out, expected)
+
+    def test_unmutated_files_read(self, tmp_path):
+        for kind, (raw, reader, expected) in VALID_FILES.items():
+            (tmp_path / f"{kind}.nii").write_bytes(raw)
+            assert isinstance(reader(tmp_path / f"{kind}.nii"), expected)
+
+    def test_huge_claimed_size_is_truncated_not_allocated(self, tmp_path):
+        raw = bytearray(VALID_FILES["volume"][0])
+        struct.pack_into("<3h", raw, 42, 30000, 30000, 30000)
+        (tmp_path / "huge.nii").write_bytes(bytes(raw))
+        with pytest.raises(IoFailure, match="truncated"):
+            read_volume(tmp_path / "huge.nii")
