@@ -132,14 +132,14 @@ def _foreground(mask: LabelMask, class_set=None) -> np.ndarray:
     return fg
 
 
-#: The six face directions as (site, neighbour, edge) index triples:
-#: ``a[site]`` and ``a[neighbour]`` pair every voxel with its neighbour in
-#: that direction, and ``a[edge]`` holds the voxels whose neighbour in that
-#: direction lies off the volume.
 _STEPS = (
     (slice(None, -1), slice(1, None), slice(-1, None)),  # neighbour at +1
     (slice(1, None), slice(None, -1), slice(None, 1)),  # neighbour at -1
 )
+#: The six face directions as (site, neighbour, edge) index triples:
+#: ``a[site]`` and ``a[neighbour]`` pair every voxel with its neighbour in
+#: that direction, and ``a[edge]`` holds the voxels whose neighbour in that
+#: direction lies off the volume.
 _FACES = tuple(
     tuple((slice(None),) * axis + (s,) + (slice(None),) * (2 - axis) for s in step)
     for axis in range(3)
