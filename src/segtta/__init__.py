@@ -44,6 +44,7 @@ from .fusion import (
     threshold_weighted_vote,
 )
 from .metrics import (
+    CaseScorer,
     MetricReport,
     distance_transform,
     evaluate,
@@ -77,6 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentationSpec",
     "BackendDescriptor",
+    "CaseScorer",
     "DatasetManifest",
     "FusionInput",
     "GaussianKernel1D",

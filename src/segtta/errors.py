@@ -35,6 +35,10 @@ class NotProbabilistic(SegTTAError, ValueError):
     """Per-voxel class probabilities do not sum to one within tolerance."""
 
 
+class InvalidLabels(SegTTAError, ValueError):
+    """Label mask voxels are not integers in [0, num_classes)."""
+
+
 # --- parameter errors -------------------------------------------------------
 
 class InvalidSigma(SegTTAError, ValueError):

@@ -8,12 +8,13 @@ empty in exactly one scoring 0. The agnostic variants merge all
 foreground classes into one region first.
 
 HD95 is computed on class-agnostic surfaces with the pooled symmetric
-convention: directed nearest-surface distances from both surfaces are
-pooled into one multiset and the 95th percentile (linear interpolation
-between order statistics) is taken, in millimeters via the voxel spacing.
-A surface voxel is a foreground voxel with at least one face-adjacent
-(6-connectivity) neighbor outside the foreground; voxels on the volume
-border count their out-of-bounds neighbors as outside.
+convention (Taha & Hanbury, BMC Medical Imaging 2015): directed
+nearest-surface distances from both surfaces are pooled into one multiset
+and the 95th percentile (linear interpolation between order statistics) is
+taken, in millimeters via the voxel spacing. A surface voxel is a
+foreground voxel with at least one face-adjacent (6-connectivity) neighbor
+outside the foreground; voxels on the volume border count their
+out-of-bounds neighbors as outside.
 
 The nearest-surface distances come from an exact Euclidean distance
 transform that handles anisotropic spacing: two linear sweeps along the
@@ -21,9 +22,22 @@ first axis, then one min-plus pass per remaining axis over the squared
 distances, out[i] = min_j f[j] + (delta*(i-j))^2, as whole-array numpy
 operations per offset. A pass stops at the first offset whose cost
 reaches the largest value left, which is exact since every later term is
-larger still. A voxel with no seed in the volume is at distance inf. HD95
-runs both transforms on the joint bounding box of the two surfaces only.
-The quadratic all-pairs computation lives in the test suite as its oracle.
+larger still. A voxel with no seed in the volume is at distance inf.
+
+Every row of a case is scored against the same ground truth, so a
+``CaseScorer`` prepares that side once: the ground-truth surface, its
+bounding box, and the transform to it over the whole volume, computed the
+first time a row needs it. A row then reads that transform at its own
+surface voxels and runs one transform of its own surface, on the
+ground-truth box grown by a margin. The margin doubles until every
+ground-truth surface voxel's distance is certified, that is at most its
+distance to the outside of the crop minus one voxel, or the crop is the
+whole volume. Both shortcuts give the bits of the full-volume transforms:
+rounding is monotone, so each transform value is the minimum over seeds
+of a per-seed value that depends only on the offset, not on the crop; a
+certified voxel's nearest seed lies inside the crop, since any seed
+outside is farther by at least the slack. The quadratic all-pairs
+computation lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +46,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabelMask, Spacing
+from .core import LabelMask, Spacing, _check_fields
 from .errors import DimensionMismatch
+
+
+_REPORT_FIELDS = {
+    "per_class_iou": "object", "per_class_dice": "object",
+    "miou": "number", "mdice": "number", "aiou": "number", "adice": "number",
+    "hd95_mm": "number or null", "undefined_reason": "string or null",
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +88,10 @@ class MetricReport:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
+    def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
+        """Inverse of :meth:`to_dict`; a missing or mistyped field raises
+        SegTTAError naming ``where`` and the field."""
+        _check_fields(d, _REPORT_FIELDS, where)
         return cls(
             per_class_iou={int(c): v for c, v in d["per_class_iou"].items()},
             per_class_dice={int(c): v for c, v in d["per_class_dice"].items()},
@@ -215,45 +239,104 @@ def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
-    """Slices of the smallest box holding every True voxel of ``mask``."""
-    box = []
-    for axis in range(mask.ndim):
-        others = tuple(a for a in range(mask.ndim) if a != axis)
-        hit = np.flatnonzero(mask.any(axis=others))
-        box.append(slice(hit[0], hit[-1] + 1))
-    return tuple(box)
+#: First margin, in voxels, by which a row's transform grows the
+#: ground-truth surface box; it doubles until the crop is certified.
+_MARGIN = 2
 
 
-def hd95(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> float | None:
+class CaseScorer:
+    """One case's ground truth, prepared once to score many predictions.
+
+    Pass it as ``gt`` to :func:`evaluate` or :func:`hd95`, with the same
+    spacing; a plain ``LabelMask`` there scores one row. The transform to
+    the ground-truth surface is kept once computed, so a scorer holds one
+    float64 volume and should die with its case.
+    """
+
+    def __init__(self, gt: LabelMask, spacing: Spacing):
+        self.gt = gt
+        self.spacing = spacing
+        self.surface = _surface(gt.labels > 0)
+        self.points = np.argwhere(self.surface)  # row-major, as surface[...]
+        self._to_gt = None
+
+    def to_gt(self) -> np.ndarray:
+        """Distance (mm) from every voxel to the ground-truth surface."""
+        if self._to_gt is None:
+            self._to_gt = distance_transform(self.surface, self.spacing)
+        return self._to_gt
+
+    def to_surface(self, surface: np.ndarray) -> np.ndarray:
+        """Distance (mm) from each ground-truth surface voxel, in row-major
+        order, to the nearest voxel of ``surface``, which is not empty.
+
+        The transform runs on the ground-truth box grown by a margin that
+        doubles until each distance is at most the voxel's distance to the
+        outside of the crop minus one voxel, or the crop is the volume.
+        """
+        dims = np.array(surface.shape)
+        steps = np.array(self.spacing.as_tuple())
+        first, last = self.points.min(axis=0), self.points.max(axis=0) + 1
+        margin = _MARGIN
+        while True:
+            lo = np.maximum(first - margin, 0)
+            hi = np.minimum(last + margin, dims)
+            crop = tuple(slice(a, b) for a, b in zip(lo, hi))
+            dist = distance_transform(surface[crop], self.spacing)
+            dist = dist[tuple((self.points - lo).T)]
+            if (lo == 0).all() and (hi == dims).all():
+                return dist
+            below = np.where(lo > 0, (self.points - lo + 1) * steps, np.inf)
+            above = np.where(hi < dims, (hi - self.points) * steps, np.inf)
+            room = np.minimum(below, above).min(axis=1)
+            if (dist <= room - steps.min()).all():
+                return dist
+            margin *= 2
+
+
+def _scorer(gt: LabelMask | CaseScorer, spacing: Spacing) -> CaseScorer:
+    """``gt`` as a scorer; a scorer passed in must have this spacing."""
+    if not isinstance(gt, CaseScorer):
+        return CaseScorer(gt, spacing)
+    if gt.spacing != spacing:
+        raise ValueError(f"spacing {spacing} != scorer spacing {gt.spacing}")
+    return gt
+
+
+def hd95(pred: LabelMask, gt: LabelMask | CaseScorer,
+         spacing: Spacing) -> float | None:
     """95th percentile of pooled symmetric surface distances, in mm.
 
     Both surfaces empty gives 0 (nothing disagrees); exactly one empty is
     undefined and returns None so aggregation can exclude and count it.
-    The distance transforms run on the joint bounding box of the two
-    surfaces only, which holds every seed and every query voxel.
+    ``gt`` may be a :class:`CaseScorer`, which keeps the ground-truth side
+    across the rows of a case.
     """
-    _check_dims(pred, gt)
+    scorer = _scorer(gt, spacing)
+    _check_dims(pred, scorer.gt)
     pred_surface = _surface(pred.labels > 0)
-    gt_surface = _surface(gt.labels > 0)
     pred_any = bool(pred_surface.any())
-    gt_any = bool(gt_surface.any())
+    gt_any = len(scorer.points) > 0
     if not pred_any and not gt_any:
         return 0.0
     if not pred_any or not gt_any:
         return None
-    box = _bounding_box(pred_surface | gt_surface)
-    pred_surface, gt_surface = pred_surface[box], gt_surface[box]
-    to_gt = distance_transform(gt_surface, spacing)
-    to_pred = distance_transform(pred_surface, spacing)
-    pooled = np.concatenate([to_gt[pred_surface], to_pred[gt_surface]])
+    pooled = np.concatenate([
+        scorer.to_gt()[pred_surface], scorer.to_surface(pred_surface)
+    ])
     return float(np.percentile(pooled, 95))
 
 
-def evaluate(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> MetricReport:
-    """Full metric suite for one case: overlap metrics plus HD95."""
-    report = overlap_metrics(pred, gt)
-    distance = hd95(pred, gt, spacing)
+def evaluate(pred: LabelMask, gt: LabelMask | CaseScorer,
+             spacing: Spacing) -> MetricReport:
+    """Full metric suite for one row: overlap metrics plus HD95.
+
+    ``gt`` is the ground-truth mask, or a :class:`CaseScorer` built from it
+    once to score every row of a case.
+    """
+    scorer = _scorer(gt, spacing)
+    report = overlap_metrics(pred, scorer.gt)
+    distance = hd95(pred, scorer, spacing)
     reason = None
     if distance is None:
         empty = "prediction" if not pred.labels.any() else "ground truth"

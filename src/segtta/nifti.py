@@ -31,6 +31,7 @@ from .errors import (
     CorruptHeader,
     DimensionMismatch,
     IoFailure,
+    InvalidLabels,
     UnrepresentableValue,
     UnsupportedDatatype,
 )
@@ -246,7 +247,7 @@ def read_label_mask(path, num_classes: int) -> LabelMask:
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(arr)
         if not np.array_equal(rounded, arr):
-            raise ValueError(f"{path}: mask voxels are not integral")
+            raise InvalidLabels(f"{path}: mask voxels are not integral")
         arr = rounded
     return LabelMask(arr.astype(np.int64), num_classes)
 

@@ -40,10 +40,12 @@ import numpy as np
 
 from . import augment, backends, nifti
 from .config import DatasetManifest, RunConfig, _read_json
-from .core import ProbabilityMap, Volume, normalize_intensity
+from .core import (
+    ProbabilityMap, Volume, _check_fields, _check_json, normalize_intensity,
+)
 from .errors import InsufficientAugmentations, SegTTAError
 from .fusion import FusionInput, fuse, foreground_volume, _check_tau
-from .metrics import MetricReport, evaluate
+from .metrics import CaseScorer, MetricReport, evaluate
 from .rng import SeededRng
 
 BASELINE_VIEW = "baseline"
@@ -158,6 +160,14 @@ class PredictionCache:
             self._store[key] = value
 
 
+_RESULT_FIELDS = {
+    "dataset": "string", "num_classes": "number", "variants": "list",
+    "reference": "string or null", "per_case": "object", "fg_volume": "object",
+    "aggregates": "object", "failures": "list", "config": "object",
+    "timings": "object",
+}
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Everything a run produced, shaped like the result tables.
@@ -205,13 +215,27 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        per_case = {
-            case: {
-                variant: (MetricReport.from_dict(r) if r is not None else None)
-                for variant, r in variants.items()
+        """Inverse of :meth:`to_dict`; a missing or mistyped field raises
+        SegTTAError naming it."""
+        _check_fields(d, _RESULT_FIELDS, "result")
+        for variant in d["variants"]:
+            _check_json(variant, "string", "result variant")
+        for failure in d["failures"]:
+            if len(_check_json(failure, "list", "result failure")) != 2:
+                raise SegTTAError(f"result failure {failure!r} is not [case, reason]")
+        for table, kind in (("fg_volume", "number"), ("aggregates", "number or null")):
+            for key, row in d[table].items():
+                where = f"result {table}[{key!r}]"
+                for name, value in _check_json(row, "object", where).items():
+                    _check_json(value, kind, f"{where}[{name!r}]")
+        per_case = {}
+        for case, row in d["per_case"].items():
+            where = f"result per_case[{case!r}]"
+            per_case[case] = {
+                variant: None if r is None else MetricReport.from_dict(
+                    r, f"{where}[{variant!r}]")
+                for variant, r in _check_json(row, "object", where).items()
             }
-            for case, variants in d["per_case"].items()
-        }
         return cls(
             dataset=d["dataset"],
             num_classes=d["num_classes"],
@@ -354,7 +378,11 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
         return None, None, seconds, f"{tag}: {e}"
     finally:
         seconds["predict_s"] = time.monotonic() - t0
+    views = view_volume = None  # only prediction reads the views
 
+    t0 = time.monotonic()
+    truth = CaseScorer(gt, volume.spacing) if gt is not None else None
+    seconds["score_s"] = time.monotonic() - t0
     reports: dict = {}
     fg: dict = {}
     for name, views_of_variant, tau in variants:
@@ -373,7 +401,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
         t1 = time.monotonic()
         fg[name] = foreground_volume(mask, volume.spacing)
         reports[name] = (
-            evaluate(mask, gt, volume.spacing) if gt is not None else None
+            evaluate(mask, truth, volume.spacing) if truth is not None else None
         )
         t2 = time.monotonic()
         if name in mask_dirs:

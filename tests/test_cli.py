@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from segtta import (
+    MetricReport,
     ProbabilityMap,
+    RunResult,
     Spacing,
     Volume,
     make_phantom,
@@ -317,3 +319,46 @@ class TestReportCommand:
         assert capsys.readouterr().out.strip() == (
             (out / "report.md").read_text().strip()
         )
+
+    @staticmethod
+    def saved_result() -> dict:
+        report = MetricReport({1: 0.5}, {1: 2 / 3}, 0.5, 2 / 3, 0.5, 2 / 3,
+                              hd95_mm=1.5)
+        return RunResult(
+            dataset="d", num_classes=2, variants=("fused",), reference=None,
+            per_case={"c1": {"fused": report}},
+            fg_volume={"c1": {"fused": 10.0}},
+            aggregates={"fused": {"aiou": 0.5, "hd95": 1.5, "n_cases": 1}},
+            failures=(("c2", "load: truncated"),), config={}, timings={},
+        ).to_dict()
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda d: {}, "no 'dataset' field"),
+        (lambda d: {"per_case": 5}, "no 'dataset' field"),
+        (lambda d: [d], "result must be object, got list"),
+        (lambda d: {**d, "per_case": 5}, "field 'per_case' must be object"),
+        (lambda d: {**d, "variants": [["fused"]]}, "variant must be string"),
+        (lambda d: {**d, "failures": [3]}, "failure must be list"),
+        (lambda d: {**d, "failures": [["c2"]]}, "is not [case, reason]"),
+        (lambda d: {**d, "fg_volume": {"c1": {"fused": [1]}}},
+         "fg_volume['c1']['fused'] must be number"),
+        (lambda d: {**d, "aggregates": {"fused": {"aiou": "x"}}},
+         "aggregates['fused']['aiou'] must be number or null"),
+        (lambda d: {**d, "per_case": {"c1": {"fused": {}}}},
+         "per_case['c1']['fused'] has no 'per_class_iou' field"),
+        (lambda d: {**d, "per_case": {"c1": [1]}},
+         "per_case['c1'] must be object"),
+    ], ids=["empty", "per-case-only", "list", "per-case-number",
+            "variant-list", "failure-number", "failure-short", "fg-list",
+            "aggregate-string", "report-empty", "row-list"])
+    def test_malformed_result_is_named(self, tmp_path, capsys, mutate, named):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(self.saved_result()))
+        assert run_cli("report", "--result", path, "--format", "csv") == 0
+        path.write_text(json.dumps(mutate(self.saved_result())))
+        capsys.readouterr()
+        assert run_cli("report", "--result", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert "Traceback" not in err

@@ -17,6 +17,7 @@ from segtta.errors import (
     DimensionMismatch,
     InvalidAlpha,
     InvalidGamma,
+    InvalidLabels,
     InvalidSigma,
     NotProbabilistic,
 )
@@ -131,6 +132,39 @@ class TestProbabilityMap:
         assert p.probs.min() >= 0.0
         assert p.probs.max() <= 1.0
 
+    def test_rejects_nan_and_inf_before_range(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            probs = np.full((2, 2, 1, 2), 0.5)
+            probs[1, 0, 0, 1] = bad
+            probs[0, 1, 0, 0] = 7.0  # out of range too; NaN/Inf is named first
+            with pytest.raises(NotProbabilistic, match="NaN or Inf"):
+                ProbabilityMap(probs)
+
+    @pytest.mark.parametrize("num_classes", range(2, 13))
+    def test_bytes_match_clip_sum_divide(self, rng, num_classes):
+        # The plain formula: clip to [0, 1], renormalize by np.sum over the
+        # class axis when any voxel's sum is off by more than RENORM_TOL.
+        # From 8 classes on, np.sum's bits depend on the memory order, so
+        # both orders are checked.
+        exact = rng.random((5, 4, 3, num_classes))
+        exact /= exact.sum(axis=3, keepdims=True)
+        noisy = exact + rng.uniform(-2e-4, 2e-4, exact.shape) / num_classes
+        for values in (exact, exact * (1 + 5e-4 / num_classes), noisy):
+            for probs in (values, np.asfortranarray(values)):
+                self.check_formula(probs)
+
+    @staticmethod
+    def check_formula(probs):
+        clipped = np.clip(probs, 0.0, 1.0)
+        sums = clipped.sum(axis=3)
+        if np.abs(sums - 1.0).max() > 1e-12:
+            clipped = clipped / sums[..., None]
+        caller = probs.copy(order="K")
+        got = ProbabilityMap(caller).probs
+        assert got.tobytes() == clipped.tobytes()
+        assert not np.shares_memory(got, caller) and caller.flags.writeable
+        np.testing.assert_array_equal(caller, probs)
+
     def test_rejects_single_class(self):
         with pytest.raises(DimensionMismatch):
             ProbabilityMap(np.ones((2, 2, 2, 1)))
@@ -160,11 +194,13 @@ class TestLabelMask:
         assert m.dims == (2, 2, 2)
 
     def test_rejects_label_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLabels,
+                           match=r"labels range \[5, 5\] outside \[0, 3\)"):
             LabelMask(np.full((2, 2, 2), 5, dtype=np.int32), 3)
 
     def test_rejects_float_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLabels,
+                           match="labels must be integers, got dtype float64"):
             LabelMask(np.zeros((2, 2, 2)), 2)
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import segtta
+import segtta.metrics
 
 from segtta import (
+    CaseScorer,
     LabelMask,
     Spacing,
     distance_transform,
@@ -230,7 +232,7 @@ class TestHd95:
         assert doubled == 2.0 * base
 
     def test_small_structures_in_large_volume(self, rng):
-        # The distance transforms run on the surfaces' bounding box only.
+        # Each row's transform runs on a crop around the ground truth only.
         dims = (48, 40, 36)
         for lo_pred, lo_gt in [((3, 4, 5), (6, 5, 7)), ((30, 2, 20), (35, 30, 28))]:
             pred = box_mask(dims, lo_pred, tuple(v + 4 for v in lo_pred))
@@ -271,6 +273,118 @@ class TestEvaluate:
         m = make_blob_mask((10, 10, 10), seed=9, threshold=0.58)
         r = evaluate(m, m, Spacing(1, 1, 1))
         assert r.aiou == 1.0 and r.hd95_mm == 0.0 and r.undefined_reason is None
+
+
+class TestCaseScorer:
+    """One scorer per ground truth, many rows: each row equals the all-pairs
+    oracle and, exactly, the one-row ``evaluate``."""
+
+    @staticmethod
+    def check_rows(gt, preds, spacing):
+        scorer = CaseScorer(gt, spacing)
+        for pred in preds:
+            got = evaluate(pred, scorer, spacing)
+            assert got == evaluate(pred, gt, spacing)
+            assert hd95(pred, scorer, spacing) == got.hd95_mm
+            want = brute_force_hd95(pred, gt, spacing)
+            if want is None:
+                assert got.hd95_mm is None
+            else:
+                assert abs(got.hd95_mm - want) < 1e-9
+
+    @staticmethod
+    def edt_shapes(monkeypatch):
+        shapes = []
+        real = segtta.metrics.distance_transform
+
+        def counted(seeds, spacing):
+            shapes.append(seeds.shape)
+            return real(seeds, spacing)
+
+        monkeypatch.setattr(segtta.metrics, "distance_transform", counted)
+        return shapes
+
+    @pytest.mark.parametrize("dims", [
+        (14, 12, 10), (1, 9, 7), (2, 2, 11), (9, 1, 2), (1, 1, 6), (2, 13, 1),
+    ])
+    def test_many_rows_match_oracle(self, rng, dims):
+        for _ in range(3):
+            spacing = Spacing(*rng.uniform(0.4, 2.5, size=3))
+            gt = mask(rng.random(dims) < rng.uniform(0.05, 0.6))
+            preds = [mask(rng.random(dims) < rng.uniform(0.0, 0.6))
+                     for _ in range(5)]
+            preds += [gt, mask(np.zeros(dims)), mask(np.ones(dims))]
+            self.check_rows(gt, preds, spacing)
+
+    def test_surfaces_touching_the_border(self, rng):
+        dims = (12, 10, 8)
+        gt = box_mask(dims, (0, 0, 0), (5, 10, 3))
+        preds = [
+            box_mask(dims, (7, 0, 5), (12, 10, 8)),
+            box_mask(dims, (0, 0, 0), (12, 10, 8)),
+            box_mask(dims, (0, 4, 0), (3, 10, 8)),
+            mask(rng.random(dims) < 0.02),
+        ]
+        self.check_rows(gt, preds, Spacing(0.6, 1.9, 1.1))
+
+    def test_empty_surfaces(self, rng):
+        dims = (6, 5, 4)
+        empty = mask(np.zeros(dims))
+        full = box_mask(dims, (1, 1, 1), (4, 4, 3))
+        self.check_rows(empty, [empty, full, mask(rng.random(dims) < 0.3)],
+                        Spacing(1, 2, 3))
+        self.check_rows(full, [empty, full], Spacing(1, 2, 3))
+        report = evaluate(full, CaseScorer(empty, Spacing(1, 1, 1)),
+                          Spacing(1, 1, 1))
+        assert report.hd95_mm is None and "ground truth" in report.undefined_reason
+
+    def test_crop_grows_until_certified(self, monkeypatch):
+        # The ground truth is a small box in one corner. A prediction close
+        # to it is certified on the first crop; one beside it needs a larger
+        # crop; one in the far corner needs the whole volume.
+        dims = (40, 32, 24)
+        spacing = Spacing(0.7, 1.0, 1.6)
+        gt = box_mask(dims, (2, 3, 2), (7, 8, 6))
+        near = box_mask(dims, (2, 3, 2), (8, 8, 6))
+        beside = box_mask(dims, (14, 3, 2), (18, 8, 6))
+        far = box_mask(dims, (37, 29, 21), (40, 32, 24))
+        self.check_rows(gt, [near, beside, far], spacing)
+        shapes = self.edt_shapes(monkeypatch)
+        scorer = CaseScorer(gt, spacing)
+        scorer.to_gt()
+        crops = {}
+        for name, pred in (("near", near), ("beside", beside), ("far", far)):
+            shapes.clear()
+            hd95(pred, scorer, spacing)
+            sizes = [int(np.prod(shape)) for shape in shapes]
+            assert sizes == sorted(set(sizes))  # each crop strictly larger
+            crops[name] = shapes[:]
+        assert len(crops["near"]) == 1 and crops["near"][0] != dims
+        assert len(crops["beside"]) > 1 and crops["beside"][-1] != dims
+        assert len(crops["far"]) > 1 and crops["far"][-1] == dims
+
+    def test_ground_truth_transform_runs_once(self, rng, monkeypatch):
+        dims = (16, 14, 12)
+        spacing = Spacing(1.0, 1.2, 0.8)
+        gt = box_mask(dims, (4, 4, 3), (11, 10, 9))
+        scorer = CaseScorer(gt, spacing)
+        shapes = self.edt_shapes(monkeypatch)
+        rows = 5
+        for _ in range(rows):
+            labels = np.array(gt.labels)
+            labels ^= rng.random(dims) < 0.01
+            hd95(mask(labels), scorer, spacing)
+        assert shapes.count(dims) == 1
+        assert len(shapes) == 1 + rows
+
+    def test_spacing_must_match_the_scorer(self):
+        m = box_mask((4, 4, 4), (1, 1, 1), (3, 3, 3))
+        scorer = CaseScorer(m, Spacing(1, 1, 1))
+        with pytest.raises(ValueError, match="spacing"):
+            evaluate(m, scorer, Spacing(1, 1, 2))
+        with pytest.raises(DimensionMismatch):
+            hd95(box_mask((4, 4, 5), (1, 1, 1), (3, 3, 3)), scorer,
+                 Spacing(1, 1, 1))
 
 
 def test_import_does_not_load_scipy():

@@ -21,6 +21,7 @@ from segtta import (
 from segtta.errors import (
     CorruptHeader,
     DimensionMismatch,
+    InvalidLabels,
     IoFailure,
     NotProbabilistic,
     SegTTAError,
@@ -238,6 +239,14 @@ class TestRoundTrips:
         write_label_mask(mask, Spacing(1, 1, 1), path)
         again = read_label_mask(path, 3)
         np.testing.assert_array_equal(again.labels, mask.labels)
+
+    def test_fractional_mask_is_invalid_labels(self, tmp_path):
+        raw = build_nifti_bytes((2, 1, 1), np.array([0.0, 0.5], "<f4").tobytes())
+        path = tmp_path / "frac.nii"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidLabels,
+                           match="frac.nii: mask voxels are not integral"):
+            read_label_mask(path, 2)
 
     def test_gzip_writes_are_reproducible(self, tmp_path, rng):
         v = make_volume(rng)

@@ -25,6 +25,7 @@ from segtta import (
 )
 import segtta.augment
 import segtta.backends
+import segtta.metrics
 from segtta.errors import InsufficientAugmentations, InvalidTau
 import segtta.pipeline
 from segtta.pipeline import EventLog
@@ -216,6 +217,32 @@ class TestRunSegtta:
         for case_id, row in result.per_case.items():
             for variant, report in row.items():
                 assert again.per_case[case_id][variant] == report
+
+    def test_traced_scoring_spans_per_row(self, tmp_path, monkeypatch):
+        # The benchmark tracer wraps these names where the program looks
+        # them up. One case's rows share one ground-truth transform, and
+        # each row runs one transform of its own surface.
+        calls = {"evaluate": 0, "hd95": 0, "distance_transform": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(segtta.pipeline, "evaluate")
+        counted(segtta.metrics, "hd95")
+        counted(segtta.metrics, "distance_transform")
+        manifest = load_manifest(write_phantom_dataset(
+            tmp_path, n_cases=1, dims=(18, 18, 14), num_classes=2, seed=42
+        ))
+        result = run_segtta(noisy_config(jobs=1), manifest)
+        rows = len(result.variants)
+        assert rows == 6 and len(result.per_case) == 1
+        assert calls == {"evaluate": rows, "hd95": rows,
+                         "distance_transform": 1 + rows}
 
 
 class TestDeterminism:
