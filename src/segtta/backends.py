@@ -4,13 +4,14 @@ The synthetic kinds (oracle, noisy oracle, constant) make desk-scale
 experiments controllable: the noisy oracle in particular is a stand-in for
 checkpoint diversity, with tunable boundary jitter and label flips. The
 external kind shells out to a real model wrapper via float32 NIfTI file
-exchange, so hooking up an actual segmenter is one small script.
+exchange, so hooking up an actual segmenter is one small script; its exit
+status, run time and the tail of its stdout and stderr go to the run's log
+as one ``log`` event.
 """
 
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import shlex
 import shutil
@@ -33,8 +34,6 @@ from .errors import (
 from . import nifti
 from .metrics import _FACES, _surface
 from .rng import SeededRng
-
-logger = logging.getLogger("segtta.backends")
 
 
 def _soften(labels: np.ndarray, num_classes: int, confidence: float) -> np.ndarray:
@@ -107,7 +106,7 @@ def _predict_noisy(
 
 
 def _predict_external(
-    backend: BackendDescriptor, volume: Volume, num_classes: int
+    backend: BackendDescriptor, volume: Volume, num_classes: int, log
 ) -> ProbabilityMap:
     base = os.environ.get("SEGTTA_TMPDIR") or None
     workdir = tempfile.mkdtemp(prefix="segtta-", dir=base)
@@ -141,12 +140,13 @@ def _predict_external(
                         f"{backend.timeout}s: {command}"
                     ) from e
                 raise
-        logger.info(
-            "external backend %s finished in %.2fs (exit %d)",
-            backend.name, time.monotonic() - started, proc.returncode,
-            extra={"child_stdout": stdout[-2000:],
-                   "child_stderr": stderr[-2000:]},
-        )
+        if log is not None:
+            log.emit(
+                "log", logger=__name__,
+                message=f"external backend {backend.name} finished in "
+                        f"{time.monotonic() - started:.2f}s (exit {proc.returncode})",
+                child_stdout=stdout[-2000:], child_stderr=stderr[-2000:],
+            )
         if proc.returncode != 0:
             raise ProcessFailure(
                 f"backend {backend.name!r} exited with {proc.returncode}; "
@@ -186,12 +186,16 @@ def predict(
     rng: SeededRng,
     ground_truth: LabelMask | None = None,
     source_tag: str | None = None,
+    *,
+    log=None,
 ) -> ProbabilityMap:
     """Run one backend on one volume and validate the result.
 
     Oracle kinds take the ground truth from the descriptor's fixed path or,
     failing that, from the ``ground_truth`` argument (the pipeline passes
     the case's own mask). ``source_tag`` defaults to the backend name.
+    ``log`` is the run's event log, any object with ``EventLog.emit``'s
+    signature; without one no event is written.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes={num_classes} must be >= 2")
@@ -210,7 +214,7 @@ def predict(
         labels = np.full(volume.dims, backend.constant_class, dtype=np.uint8)
         probs = (labels[..., None] == np.arange(num_classes)).astype(np.float64)
     elif backend.kind == "external":
-        return _predict_external(backend, volume, num_classes).retagged(tag)
+        return _predict_external(backend, volume, num_classes, log).retagged(tag)
     else:
         raise ValueError(f"unknown backend kind {backend.kind!r}")
     return ProbabilityMap(probs, source_tag=tag)

@@ -27,9 +27,7 @@ from .metrics import evaluate
 from .pipeline import (
     EventLog,
     RunResult,
-    attach_run_log,
     augmentation_rng,
-    detach_run_log,
     run_ablation,
     run_segtta,
     run_threshold_sweep,
@@ -71,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aug.add_argument("--sigma", type=float)
     aug.add_argument("--gamma", type=float)
     aug.add_argument("--alpha", type=float)
-    aug.add_argument("--beta", type=float, default=0.0)
+    aug.add_argument("--beta", type=float)
     aug.add_argument("--slice-axis", default="2",
                      help="0, 1, 2, or 'none' for full 3D blur")
     aug.add_argument("--seed", type=int, default=2024)
@@ -135,7 +133,7 @@ def _cmd_run(args) -> int:
             raise SegTTAError(f"--taus: {e}") from e
     config = _apply_overrides(load_config(args.config), args)
     manifest = load_manifest(args.manifest)
-    log, handler = _open_log(args)
+    log = EventLog(Path(args.out) / "run.log.jsonl" if args.out else None)
     try:
         if args.command == "run":
             result = run_segtta(config, manifest, out_dir=args.out, log=log)
@@ -146,15 +144,8 @@ def _cmd_run(args) -> int:
                 config, manifest, taus, out_dir=args.out, log=log
             )
     finally:
-        detach_run_log(handler)
         log.close()
     return _finish_run(result, args)
-
-
-def _open_log(args):
-    log = EventLog(Path(args.out) / "run.log.jsonl" if args.out else None)
-    handler = attach_run_log(log)
-    return log, handler
 
 
 def _cmd_augment(args) -> int:

@@ -7,12 +7,15 @@ individual config fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 import json
 import math
 from pathlib import Path
 
-from .core import AugmentationSpec, _check_field_types, default_augmentations
+from .core import (
+    AugmentationSpec, _check_field_types, _check_json, _check_known_fields,
+    default_augmentations,
+)
 from .errors import IoFailure, SegTTAError
 from .fusion import VOTING_MODES, _check_tau
 
@@ -88,10 +91,7 @@ class BackendDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackendDescriptor":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown backend fields {sorted(extra)}")
-        return cls(**d)
+        return cls(**_check_known_fields(d, cls, "backend"))
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown config fields {sorted(extra)}")
+        _check_known_fields(d, cls, "config")
         if "backends" not in d:
             raise ValueError("config needs a 'backends' list")
         kwargs = dict(d)
@@ -207,7 +205,7 @@ def _read_json(path):
 
 
 def load_config(path) -> RunConfig:
-    return RunConfig.from_dict(_read_json(path))
+    return RunConfig.from_dict(_check_json(_read_json(path), "object", f"config {path}"))
 
 
 def save_config(config: RunConfig, path):

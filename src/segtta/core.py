@@ -16,6 +16,7 @@ import numbers
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidAlpha,
     InvalidGamma,
@@ -65,6 +66,16 @@ _JSON_TYPES = {
     dict: "object", list: "list", str: "string", int: "number",
     float: "number", bool: "boolean", type(None): "null",
 }
+
+
+def _check_known_fields(d: dict, cls, what: str) -> dict:
+    """``d``, after checking that it is a JSON object whose keys all name
+    fields of dataclass ``cls``; else a SegTTAError naming ``what``, or a
+    ConfigError naming the unknown fields."""
+    extra = set(_check_json(d, "object", what)) - {f.name for f in fields(cls)}
+    if extra:
+        raise ConfigError(f"unknown {what} fields {sorted(extra)}")
+    return d
 
 
 def _check_json(value, kind: str, where: str):
@@ -245,13 +256,15 @@ class LabelMask:
         return self.labels.shape
 
 
-AUGMENTATION_KINDS = (
-    "identity",
-    "gaussian_blur",
-    "gaussian_noise",
-    "gamma_correction",
-    "contrast_enhancement",
-)
+#: The numeric parameters each augmentation kind uses.
+_KIND_PARAMS = {
+    "identity": (),
+    "gaussian_blur": ("sigma",),
+    "gaussian_noise": ("sigma",),
+    "gamma_correction": ("gamma",),
+    "contrast_enhancement": ("alpha", "beta"),
+}
+AUGMENTATION_KINDS = tuple(_KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -260,9 +273,10 @@ class AugmentationSpec:
 
     Parameters are kind-specific: ``sigma`` for blur (voxels) and noise
     (normalized intensity units), ``gamma`` for gamma correction, ``alpha``
-    and ``beta`` for contrast enhancement. ``slice_axis`` selects per-slice
-    2D application for the blur (slices perpendicular to that axis); None
-    requests full 3D smoothing.
+    and ``beta`` for contrast enhancement; a parameter the kind does not
+    use must be None. ``slice_axis`` selects per-slice 2D application for
+    the blur (slices perpendicular to that axis); None requests full 3D
+    smoothing.
     """
 
     kind: str
@@ -276,6 +290,10 @@ class AugmentationSpec:
         _check_field_types(self)
         if self.kind not in AUGMENTATION_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
+        unused = [p for p in ("sigma", "gamma", "alpha", "beta")
+                  if getattr(self, p) is not None and p not in _KIND_PARAMS[self.kind]]
+        if unused:
+            raise ConfigError(f"augmentation kind {self.kind!r} does not use {unused}")
         if self.slice_axis is not None and self.slice_axis not in (0, 1, 2):
             raise ValueError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
         if self.kind == "gaussian_blur":
@@ -319,17 +337,15 @@ class AugmentationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationSpec":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown augmentation fields {sorted(extra)}")
-        return cls(**d)
+        return cls(**_check_known_fields(d, cls, "augmentation"))
 
 
 def default_augmentations() -> tuple[AugmentationSpec, ...]:
     """The standard four-transform set with mild default magnitudes.
 
-    The magnitudes are configurable placeholders (see README); they are
-    chosen to perturb without destroying anatomy.
+    The magnitudes are configurable placeholders, chosen to perturb
+    without destroying anatomy; a config's ``augmentations`` list replaces
+    them.
     """
     return (
         AugmentationSpec("gamma_correction", gamma=0.8),

@@ -57,6 +57,10 @@ class InvalidTau(SegTTAError, ValueError):
     """Voting threshold outside (0, 1]."""
 
 
+class ConfigError(SegTTAError, ValueError):
+    """A config object holds a field its type or kind does not use."""
+
+
 # --- backend and pipeline errors --------------------------------------------
 
 class GroundTruthMissing(SegTTAError, ValueError):

@@ -3,9 +3,9 @@
 Only the single-file variant (magic ``n+1\\0``) is supported, with datatype
 codes 2 (uint8), 4 (int16), 16 (float32), and 64 (float64). Both byte
 orders are handled; endianness is detected from dim[0], which must land in
-[1, 7] for exactly one of the two orders. Orientation (qform/sform) is read
-but not applied; only the pixdim voxel spacing is honored, since nothing in
-this pipeline resamples.
+[1, 7] for exactly one of the two orders. Orientation (qform/sform) is
+neither read nor written (files are written with both codes 0); only the
+pixdim voxel spacing is honored, since nothing in this pipeline resamples.
 
 Each reader reads its file once: the header is parsed from the bytes
 read, and the data size the header claims is checked against the bytes

@@ -4,7 +4,8 @@ An experiment is a list of variants. A variant is a named result row: the
 views it fuses and its threshold tau. Every experiment runs each case of
 the manifest through the same pass, in the worker pool:
 
-1. load the case, normalize it and augment it once per distinct view;
+1. load the case, check that its label has the image's dims and spacing,
+   normalize it and augment it once per distinct view;
 2. predict each (backend, view) once, in config order;
 3. fuse and score each variant once, and write the masks of the variants
    that have an output directory.
@@ -21,6 +22,10 @@ randomness is stream-keyed by content (seed, case id, augmentation label,
 backend name), so a row equals the fused row of a from-scratch run of the
 same views, whatever the worker count. A ``PredictionCache`` passed in
 reuses predictions across calls; without one nothing is hashed or kept.
+
+The ``EventLog`` passed in is the run's one event channel: the pass logs
+each load, prediction, failure and stage total there, and an external
+backend logs its child's exit status, stdout and stderr there too.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import functools
 import hashlib
 import json
-import logging
+import math
 import threading
 import time
 from pathlib import Path
@@ -43,13 +48,17 @@ from .config import DatasetManifest, RunConfig, _read_json
 from .core import (
     ProbabilityMap, Volume, _check_fields, _check_json, normalize_intensity,
 )
-from .errors import InsufficientAugmentations, SegTTAError
+from .errors import DimensionMismatch, InsufficientAugmentations, SegTTAError
 from .fusion import FusionInput, fuse, foreground_volume, _check_tau
 from .metrics import CaseScorer, MetricReport, evaluate
 from .rng import SeededRng
 
 BASELINE_VIEW = "baseline"
 FUSED_VARIANT = "fused"
+
+#: Relative tolerance between a label's and its image's voxel spacing;
+#: both come from float32 pixdim fields.
+SPACING_RTOL = 1e-5
 
 
 def augmentation_rng(seed: int, case_id: str, aug_label: str) -> SeededRng:
@@ -96,23 +105,6 @@ class EventLog:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-
-
-class _EventLogHandler(logging.Handler):
-    """Routes backend log records (external process output) into the run log."""
-
-    def __init__(self, log: EventLog):
-        super().__init__()
-        self._log = log
-
-    def emit(self, record):
-        self._log.emit(
-            "log",
-            logger=record.name,
-            message=record.getMessage(),
-            child_stdout=getattr(record, "child_stdout", None),
-            child_stderr=getattr(record, "child_stderr", None),
-        )
 
 
 class PredictionCache:
@@ -324,8 +316,15 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             if entry.label
             else None
         )
-        if gt is not None and gt.dims != volume.dims:
-            raise SegTTAError(f"label dims {gt.dims} != image dims {volume.dims}")
+        if gt is not None:
+            if gt.dims != volume.dims:
+                raise DimensionMismatch(
+                    f"label dims {gt.dims} != image dims {volume.dims}")
+            spacing = nifti.read_header(entry.label).pixdim[1:4]
+            if not all(math.isclose(a, b, rel_tol=SPACING_RTOL)
+                       for a, b in zip(spacing, volume.spacing.as_tuple())):
+                raise DimensionMismatch(f"label spacing {spacing} != image "
+                                        f"spacing {volume.spacing.as_tuple()}")
         volume, _, _ = normalize_intensity(volume)
         views = {BASELINE_VIEW: volume} if config.include_baseline else {}
         for spec in config.augmentations:
@@ -365,7 +364,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
                       else contextlib.nullcontext()):
                     maps[tag] = backends.predict(
                         backend, view_volume, num_classes, rng,
-                        ground_truth=gt, source_tag=tag,
+                        ground_truth=gt, source_tag=tag, log=log,
                     )
                 if cache is not None:
                     cache.put(key, maps[tag])
@@ -545,18 +544,3 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
         out_dir=out_dir, masks={name: f"masks/{name}" for name, _, _ in variants},
         cache=cache, log=log,
     )
-
-
-def attach_run_log(log: EventLog):
-    """Route backend logging (external process output) into the event log.
-
-    Returns the handler; pass it to :func:`detach_run_log` when done.
-    """
-    handler = _EventLogHandler(log)
-    backends.logger.addHandler(handler)
-    backends.logger.setLevel(logging.INFO)
-    return handler
-
-
-def detach_run_log(handler):
-    backends.logger.removeHandler(handler)

@@ -7,10 +7,13 @@ against themselves.
 """
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import segtta
 from segtta import LabelMask, ProbabilityMap, Spacing, Volume
 
 
@@ -184,3 +187,34 @@ def random_mask(rng, dims, num_classes=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def child_imports_segtta(monkeypatch):
+    """Model scripts run in child interpreters, which must import the same
+    segtta as the tests, also when only pytest's own path setting finds it."""
+    src = os.path.dirname(os.path.dirname(segtta.__file__))
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+
+
+# An external model that reports on stdout the dims it was given.
+_TALKING_MODEL = """
+import sys
+import numpy as np
+from segtta import ProbabilityMap, read_volume, write_probability_map
+
+volume = read_volume(sys.argv[1])
+print("segmenting", volume.dims)
+fg = (volume.data > 0.5)[..., None]
+write_probability_map(ProbabilityMap(np.where(fg, [0.2, 0.8], [0.9, 0.1])), sys.argv[2])
+"""
+
+
+@pytest.fixture
+def talking_model(tmp_path, child_imports_segtta):
+    """Command template of an external backend running ``_TALKING_MODEL``."""
+    script = tmp_path / "talking_model.py"
+    script.write_text(_TALKING_MODEL)
+    return f"{sys.executable} {script} {{input}} {{output}}"

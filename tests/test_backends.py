@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-import segtta
 from segtta import (
     BackendDescriptor,
     LabelMask,
@@ -30,14 +29,7 @@ from segtta.metrics import _surface
 from conftest import brute_force_neighbourhood_ops
 
 
-@pytest.fixture(autouse=True)
-def child_imports_segtta(monkeypatch):
-    """Model scripts run in child interpreters, which must import the same
-    segtta as the tests, also when only pytest's own path setting finds it."""
-    src = os.path.dirname(os.path.dirname(segtta.__file__))
-    monkeypatch.setenv(
-        "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    )
+pytestmark = pytest.mark.usefixtures("child_imports_segtta")
 
 
 @pytest.fixture
@@ -250,6 +242,32 @@ class TestExternalProcess:
         backend = BackendDescriptor("external", name="x", command=cmd)
         with pytest.raises(ProcessFailure, match="exited with 3"):
             predict(backend, volume, 2, stream())
+
+    def test_child_output_logged_before_exit_check(self, case, tmp_path):
+        class Recorder:
+            def __init__(self):
+                self.events = []
+
+            def emit(self, event, **fields):
+                self.events.append((event, fields))
+
+        volume, _ = case
+        cmd = script_command(
+            tmp_path,
+            "import sys; print('weights loaded'); print('oom', file=sys.stderr); "
+            "sys.exit(3)",
+        )
+        backend = BackendDescriptor("external", name="x", command=cmd)
+        log = Recorder()
+        with pytest.raises(ProcessFailure, match="exited with 3"):
+            predict(backend, volume, 2, stream(), log=log)
+        [(event, fields)] = log.events
+        assert event == "log"
+        assert fields["logger"] == "segtta.backends"
+        assert fields["message"].startswith("external backend x finished in ")
+        assert fields["message"].endswith("s (exit 3)")
+        assert fields["child_stdout"] == "weights loaded\n"
+        assert fields["child_stderr"] == "oom\n"
 
     def test_timeout(self, case, tmp_path):
         volume, _ = case

@@ -1,5 +1,6 @@
 import gzip
 import json
+import logging
 import struct
 
 import numpy as np
@@ -98,6 +99,31 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_run_leaves_process_logging_alone(self, dataset_dir, tmp_path,
+                                              talking_model):
+        config = tmp_path / "external.json"
+        config.write_text(json.dumps({
+            "backends": [{"kind": "external", "name": "m", "command": talking_model}],
+            "augmentations": [],
+        }))
+        logger = logging.getLogger("segtta.backends")
+        level, handlers = logger.level, list(logger.handlers)
+        logger.setLevel(logging.WARNING)
+        try:
+            out = tmp_path / "out"
+            code = run_cli("run", "--config", config,
+                           "--manifest", dataset_dir / "manifest.json", "--out", out)
+            assert code == 0
+            assert logger.level == logging.WARNING
+            assert logger.handlers == handlers
+        finally:
+            logger.setLevel(level)
+        events = [json.loads(line)
+                  for line in (out / "run.log.jsonl").read_text().splitlines()]
+        logged = [e for e in events if e["event"] == "log"]
+        assert len(logged) == 3
+        assert all(e["child_stdout"] == "segmenting (14, 14, 12)\n" for e in logged)
+
     @pytest.mark.parametrize("entry, field", [
         (5, "JSON object"),
         (["case000"], "JSON object"),
@@ -153,15 +179,21 @@ class TestRun:
         ("report --result {malformed}", "{malformed}"),
         ("sweep --config {config} --manifest {manifest} --taus 0.3,abc",
          "--taus"),
+        ("run --config {number} --manifest {manifest}", "{number}"),
+        ("run --config {string} --manifest {manifest}", "{string}"),
     ], ids=["missing-config", "missing-manifest", "missing-result",
             "malformed-config", "malformed-manifest", "malformed-result",
-            "bad-taus"])
+            "bad-taus", "number-config", "string-config"])
     def test_bad_input_file_or_flag_is_named(self, dataset_dir, config_path,
                                              tmp_path, capsys, command, named):
         malformed = tmp_path / "malformed.json"
         malformed.write_text('{"backends": [}')
+        number, string = tmp_path / "number.json", tmp_path / "string.json"
+        number.write_text("5")
+        string.write_text('"abc"')
         paths = {
             "missing": tmp_path / "missing.json", "malformed": malformed,
+            "number": number, "string": string,
             "config": config_path, "manifest": dataset_dir / "manifest.json",
         }
         code = main([arg.format(**paths) for arg in command.split()])
@@ -260,6 +292,16 @@ class TestAugmentCommand:
         dst = tmp_path / "same.nii"
         run_cli("augment", "--input", src, "--output", dst, "--kind", "identity")
         np.testing.assert_array_equal(read_volume(dst).data, volume.data)
+
+    def test_flag_the_kind_does_not_use_is_rejected(self, tmp_path, rng, capsys):
+        volume = Volume(rng.random((6, 6, 6)), Spacing(1, 1, 1), vol_id="v")
+        src = tmp_path / "v.nii"
+        write_volume(volume, src, datatype=16)
+        code = run_cli("augment", "--input", src, "--output", tmp_path / "o.nii",
+                       "--kind", "gamma_correction", "--gamma", "0.8",
+                       "--sigma", "2")
+        assert code == 1
+        assert "['sigma']" in capsys.readouterr().err
 
     def test_noise_is_seeded(self, tmp_path, rng):
         volume = Volume(rng.random((6, 6, 6)), Spacing(1, 1, 1), vol_id="v")

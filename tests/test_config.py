@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from segtta import (
     load_manifest,
 )
 from segtta.config import DatasetManifest, ManifestEntry, save_config
-from segtta.errors import InvalidTau, SegTTAError
+from segtta.errors import ConfigError, InvalidTau, SegTTAError
 
 
 def oracle():
@@ -83,6 +84,24 @@ class TestRunConfig:
         path.write_text(json.dumps({"backends": [{"kind": "oracle"}], "taus": [1]}))
         with pytest.raises(ValueError, match="taus"):
             load_config(path)
+
+    @pytest.mark.parametrize("document", [5, "abc", [1], None])
+    def test_document_that_is_not_an_object(self, document):
+        with pytest.raises(SegTTAError, match="config must be object"):
+            RunConfig.from_dict(document)
+
+    @pytest.mark.parametrize("document, field", [
+        ({"backends": [{"kind": "oracle"}], "taus": [1]}, "config fields ['taus']"),
+        ({"backends": [{"kind": "oracle", "cmd": "x"}]}, "backend fields ['cmd']"),
+        ({"backends": [{"kind": "oracle"}],
+          "augmentations": [{"kind": "identity", "axis": 1}]},
+         "augmentation fields ['axis']"),
+    ])
+    def test_unknown_field_is_a_config_error(self, document, field):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {field}")) as info:
+            RunConfig.from_dict(document)
+        assert isinstance(info.value, SegTTAError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestManifest:

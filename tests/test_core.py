@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from segtta import (
     normalize_intensity,
 )
 from segtta.errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidAlpha,
     InvalidGamma,
@@ -225,6 +227,18 @@ class TestAugmentationSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             AugmentationSpec("elastic")
+
+    @pytest.mark.parametrize("spec, unused", [
+        ({"kind": "identity", "sigma": 1.0}, ["sigma"]),
+        ({"kind": "gaussian_blur", "sigma": 1.0, "gamma": 0.8}, ["gamma"]),
+        ({"kind": "gaussian_noise", "sigma": 0.1, "alpha": 1.2, "beta": 0.0},
+         ["alpha", "beta"]),
+        ({"kind": "gamma_correction", "gamma": 0.8, "sigma": 3}, ["sigma"]),
+        ({"kind": "contrast_enhancement", "alpha": 1.3, "gamma": 2.0}, ["gamma"]),
+    ])
+    def test_parameter_the_kind_does_not_use_is_rejected(self, spec, unused):
+        with pytest.raises(ConfigError, match=re.escape(str(unused))):
+            AugmentationSpec.from_dict(spec)
 
     def test_label_roundtrip_dict(self):
         spec = AugmentationSpec("gaussian_blur", sigma=1.5, slice_axis=None)

@@ -11,9 +11,11 @@ import pytest
 from segtta import (
     AugmentationSpec,
     BackendDescriptor,
+    LabelMask,
     PredictionCache,
     RunConfig,
     RunResult,
+    Spacing,
     default_augmentations,
     load_manifest,
     read_label_mask,
@@ -21,6 +23,7 @@ from segtta import (
     run_ablation,
     run_segtta,
     run_threshold_sweep,
+    write_label_mask,
     write_phantom_dataset,
 )
 import segtta.augment
@@ -125,6 +128,34 @@ class TestRunSegtta:
         assert len(result.failures) == 1
         assert result.failures[0][0] == "missing"
         assert list(result.per_case) == ["ok"]
+
+    def test_label_geometry_must_match_its_image(self, dataset, tmp_path):
+        # One image, three labels: case a's spacing is off by 50%, case b's
+        # by 2e-6 (inside the tolerance), case c's dims by one slice.
+        entry = dataset.entries[0]
+        mask = read_label_mask(entry.label, 2)
+        write_label_mask(mask, Spacing(1.5, 1.0, 1.0), tmp_path / "a.nii.gz")
+        write_label_mask(mask, Spacing(1.0, 1.0 + 2e-6, 1.0), tmp_path / "b.nii.gz")
+        small = LabelMask(np.asarray(mask.labels)[1:], 2)
+        write_label_mask(small, Spacing(1.0, 1.0, 1.0), tmp_path / "c.nii.gz")
+        manifest_path = tmp_path / "geometry.json"
+        manifest_path.write_text(json.dumps([
+            {"id": case_id, "image": entry.image,
+             "label": str(tmp_path / f"{case_id}.nii.gz"), "classes": 2}
+            for case_id in ("a", "b", "c")
+        ]))
+        config = RunConfig(
+            backends=(BackendDescriptor("oracle", name="o", confidence=0.9),),
+            augmentations=(),
+        )
+        result = run_segtta(config, load_manifest(manifest_path))
+        assert list(result.per_case) == ["b"]
+        (a, reason_a), (c, reason_c) = result.failures
+        assert (a, c) == ("a", "c")
+        assert reason_a == (
+            "load: label spacing (1.5, 1.0, 1.0) != image spacing (1.0, 1.0, 1.0)"
+        )
+        assert reason_c.startswith("load: label dims (17, 18, 14) != image dims")
 
     def test_failures_in_manifest_order_with_first_reason(self, dataset, tmp_path):
         manifest_path = tmp_path / "mixed.json"
@@ -388,6 +419,30 @@ class TestObservability:
         logged = {e["stage"]: e["seconds"] for e in events if e["event"] == "stage"}
         assert set(logged) == stages
         assert sum(e["event"] == "run_start" for e in events) == 1
+
+    def test_api_run_logs_external_child_output(self, dataset, tmp_path,
+                                                talking_model):
+        config = RunConfig(
+            backends=(BackendDescriptor("external", name="m", command=talking_model),),
+            augmentations=(AugmentationSpec("gamma_correction", gamma=0.8),),
+            jobs=2,
+        )
+        manifest = replace(dataset, entries=dataset.entries[:2])
+        path = tmp_path / "run.log.jsonl"
+        log = EventLog(path)
+        result = run_segtta(config, manifest, log=log)
+        log.close()
+        assert not result.failures
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        logged = [e for e in events if e["event"] == "log"]
+        predictions = [e for e in events if e["event"] == "prediction"]
+        assert len(predictions) == 4
+        assert len(logged) == len(predictions)
+        for e in logged:
+            assert e["logger"] == "segtta.backends"
+            assert e["message"].startswith("external backend m finished in ")
+            assert e["child_stdout"] == "segmenting (18, 18, 14)\n"
+            assert e["child_stderr"] == ""
 
     def test_event_log_threads(self, tmp_path):
         path = tmp_path / "log.jsonl"
