@@ -2,11 +2,14 @@
 
 The synthetic kinds (oracle, noisy oracle, constant) make desk-scale
 experiments controllable: the noisy oracle in particular is a stand-in for
-checkpoint diversity, with tunable boundary jitter and label flips. The
-external kind shells out to a real model wrapper via float32 NIfTI file
-exchange, so hooking up an actual segmenter is one small script; its exit
-status, run time and the tail of its stdout and stderr go to the run's log
-as one ``log`` event.
+checkpoint diversity, with tunable boundary jitter and label flips. Its
+output is fixed by its random stream: it draws one uniform and one class
+offset per voxel, whatever the flip rate, and the shortcuts below (a table
+lookup for the softened one-hot, arithmetic on the flipped voxels only)
+change its cost, not its bytes. The external kind shells out to a real
+model wrapper via float32 NIfTI file exchange, so hooking up an actual
+segmenter is one small script; its exit status, run time and the tail of
+its stdout and stderr go to the run's log as one ``log`` event.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import numpy as np
 from .config import BackendDescriptor
 from .core import LabelMask, ProbabilityMap, Volume
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     GroundTruthMissing,
+    InvalidConfidence,
     NotProbabilistic,
     ProcessFailure,
     SegTTAError,
@@ -40,13 +45,15 @@ def _soften(labels: np.ndarray, num_classes: int, confidence: float) -> np.ndarr
     """One-hot of ``labels`` softened so the true class gets ``confidence``
     and the other classes share the remainder equally."""
     if not (1.0 / num_classes < confidence <= 1.0):
-        raise ValueError(
+        raise InvalidConfidence(
             f"confidence={confidence!r} outside (1/{num_classes}, 1]; the "
             f"assigned class would not be the argmax"
         )
-    rest = (1.0 - confidence) / (num_classes - 1)
-    onehot = labels[..., None] == np.arange(num_classes, dtype=labels.dtype)
-    return np.where(onehot, confidence, rest)
+    # Row c of the table is the softened one-hot of class c, so the map is
+    # one lookup per voxel.
+    table = np.full((num_classes, num_classes), (1.0 - confidence) / (num_classes - 1))
+    np.fill_diagonal(table, confidence)
+    return np.take(table, labels, axis=0)
 
 
 def _dilate_step(labels: np.ndarray) -> np.ndarray:
@@ -92,17 +99,20 @@ def _predict_noisy(
     backend: BackendDescriptor, gt: LabelMask, num_classes: int, rng: SeededRng
 ) -> np.ndarray:
     gen = rng.generator()
-    labels = np.asarray(gt.labels).copy()
+    labels = np.asarray(gt.labels)
     if backend.jitter > 0:
         step = _dilate_step if int(gen.integers(0, 2)) else _erode_step
         for _ in range(backend.jitter):
             labels = step(labels)
     if backend.flip_prob > 0:
-        flip = gen.random(labels.shape) < backend.flip_prob
+        flipped = np.flatnonzero(gen.random(labels.shape) < backend.flip_prob)
         # Offset by 1..C-1 modulo C, so a flipped voxel always changes class.
-        offsets = gen.integers(1, num_classes, size=labels.shape)
-        labels = np.where(flip, (labels + offsets) % num_classes, labels)
-    return _soften(labels.astype(np.uint8), num_classes, backend.confidence)
+        # The sum is int64: uint8 would wrap once C > 128.
+        offsets = gen.integers(1, num_classes, size=labels.shape).ravel()[flipped]
+        flat = labels.flatten()
+        flat[flipped] = (flat[flipped] + offsets) % num_classes
+        labels = flat.reshape(labels.shape)
+    return _soften(labels, num_classes, backend.confidence)
 
 
 def _predict_external(
@@ -198,7 +208,7 @@ def predict(
     signature; without one no event is written.
     """
     if num_classes < 2:
-        raise ValueError(f"num_classes={num_classes} must be >= 2")
+        raise ConfigError(f"num_classes={num_classes} must be >= 2")
     tag = source_tag if source_tag is not None else backend.name
     if backend.kind == "oracle":
         gt = _resolve_ground_truth(backend, volume, num_classes, ground_truth)
@@ -208,13 +218,13 @@ def predict(
         probs = _predict_noisy(backend, gt, num_classes, rng)
     elif backend.kind == "constant":
         if backend.constant_class >= num_classes:
-            raise ValueError(
+            raise ConfigError(
                 f"constant_class={backend.constant_class} >= num_classes={num_classes}"
             )
         labels = np.full(volume.dims, backend.constant_class, dtype=np.uint8)
-        probs = (labels[..., None] == np.arange(num_classes)).astype(np.float64)
+        probs = _soften(labels, num_classes, 1.0)
     elif backend.kind == "external":
         return _predict_external(backend, volume, num_classes, log).retagged(tag)
     else:
-        raise ValueError(f"unknown backend kind {backend.kind!r}")
+        raise ConfigError(f"unknown backend kind {backend.kind!r}")
     return ProbabilityMap(probs, source_tag=tag)

@@ -45,6 +45,10 @@ class InvalidSigma(SegTTAError, ValueError):
     """Blur or noise sigma outside its valid range."""
 
 
+class InvalidConfidence(SegTTAError, ValueError):
+    """A backend's confidence does not make its assigned class the argmax."""
+
+
 class InvalidGamma(SegTTAError, ValueError):
     """Gamma exponent outside its valid range."""
 
@@ -58,7 +62,9 @@ class InvalidTau(SegTTAError, ValueError):
 
 
 class ConfigError(SegTTAError, ValueError):
-    """A config object holds a field its type or kind does not use."""
+    """A config object holds a field its type or kind does not use, or a
+    value the run cannot use (a class count or class out of range, an
+    unknown kind)."""
 
 
 # --- backend and pipeline errors --------------------------------------------

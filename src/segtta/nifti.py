@@ -260,7 +260,9 @@ def read_probability_map(path) -> ProbabilityMap:
             f"{path}: probability maps must be float32 (datatype=16), "
             f"got {header.datatype}"
         )
-    return ProbabilityMap(arr.astype(np.float64), source_tag=_stem(path))
+    # ProbabilityMap widens to float64 as it clips, one class plane at a
+    # time; clipping to 0 and 1 is exact in float32, so no staging copy.
+    return ProbabilityMap(arr, source_tag=_stem(path))
 
 
 def _stem(path) -> str:

@@ -137,6 +137,27 @@ def brute_force_neighbourhood_ops(labels):
     return surface, dilated, eroded
 
 
+def reference_noisy_oracle(labels, num_classes, confidence, jitter, flip_prob, gen):
+    """The noisy oracle's float64 map from the draws the library makes, in
+    its order: a jitter direction (when jitter > 0), then one uniform and
+    one class offset in 1..C-1 per voxel (when flip_prob > 0). Jitter steps
+    come from the voxel-loop neighbourhood oracle; flips are a whole-volume
+    ``np.where`` over int64 sums, and the softening a broadcast one-hot."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if jitter > 0:
+        dilate = int(gen.integers(0, 2))
+        for _ in range(jitter):
+            _, dilated, eroded = brute_force_neighbourhood_ops(labels)
+            labels = dilated if dilate else eroded
+    if flip_prob > 0:
+        flip = gen.random(labels.shape) < flip_prob
+        offsets = gen.integers(1, num_classes, size=labels.shape)
+        labels = np.where(flip, (labels + offsets) % num_classes, labels)
+    rest = (1.0 - confidence) / (num_classes - 1)
+    onehot = labels[..., None] == np.arange(num_classes)
+    return np.where(onehot, confidence, rest)
+
+
 def _percentile95(values):
     ordered = np.sort(np.asarray(values, dtype=np.float64))
     h = (len(ordered) - 1) * 0.95

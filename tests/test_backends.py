@@ -1,3 +1,4 @@
+import itertools
 import os
 import shlex
 import sys
@@ -10,6 +11,7 @@ import pytest
 from segtta import (
     BackendDescriptor,
     LabelMask,
+    ProbabilityMap,
     SeededRng,
     Spacing,
     Volume,
@@ -17,16 +19,18 @@ from segtta import (
     predict,
     write_label_mask,
 )
-from segtta.backends import _dilate_step, _erode_step
+from segtta.backends import _dilate_step, _erode_step, _predict_noisy
 from segtta.errors import (
+    ConfigError,
     DimensionMismatch,
     GroundTruthMissing,
+    InvalidConfidence,
     NotProbabilistic,
     ProcessFailure,
 )
 from segtta.metrics import _surface
 
-from conftest import brute_force_neighbourhood_ops
+from conftest import brute_force_neighbourhood_ops, reference_noisy_oracle
 
 
 pytestmark = pytest.mark.usefixtures("child_imports_segtta")
@@ -81,6 +85,12 @@ class TestOracle:
         backend = BackendDescriptor("oracle", name="o", confidence=0.3)
         with pytest.raises(ValueError, match="confidence"):
             predict(backend, volume, 3, stream(), ground_truth=gt)
+
+    def test_confidence_bound_is_a_named_error(self, case):
+        volume, gt = case
+        backend = BackendDescriptor("oracle", name="o", confidence=0.5)
+        with pytest.raises(InvalidConfidence, match=r"confidence=0\.5 outside \(1/2, 1\]"):
+            predict(backend, volume, 2, stream(), ground_truth=gt)
 
 
 class TestNoisyOracle:
@@ -137,6 +147,45 @@ class TestNoisyOracle:
         assert (pred != gt.labels).all()
 
 
+def mask_shapes(dims, num_classes, gen):
+    """An empty mask, an all-foreground mask and a one-voxel-thick sheet,
+    each foreground voxel of a random class in 1..C-1."""
+    full = gen.integers(1, num_classes, size=dims).astype(np.uint8)
+    sheet = np.zeros(dims, dtype=np.uint8)
+    sheet[:, dims[1] // 2, :] = full[:, dims[1] // 2, :]
+    return {"empty": np.zeros(dims, dtype=np.uint8), "full": full, "sheet": sheet}
+
+
+class TestNoisyOracleBytes:
+    """The noisy oracle's maps against the independent reference on the same
+    random stream, byte for byte, over a fixed grid of its parameters."""
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 9, 256])
+    def test_matches_the_reference(self, num_classes):
+        dims = (6, 5, 4)
+        volume = Volume(np.zeros(dims), Spacing(1.0, 1.0, 1.0), vol_id="v")
+        masks = mask_shapes(dims, num_classes, np.random.default_rng(num_classes))
+        just_above_uniform = float(np.nextafter(1.0 / num_classes, 1.0))
+        for jitter, flip_prob, confidence, shape in itertools.product(
+            (0, 1, 2), (0.0, 0.1, 1.0), (just_above_uniform, 0.9, 1.0), masks
+        ):
+            labels = masks[shape]
+            backend = BackendDescriptor("noisy_oracle", name="n", confidence=confidence,
+                                        jitter=jitter, flip_prob=flip_prob)
+            rng = SeededRng(2024, "bytes", shape, str(num_classes), str(jitter),
+                            repr(flip_prob), repr(confidence))
+            want = reference_noisy_oracle(labels, num_classes, confidence, jitter,
+                                          flip_prob, rng.generator())
+            gt = LabelMask(labels, num_classes)
+            got = _predict_noisy(backend, gt, num_classes, rng)
+            where = (shape, jitter, flip_prob, confidence)
+            assert got.dtype == np.float64 and got.flags.c_contiguous, where
+            assert got.tobytes() == want.tobytes(), where
+            probs = predict(backend, volume, num_classes, rng, ground_truth=gt).probs
+            assert probs.dtype == np.float64 and probs.flags.c_contiguous, where
+            assert probs.tobytes() == ProbabilityMap(want).probs.tobytes(), where
+
+
 def random_label_volumes(count, seed=7):
     """Random uint8 label volumes with 2-3 classes; axes of length 1 and 2
     are common, and some volumes are mostly background."""
@@ -182,6 +231,20 @@ class TestConstant:
         with pytest.raises(ValueError):
             predict(BackendDescriptor("constant", name="c", constant_class=5),
                     volume, 2, stream())
+
+    def test_class_out_of_range_is_a_config_error(self, case):
+        volume, _ = case
+        with pytest.raises(ConfigError, match="constant_class=5 >= num_classes=2"):
+            predict(BackendDescriptor("constant", name="c", constant_class=5),
+                    volume, 2, stream())
+
+    def test_one_hot_bytes(self, case):
+        volume, _ = case
+        out = predict(BackendDescriptor("constant", name="c", constant_class=2),
+                      volume, 3, stream())
+        want = np.zeros((*volume.dims, 3))
+        want[..., 2] = 1.0
+        assert out.probs.tobytes() == want.tobytes()
 
 
 ECHO_BACKEND = textwrap.dedent(
@@ -376,3 +439,21 @@ class TestDescriptorValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             BackendDescriptor("magic")
+
+
+class TestPredictArguments:
+    def test_too_few_classes_is_a_config_error(self, case):
+        volume, gt = case
+        with pytest.raises(ConfigError, match="num_classes=1 must be >= 2") as info:
+            predict(BackendDescriptor("oracle", name="o"), volume, 1, stream(),
+                    ground_truth=gt)
+        assert isinstance(info.value, ValueError)
+
+    def test_unknown_kind_is_a_config_error(self, case):
+        volume, gt = case
+        backend = BackendDescriptor("oracle", name="o")
+        # The descriptor rejects an unknown kind; predict guards its own branch.
+        object.__setattr__(backend, "kind", "magic")
+        with pytest.raises(ConfigError, match="unknown backend kind 'magic'") as info:
+            predict(backend, volume, 2, stream(), ground_truth=gt)
+        assert isinstance(info.value, ValueError)

@@ -286,6 +286,29 @@ class TestProbabilityMaps:
         write_probability_map(read_probability_map(path_a), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    @pytest.mark.parametrize("num_classes", [2, 3, 8, 9])
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (1, 1, 1)])
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_read_equals_the_float64_map_of_the_file_data(
+        self, tmp_path, rng, num_classes, dims, endian
+    ):
+        # Near-tolerance float32 data: per-voxel sums off by up to 4e-4 and
+        # values up to 3e-4 outside [0, 1], so clipping and renormalizing act.
+        probs = rng.dirichlet(np.ones(num_classes), size=dims)
+        probs *= 1.0 + rng.uniform(-4e-4, 4e-4, size=(*dims, 1))
+        edge = rng.random(dims) < 0.3
+        probs[..., 0][edge] = -3e-4
+        probs[..., 1][edge] = 1.0 + 3e-4 - probs[..., 2:][edge].sum(axis=-1)
+        arr = np.asfortranarray(probs.astype(np.float32))
+        raw = build_nifti_bytes((*dims, num_classes),
+                                arr.astype(endian + "f4").tobytes(order="F"),
+                                endian=endian)
+        (tmp_path / "p.nii").write_bytes(raw)
+        got = read_probability_map(tmp_path / "p.nii").probs
+        want = ProbabilityMap(arr.astype(np.float64)).probs
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     def test_3d_file_rejected(self, tmp_path, rng):
         v = make_volume(rng)
         write_volume(v, tmp_path / "v.nii")
