@@ -37,11 +37,8 @@ from .augment import (
 from .backends import predict
 from .fusion import (
     FusionInput,
-    confidence_weighted_vote,
     foreground_volume,
     fuse,
-    majority_vote,
-    threshold_weighted_vote,
 )
 from .metrics import (
     CaseScorer,
@@ -94,7 +91,6 @@ __all__ = [
     "Spacing",
     "Volume",
     "apply",
-    "confidence_weighted_vote",
     "contrast_enhancement",
     "default_augmentations",
     "denormalize_intensity",
@@ -109,7 +105,6 @@ __all__ = [
     "hd95",
     "load_config",
     "load_manifest",
-    "majority_vote",
     "make_blob_mask",
     "make_phantom",
     "normalize_intensity",
@@ -124,7 +119,6 @@ __all__ = [
     "run_segtta",
     "run_threshold_sweep",
     "surface_voxels",
-    "threshold_weighted_vote",
     "write_label_mask",
     "write_phantom_dataset",
     "write_probability_map",

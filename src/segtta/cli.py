@@ -20,7 +20,7 @@ import sys
 
 from . import augment, nifti
 from .config import load_config, load_manifest
-from .core import AUGMENTATION_KINDS, AugmentationSpec, Spacing, normalize_intensity
+from .core import AUGMENTATION_KINDS, AugmentationSpec, normalize_intensity
 from .errors import SegTTAError
 from .fusion import VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
@@ -167,9 +167,8 @@ def _cmd_augment(args) -> int:
 def _cmd_fuse(args) -> int:
     maps = tuple(nifti.read_probability_map(p) for p in args.maps)
     mask = fuse(FusionInput(maps, mode=args.mode, tau=args.tau))
-    header = nifti.read_header(args.maps[0])
-    spacing = Spacing(*header.pixdim[1:4])
-    nifti.write_label_mask(mask, spacing, args.output)
+    nifti.write_label_mask(mask, nifti.read_header(args.maps[0]).spacing,
+                           args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -183,9 +182,7 @@ def _cmd_metrics(args) -> int:
     classes = args.classes if args.classes else _infer_classes(args.pred, args.gt)
     pred = nifti.read_label_mask(args.pred, classes)
     gt = nifti.read_label_mask(args.gt, classes)
-    header = nifti.read_header(args.gt)
-    spacing = Spacing(*header.pixdim[1:4])
-    report = evaluate(pred, gt, spacing)
+    report = evaluate(pred, gt, nifti.read_header(args.gt).spacing)
     for c in sorted(report.per_class_iou):
         print(f"class {c}: IoU={report.per_class_iou[c]:.4f} "
               f"Dice={report.per_class_dice[c]:.4f}")

@@ -13,11 +13,11 @@ import math
 from pathlib import Path
 
 from .core import (
-    AugmentationSpec, _check_field_types, _check_json, _check_known_fields,
-    default_augmentations,
+    MAX_CLASSES, AugmentationSpec, _check_field_types, _check_json,
+    _check_known_fields, default_augmentations,
 )
-from .errors import IoFailure, SegTTAError
-from .fusion import VOTING_MODES, _check_tau
+from .errors import ConfigError, IoFailure, SegTTAError
+from .fusion import _check_mode, _check_tau
 
 BACKEND_KINDS = ("oracle", "noisy_oracle", "constant", "external")
 
@@ -129,8 +129,7 @@ class RunConfig:
             raise ValueError(f"backend names must be unique, got {names}")
         object.__setattr__(self, "backends", named)
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
-        if self.voting not in VOTING_MODES:
-            raise ValueError(f"voting={self.voting!r} not in {VOTING_MODES}")
+        _check_mode(self.voting)
         _check_tau(self.tau)
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
@@ -240,8 +239,9 @@ class DatasetManifest:
         classes = {e.num_classes for e in entries}
         if len(classes) != 1:
             raise ValueError(f"num_classes differs across entries: {sorted(classes)}")
-        if entries[0].num_classes < 2:
-            raise ValueError(f"num_classes={entries[0].num_classes} must be >= 2")
+        if not 2 <= entries[0].num_classes <= MAX_CLASSES:
+            raise ConfigError(f"num_classes={entries[0].num_classes} outside "
+                              f"[2, {MAX_CLASSES}]")
         object.__setattr__(self, "entries", entries)
 
     @property

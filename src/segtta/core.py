@@ -34,6 +34,9 @@ PROB_TOL = 1e-3
 #: which makes renormalization exactly idempotent.
 RENORM_TOL = 1e-12
 
+#: Most classes a map, mask or dataset may have: labels are stored as uint8.
+MAX_CLASSES = 256
+
 
 _SCALAR_TYPES = {
     "bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str,
@@ -176,9 +179,9 @@ class Volume:
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
 
-    ``probs`` has shape ``(nx, ny, nz, C)`` with C >= 2 classes (class 0 is
-    background). Per voxel the probabilities must sum to 1 within
-    ``PROB_TOL``; on construction they are clamped to [0, 1] and
+    ``probs`` has shape ``(nx, ny, nz, C)`` with 2 <= C <= ``MAX_CLASSES``
+    classes (class 0 is background). Per voxel the probabilities must sum to
+    1 within ``PROB_TOL``; on construction they are clamped to [0, 1] and
     renormalized to sum exactly. Values further out than the tolerance are
     an error, not silently fixed, because they indicate a broken backend.
 
@@ -195,8 +198,9 @@ class ProbabilityMap:
             src = src.astype(np.float64)
         if src.ndim != 4:
             raise DimensionMismatch(f"probability map must be 4D, got shape {src.shape}")
-        if src.shape[3] < 2:
-            raise DimensionMismatch(f"need >= 2 classes, got num_classes={src.shape[3]}")
+        if not 2 <= src.shape[3] <= MAX_CLASSES:
+            raise DimensionMismatch(
+                f"num_classes={src.shape[3]} outside [2, {MAX_CLASSES}]")
         # Exact in any float dtype: widening to float64 keeps the order.
         lo, hi = float(src.min()), float(src.max())  # NaN propagates into both
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -267,8 +271,9 @@ class LabelMask:
             raise DimensionMismatch(f"label mask must be 3D, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidLabels(f"labels must be integers, got dtype {arr.dtype}")
-        if not 2 <= self.num_classes <= 256:
-            raise ValueError(f"num_classes={self.num_classes} outside [2, 256]")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(
+                f"num_classes={self.num_classes} outside [2, {MAX_CLASSES}]")
         if arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
             raise InvalidLabels(
                 f"labels range [{arr.min()}, {arr.max()}] outside "

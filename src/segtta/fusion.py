@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .core import LabelMask, ProbabilityMap, Spacing
-from .errors import InconsistentMaps, InvalidTau
+from .errors import ConfigError, InconsistentMaps, InvalidTau
 
 VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
 
@@ -41,6 +41,22 @@ def _check_tau(tau) -> float:
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0 < tau <= 1):
         raise InvalidTau(f"tau={tau!r} must be in (0, 1]")
     return float(tau)
+
+
+def _check_mode(mode) -> str:
+    if mode not in VOTING_MODES:
+        raise ConfigError(f"voting mode {mode!r} not in {VOTING_MODES}")
+    return mode
+
+
+def _check_consistent(m: ProbabilityMap, ref, name: str) -> None:
+    """Raise InconsistentMaps unless map ``m`` has the dims and class count
+    of ``ref`` (a map or votes), called ``name`` in the message."""
+    if (m.dims, m.num_classes) != (ref.dims, ref.num_classes):
+        raise InconsistentMaps(
+            f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
+            f"classes; {name} has {ref.dims} and {ref.num_classes}"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,15 +71,9 @@ class FusionInput:
         maps = tuple(self.maps)
         if not maps:
             raise InconsistentMaps("fusion input needs at least one probability map")
-        dims, classes = maps[0].dims, maps[0].num_classes
         for m in maps[1:]:
-            if (m.dims, m.num_classes) != (dims, classes):
-                raise InconsistentMaps(
-                    f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
-                    f"classes; {maps[0].source_tag!r} has {dims} and {classes}"
-                )
-        if self.mode not in VOTING_MODES:
-            raise ValueError(f"voting mode {self.mode!r} not in {VOTING_MODES}")
+            _check_consistent(m, maps[0], repr(maps[0].source_tag))
+        _check_mode(self.mode)
         _check_tau(self.tau)
         object.__setattr__(self, "maps", tuple(sorted(maps, key=lambda m: m.source_tag)))
 
@@ -91,9 +101,7 @@ class Votes:
     """
 
     def __init__(self, mode: str, dims, num_classes: int):
-        if mode not in VOTING_MODES:
-            raise ValueError(f"voting mode {mode!r} not in {VOTING_MODES}")
-        self.mode = mode
+        self.mode = _check_mode(mode)
         self.dims = tuple(dims)
         self.num_classes = num_classes
         dtype = np.int32 if mode == "majority" else np.float64
@@ -103,11 +111,7 @@ class Votes:
 
     def contribution(self, m: ProbabilityMap) -> tuple[list, np.ndarray | None]:
         """``(planes, weight)`` that map ``m`` adds to the sums."""
-        if (m.dims, m.num_classes) != (self.dims, self.num_classes):
-            raise InconsistentMaps(
-                f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
-                f"classes; the votes have {self.dims} and {self.num_classes}"
-            )
+        _check_consistent(m, self, "the votes")
         if self.mode == "majority":
             winner = np.argmax(m.probs, axis=-1)
             return [winner == c for c in range(self.num_classes)], None
@@ -144,27 +148,6 @@ class Votes:
         if normalized:
             labels[best < tau] = 0
         return LabelMask(labels, self.num_classes)
-
-
-def _vote(input: FusionInput, mode: str) -> LabelMask:
-    if input.mode != mode:
-        raise ValueError(f"fusion input has mode {input.mode!r}, expected {mode!r}")
-    return fuse(input)
-
-
-def majority_vote(input: FusionInput) -> LabelMask:
-    """Most frequent per-map argmax wins; ties go to the lower class index."""
-    return _vote(input, "majority")
-
-
-def confidence_weighted_vote(input: FusionInput) -> LabelMask:
-    """Argmax of confidence-weighted class scores."""
-    return _vote(input, "confidence_weighted")
-
-
-def threshold_weighted_vote(input: FusionInput) -> LabelMask:
-    """Confidence-weighted vote gated by the normalized-score threshold."""
-    return _vote(input, "threshold_weighted")
 
 
 def fuse(input: FusionInput) -> LabelMask:

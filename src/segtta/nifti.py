@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import gzip
 import math
 from pathlib import Path
+import zlib
 
 import numpy as np
 
@@ -120,18 +121,24 @@ class NiftiHeader:
     def shape(self) -> tuple[int, ...]:
         return tuple(self.dim[1 : 1 + self.ndim])
 
+    @property
+    def spacing(self) -> Spacing:
+        """Voxel size in mm: pixdim[1:4]."""
+        return Spacing(*self.pixdim[1:4])
+
 
 def _is_gzip(path) -> bool:
     return str(path).endswith(".gz")
 
 
-def _open_read(path):
+def _read_bytes(path, size: int = -1) -> bytes:
+    """Up to ``size`` bytes (all with -1) of the file, gunzipped for .gz;
+    a missing file or a broken gzip stream raises IoFailure naming it."""
     try:
-        if _is_gzip(path):
-            return gzip.open(path, "rb")
-        return open(path, "rb")
-    except OSError as e:
-        raise IoFailure(f"cannot open {path}: {e}") from e
+        with (gzip.open if _is_gzip(path) else open)(path, "rb") as f:
+            return f.read(size)
+    except (OSError, EOFError, zlib.error) as e:  # gzip.BadGzipFile is an OSError
+        raise IoFailure(f"cannot read {path}: {e}") from e
 
 
 def _parse_header(raw: bytes, path) -> NiftiHeader:
@@ -199,23 +206,14 @@ def _parse_header(raw: bytes, path) -> NiftiHeader:
 
 def read_header(path) -> NiftiHeader:
     """Parse and validate the 348-byte header of a .nii or .nii.gz file."""
-    with _open_read(path) as f:
-        try:
-            raw = f.read(HEADER_SIZE)
-        except (OSError, gzip.BadGzipFile, EOFError) as e:
-            raise IoFailure(f"cannot read header from {path}: {e}") from e
-    return _parse_header(raw, path)
+    return _parse_header(_read_bytes(path, HEADER_SIZE), path)
 
 
 def _read(path, ndim: int, what: str) -> tuple[NiftiHeader, np.ndarray]:
     """Read the file once; return its header and its data section, checked
     against the size the header claims, as a read-only array view of the
     bytes read, shaped [x, y, z(, c)]."""
-    with _open_read(path) as f:
-        try:
-            raw = f.read()
-        except (OSError, gzip.BadGzipFile, EOFError) as e:
-            raise IoFailure(f"cannot read {path}: {e}") from e
+    raw = _read_bytes(path)
     header = _parse_header(raw, path)
     if header.ndim != ndim:
         raise DimensionMismatch(f"{path}: dim[0]={header.ndim}, expected a {what}")
@@ -237,8 +235,7 @@ def read_volume(path) -> Volume:
     arr = arr.astype(np.float64)
     if header.scl_slope != 0.0 and (header.scl_slope, header.scl_inter) != (1.0, 0.0):
         arr = arr * header.scl_slope + header.scl_inter
-    spacing = Spacing(*header.pixdim[1:4])
-    return Volume(arr, spacing, vol_id=_stem(path))
+    return Volume(arr, header.spacing, vol_id=_stem(path))
 
 
 def read_label_mask(path, num_classes: int) -> LabelMask:

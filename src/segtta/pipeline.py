@@ -341,7 +341,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             if gt.dims != volume.dims:
                 raise DimensionMismatch(
                     f"label dims {gt.dims} != image dims {volume.dims}")
-            spacing = nifti.read_header(entry.label).pixdim[1:4]
+            spacing = nifti.read_header(entry.label).spacing.as_tuple()
             if not all(math.isclose(a, b, rel_tol=SPACING_RTOL)
                        for a, b in zip(spacing, volume.spacing.as_tuple())):
                 raise DimensionMismatch(f"label spacing {spacing} != image "

@@ -42,7 +42,6 @@ from segtta import (
     run_ablation,
     run_segtta,
     run_threshold_sweep,
-    threshold_weighted_vote,
     write_phantom_dataset,
     write_volume,
 )
@@ -119,7 +118,7 @@ def test_criterion_2_threshold_monotonicity(tmp_path):
             )
             volumes = [
                 foreground_volume(
-                    threshold_weighted_vote(FusionInput(maps, tau=t)),
+                    fuse(FusionInput(maps, tau=t)),
                     Spacing(1, 1, 1),
                 )
                 for t in taus

@@ -223,6 +223,45 @@ class TestRun:
         assert "vox_offset" in saved["failures"][0][1]
         assert "FAILED case001" in capsys.readouterr().err
 
+    def test_corrupt_gzip_stream_fails_only_its_case(self, dataset_dir, config_path,
+                                                     tmp_path, capsys):
+        image = dataset_dir / "case001.nii.gz"
+        raw = bytearray(image.read_bytes())
+        for i in range(40, 60):  # inside the deflate stream
+            raw[i] ^= 0xFF
+        image.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--config", config_path,
+            "--manifest", dataset_dir / "manifest.json", "--out", out,
+        )
+        assert code == 0
+        saved = json.loads((out / "result.json").read_text())
+        assert sorted(saved["per_case"]) == ["case000", "case002"]
+        [(case, reason)] = saved["failures"]
+        assert case == "case001" and str(image) in reason
+        events = [json.loads(line)
+                  for line in (out / "run.log.jsonl").read_text().splitlines()]
+        assert [e["error_type"] for e in events
+                if e["event"] == "case_failed"] == ["IoFailure"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_class_count_past_label_dtype_is_diagnosed(self, dataset_dir,
+                                                       tmp_path, capsys):
+        entries = json.loads((dataset_dir / "manifest.json").read_text())
+        for entry in entries:
+            entry["classes"] = 300
+            del entry["label"]
+        manifest = dataset_dir / "many.json"
+        manifest.write_text(json.dumps(entries))
+        config = tmp_path / "constant.json"
+        config.write_text(json.dumps({"backends": [{"kind": "constant"}]}))
+        code = run_cli("run", "--config", config, "--manifest", manifest)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "num_classes=300" in err
+        assert "Traceback" not in err
+
 
     def test_header_claiming_huge_volume_fails_only_its_case(
             self, dataset_dir, config_path, tmp_path, capsys):

@@ -132,6 +132,11 @@ class TestManifest:
                 ManifestEntry("b", "y.nii", 3),
             ))
 
+    @pytest.mark.parametrize("classes", [1, 257, 300])
+    def test_class_count_outside_label_range(self, classes):
+        with pytest.raises(ConfigError, match=f"num_classes={classes} outside"):
+            DatasetManifest("d", (ManifestEntry("a", "x.nii", classes),))
+
     def test_not_a_list(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"cases": []}))

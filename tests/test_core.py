@@ -171,6 +171,12 @@ class TestProbabilityMap:
         with pytest.raises(DimensionMismatch):
             ProbabilityMap(np.ones((2, 2, 2, 1)))
 
+    def test_class_count_bounded_by_label_dtype(self):
+        # Fused labels are uint8, so 256 classes is the most a map may have.
+        assert ProbabilityMap(np.full((1, 1, 2, 256), 1 / 256)).num_classes == 256
+        with pytest.raises(DimensionMismatch, match=r"num_classes=300 outside \[2, 256\]"):
+            ProbabilityMap(np.full((1, 1, 2, 300), 1 / 300))
+
     def test_identity_equality_and_hashing(self, rng):
         a, b = dyadic(rng, (2, 2, 2), 2), dyadic(rng, (2, 2, 2), 2)
         twin = ProbabilityMap(a.probs, source_tag=a.source_tag)

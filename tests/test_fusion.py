@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from segtta import (
+    BackendDescriptor,
     FusionInput,
     LabelMask,
     ProbabilityMap,
+    RunConfig,
     Spacing,
-    confidence_weighted_vote,
     foreground_volume,
     fuse,
-    majority_vote,
-    threshold_weighted_vote,
 )
-from segtta.errors import InconsistentMaps, InvalidTau
+from segtta.errors import ConfigError, InconsistentMaps, InvalidTau
+from segtta.fusion import Votes
 
 from conftest import brute_force_vote, dyadic_prob_maps, random_dims
 
@@ -28,7 +28,7 @@ def pmap(per_class_rows, tag="m0"):
 class TestMajority:
     def test_single_map_is_argmax(self, rng):
         maps = dyadic_prob_maps(rng, 1, (3, 2, 2), 3)
-        out = majority_vote(FusionInput(tuple(maps), mode="majority"))
+        out = fuse(FusionInput(tuple(maps), mode="majority"))
         np.testing.assert_array_equal(out.labels, np.argmax(maps[0].probs, axis=-1))
 
     def test_strict_majority(self):
@@ -37,12 +37,12 @@ class TestMajority:
             pmap([[0.1, 0.7, 0.2]], "b"),
             pmap([[0.2, 0.2, 0.6]], "c"),
         )
-        out = majority_vote(FusionInput(maps, mode="majority"))
+        out = fuse(FusionInput(maps, mode="majority"))
         assert out.labels[0, 0, 0] == 1
 
     def test_vote_tie_breaks_low(self):
         maps = (pmap([[0.1, 0.8, 0.1]], "a"), pmap([[0.1, 0.2, 0.7]], "b"))
-        out = majority_vote(FusionInput(maps, mode="majority"))
+        out = fuse(FusionInput(maps, mode="majority"))
         assert out.labels[0, 0, 0] == 1
 
 
@@ -50,27 +50,27 @@ class TestConfidenceWeighted:
     def test_identical_maps_give_their_argmax(self, rng):
         base = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0]
         maps = tuple(base.retagged(f"m{i}") for i in range(3))
-        out = confidence_weighted_vote(FusionInput(maps, mode="confidence_weighted"))
+        out = fuse(FusionInput(maps, mode="confidence_weighted"))
         np.testing.assert_array_equal(out.labels, np.argmax(base.probs, axis=-1))
 
     def test_hand_worked_example(self):
         maps = (pmap([[0.9, 0.1]], "a"), pmap([[0.4, 0.6]], "b"))
-        out = confidence_weighted_vote(FusionInput(maps, mode="confidence_weighted"))
+        out = fuse(FusionInput(maps, mode="confidence_weighted"))
         # weights (0.9, 0.6); scores (1.05, 0.45) -> class 0
         assert out.labels[0, 0, 0] == 0
 
     def test_uniform_maps_tie_to_background(self):
         maps = tuple(pmap([[0.5, 0.5]], f"m{i}") for i in range(4))
-        out = confidence_weighted_vote(FusionInput(maps, mode="confidence_weighted"))
+        out = fuse(FusionInput(maps, mode="confidence_weighted"))
         assert out.labels[0, 0, 0] == 0
 
 
 class TestThresholdWeighted:
     def test_single_map_threshold_boundary(self):
         maps = (pmap([[0.3, 0.7]], "a"),)
-        out = threshold_weighted_vote(FusionInput(maps, tau=0.6))
+        out = fuse(FusionInput(maps, tau=0.6))
         assert out.labels[0, 0, 0] == 1
-        out = threshold_weighted_vote(FusionInput(maps, tau=0.75))
+        out = fuse(FusionInput(maps, tau=0.75))
         assert out.labels[0, 0, 0] == 0
 
     def test_unanimous_background(self, rng):
@@ -78,7 +78,7 @@ class TestThresholdWeighted:
         probs[..., 0] = 1.0
         maps = tuple(ProbabilityMap(probs, source_tag=f"m{i}") for i in range(3))
         for tau in (0.1, 0.6, 1.0):
-            out = threshold_weighted_vote(FusionInput(maps, tau=tau))
+            out = fuse(FusionInput(maps, tau=tau))
             assert not out.labels.any()
 
     def test_low_tau_equals_confidence_weighted(self, rng):
@@ -86,12 +86,10 @@ class TestThresholdWeighted:
         for _ in range(20):
             num_classes = int(rng.integers(2, 4))
             maps = tuple(dyadic_prob_maps(rng, 3, random_dims(rng), num_classes))
-            gated = threshold_weighted_vote(
+            gated = fuse(
                 FusionInput(maps, mode="threshold_weighted", tau=1.0 / num_classes)
             )
-            free = confidence_weighted_vote(
-                FusionInput(maps, mode="confidence_weighted")
-            )
+            free = fuse(FusionInput(maps, mode="confidence_weighted"))
             np.testing.assert_array_equal(gated.labels, free.labels)
 
     def test_unanimity_property(self, rng):
@@ -102,7 +100,7 @@ class TestThresholdWeighted:
         probs[..., 0] = 0.2
         probs[..., 1] = 0.1
         maps = tuple(ProbabilityMap(probs, source_tag=f"m{i}") for i in range(3))
-        out = threshold_weighted_vote(FusionInput(maps, tau=tau))
+        out = fuse(FusionInput(maps, tau=tau))
         assert (out.labels == 2).all()
 
     def test_tau_monotone_foreground(self, rng):
@@ -117,7 +115,7 @@ class TestThresholdWeighted:
             taus = sorted(rng.uniform(0.05, 1.0, size=3))
             volumes = [
                 foreground_volume(
-                    threshold_weighted_vote(FusionInput(maps, tau=t)), spacing
+                    fuse(FusionInput(maps, tau=t)), spacing
                 )
                 for t in taus
             ]
@@ -158,6 +156,15 @@ class TestSharedProperties:
         single = fuse(FusionInput(tuple(maps), mode=mode, tau=0.6))
         doubled = fuse(FusionInput(tuple(maps) + copies, mode=mode, tau=0.6))
         np.testing.assert_array_equal(single.labels, doubled.labels)
+
+    @pytest.mark.parametrize("mode", ["majority", "confidence_weighted",
+                                      "threshold_weighted"])
+    def test_top_class_of_the_largest_class_count(self, mode):
+        # 256 classes is the bound; class 255 must fit the uint8 labels.
+        row = np.full(256, 0.1 / 255)
+        row[255] = 0.9
+        out = fuse(FusionInput((pmap([row, row], "a"),), mode=mode, tau=0.6))
+        assert (out.labels == 255).all() and out.num_classes == 256
 
 
 class TestStreamingMemory:
@@ -200,10 +207,23 @@ class TestValidation:
             with pytest.raises(InvalidTau):
                 FusionInput(maps, tau=tau)
 
-    def test_mode_mismatch_rejected(self, rng):
+    @pytest.mark.parametrize("build", [
+        lambda mode, maps: RunConfig(backends=(BackendDescriptor("oracle"),),
+                                     voting=mode),
+        lambda mode, maps: FusionInput(maps, mode=mode),
+        lambda mode, maps: Votes(mode, maps[0].dims, maps[0].num_classes),
+    ], ids=["RunConfig", "FusionInput", "Votes"])
+    def test_unknown_mode_names_it(self, rng, build):
         maps = tuple(dyadic_prob_maps(rng, 1, (2, 2, 2), 2))
-        with pytest.raises(ValueError):
-            majority_vote(FusionInput(maps, mode="threshold_weighted"))
+        with pytest.raises(ConfigError, match="'plurality'"):
+            build("plurality", maps)
+
+    def test_votes_reject_inconsistent_map(self, rng):
+        a = dyadic_prob_maps(rng, 1, (2, 2, 2), 2)[0]
+        b = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0]
+        votes = Votes("majority", a.dims, a.num_classes)
+        with pytest.raises(InconsistentMaps, match="the votes"):
+            votes.contribution(b)
 
 
 class TestForegroundVolume:

@@ -187,6 +187,17 @@ class TestHeaderValidation:
         with pytest.raises(IoFailure):
             read_volume(tmp_path / "nope.nii")
 
+    @pytest.mark.parametrize("read", [read_header, read_volume])
+    def test_corrupt_gzip_stream_is_io_failure(self, tmp_path, rng, read):
+        path = tmp_path / "broken.nii.gz"
+        write_volume(make_volume(rng, dims=(8, 8, 8)), path)
+        raw = bytearray(path.read_bytes())
+        for i in range(40, 60):  # inside the deflate stream
+            raw[i] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IoFailure, match="broken.nii.gz"):
+            read(path)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("datatype", [16, 64])
@@ -232,6 +243,7 @@ class TestRoundTrips:
         path = tmp_path / "sp.nii"
         write_volume(v, path)
         assert read_volume(path).spacing == v.spacing
+        assert read_header(path).spacing == v.spacing
 
     def test_label_mask_roundtrip(self, tmp_path, rng):
         mask = LabelMask(rng.integers(0, 3, (5, 4, 3)).astype(np.uint8), 3)
