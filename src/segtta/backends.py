@@ -4,9 +4,19 @@ The synthetic kinds (oracle, noisy oracle, constant) make desk-scale
 experiments controllable: the noisy oracle in particular is a stand-in for
 checkpoint diversity, with tunable boundary jitter and label flips. Its
 output is fixed by its random stream: it draws one uniform and one class
-offset per voxel, whatever the flip rate, and the shortcuts below (a table
-lookup for the softened one-hot, arithmetic on the flipped voxels only)
-change its cost, not its bytes. The external kind shells out to a real
+offset per voxel, whatever the flip rate. The shortcuts below change its
+cost, not its bytes:
+
+* a ground-truth mask is jittered at most once per direction and step
+  count; the result is kept for as long as the mask is alive, so the
+  members and views of a case share it;
+* only the flipped voxels are rewritten;
+* every synthetic kind builds its map with
+  :meth:`ProbabilityMap.from_rows`, which checks the C-row table of
+  softened one-hots instead of every voxel and then looks each voxel's
+  row up once.
+
+The external kind shells out to a real
 model wrapper via float32 NIfTI file exchange, so hooking up an actual
 segmenter is one small script; its exit status, run time and the tail of
 its stdout and stderr go to the run's log as one ``log`` event.
@@ -21,7 +31,9 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -41,19 +53,18 @@ from .metrics import _FACES, _surface
 from .rng import SeededRng
 
 
-def _soften(labels: np.ndarray, num_classes: int, confidence: float) -> np.ndarray:
-    """One-hot of ``labels`` softened so the true class gets ``confidence``
-    and the other classes share the remainder equally."""
+def _soften(num_classes: int, confidence: float) -> np.ndarray:
+    """The C x C table whose row c is the one-hot of class c, softened so
+    class c gets ``confidence`` and the others share the remainder
+    equally."""
     if not (1.0 / num_classes < confidence <= 1.0):
         raise InvalidConfidence(
             f"confidence={confidence!r} outside (1/{num_classes}, 1]; the "
             f"assigned class would not be the argmax"
         )
-    # Row c of the table is the softened one-hot of class c, so the map is
-    # one lookup per voxel.
     table = np.full((num_classes, num_classes), (1.0 - confidence) / (num_classes - 1))
     np.fill_diagonal(table, confidence)
-    return np.take(table, labels, axis=0)
+    return table
 
 
 def _dilate_step(labels: np.ndarray) -> np.ndarray:
@@ -72,6 +83,29 @@ def _dilate_step(labels: np.ndarray) -> np.ndarray:
 def _erode_step(labels: np.ndarray) -> np.ndarray:
     """Shrink the foreground by one voxel; out-of-bounds counts as background."""
     return np.where(_surface(labels > 0), 0, labels)
+
+
+#: Jittered labels per ground-truth mask: {(step, steps): labels}. Keyed
+#: weakly, so an entry goes when its mask does; a mask compares and hashes
+#: by identity.
+_jittered: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_jittered_lock = threading.Lock()
+
+
+def _jitter(gt: LabelMask, step, steps: int) -> np.ndarray:
+    """``gt``'s labels after ``steps`` applications of ``step``, computed
+    once per mask, step and count (read-only, shared by every caller)."""
+    with _jittered_lock:
+        memo = _jittered.setdefault(gt, {})
+        labels = memo.get((step, steps))
+    if labels is None:
+        labels = np.asarray(gt.labels)
+        for _ in range(steps):
+            labels = step(labels)
+        labels.setflags(write=False)
+        with _jittered_lock:
+            labels = memo.setdefault((step, steps), labels)
+    return labels
 
 
 def _resolve_ground_truth(
@@ -98,12 +132,12 @@ def _resolve_ground_truth(
 def _predict_noisy(
     backend: BackendDescriptor, gt: LabelMask, num_classes: int, rng: SeededRng
 ) -> np.ndarray:
+    """The noisy oracle's labels: ``gt`` jittered, then flipped."""
     gen = rng.generator()
     labels = np.asarray(gt.labels)
     if backend.jitter > 0:
         step = _dilate_step if int(gen.integers(0, 2)) else _erode_step
-        for _ in range(backend.jitter):
-            labels = step(labels)
+        labels = _jitter(gt, step, backend.jitter)
     if backend.flip_prob > 0:
         flipped = np.flatnonzero(gen.random(labels.shape) < backend.flip_prob)
         # Offset by 1..C-1 modulo C, so a flipped voxel always changes class.
@@ -112,7 +146,7 @@ def _predict_noisy(
         flat = labels.flatten()
         flat[flipped] = (flat[flipped] + offsets) % num_classes
         labels = flat.reshape(labels.shape)
-    return _soften(labels, num_classes, backend.confidence)
+    return labels
 
 
 def _predict_external(
@@ -210,21 +244,22 @@ def predict(
     if num_classes < 2:
         raise ConfigError(f"num_classes={num_classes} must be >= 2")
     tag = source_tag if source_tag is not None else backend.name
+    confidence = backend.confidence
     if backend.kind == "oracle":
         gt = _resolve_ground_truth(backend, volume, num_classes, ground_truth)
-        probs = _soften(np.asarray(gt.labels), num_classes, backend.confidence)
+        labels = gt.labels
     elif backend.kind == "noisy_oracle":
         gt = _resolve_ground_truth(backend, volume, num_classes, ground_truth)
-        probs = _predict_noisy(backend, gt, num_classes, rng)
+        labels = _predict_noisy(backend, gt, num_classes, rng)
     elif backend.kind == "constant":
         if backend.constant_class >= num_classes:
             raise ConfigError(
                 f"constant_class={backend.constant_class} >= num_classes={num_classes}"
             )
         labels = np.full(volume.dims, backend.constant_class, dtype=np.uint8)
-        probs = _soften(labels, num_classes, 1.0)
+        confidence = 1.0
     elif backend.kind == "external":
         return _predict_external(backend, volume, num_classes, log).retagged(tag)
     else:
         raise ConfigError(f"unknown backend kind {backend.kind!r}")
-    return ProbabilityMap(probs, source_tag=tag)
+    return ProbabilityMap.from_rows(_soften(num_classes, confidence), labels, tag)

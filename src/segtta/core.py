@@ -187,6 +187,11 @@ class ProbabilityMap:
 
     ``source_tag`` records (backend, view) provenance and defines the
     deterministic fusion order.
+
+    The constructor copies and checks every array it is handed, so a map
+    never shares memory with its caller. :meth:`from_rows` builds a map
+    whose every voxel is one row of a small table (the synthetic backends'
+    softened one-hots) by checking the table instead of every voxel.
     """
 
     probs: np.ndarray
@@ -243,6 +248,37 @@ class ProbabilityMap:
             arr /= sums[..., None]
         object.__setattr__(self, "probs", _freeze(arr))
 
+    @classmethod
+    def from_rows(cls, table: np.ndarray, labels: np.ndarray,
+                  source_tag: str = "") -> "ProbabilityMap":
+        """The map whose voxel ``[x, y, z]`` is row ``labels[x, y, z]`` of
+        ``table``, an ``(R, C)`` array of class probabilities.
+
+        The rows are checked as the constructor checks a map: clipped,
+        summed and renormalized by the same rules, every row whether a
+        label picks it or not. The map is then one ``np.take`` from the
+        checked rows, so it costs one lookup per voxel and its bytes equal
+        ``ProbabilityMap(np.take(table, labels, axis=0)).probs`` whenever
+        no row needs renormalizing (true of every table this package
+        builds) or every row is picked.
+        """
+        rows = np.asarray(table)
+        if rows.ndim != 2:
+            raise DimensionMismatch(f"row table must be 2D, got shape {rows.shape}")
+        labels = np.asarray(labels)
+        if labels.ndim != 3:
+            raise DimensionMismatch(f"labels must be 3D, got shape {labels.shape}")
+        checked = cls(rows[:, None, None, :], source_tag).probs[:, 0, 0, :]
+        return cls._trusted(np.take(checked, labels, axis=0), source_tag)
+
+    @classmethod
+    def _trusted(cls, probs: np.ndarray, source_tag: str) -> "ProbabilityMap":
+        """A map over ``probs``, already checked, frozen and C-ordered."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "probs", _freeze(probs))
+        object.__setattr__(m, "source_tag", source_tag)
+        return m
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.probs.shape[:3]
@@ -252,10 +288,7 @@ class ProbabilityMap:
         return self.probs.shape[3]
 
     def retagged(self, source_tag: str) -> "ProbabilityMap":
-        m = object.__new__(ProbabilityMap)
-        object.__setattr__(m, "probs", self.probs)
-        object.__setattr__(m, "source_tag", source_tag)
-        return m
+        return ProbabilityMap._trusted(self.probs, source_tag)
 
 
 @dataclass(frozen=True, eq=False)

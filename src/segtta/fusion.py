@@ -14,14 +14,17 @@ Three per-voxel rules are provided:
   with S_hat = S / sum_k w_k(x). The normalization keeps a fixed tau
   meaningful for any ensemble size.
 
-Fusion streams through one accumulator, :class:`Votes`: each map's
-contribution (w * P per class and w, or its argmax votes for majority) is
-computed once and added, in source-tag order, into one plane per class
-(S and W, or integer vote counts); the decision reads the planes without
-changing them, so several thresholds can decide from one accumulator.
-Nothing is stacked, so memory is O(voxels x C) for any ensemble size; the
-fixed order makes the masks independent of input order. Ties break toward
-the lower class index.
+Fusion streams through one accumulator, :class:`Votes`, which keeps one
+plane per class (S and W, or integer vote counts). Each map's contribution
+(its probabilities and w, or its argmax classes for majority) is computed
+once. :func:`count` then adds it, in source-tag order, one class at a
+time: w * P(., c) (or the votes for c) goes into one scratch plane, which
+is added to every accumulator that counts the map. The decision reads the
+planes without changing them, so several thresholds can decide from one
+accumulator. Nothing is stacked, so memory is O(voxels x C) for any
+ensemble size, plus one scratch plane while a map is counted; the fixed
+order makes the masks independent of input order. Ties break toward the
+lower class index.
 """
 
 from __future__ import annotations
@@ -89,15 +92,16 @@ class FusionInput:
 class Votes:
     """Running vote sums of one set of maps, kept as one plane per class.
 
-    ``contribution(map)`` computes what a map adds once: its planes
-    ``w * P(., c)`` and its confidence ``w = max_c P``, or for majority one
-    boolean plane per class marking its argmax (lower index on ties).
-    ``add`` adds a contribution into the running sums ``S(., c)`` and
-    ``W`` (int32 counts for majority), so one contribution can feed the
-    votes of several view sets. ``decide(tau)`` reads the sums without
-    changing them, so every threshold of a sweep decides from one set of
-    sums. Added in source-tag order, the sums and masks are bit-identical
-    to a fusion of the same maps through :func:`fuse`.
+    ``contribution(map)`` checks a map against the votes and computes what
+    it adds once: its probabilities and its confidence ``w = max_c P``, or
+    for majority its argmax class per voxel (lower index on ties).
+    :func:`count` adds a contribution into the running sums ``S(., c)``
+    and ``W`` (int32 counts for majority) of one or several votes, so one
+    contribution can feed the votes of several view sets. ``decide(tau)``
+    reads the sums without changing them, so every threshold of a sweep
+    decides from one set of sums. Counted in source-tag order, the sums
+    and masks are bit-identical to a fusion of the same maps through
+    :func:`fuse`.
     """
 
     def __init__(self, mode: str, dims, num_classes: int):
@@ -107,33 +111,25 @@ class Votes:
         dtype = np.int32 if mode == "majority" else np.float64
         self.scores = [np.zeros(self.dims, dtype) for _ in range(num_classes)]
         self.weight = None if mode == "majority" else np.zeros(self.dims)
-        self.count = 0  # maps added
+        self.maps = 0  # maps counted
 
-    def contribution(self, m: ProbabilityMap) -> tuple[list, np.ndarray | None]:
-        """``(planes, weight)`` that map ``m`` adds to the sums."""
+    def contribution(self, m: ProbabilityMap) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(values, weight)`` that map ``m`` adds to the sums: its
+        probabilities and ``w``, or for majority its argmax classes and
+        None."""
         _check_consistent(m, self, "the votes")
         if self.mode == "majority":
-            winner = np.argmax(m.probs, axis=-1)
-            return [winner == c for c in range(self.num_classes)], None
-        planes = [m.probs[..., c] for c in range(self.num_classes)]
-        weight = planes[0].copy()
-        for plane in planes[1:]:
-            np.maximum(weight, plane, out=weight)
-        return [plane * weight for plane in planes], weight
-
-    def add(self, contribution: tuple[list, np.ndarray | None]) -> None:
-        planes, weight = contribution
-        for total, plane in zip(self.scores, planes):
-            total += plane
-        if weight is not None:
-            self.weight += weight
-        self.count += 1
+            return np.argmax(m.probs, axis=-1), None
+        weight = m.probs[..., 0].copy()
+        for c in range(1, self.num_classes):
+            np.maximum(weight, m.probs[..., c], out=weight)
+        return m.probs, weight
 
     def decide(self, tau: float = 0.6) -> LabelMask:
         """The fused mask: per voxel the class of the largest score, ties to
         the lower class; for threshold_weighted the scores are S / W and a
         voxel whose largest falls below ``tau`` is background."""
-        if not self.count:
+        if not self.maps:
             raise InconsistentMaps("votes need at least one probability map")
         normalized = self.mode == "threshold_weighted"
         if normalized:
@@ -150,12 +146,33 @@ class Votes:
         return LabelMask(labels, self.num_classes)
 
 
+def count(contribution: tuple[np.ndarray, np.ndarray | None], votes) -> None:
+    """Add one map's ``contribution`` (from ``Votes.contribution``) to each
+    of ``votes``, which share its mode, dims and classes. Class by class,
+    ``w * P(., c)`` (for majority, the votes for c) is formed in one
+    scratch plane and added to every accumulator."""
+    values, weight = contribution
+    majority = weight is None
+    scratch = np.empty(votes[0].dims, bool if majority else np.float64)
+    for c in range(votes[0].num_classes):
+        if majority:
+            np.equal(values, c, out=scratch)
+        else:
+            np.multiply(values[..., c], weight, out=scratch)
+        for acc in votes:
+            acc.scores[c] += scratch
+    for acc in votes:
+        if not majority:
+            acc.weight += weight
+        acc.maps += 1
+
+
 def fuse(input: FusionInput) -> LabelMask:
-    """Fuse with the voting rule selected by the input's mode: add each map
-    to one :class:`Votes` in source-tag order, then decide."""
+    """Fuse with the voting rule selected by the input's mode: count each
+    map into one :class:`Votes` in source-tag order, then decide."""
     votes = Votes(input.mode, input.dims, input.num_classes)
     for m in input.maps:
-        votes.add(votes.contribution(m))
+        count(votes.contribution(m), [votes])
     return votes.decide(input.tau)
 
 

@@ -240,13 +240,20 @@ def read_volume(path) -> Volume:
 
 def read_label_mask(path, num_classes: int) -> LabelMask:
     """Read an integer label mask stored as any supported datatype."""
-    _, arr = _read(path, 3, "3D mask")
+    return _read_label_mask(path, num_classes)[1]
+
+
+def _read_label_mask(path, num_classes: int) -> tuple[NiftiHeader, LabelMask]:
+    """:func:`read_label_mask` with the header of the same read."""
+    header, arr = _read(path, 3, "3D mask")
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(arr)
         if not np.array_equal(rounded, arr):
             raise InvalidLabels(f"{path}: mask voxels are not integral")
-        arr = rounded
-    return LabelMask(arr.astype(np.int64), num_classes)
+        arr = rounded.astype(np.int64)
+    # An integer array goes to LabelMask as read: it checks the range and
+    # makes the one uint8 copy.
+    return header, LabelMask(arr, num_classes)
 
 
 def read_probability_map(path) -> ProbabilityMap:

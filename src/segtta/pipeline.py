@@ -4,8 +4,9 @@ An experiment is a list of variants. A variant is a named result row: the
 views it fuses and its threshold tau. Every experiment runs each case of
 the manifest through the same pass, in the worker pool:
 
-1. load the case, check that its label has the image's dims and spacing,
-   normalize it and augment it once per distinct view;
+1. load the case (each file read once), check that its label has the
+   image's dims and spacing, normalize it and augment it once per
+   distinct view;
 2. predict each (backend, view) once, in source-tag order (the order
    ``fuse`` adds maps in), add each map's contribution to the ``Votes`` of
    every distinct view set among the variants, and drop the map;
@@ -13,9 +14,12 @@ the manifest through the same pass, in the worker pool:
    score it, and write the masks of the variants that have an output
    directory.
 
-A probability map lives only until it is counted, so memory is bounded by
-the cases in flight times their distinct view sets (C + 1 planes each),
-whatever the ensemble size. The result is assembled in manifest order.
+A probability map lives only until it is counted, through one scratch
+plane, so memory is bounded by the cases in flight times their distinct
+view sets (C + 1 planes each), plus one map and one plane per case in
+flight and the jittered labels a noisy oracle keeps with the case's mask
+(one volume of uint8 per jitter direction), whatever the ensemble size.
+The result is assembled in manifest order.
 
 ``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
 ``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
@@ -55,7 +59,7 @@ from .core import (
     ProbabilityMap, Volume, _check_fields, _check_json, normalize_intensity,
 )
 from .errors import DimensionMismatch, InsufficientAugmentations, SegTTAError
-from .fusion import Votes, foreground_volume, _check_tau
+from .fusion import Votes, count, foreground_volume, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these two names here;
 # the pipeline itself fuses through Votes.
 from .fusion import FusionInput, fuse  # noqa: F401
@@ -332,16 +336,13 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
     try:
         volume = nifti.read_volume(entry.image)
         volume = Volume(volume.data, volume.spacing, vol_id=case_id)
-        gt = (
-            nifti.read_label_mask(entry.label, entry.num_classes)
-            if entry.label
-            else None
-        )
-        if gt is not None:
+        gt = None
+        if entry.label:
+            header, gt = nifti._read_label_mask(entry.label, entry.num_classes)
             if gt.dims != volume.dims:
                 raise DimensionMismatch(
                     f"label dims {gt.dims} != image dims {volume.dims}")
-            spacing = nifti.read_header(entry.label).spacing.as_tuple()
+            spacing = header.spacing.as_tuple()
             if not all(math.isclose(a, b, rel_tol=SPACING_RTOL)
                        for a, b in zip(spacing, volume.spacing.as_tuple())):
                 raise DimensionMismatch(f"label spacing {spacing} != image "
@@ -402,10 +403,8 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             started = time.monotonic()
             counting = [acc for view_set, acc in votes.items() if view in view_set]
             if counting:
-                counted = counting[0].contribution(pmap)
-                for acc in counting:
-                    acc.add(counted)
-            pmap = cached = counted = None  # a map lives only until it is counted
+                count(counting[0].contribution(pmap), counting)
+            pmap = cached = None  # a map lives only until it is counted
             seconds["fuse_s"] += time.monotonic() - started
     except (SegTTAError, ValueError) as e:
         log.emit("case_failed", case=case_id, backend=backend.name, view=view,

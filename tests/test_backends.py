@@ -1,9 +1,12 @@
+import gc
 import itertools
 import os
 import shlex
 import sys
 import textwrap
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from segtta import (
     predict,
     write_label_mask,
 )
-from segtta.backends import _dilate_step, _erode_step, _predict_noisy
+import segtta.backends
+from segtta.backends import _dilate_step, _erode_step, _predict_noisy, _soften
 from segtta.errors import (
     ConfigError,
     DimensionMismatch,
@@ -157,8 +161,16 @@ def mask_shapes(dims, num_classes, gen):
 
 
 class TestNoisyOracleBytes:
-    """The noisy oracle's maps against the independent reference on the same
-    random stream, byte for byte, over a fixed grid of its parameters."""
+    """The synthetic kinds' maps against the independent reference on the
+    same random stream, byte for byte, over a fixed grid of parameters."""
+
+    @staticmethod
+    def check_map(probs, want, where):
+        """``probs`` is read-only, C-ordered float64 and, byte for byte, the
+        checked map of the dense softened array ``want``."""
+        assert probs.dtype == np.float64 and probs.flags.c_contiguous, where
+        assert not probs.flags.writeable, where
+        assert probs.tobytes() == ProbabilityMap(want).probs.tobytes(), where
 
     @pytest.mark.parametrize("num_classes", [2, 3, 9, 256])
     def test_matches_the_reference(self, num_classes):
@@ -177,13 +189,84 @@ class TestNoisyOracleBytes:
             want = reference_noisy_oracle(labels, num_classes, confidence, jitter,
                                           flip_prob, rng.generator())
             gt = LabelMask(labels, num_classes)
-            got = _predict_noisy(backend, gt, num_classes, rng)
+            got = np.take(_soften(num_classes, confidence),
+                          _predict_noisy(backend, gt, num_classes, rng), axis=0)
             where = (shape, jitter, flip_prob, confidence)
             assert got.dtype == np.float64 and got.flags.c_contiguous, where
             assert got.tobytes() == want.tobytes(), where
             probs = predict(backend, volume, num_classes, rng, ground_truth=gt).probs
-            assert probs.dtype == np.float64 and probs.flags.c_contiguous, where
-            assert probs.tobytes() == ProbabilityMap(want).probs.tobytes(), where
+            self.check_map(probs, want, where)
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 9, 256])
+    @pytest.mark.parametrize("kind", ["oracle", "constant"])
+    def test_oracle_and_constant_match_the_reference(self, kind, num_classes):
+        dims = (6, 5, 4)
+        volume = Volume(np.zeros(dims), Spacing(1.0, 1.0, 1.0), vol_id="v")
+        masks = mask_shapes(dims, num_classes, np.random.default_rng(num_classes))
+        just_above_uniform = float(np.nextafter(1.0 / num_classes, 1.0))
+        if kind == "oracle":
+            grid = [
+                (BackendDescriptor("oracle", name="o", confidence=confidence),
+                 masks[shape], confidence)
+                for confidence in (just_above_uniform, 0.9, 1.0) for shape in masks
+            ]
+        else:
+            grid = [
+                (BackendDescriptor("constant", name="k", constant_class=k),
+                 np.full(dims, k, dtype=np.uint8), 1.0)
+                for k in (0, 1, num_classes - 1)
+            ]
+        for backend, labels, confidence in grid:
+            # With no jitter and no flips the reference is the dense softened
+            # one-hot of ``labels``; it draws nothing.
+            want = reference_noisy_oracle(labels, num_classes, confidence, 0, 0.0,
+                                          None)
+            gt = LabelMask(labels, num_classes)  # the constant kind ignores it
+            probs = predict(backend, volume, num_classes, stream(), ground_truth=gt).probs
+            self.check_map(probs, want, (backend, confidence))
+
+
+class TestJitterMemo:
+    """A ground-truth mask is jittered once per direction and step count,
+    shared across threads, and the memo keeps no mask alive."""
+
+    def test_threads_share_one_result(self):
+        # Eight threads race for the same two memo entries; a lost update
+        # would hand different threads different arrays.
+        _, gt = make_phantom(dims=(12, 12, 10), seed=5, vol_id="case")
+        got = []
+
+        def work():
+            for step in (_dilate_step, _erode_step):
+                got.append((step, segtta.backends._jitter(gt, step, 1)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 16
+        for step in (_dilate_step, _erode_step):
+            shared = {id(labels) for s, labels in got if s is step}
+            assert len(shared) == 1
+            labels = next(labels for s, labels in got if s is step)
+            np.testing.assert_array_equal(labels, step(np.asarray(gt.labels)))
+            assert not labels.flags.writeable
+
+    def test_memo_keeps_no_mask_alive(self):
+        volume, gt = make_phantom(dims=(12, 12, 10), seed=5, vol_id="case")
+        backend = BackendDescriptor("noisy_oracle", name="n", jitter=1, flip_prob=0.1)
+        predict(backend, volume, 2, stream(), ground_truth=gt)
+        assert gt in segtta.backends._jittered
+        ref = weakref.ref(gt)
+        del gt
+        gc.collect()
+        assert ref() is None
 
 
 def random_label_volumes(count, seed=7):

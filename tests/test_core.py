@@ -167,6 +167,36 @@ class TestProbabilityMap:
         assert not np.shares_memory(got, caller) and caller.flags.writeable
         np.testing.assert_array_equal(caller, probs)
 
+    @pytest.mark.parametrize("num_classes", range(2, 13))
+    def test_from_rows_matches_the_dense_map(self, rng, num_classes):
+        # Every row is picked, so the rows are checked exactly as the voxels
+        # of the dense map, renormalized or not.
+        exact = rng.random((num_classes, num_classes))
+        exact /= exact.sum(axis=1, keepdims=True)
+        noisy = exact + rng.uniform(-2e-4, 2e-4, exact.shape) / num_classes
+        labels = rng.permutation(np.arange(60) % num_classes).reshape(5, 4, 3)
+        for table in (exact, exact * (1 + 5e-4 / num_classes), noisy):
+            caller = table.copy()
+            got = ProbabilityMap.from_rows(caller, labels, "t")
+            want = ProbabilityMap(np.take(table, labels, axis=0), "t")
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.probs.flags.c_contiguous and not got.probs.flags.writeable
+            assert got.source_tag == "t"
+            assert not np.shares_memory(got.probs, caller) and caller.flags.writeable
+            np.testing.assert_array_equal(caller, table)
+
+    def test_from_rows_checks_every_row(self):
+        table = np.array([[0.5, 0.5], [0.2, 0.9]])
+        labels = np.zeros((2, 2, 2), dtype=np.uint8)  # row 1 is never picked
+        with pytest.raises(NotProbabilistic, match="deviates"):
+            ProbabilityMap.from_rows(table, labels)
+        with pytest.raises(DimensionMismatch, match="row table must be 2D"):
+            ProbabilityMap.from_rows(table[None], labels)
+        with pytest.raises(DimensionMismatch, match="labels must be 3D"):
+            ProbabilityMap.from_rows(table, labels[0])
+        with pytest.raises(DimensionMismatch, match="num_classes=1"):
+            ProbabilityMap.from_rows(np.ones((1, 1)), labels)
+
     def test_rejects_single_class(self):
         with pytest.raises(DimensionMismatch):
             ProbabilityMap(np.ones((2, 2, 2, 1)))

@@ -33,6 +33,7 @@ import segtta.augment
 import segtta.backends
 import segtta.fusion
 import segtta.metrics
+import segtta.nifti
 from segtta.errors import InsufficientAugmentations, InvalidTau
 import segtta.pipeline
 from segtta.pipeline import EventLog
@@ -223,6 +224,34 @@ class TestRunSegtta:
         assert not result.failures
         assert len(result.per_case) == len(dataset.entries)
         assert len(refs) == len(dataset.entries) * per_case
+
+    def test_each_file_read_once(self, dataset, monkeypatch):
+        # The label's spacing comes from the header of its one read.
+        reads = []
+        read_bytes = segtta.nifti._read_bytes
+
+        def counted(path, *args):
+            reads.append(str(path))
+            return read_bytes(path, *args)
+
+        monkeypatch.setattr(segtta.nifti, "_read_bytes", counted)
+        result = run_segtta(noisy_config(jobs=1), dataset)
+        assert len(result.per_case) == len(dataset.entries)
+        assert sorted(reads) == sorted(
+            str(path) for entry in dataset.entries for path in (entry.image, entry.label)
+        )
+
+    def test_each_ground_truth_jittered_once_per_direction(self, dataset, monkeypatch):
+        # 5 jitter-1 members x 5 views draw 25 directions per case; there
+        # are two directions, so at most two jitter steps per case.
+        calls = []
+        for name in ("_dilate_step", "_erode_step"):
+            step = getattr(segtta.backends, name)
+            monkeypatch.setattr(segtta.backends, name,
+                                lambda labels, step=step: calls.append(1) or step(labels))
+        result = run_segtta(noisy_config(5), dataset)
+        assert len(result.per_case) == len(dataset.entries)
+        assert 0 < len(calls) <= 2 * len(dataset.entries)
 
     def test_subset_filter(self, dataset):
         config = noisy_config(2, subset=(("nb0", "baseline"),))
