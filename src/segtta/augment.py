@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .core import AugmentationSpec, Volume
+from .errors import InvalidSigma, InvalidVolume
 from .rng import SeededRng
 
 
@@ -39,8 +40,12 @@ class GaussianKernel1D:
     @classmethod
     def from_sigma(cls, sigma: float) -> "GaussianKernel1D":
         AugmentationSpec("gaussian_blur", sigma=sigma)
-        radius = math.ceil(3.0 * sigma)
-        x = np.arange(-radius, radius + 1, dtype=np.float64)
+        try:  # past about 1.5e18 no array holds the kernel; past 6e307, 3σ overflows
+            radius = math.ceil(3.0 * sigma)
+            x = np.arange(-radius, radius + 1, dtype=np.float64)
+        except (OverflowError, ValueError) as e:
+            raise InvalidSigma(
+                f"blur sigma={sigma!r} is too large for a kernel: {e}") from e
         w = np.exp(-0.5 * (x / sigma) ** 2)
         w /= w.sum()
         w.setflags(write=False)
@@ -104,7 +109,7 @@ def gamma_correction(v: Volume, gamma: float) -> Volume:
     """
     AugmentationSpec("gamma_correction", gamma=gamma)
     if v.data.min() < 0:
-        raise ValueError("gamma correction requires non-negative intensities")
+        raise InvalidVolume("gamma correction requires non-negative intensities")
     if gamma == 1.0:
         return v
     imax = float(v.data.max())
@@ -132,6 +137,4 @@ def apply(spec: AugmentationSpec, v: Volume, rng: SeededRng) -> Volume:
         return gaussian_noise(v, spec.sigma, rng)
     if spec.kind == "gamma_correction":
         return gamma_correction(v, spec.gamma)
-    if spec.kind == "contrast_enhancement":
-        return contrast_enhancement(v, spec.alpha, spec.beta)
-    raise ValueError(f"unknown augmentation kind {spec.kind!r}")
+    return contrast_enhancement(v, spec.alpha, spec.beta)  # the one kind left

@@ -20,13 +20,17 @@ import sys
 
 from . import augment, nifti
 from .config import load_config, load_manifest
-from .core import AUGMENTATION_KINDS, AugmentationSpec, normalize_intensity
-from .errors import SegTTAError
+from .core import (
+    AUGMENTATION_KINDS, MAX_CLASSES, AugmentationSpec, LabelMask,
+    normalize_intensity,
+)
+from .errors import ConfigError, SegTTAError
 from .fusion import VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
 from .pipeline import (
     EventLog,
     RunResult,
+    _check_spacing,
     augmentation_rng,
     run_ablation,
     run_segtta,
@@ -130,7 +134,7 @@ def _cmd_run(args) -> int:
         try:
             taus = [float(t) for t in args.taus.split(",") if t.strip()]
         except ValueError as e:
-            raise SegTTAError(f"--taus: {e}") from e
+            raise ConfigError(f"--taus: {e}") from e
     config = _apply_overrides(load_config(args.config), args)
     manifest = load_manifest(args.manifest)
     log = EventLog(Path(args.out) / "run.log.jsonl" if args.out else None)
@@ -149,14 +153,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    volume = nifti.read_volume(args.input)
-    if args.normalize:
-        volume, _, _ = normalize_intensity(volume)
-    axis = None if str(args.slice_axis).lower() == "none" else int(args.slice_axis)
+    try:
+        axis = None if args.slice_axis.lower() == "none" else int(args.slice_axis)
+    except ValueError as e:
+        raise ConfigError(f"--slice-axis: {e}") from e
     spec = AugmentationSpec(
         kind=args.kind, sigma=args.sigma, gamma=args.gamma,
         alpha=args.alpha, beta=args.beta, slice_axis=axis,
     )
+    volume = nifti.read_volume(args.input)
+    if args.normalize:
+        volume, _, _ = normalize_intensity(volume)
     rng = augmentation_rng(args.seed, volume.vol_id, spec.label())
     out = augment.apply(spec, volume, rng)
     nifti.write_volume(out, args.output, datatype=16)
@@ -173,16 +180,18 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _infer_classes(*paths) -> int:
-    top = max(int(nifti.read_volume(p).data.max()) for p in paths)
-    return max(top + 1, 2)
-
-
 def _cmd_metrics(args) -> int:
-    classes = args.classes if args.classes else _infer_classes(args.pred, args.gt)
-    pred = nifti.read_label_mask(args.pred, classes)
-    gt = nifti.read_label_mask(args.gt, classes)
-    report = evaluate(pred, gt, nifti.read_header(args.gt).spacing)
+    # Without --classes, read with the widest count, then count the labels.
+    (pred_header, pred), (gt_header, gt) = (
+        nifti._read_label_mask(path, args.classes or MAX_CLASSES)
+        for path in (args.pred, args.gt)
+    )
+    if not args.classes:
+        classes = max(int(pred.labels.max()), int(gt.labels.max()), 1) + 1
+        pred, gt = LabelMask(pred.labels, classes), LabelMask(gt.labels, classes)
+    _check_spacing(pred_header.spacing, gt_header.spacing,
+                   "prediction", "ground truth")
+    report = evaluate(pred, gt, gt_header.spacing)
     for c in sorted(report.per_class_iou):
         print(f"class {c}: IoU={report.per_class_iou[c]:.4f} "
               f"Dice={report.per_class_dice[c]:.4f}")
@@ -218,7 +227,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SegTTAError, ValueError) as e:
+    except SegTTAError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

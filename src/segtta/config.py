@@ -13,10 +13,10 @@ import math
 from pathlib import Path
 
 from .core import (
-    MAX_CLASSES, AugmentationSpec, _check_field_types, _check_json,
-    _check_known_fields, default_augmentations,
+    MAX_CLASSES, AugmentationSpec, _check_field_types, _check_fields,
+    _check_json, _check_known_fields, default_augmentations,
 )
-from .errors import ConfigError, IoFailure, SegTTAError
+from .errors import ConfigError, IoFailure
 from .fusion import _check_mode, _check_tau
 
 BACKEND_KINDS = ("oracle", "noisy_oracle", "constant", "external")
@@ -59,19 +59,19 @@ class BackendDescriptor:
     def __post_init__(self):
         _check_field_types(self)
         if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
+            raise ConfigError(f"unknown backend kind {self.kind!r}")
         if not (0.0 <= self.flip_prob <= 1.0):
-            raise ValueError(f"flip_prob={self.flip_prob!r} outside [0, 1]")
+            raise ConfigError(f"flip_prob={self.flip_prob!r} outside [0, 1]")
         if not (0.0 < self.confidence <= 1.0):
-            raise ValueError(f"confidence={self.confidence!r} outside (0, 1]")
+            raise ConfigError(f"confidence={self.confidence!r} outside (0, 1]")
         if self.jitter < 0:
-            raise ValueError(f"jitter={self.jitter!r} must be >= 0")
+            raise ConfigError(f"jitter={self.jitter!r} must be >= 0")
         if self.constant_class < 0:
-            raise ValueError(f"constant_class={self.constant_class!r} must be >= 0")
+            raise ConfigError(f"constant_class={self.constant_class!r} must be >= 0")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout={self.timeout!r} must be finite and > 0")
+            raise ConfigError(f"timeout={self.timeout!r} must be finite and > 0")
         if self.kind == "external" and not self.command:
-            raise ValueError("external backend needs a command template")
+            raise ConfigError("external backend needs a command template")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "name": self.name}
@@ -120,27 +120,27 @@ class RunConfig:
         _check_field_types(self)
         backends = tuple(self.backends)
         if not backends:
-            raise ValueError("config needs at least one backend")
+            raise ConfigError("config needs at least one backend")
         named = tuple(
             b if b.name else replace(b, name=f"b{i}") for i, b in enumerate(backends)
         )
         names = [b.name for b in named]
         if len(set(names)) != len(names):
-            raise ValueError(f"backend names must be unique, got {names}")
+            raise ConfigError(f"backend names must be unique, got {names}")
         object.__setattr__(self, "backends", named)
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
         _check_mode(self.voting)
         _check_tau(self.tau)
         if self.seed < 0:
-            raise ValueError(f"seed={self.seed} must be non-negative")
+            raise ConfigError(f"seed={self.seed} must be non-negative")
         if self.jobs < 1 or self.process_jobs < 1:
-            raise ValueError("jobs and process_jobs must be >= 1")
+            raise ConfigError("jobs and process_jobs must be >= 1")
         if self.subset is not None:
             if not (isinstance(self.subset, (list, tuple)) and all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2
                 for pair in self.subset
             )):
-                raise SegTTAError(
+                raise ConfigError(
                     f"config field 'subset' must be a list of [backend, view] "
                     f"pairs, got {self.subset!r}"
                 )
@@ -165,42 +165,35 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _check_known_fields(d, cls, "config")
-        if "backends" not in d:
-            raise ValueError("config needs a 'backends' list")
-        kwargs = dict(d)
-        kwargs["backends"] = tuple(
-            BackendDescriptor.from_dict(b) for b in _objects(d, "backends")
+        kwargs = dict(_check_known_fields(d, cls, "config"))
+        kwargs["backends"] = _objects(d, "backends", BackendDescriptor)
+        kwargs["augmentations"] = (
+            _objects(d, "augmentations", AugmentationSpec)
+            if "augmentations" in d else default_augmentations()
         )
-        if "augmentations" in d:
-            kwargs["augmentations"] = tuple(
-                AugmentationSpec.from_dict(a) for a in _objects(d, "augmentations")
-            )
-        else:
-            kwargs["augmentations"] = default_augmentations()
         return cls(**kwargs)
 
 
-def _objects(d: dict, field: str) -> list:
-    """Config field ``field``, which must be a JSON list of objects."""
-    value = d[field]
-    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
-        raise SegTTAError(
-            f"config field {field!r} must be a list of objects, got {value!r}"
-        )
-    return value
+def _objects(d: dict, field: str, cls) -> tuple:
+    """Config field ``field``, a JSON list of objects, each made a ``cls``."""
+    where = f"config field {field!r}"
+    return tuple(cls.from_dict(_check_json(value, "object", f"{where} item"))
+                 for value in _check_json(d[field], "list", where))
 
 
 def _read_json(path):
     """The JSON document at ``path``; a missing or unreadable file raises
-    IoFailure and malformed JSON a SegTTAError, each naming the path."""
+    IoFailure and malformed JSON, or a string that is not Unicode text (a
+    lone surrogate escape), a ConfigError, each naming the path."""
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise SegTTAError(f"{path}: malformed JSON: {e}") from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError/EncodeError
+        raise ConfigError(f"{path}: malformed JSON: {e}") from e
 
 
 def load_config(path) -> RunConfig:
@@ -231,14 +224,14 @@ class DatasetManifest:
     def __post_init__(self):
         entries = tuple(self.entries)
         if not entries:
-            raise ValueError("manifest has no cases")
+            raise ConfigError("manifest has no cases")
         ids = [e.case_id for e in entries]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate case ids in manifest: {dupes}")
+            raise ConfigError(f"duplicate case ids in manifest: {dupes}")
         classes = {e.num_classes for e in entries}
         if len(classes) != 1:
-            raise ValueError(f"num_classes differs across entries: {sorted(classes)}")
+            raise ConfigError(f"num_classes differs across entries: {sorted(classes)}")
         if not 2 <= entries[0].num_classes <= MAX_CLASSES:
             raise ConfigError(f"num_classes={entries[0].num_classes} outside "
                               f"[2, {MAX_CLASSES}]")
@@ -249,6 +242,10 @@ class DatasetManifest:
         return self.entries[0].num_classes
 
 
+#: The JSON type of each field of a manifest case; "label" is optional.
+_CASE_FIELDS = {"id": "string", "image": "string", "classes": "integer"}
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load a manifest: a JSON list of {id, image, label?, classes}.
 
@@ -256,42 +253,20 @@ def load_manifest(path) -> DatasetManifest:
     directory. The dataset name is the manifest file's stem.
     """
     path = Path(path)
-    raw = _read_json(path)
-    if not isinstance(raw, list):
-        raise SegTTAError(f"{path}: manifest must be a JSON list of cases")
     base = path.parent
     entries = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_check_json(_read_json(path), "list", f"manifest {path}")):
+        where = f"{path}: case {i}"
         if not isinstance(item, dict):
-            raise SegTTAError(
-                f"{path}: case {i} must be a JSON object, got {type(item).__name__}"
-            )
-        extra = set(item) - {"id", "image", "label", "classes"}
+            raise ConfigError(f"{where} must be a JSON object, got {type(item).__name__}")
+        _check_fields(item, _CASE_FIELDS, where)
+        extra = set(item) - {*_CASE_FIELDS, "label"}
         if extra:
-            raise SegTTAError(f"{path}: case {i} has unknown fields {sorted(extra)}")
-        missing = [f for f in ("id", "image", "classes") if f not in item]
-        if missing:
-            raise SegTTAError(f"{path}: case {i} is missing field {missing[0]!r}")
-        for field in ("id", "image", "label"):
-            value = item.get(field)
-            if not isinstance(value, str) and not (field == "label" and value is None):
-                raise SegTTAError(
-                    f"{path}: case {i} field {field!r} must be a string, "
-                    f"got {type(value).__name__}"
-                )
-        num_classes = item["classes"]
-        if isinstance(num_classes, bool) or not isinstance(num_classes, int):
-            raise SegTTAError(
-                f"{path}: case {i} field 'classes' must be an integer, "
-                f"got {num_classes!r}"
-            )
-        label = item.get("label")
-        entries.append(
-            ManifestEntry(
-                case_id=item["id"],
-                image=str(base / item["image"]),
-                num_classes=num_classes,
-                label=str(base / label) if label else None,
-            )
-        )
+            raise ConfigError(f"{where} has unknown fields {sorted(extra)}")
+        label = _check_json(item.get("label"), "string or null",
+                            f"{where} field 'label'")
+        entries.append(ManifestEntry(
+            case_id=item["id"], image=str(base / item["image"]),
+            num_classes=item["classes"], label=str(base / label) if label else None,
+        ))
     return DatasetManifest(name=path.stem, entries=tuple(entries))

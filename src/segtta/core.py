@@ -9,7 +9,7 @@ layout is on disk into this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 import math
 import numbers
 
@@ -22,8 +22,8 @@ from .errors import (
     InvalidGamma,
     InvalidLabels,
     InvalidSigma,
+    InvalidVolume,
     NotProbabilistic,
-    SegTTAError,
 )
 
 #: Tolerance accepted from backends before a map is rejected as
@@ -44,7 +44,7 @@ _SCALAR_TYPES = {
 
 
 def _check_field_types(obj) -> None:
-    """Raise SegTTAError naming the first field of dataclass ``obj`` whose
+    """Raise ConfigError naming the first field of dataclass ``obj`` whose
     value does not match its scalar annotation (``bool``, ``int``,
     ``float`` or ``str``, optionally ``| None``). A bool is not a number.
     Fields of other types are left to their own checks.
@@ -58,46 +58,52 @@ def _check_field_types(obj) -> None:
             continue
         if (isinstance(value, bool) != (kind == "bool")
                 or not isinstance(value, _SCALAR_TYPES[kind])):
-            raise SegTTAError(
+            raise ConfigError(
                 f"{type(obj).__name__} field {f.name!r} must be {kind}"
                 f"{' or null' if rest else ''}, got {value!r}"
             )
 
 
-#: JSON type names of the Python types ``json.load`` returns.
+#: JSON type names of the Python types ``json.load`` returns; an
+#: "integer" is also a "number".
 _JSON_TYPES = {
-    dict: "object", list: "list", str: "string", int: "number",
+    dict: "object", list: "list", str: "string", int: "integer",
     float: "number", bool: "boolean", type(None): "null",
 }
 
 
 def _check_known_fields(d: dict, cls, what: str) -> dict:
     """``d``, after checking that it is a JSON object whose keys all name
-    fields of dataclass ``cls``; else a SegTTAError naming ``what``, or a
-    ConfigError naming the unknown fields."""
+    fields of dataclass ``cls`` and that holds every field without a
+    default; else a ConfigError naming ``what`` and the fields."""
     extra = set(_check_json(d, "object", what)) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigError(f"unknown {what} fields {sorted(extra)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ConfigError(f"{what} has no {f.name!r} field")
     return d
 
 
 def _check_json(value, kind: str, where: str):
     """``value``, after checking that its JSON type is one of ``kind``
-    (say ``"string or null"``); else a SegTTAError naming ``where``."""
+    (say ``"string or null"``); else a ConfigError naming ``where``."""
     got = _JSON_TYPES.get(type(value), type(value).__name__)
-    if got not in kind.split(" or "):
-        raise SegTTAError(f"{where} must be {kind}, got {got}")
+    if got == "integer" and abs(value) > 2 ** 53:  # not exact as a float
+        got = "integer beyond 2**53"
+    if got not in kind.split(" or ") and not (got == "integer" and "number" in kind):
+        raise ConfigError(f"{where} must be {kind}, got {got}")
     return value
 
 
 def _check_fields(d, kinds: dict, where: str) -> dict:
     """JSON object ``d``, after checking that it holds every key of
-    ``kinds`` with a value of that JSON type; else a SegTTAError naming
+    ``kinds`` with a value of that JSON type; else a ConfigError naming
     ``where`` and the first key missing or mistyped."""
     _check_json(d, "object", where)
     for key, kind in kinds.items():
         if key not in d:
-            raise SegTTAError(f"{where} has no {key!r} field")
+            raise ConfigError(f"{where} has no {key!r} field")
         _check_json(d[key], kind, f"{where} field {key!r}")
     return d
 
@@ -128,7 +134,7 @@ class Spacing:
         for name in ("dx", "dy", "dz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"spacing {name}={v!r} must be finite and > 0")
+                raise InvalidVolume(f"spacing {name}={v!r} must be finite and > 0")
 
     @property
     def voxel_volume(self) -> float:
@@ -163,7 +169,7 @@ class Volume:
         if min(arr.shape) < 1:
             raise DimensionMismatch(f"volume dims must be >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError(f"volume {self.vol_id!r} contains NaN or Inf values")
+            raise InvalidVolume(f"volume {self.vol_id!r} contains NaN or Inf values")
         object.__setattr__(self, "data", _freeze(arr))
 
     @property
@@ -305,7 +311,7 @@ class LabelMask:
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidLabels(f"labels must be integers, got dtype {arr.dtype}")
         if not 2 <= self.num_classes <= MAX_CLASSES:
-            raise ValueError(
+            raise ConfigError(
                 f"num_classes={self.num_classes} outside [2, {MAX_CLASSES}]")
         if arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
             raise InvalidLabels(
@@ -352,13 +358,13 @@ class AugmentationSpec:
     def __post_init__(self):
         _check_field_types(self)
         if self.kind not in AUGMENTATION_KINDS:
-            raise ValueError(f"unknown augmentation kind {self.kind!r}")
+            raise ConfigError(f"unknown augmentation kind {self.kind!r}")
         unused = [p for p in ("sigma", "gamma", "alpha", "beta")
                   if getattr(self, p) is not None and p not in _KIND_PARAMS[self.kind]]
         if unused:
             raise ConfigError(f"augmentation kind {self.kind!r} does not use {unused}")
         if self.slice_axis is not None and self.slice_axis not in (0, 1, 2):
-            raise ValueError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
+            raise ConfigError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
         if self.kind == "gaussian_blur":
             if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma > 0):
                 raise InvalidSigma(f"blur sigma={self.sigma!r} must be finite and > 0")
@@ -374,7 +380,7 @@ class AugmentationSpec:
             if self.beta is None:
                 object.__setattr__(self, "beta", 0.0)
             elif not math.isfinite(self.beta):
-                raise ValueError(f"beta={self.beta!r} must be finite")
+                raise ConfigError(f"beta={self.beta!r} must be finite")
 
     def label(self) -> str:
         """Canonical content-derived name, used for source tags and RNG keys."""

@@ -1,7 +1,11 @@
 """Exception hierarchy shared by all segtta modules.
 
-Every error message names the offending field or parameter so callers can
-diagnose bad files and configs without a debugger.
+Every rejection of input from outside the program (NIfTI files, manifests,
+configs, result documents, command-line values, external backend output)
+raises a :class:`SegTTAError`, so catching it is the one test for bad
+input and any other exception is a bug. Errors for bad values keep
+``ValueError`` as a base, so ``except ValueError`` still catches them.
+Every message names the offending field or parameter.
 """
 
 
@@ -39,6 +43,10 @@ class InvalidLabels(SegTTAError, ValueError):
     """Label mask voxels are not integers in [0, num_classes)."""
 
 
+class InvalidVolume(SegTTAError, ValueError):
+    """Non-finite voxels or spacing, or negative intensities for gamma."""
+
+
 # --- parameter errors -------------------------------------------------------
 
 class InvalidSigma(SegTTAError, ValueError):
@@ -62,9 +70,9 @@ class InvalidTau(SegTTAError, ValueError):
 
 
 class ConfigError(SegTTAError, ValueError):
-    """A config object holds a field its type or kind does not use, or a
-    value the run cannot use (a class count or class out of range, an
-    unknown kind)."""
+    """A config, manifest or result document, or an object built from one,
+    has a field missing, mistyped or unknown, or a value the run cannot use
+    (an unknown kind, a class count, class, seed or format out of range)."""
 
 
 # --- backend and pipeline errors --------------------------------------------

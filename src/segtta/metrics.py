@@ -46,8 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LabelMask, Spacing, _check_fields
-from .errors import DimensionMismatch
+from .core import LabelMask, Spacing, _check_fields, _check_json
+from .errors import ConfigError, DimensionMismatch
 
 
 _REPORT_FIELDS = {
@@ -76,32 +76,26 @@ class MetricReport:
     undefined_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "per_class_iou": {str(c): v for c, v in self.per_class_iou.items()},
-            "per_class_dice": {str(c): v for c, v in self.per_class_dice.items()},
-            "miou": self.miou,
-            "mdice": self.mdice,
-            "aiou": self.aiou,
-            "adice": self.adice,
-            "hd95_mm": self.hd95_mm,
-            "undefined_reason": self.undefined_reason,
-        }
+        return {key: ({str(c): v for c, v in getattr(self, key).items()}
+                      if key.startswith("per_class") else getattr(self, key))
+                for key in _REPORT_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises
-        SegTTAError naming ``where`` and the field."""
+        ConfigError naming ``where`` and the field."""
         _check_fields(d, _REPORT_FIELDS, where)
-        return cls(
-            per_class_iou={int(c): v for c, v in d["per_class_iou"].items()},
-            per_class_dice={int(c): v for c, v in d["per_class_dice"].items()},
-            miou=d["miou"],
-            mdice=d["mdice"],
-            aiou=d["aiou"],
-            adice=d["adice"],
-            hd95_mm=d["hd95_mm"],
-            undefined_reason=d["undefined_reason"],
-        )
+        return cls(**{key: (_class_scores(d[key], f"{where} field {key!r}")
+                            if key.startswith("per_class") else d[key])
+                      for key in _REPORT_FIELDS})
+
+
+def _class_scores(table: dict, where: str) -> dict[int, float]:
+    """JSON object ``table`` from class numbers to scores, keyed by int."""
+    if not all(c.isdecimal() for c in table):
+        raise ConfigError(f"{where} keys {list(table)} are not all class numbers")
+    return {int(c): _check_json(v, "number", f"{where}[{c!r}]")
+            for c, v in table.items()}
 
 
 def _check_dims(pred: LabelMask, gt: LabelMask):
@@ -299,7 +293,7 @@ def _scorer(gt: LabelMask | CaseScorer, spacing: Spacing) -> CaseScorer:
     if not isinstance(gt, CaseScorer):
         return CaseScorer(gt, spacing)
     if gt.spacing != spacing:
-        raise ValueError(f"spacing {spacing} != scorer spacing {gt.spacing}")
+        raise DimensionMismatch(f"spacing {spacing} != scorer spacing {gt.spacing}")
     return gt
 
 

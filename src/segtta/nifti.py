@@ -301,9 +301,11 @@ def _build_header(
 
 
 def _write_file(path, header: bytes, data: np.ndarray):
+    """Write one file, creating its directory; an OSError is an IoFailure."""
     pad = b"\x00" * (MIN_VOX_OFFSET - HEADER_SIZE)  # no extensions
     payload = header + pad + data.tobytes(order="F")
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         if _is_gzip(path):
             with open(path, "wb") as raw:
                 # mtime=0 keeps the compressed bytes identical across runs.
@@ -354,9 +356,11 @@ def write_label_mask(mask: LabelMask, spacing: Spacing, path, byteorder: str = "
     _write_file(path, header, data)
 
 
-def write_probability_map(p: ProbabilityMap, path, byteorder: str = "<"):
-    """Write a probability map as a 4D float32 file with dim[4]=num_classes."""
+def write_probability_map(p: ProbabilityMap, path, spacing: Spacing,
+                          byteorder: str = "<"):
+    """Write a probability map as a 4D float32 file with dim[4]=num_classes
+    and the voxel spacing of the scan it segments."""
     dim = (*p.dims, p.num_classes)
-    header = _build_header(dim, (1.0, 1.0, 1.0, 0.0), 16, byteorder)
+    header = _build_header(dim, (*spacing.as_tuple(), 0.0), 16, byteorder)
     data = p.probs.astype(np.dtype("f4").newbyteorder(byteorder))
     _write_file(path, header, data)

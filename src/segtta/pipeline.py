@@ -26,7 +26,9 @@ The result is assembled in manifest order.
 ``run_threshold_sweep`` is one ``tau=<t>`` row per threshold, all deciding
 from one accumulator. A case whose load or any prediction fails is
 recorded once, with the reason of its first failure in source-tag order,
-and skipped, so one corrupt scan cannot void a long run. All
+and skipped, so one corrupt scan cannot void a long run. A case fails
+only on a ``SegTTAError``, the one class of rejected input; any other
+exception is a bug and propagates out of the run. All
 randomness is stream-keyed by content (seed, case id, augmentation label,
 backend name), so a row equals the fused row of a from-scratch run of the
 same views, whatever the worker count. A ``PredictionCache`` passed in
@@ -56,9 +58,13 @@ import numpy as np
 from . import augment, backends, nifti
 from .config import DatasetManifest, RunConfig, _read_json
 from .core import (
-    ProbabilityMap, Volume, _check_fields, _check_json, normalize_intensity,
+    ProbabilityMap, Spacing, Volume, _check_fields, _check_json,
+    normalize_intensity,
 )
-from .errors import DimensionMismatch, InsufficientAugmentations, SegTTAError
+from .errors import (
+    ConfigError, DimensionMismatch, InsufficientAugmentations, IoFailure,
+    SegTTAError,
+)
 from .fusion import Votes, count, foreground_volume, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these two names here;
 # the pipeline itself fuses through Votes.
@@ -72,6 +78,14 @@ FUSED_VARIANT = "fused"
 #: Relative tolerance between a label's and its image's voxel spacing;
 #: both come from float32 pixdim fields.
 SPACING_RTOL = 1e-5
+
+
+def _check_spacing(spacing: Spacing, reference: Spacing, what: str, against: str):
+    """Raise DimensionMismatch naming both spacings unless ``spacing`` (of
+    ``what``) equals ``reference`` (of ``against``) within SPACING_RTOL."""
+    a, b = spacing.as_tuple(), reference.as_tuple()
+    if not all(math.isclose(x, y, rel_tol=SPACING_RTOL) for x, y in zip(a, b)):
+        raise DimensionMismatch(f"{what} spacing {a} != {against} spacing {b}")
 
 
 def augmentation_rng(seed: int, case_id: str, aug_label: str) -> SeededRng:
@@ -99,8 +113,11 @@ class EventLog:
         self._file = None
         self._lock = threading.Lock()
         if path:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(path, "w")
+            try:
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+                self._file = open(path, "w")
+            except OSError as e:
+                raise IoFailure(f"cannot write {path}: {e}") from e
 
     def emit(self, event: str, **fields):
         if self._file is None:
@@ -166,7 +183,7 @@ class PredictionCache:
 
 
 _RESULT_FIELDS = {
-    "dataset": "string", "num_classes": "number", "variants": "list",
+    "dataset": "string", "num_classes": "integer", "variants": "list",
     "reference": "string or null", "per_case": "object", "fg_volume": "object",
     "aggregates": "object", "failures": "list", "config": "object",
     "timings": "object",
@@ -211,29 +228,21 @@ class RunResult:
             }
             for case, variants in self.per_case.items()
         }
-        return {
-            "dataset": self.dataset,
-            "num_classes": self.num_classes,
-            "variants": list(self.variants),
-            "reference": self.reference,
-            "per_case": per_case,
-            "fg_volume": self.fg_volume,
-            "aggregates": self.aggregates,
+        return {key: getattr(self, key) for key in _RESULT_FIELDS} | {
+            "variants": list(self.variants), "per_case": per_case,
             "failures": [list(f) for f in self.failures],
-            "config": self.config,
-            "timings": self.timings,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises
-        SegTTAError naming it."""
+        ConfigError naming it."""
         _check_fields(d, _RESULT_FIELDS, "result")
         for variant in d["variants"]:
             _check_json(variant, "string", "result variant")
         for failure in d["failures"]:
             if len(_check_json(failure, "list", "result failure")) != 2:
-                raise SegTTAError(f"result failure {failure!r} is not [case, reason]")
+                raise ConfigError(f"result failure {failure!r} is not [case, reason]")
         for table, kind in (("fg_volume", "number"), ("aggregates", "number or null")):
             for key, row in d[table].items():
                 where = f"result {table}[{key!r}]"
@@ -247,18 +256,10 @@ class RunResult:
                     r, f"{where}[{variant!r}]")
                 for variant, r in _check_json(row, "object", where).items()
             }
-        return cls(
-            dataset=d["dataset"],
-            num_classes=d["num_classes"],
-            variants=tuple(d["variants"]),
-            reference=d["reference"],
-            per_case=per_case,
-            fg_volume=d["fg_volume"],
-            aggregates=d["aggregates"],
-            failures=tuple(tuple(f) for f in d["failures"]),
-            config=d["config"],
-            timings=d["timings"],
-        )
+        return cls(**{key: d[key] for key in _RESULT_FIELDS} | {
+            "variants": tuple(d["variants"]), "per_case": per_case,
+            "failures": tuple(tuple(f) for f in d["failures"]),
+        })
 
     def save(self, path):
         with open(path, "w") as f:
@@ -326,9 +327,9 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
     Returns ``(reports, fg, seconds, None)``: per variant the metric report
     (None without ground truth) and the fused foreground volume, and the
     case's seconds per stage. A variant with no prediction in the case is
-    left out of its row. A case that fails to load, or at its first failing
-    prediction in source-tag order, returns ``(None, None, seconds,
-    reason)``. A map outlives its count only if ``cache`` keeps it.
+    left out of its row. A case that fails with a SegTTAError, to load or at
+    its first failing prediction in source-tag order, returns ``(None, None,
+    seconds, reason)``. A map outlives its count only if ``cache`` keeps it.
     """
     case_id = entry.case_id
     seconds = dict.fromkeys(_STAGES, 0.0)
@@ -342,11 +343,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             if gt.dims != volume.dims:
                 raise DimensionMismatch(
                     f"label dims {gt.dims} != image dims {volume.dims}")
-            spacing = header.spacing.as_tuple()
-            if not all(math.isclose(a, b, rel_tol=SPACING_RTOL)
-                       for a, b in zip(spacing, volume.spacing.as_tuple())):
-                raise DimensionMismatch(f"label spacing {spacing} != image "
-                                        f"spacing {volume.spacing.as_tuple()}")
+            _check_spacing(header.spacing, volume.spacing, "label", "image")
         volume, _, _ = normalize_intensity(volume)
         views = {BASELINE_VIEW: volume} if config.include_baseline else {}
         for spec in config.augmentations:
@@ -354,7 +351,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             if label not in views:  # identical specs give identical views
                 rng = augmentation_rng(config.seed, case_id, label)
                 views[label] = augment.apply(spec, volume, rng)
-    except (SegTTAError, ValueError, OSError) as e:
+    except SegTTAError as e:
         log.emit("case_failed", case=case_id, error=str(e),
                  error_type=type(e).__name__)
         return None, None, seconds, f"load: {e}"
@@ -406,7 +403,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
                 count(counting[0].contribution(pmap), counting)
             pmap = cached = None  # a map lives only until it is counted
             seconds["fuse_s"] += time.monotonic() - started
-    except (SegTTAError, ValueError) as e:
+    except SegTTAError as e:
         log.emit("case_failed", case=case_id, backend=backend.name, view=view,
                  error=str(e), error_type=type(e).__name__)
         return None, None, seconds, f"{tag}: {e}"
@@ -432,7 +429,6 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
         )
         t2 = time.monotonic()
         if name in mask_dirs:
-            mask_dirs[name].mkdir(parents=True, exist_ok=True)
             nifti.write_label_mask(
                 mask, volume.spacing, mask_dirs[name] / f"{case_id}.nii.gz"
             )

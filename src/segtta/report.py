@@ -13,7 +13,7 @@ import csv
 import io
 from pathlib import Path
 
-from .errors import IoFailure
+from .errors import ConfigError, IoFailure
 from .pipeline import RunResult
 
 FORMATS = ("csv", "markdown")
@@ -144,7 +144,7 @@ def render_markdown(result: RunResult) -> str:
 
 def render(result: RunResult, format: str = "markdown") -> str:
     if format not in FORMATS:
-        raise ValueError(f"format={format!r} not in {FORMATS}")
+        raise ConfigError(f"format={format!r} not in {FORMATS}")
     return render_csv(result) if format == "csv" else render_markdown(result)
 
 

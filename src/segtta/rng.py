@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class SeededRng:
     """A named, reproducible random stream.
@@ -24,7 +26,7 @@ class SeededRng:
 
     def __init__(self, seed: int, *key_parts):
         if seed < 0:
-            raise ValueError(f"seed={seed} must be non-negative")
+            raise ConfigError(f"seed={seed} must be non-negative")
         self.seed = int(seed)
         self.key = tuple(str(p) for p in key_parts)
 

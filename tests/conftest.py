@@ -229,7 +229,8 @@ from segtta import ProbabilityMap, read_volume, write_probability_map
 volume = read_volume(sys.argv[1])
 print("segmenting", volume.dims)
 fg = (volume.data > 0.5)[..., None]
-write_probability_map(ProbabilityMap(np.where(fg, [0.2, 0.8], [0.9, 0.1])), sys.argv[2])
+write_probability_map(ProbabilityMap(np.where(fg, [0.2, 0.8], [0.9, 0.1])), sys.argv[2],
+                      volume.spacing)
 """
 
 

@@ -52,6 +52,11 @@ class TestKernel:
         with pytest.raises(InvalidSigma):
             GaussianKernel1D.from_sigma(-1.0)
 
+    @pytest.mark.parametrize("sigma", [1e19, 1e308])
+    def test_sigma_too_large_for_a_kernel(self, sigma):
+        with pytest.raises(InvalidSigma, match="too large for a kernel"):
+            GaussianKernel1D.from_sigma(sigma)
+
 
 class TestBlur:
     def test_constant_volume_unchanged(self, rng):

@@ -340,7 +340,7 @@ ECHO_BACKEND = textwrap.dedent(
     volume = read_volume(inp)
     fg = (volume.data > 0.5)[..., None]
     probs = np.where(fg, [0.2, 0.8], [0.9, 0.1])
-    write_probability_map(ProbabilityMap(probs), out)
+    write_probability_map(ProbabilityMap(probs), out, volume.spacing)
     """
 )
 
@@ -497,7 +497,7 @@ class TestExternalProcess:
 
             volume = read_volume(sys.argv[1])
             probs = np.full((*volume.dims, 4), 0.25)
-            write_probability_map(ProbabilityMap(probs), sys.argv[2])
+            write_probability_map(ProbabilityMap(probs), sys.argv[2], volume.spacing)
             """
         )
         cmd = script_command(tmp_path, body)

@@ -13,6 +13,7 @@ from segtta import (
     Spacing,
     Volume,
     make_phantom,
+    read_header,
     read_label_mask,
     read_volume,
     write_label_mask,
@@ -20,6 +21,7 @@ from segtta import (
     write_probability_map,
     write_volume,
 )
+from segtta import nifti
 from segtta.cli import main
 
 
@@ -179,11 +181,18 @@ class TestRun:
         ("report --result {malformed}", "{malformed}"),
         ("sweep --config {config} --manifest {manifest} --taus 0.3,abc",
          "--taus"),
+        ("augment --input {missing} --output {missing} --kind identity "
+         "--slice-axis abc", "--slice-axis"),
+        ("run --config {config} --manifest {manifest} --out {config}/out",
+         "{config}/out"),
+        ("run --config {config} --manifest {manifest} --out {blocked}",
+         "{blocked}/masks"),
         ("run --config {number} --manifest {manifest}", "{number}"),
         ("run --config {string} --manifest {manifest}", "{string}"),
     ], ids=["missing-config", "missing-manifest", "missing-result",
             "malformed-config", "malformed-manifest", "malformed-result",
-            "bad-taus", "number-config", "string-config"])
+            "bad-taus", "bad-slice-axis", "out-under-a-file",
+            "masks-dir-a-file", "number-config", "string-config"])
     def test_bad_input_file_or_flag_is_named(self, dataset_dir, config_path,
                                              tmp_path, capsys, command, named):
         malformed = tmp_path / "malformed.json"
@@ -191,9 +200,12 @@ class TestRun:
         number, string = tmp_path / "number.json", tmp_path / "string.json"
         number.write_text("5")
         string.write_text('"abc"')
+        blocked = tmp_path / "blocked"  # an output directory whose masks/ is a file
+        blocked.mkdir()
+        (blocked / "masks").write_text("")
         paths = {
             "missing": tmp_path / "missing.json", "malformed": malformed,
-            "number": number, "string": string,
+            "number": number, "string": string, "blocked": blocked,
             "config": config_path, "manifest": dataset_dir / "manifest.json",
         }
         code = main([arg.format(**paths) for arg in command.split()])
@@ -363,14 +375,18 @@ class TestFuseCommand:
         probs_b[..., 1] = 0.7
         probs_b[..., 0] = 0.3
         pa, pb = tmp_path / "a.nii", tmp_path / "b.nii"
-        write_probability_map(ProbabilityMap(probs_a), pa)
-        write_probability_map(ProbabilityMap(probs_b), pb)
+        spacing = Spacing(0.8, 0.8, 2.5)
+        write_probability_map(ProbabilityMap(probs_a), pa, spacing)
+        write_probability_map(ProbabilityMap(probs_b), pb, spacing)
         dst = tmp_path / "mask.nii.gz"
         code = run_cli("fuse", "--output", dst, "--mode", "threshold_weighted",
                        "--tau", "0.6", pa, pb)
         assert code == 0
         mask = read_label_mask(dst, 2)
         assert (mask.labels == 1).all()
+        # The mask keeps the scan's voxel size, as float32 pixdim holds it.
+        assert read_header(dst).spacing.as_tuple() == tuple(
+            float(np.float32(v)) for v in spacing.as_tuple())
 
 
 class TestMetricsCommand:
@@ -384,6 +400,31 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "mIoU=1.0000" in out
         assert "HD95=0.0000 mm" in out
+
+    def test_each_file_is_read_once(self, tmp_path, capsys, monkeypatch):
+        volume, gt = make_phantom(dims=(12, 12, 10), num_classes=3, seed=1)
+        gt_path = tmp_path / "gt.nii.gz"
+        write_label_mask(gt, volume.spacing, gt_path)
+        reads = []
+        read_bytes = nifti._read_bytes
+        monkeypatch.setattr(nifti, "_read_bytes",
+                            lambda path, *a: reads.append(path) or read_bytes(path, *a))
+        code = run_cli("metrics", "--pred", gt_path, "--gt", gt_path)
+        assert code == 0
+        assert len(reads) == 2
+        out = capsys.readouterr().out
+        assert "class 2:" in out and "mIoU=1.0000" in out
+
+    def test_spacing_mismatch_is_named(self, tmp_path, capsys):
+        volume, gt = make_phantom(dims=(12, 12, 10), seed=1)
+        pred_path, gt_path = tmp_path / "pred.nii.gz", tmp_path / "gt.nii.gz"
+        write_label_mask(gt, Spacing(1.0, 1.0, 2.0), pred_path)
+        write_label_mask(gt, Spacing(1.0, 1.0, 3.0), gt_path)
+        code = run_cli("metrics", "--pred", pred_path, "--gt", gt_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(1.0, 1.0, 2.0)" in err and "(1.0, 1.0, 3.0)" in err
 
 
 class TestReportCommand:
@@ -425,13 +466,15 @@ class TestReportCommand:
          "fg_volume['c1']['fused'] must be number"),
         (lambda d: {**d, "aggregates": {"fused": {"aiou": "x"}}},
          "aggregates['fused']['aiou'] must be number or null"),
+        (lambda d: {**d, "aggregates": {"fused": {"aiou": 10 ** 400}}},
+         "got integer beyond 2**53"),
         (lambda d: {**d, "per_case": {"c1": {"fused": {}}}},
          "per_case['c1']['fused'] has no 'per_class_iou' field"),
         (lambda d: {**d, "per_case": {"c1": [1]}},
          "per_case['c1'] must be object"),
     ], ids=["empty", "per-case-only", "list", "per-case-number",
             "variant-list", "failure-number", "failure-short", "fg-list",
-            "aggregate-string", "report-empty", "row-list"])
+            "aggregate-string", "aggregate-huge", "report-empty", "row-list"])
     def test_malformed_result_is_named(self, tmp_path, capsys, mutate, named):
         path = tmp_path / "r.json"
         path.write_text(json.dumps(self.saved_result()))

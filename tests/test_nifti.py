@@ -294,8 +294,10 @@ class TestProbabilityMaps:
         p = ProbabilityMap(probs, source_tag="onehot")
         path_a = tmp_path / "a.nii"
         path_b = tmp_path / "b.nii"
-        write_probability_map(p, path_a)
-        write_probability_map(read_probability_map(path_a), path_b)
+        spacing = Spacing(0.8, 0.8, 2.5)
+        write_probability_map(p, path_a, spacing)
+        write_probability_map(read_probability_map(path_a), path_b,
+                              read_header(path_a).spacing)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     @pytest.mark.parametrize("num_classes", [2, 3, 8, 9])

@@ -1,6 +1,7 @@
 from dataclasses import replace
 import json
 from pathlib import Path
+import struct
 import sys
 import threading
 import tracemalloc
@@ -22,19 +23,21 @@ from segtta import (
     fuse,
     load_manifest,
     read_label_mask,
+    read_volume,
     render,
     run_ablation,
     run_segtta,
     run_threshold_sweep,
     write_label_mask,
     write_phantom_dataset,
+    write_volume,
 )
 import segtta.augment
 import segtta.backends
 import segtta.fusion
 import segtta.metrics
 import segtta.nifti
-from segtta.errors import InsufficientAugmentations, InvalidTau
+from segtta.errors import InsufficientAugmentations, InvalidTau, InvalidVolume
 import segtta.pipeline
 from segtta.pipeline import EventLog
 
@@ -139,6 +142,39 @@ class TestRunSegtta:
         events = [json.loads(line) for line in path.read_text().splitlines()]
         (failed,) = [e for e in events if e["event"] == "case_failed"]
         assert (failed["case"], failed["error_type"]) == ("missing", "IoFailure")
+
+    def test_non_finite_voxel_fails_only_its_case(self, dataset, tmp_path):
+        # A float32 copy of case 0's image with one NaN voxel.
+        entry = dataset.entries[0]
+        nan_path = tmp_path / "nan.nii"
+        write_volume(read_volume(entry.image), nan_path, datatype=16)
+        raw = bytearray(nan_path.read_bytes())
+        raw[352:356] = struct.pack("<f", float("nan"))
+        nan_path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidVolume, match="NaN"):
+            read_volume(nan_path)
+        manifest_path = tmp_path / "nan.json"
+        manifest_path.write_text(json.dumps([
+            {"id": "ok", "image": entry.image, "label": entry.label, "classes": 2},
+            {"id": "nan", "image": str(nan_path), "label": entry.label, "classes": 2},
+        ]))
+        path = tmp_path / "run.log.jsonl"
+        log = EventLog(path)
+        result = run_segtta(noisy_config(), load_manifest(manifest_path), log=log)
+        log.close()
+        assert list(result.per_case) == ["ok"]
+        assert [case for case, _ in result.failures] == ["nan"]
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        (failed,) = [e for e in events if e["event"] == "case_failed"]
+        assert (failed["case"], failed["error_type"]) == ("nan", "InvalidVolume")
+
+    def test_a_bug_is_not_a_failed_case(self, dataset, monkeypatch):
+        def broken(volume):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(segtta.pipeline, "normalize_intensity", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            run_segtta(noisy_config(), dataset)
 
     def test_label_geometry_must_match_its_image(self, dataset, tmp_path):
         # One image, three labels: case a's spacing is off by 50%, case b's
