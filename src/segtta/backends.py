@@ -167,10 +167,11 @@ def _predict_external(
         started = time.monotonic()
         # A session of its own makes the shell and everything it starts one
         # process group, so a timeout (or an interrupt) kills the model, not
-        # just the shell.
+        # just the shell. The child's output is only logged and quoted, so
+        # bytes that do not decode are replaced rather than failing the run.
         with subprocess.Popen(
             command, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, start_new_session=True,
+            text=True, errors="replace", start_new_session=True,
         ) as proc:
             try:
                 stdout, stderr = proc.communicate(timeout=backend.timeout)

@@ -37,6 +37,11 @@ RENORM_TOL = 1e-12
 #: Most classes a map, mask or dataset may have: labels are stored as uint8.
 MAX_CLASSES = 256
 
+#: Widest blur kernel, as its radius ceil(3*sigma) in voxels. A kernel of
+#: 2*256+1 weights already spans a 512-voxel axis; a wider one only grows
+#: the padded copy the blur makes of each axis it smooths.
+MAX_BLUR_RADIUS = 256
+
 
 _SCALAR_TYPES = {
     "bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str,
@@ -368,6 +373,9 @@ class AugmentationSpec:
         if self.kind == "gaussian_blur":
             if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma > 0):
                 raise InvalidSigma(f"blur sigma={self.sigma!r} must be finite and > 0")
+            if 3.0 * self.sigma > MAX_BLUR_RADIUS:
+                raise InvalidSigma(f"blur sigma={self.sigma!r} needs a kernel radius "
+                                   f"ceil(3*sigma) above {MAX_BLUR_RADIUS} voxels")
         elif self.kind == "gaussian_noise":
             if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma >= 0):
                 raise InvalidSigma(f"noise sigma={self.sigma!r} must be finite and >= 0")

@@ -76,22 +76,38 @@ class MetricReport:
     undefined_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {key: ({str(c): v for c, v in getattr(self, key).items()}
-                      if key.startswith("per_class") else getattr(self, key))
-                for key in _REPORT_FIELDS}
+        return {
+            "per_class_iou": {str(c): v for c, v in self.per_class_iou.items()},
+            "per_class_dice": {str(c): v for c, v in self.per_class_dice.items()},
+            "miou": self.miou,
+            "mdice": self.mdice,
+            "aiou": self.aiou,
+            "adice": self.adice,
+            "hd95_mm": self.hd95_mm,
+            "undefined_reason": self.undefined_reason,
+        }
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises
         ConfigError naming ``where`` and the field."""
         _check_fields(d, _REPORT_FIELDS, where)
-        return cls(**{key: (_class_scores(d[key], f"{where} field {key!r}")
-                            if key.startswith("per_class") else d[key])
-                      for key in _REPORT_FIELDS})
+        return cls(
+            per_class_iou=_class_scores(d, "per_class_iou", where),
+            per_class_dice=_class_scores(d, "per_class_dice", where),
+            miou=d["miou"],
+            mdice=d["mdice"],
+            aiou=d["aiou"],
+            adice=d["adice"],
+            hd95_mm=d["hd95_mm"],
+            undefined_reason=d["undefined_reason"],
+        )
 
 
-def _class_scores(table: dict, where: str) -> dict[int, float]:
-    """JSON object ``table`` from class numbers to scores, keyed by int."""
+def _class_scores(d: dict, field: str, where: str) -> dict[int, float]:
+    """Field ``field`` of ``d``, a JSON object from class numbers to
+    scores, keyed by int."""
+    table, where = d[field], f"{where} field {field!r}"
     if not all(c.isdecimal() for c in table):
         raise ConfigError(f"{where} keys {list(table)} are not all class numbers")
     return {int(c): _check_json(v, "number", f"{where}[{c!r}]")

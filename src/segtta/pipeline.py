@@ -228,9 +228,17 @@ class RunResult:
             }
             for case, variants in self.per_case.items()
         }
-        return {key: getattr(self, key) for key in _RESULT_FIELDS} | {
-            "variants": list(self.variants), "per_case": per_case,
+        return {
+            "dataset": self.dataset,
+            "num_classes": self.num_classes,
+            "variants": list(self.variants),
+            "reference": self.reference,
+            "per_case": per_case,
+            "fg_volume": self.fg_volume,
+            "aggregates": self.aggregates,
             "failures": [list(f) for f in self.failures],
+            "config": self.config,
+            "timings": self.timings,
         }
 
     @classmethod
@@ -256,10 +264,18 @@ class RunResult:
                     r, f"{where}[{variant!r}]")
                 for variant, r in _check_json(row, "object", where).items()
             }
-        return cls(**{key: d[key] for key in _RESULT_FIELDS} | {
-            "variants": tuple(d["variants"]), "per_case": per_case,
-            "failures": tuple(tuple(f) for f in d["failures"]),
-        })
+        return cls(
+            dataset=d["dataset"],
+            num_classes=d["num_classes"],
+            variants=tuple(d["variants"]),
+            reference=d["reference"],
+            per_case=per_case,
+            fg_volume=d["fg_volume"],
+            aggregates=d["aggregates"],
+            failures=tuple(tuple(f) for f in d["failures"]),
+            config=d["config"],
+            timings=d["timings"],
+        )
 
     def save(self, path):
         with open(path, "w") as f:

@@ -14,6 +14,7 @@ from segtta import (
     gaussian_blur,
     gaussian_noise,
 )
+from segtta.core import MAX_BLUR_RADIUS
 from segtta.errors import InvalidAlpha, InvalidGamma, InvalidSigma
 
 
@@ -52,9 +53,10 @@ class TestKernel:
         with pytest.raises(InvalidSigma):
             GaussianKernel1D.from_sigma(-1.0)
 
-    @pytest.mark.parametrize("sigma", [1e19, 1e308])
+    @pytest.mark.parametrize("sigma", [MAX_BLUR_RADIUS / 3 + 1e-9, 1e9, 1e308])
     def test_sigma_too_large_for_a_kernel(self, sigma):
-        with pytest.raises(InvalidSigma, match="too large for a kernel"):
+        assert GaussianKernel1D.from_sigma(MAX_BLUR_RADIUS / 3).radius == MAX_BLUR_RADIUS
+        with pytest.raises(InvalidSigma, match=f"above {MAX_BLUR_RADIUS} voxels"):
             GaussianKernel1D.from_sigma(sigma)
 
 

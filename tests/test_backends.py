@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import time
+from types import SimpleNamespace
 import weakref
 
 import numpy as np
@@ -414,6 +415,29 @@ class TestExternalProcess:
         assert fields["message"].endswith("s (exit 3)")
         assert fields["child_stdout"] == "weights loaded\n"
         assert fields["child_stderr"] == "oom\n"
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_undecodable_child_output(self, case, tmp_path, code):
+        # 0xff never starts a UTF-8 character; the child's output is only
+        # logged, so such bytes are replaced and the exit code decides.
+        volume, _ = case
+        body = ECHO_BACKEND + (
+            "sys.stdout.buffer.write(b'\\xff\\n')\n"
+            "sys.stderr.buffer.write(b'\\xff\\n')\n"
+            f"sys.exit({code})\n"
+        )
+        backend = BackendDescriptor(
+            "external", name="x", command=script_command(tmp_path, body), timeout=60.0,
+        )
+        events = []
+        log = SimpleNamespace(emit=lambda event, **fields: events.append(fields))
+        if code:
+            with pytest.raises(ProcessFailure, match="exited with 1"):
+                predict(backend, volume, 2, stream(), log=log)
+        else:
+            assert predict(backend, volume, 2, stream(), log=log).dims == volume.dims
+        [fields] = events
+        assert len(fields["child_stdout"]) == len(fields["child_stderr"]) == 2
 
     def test_timeout(self, case, tmp_path):
         volume, _ = case

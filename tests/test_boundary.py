@@ -50,13 +50,14 @@ _NAMES = [
     "sigma", "gamma", "alpha", "beta", "slice_axis", "jitter", "flip_prob",
     "confidence", "constant_class", "label", "classes", "id", "image",
 ]
-#: Values of one JSON type, to replace a value of that type with. Finite
-#: numbers stay at most 300: a run's memory grows with a blur sigma and its
-#: time with a jitter, and neither has an upper bound yet.
+#: Values of one JSON type, to replace a value of that type with. Integers
+#: stay at most 300: a run's time grows with a jitter, which has no upper
+#: bound yet.
 _LIKE = {
     bool: st.booleans(),
     int: st.integers(-3, 300),
-    float: st.floats(-2.0, 300.0) | st.sampled_from([float("nan"), float("inf"), 1e-9]),
+    float: st.floats(-2.0, 300.0)
+    | st.sampled_from([float("nan"), float("inf"), 1e-9, 1e9, 1e308]),
     # "\ud800", a lone surrogate, passes json.load but is not Unicode text.
     str: st.sampled_from([*_NAMES, "\ud800"])
     | st.text(alphabet="abcxyz_0. ", max_size=6),

@@ -136,6 +136,8 @@ class TestRun:
         ({"id": "a", "image": "a.nii", "classes": 2.9}, "'classes'"),
         ({"id": "a", "image": "a.nii", "classes": "2"}, "'classes'"),
         ({"id": "a", "image": "a.nii", "classes": True}, "'classes'"),
+        *(({"id": bad, "image": "a.nii", "classes": 2}, "'id'")
+          for bad in ("", ".", "..", "a/b", "../../escaped", "a\\b", "a\0b")),
     ])
     def test_malformed_manifest_is_diagnosed(self, config_path, tmp_path, capsys,
                                              entry, field):

@@ -168,6 +168,25 @@ class TestRunSegtta:
         (failed,) = [e for e in events if e["event"] == "case_failed"]
         assert (failed["case"], failed["error_type"]) == ("nan", "InvalidVolume")
 
+    def test_undecodable_failing_backend_fails_only_its_cases(self, dataset, tmp_path):
+        script = tmp_path / "model.py"
+        script.write_text("import sys; sys.stderr.buffer.write(b'\\xff'); sys.exit(1)")
+        config = RunConfig(
+            backends=(BackendDescriptor(
+                "external", name="m", command=f"{sys.executable} {script}"),),
+            augmentations=(),
+        )
+        manifest = replace(dataset, entries=dataset.entries[:2])
+        path = tmp_path / "run.log.jsonl"
+        log = EventLog(path)
+        result = run_segtta(config, manifest, log=log)
+        log.close()
+        assert [case for case, _ in result.failures] == [
+            e.case_id for e in manifest.entries]
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["error_type"] for e in events if e["event"] == "case_failed"] == [
+            "ProcessFailure"] * 2
+
     def test_a_bug_is_not_a_failed_case(self, dataset, monkeypatch):
         def broken(volume):
             raise ValueError("not an input error")
