@@ -95,6 +95,9 @@ _jittered_lock = threading.Lock()
 def _jitter(gt: LabelMask, step, steps: int) -> np.ndarray:
     """``gt``'s labels after ``steps`` applications of ``step``, computed
     once per mask, step and count (read-only, shared by every caller)."""
+    # After sum(dims) steps the labels no longer change: dilation has
+    # reached every voxel it can reach, erosion has emptied the mask.
+    steps = min(steps, sum(gt.dims))
     with _jittered_lock:
         memo = _jittered.setdefault(gt, {})
         labels = memo.get((step, steps))

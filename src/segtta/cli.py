@@ -172,10 +172,12 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    maps = tuple(nifti.read_probability_map(p) for p in args.maps)
+    headers, maps = zip(*(nifti._read_probability_map(p) for p in args.maps))
+    for path, header in zip(args.maps[1:], headers[1:]):
+        _check_spacing(header.spacing, headers[0].spacing,
+                       f"map {path}", f"map {args.maps[0]}")
     mask = fuse(FusionInput(maps, mode=args.mode, tau=args.tau))
-    nifti.write_label_mask(mask, nifti.read_header(args.maps[0]).spacing,
-                           args.output)
+    nifti.write_label_mask(mask, headers[0].spacing, args.output)
     print(f"wrote {args.output}")
     return 0
 

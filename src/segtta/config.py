@@ -14,12 +14,19 @@ from pathlib import Path
 
 from .core import (
     MAX_CLASSES, AugmentationSpec, _check_field_types, _check_fields,
-    _check_json, _check_known_fields, default_augmentations,
+    _check_json, _check_kind_fields, _check_known_fields, default_augmentations,
 )
 from .errors import ConfigError, IoFailure
 from .fusion import _check_mode, _check_tau
 
-BACKEND_KINDS = ("oracle", "noisy_oracle", "constant", "external")
+#: The fields each backend kind uses besides ``kind`` and ``name``.
+_KIND_FIELDS = {
+    "oracle": ("confidence", "ground_truth"),
+    "noisy_oracle": ("confidence", "ground_truth", "jitter", "flip_prob"),
+    "constant": ("constant_class",),
+    "external": ("command", "timeout"),
+}
+BACKEND_KINDS = tuple(_KIND_FIELDS)
 
 DEFAULT_SEED = 2024
 DEFAULT_TAU = 0.6
@@ -43,7 +50,8 @@ class BackendDescriptor:
     ``ground_truth`` optionally points oracle kinds at a fixed label file;
     otherwise the pipeline supplies the case's own label mask. ``name``
     identifies the backend in source tags and RNG stream keys and must be
-    unique within a run config.
+    unique within a run config. A field the kind does not use must keep
+    its default; any other value is rejected.
     """
 
     kind: str
@@ -60,6 +68,7 @@ class BackendDescriptor:
         _check_field_types(self)
         if self.kind not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
+        _check_kind_fields(self, "backend", ("kind", "name", *_KIND_FIELDS[self.kind]))
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob={self.flip_prob!r} outside [0, 1]")
         if not (0.0 < self.confidence <= 1.0):
@@ -75,18 +84,9 @@ class BackendDescriptor:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "name": self.name}
-        if self.kind in ("oracle", "noisy_oracle"):
-            d["confidence"] = self.confidence
-            if self.ground_truth is not None:
-                d["ground_truth"] = self.ground_truth
-        if self.kind == "noisy_oracle":
-            d["jitter"] = self.jitter
-            d["flip_prob"] = self.flip_prob
-        if self.kind == "constant":
-            d["constant_class"] = self.constant_class
-        if self.kind == "external":
-            d["command"] = self.command
-            d["timeout"] = self.timeout
+        for field in _KIND_FIELDS[self.kind]:
+            if getattr(self, field) is not None:  # ground_truth is optional
+                d[field] = getattr(self, field)
         return d
 
     @classmethod

@@ -90,6 +90,16 @@ def _check_known_fields(d: dict, cls, what: str) -> dict:
     return d
 
 
+def _check_kind_fields(obj, what: str, used) -> None:
+    """Raise ConfigError naming the fields of dataclass ``obj`` that its
+    kind does not use (those outside ``used``) but that are set away from
+    their defaults; ``what`` names the object in the message."""
+    unused = [f.name for f in fields(obj)
+              if f.name not in used and getattr(obj, f.name) != f.default]
+    if unused:
+        raise ConfigError(f"{what} kind {obj.kind!r} does not use {unused}")
+
+
 def _check_json(value, kind: str, where: str):
     """``value``, after checking that its JSON type is one of ``kind``
     (say ``"string or null"``); else a ConfigError naming ``where``."""
@@ -330,10 +340,11 @@ class LabelMask:
         return self.labels.shape
 
 
-#: The numeric parameters each augmentation kind uses.
+#: The parameters each augmentation kind uses, in the order its label
+#: names them.
 _KIND_PARAMS = {
     "identity": (),
-    "gaussian_blur": ("sigma",),
+    "gaussian_blur": ("sigma", "slice_axis"),
     "gaussian_noise": ("sigma",),
     "gamma_correction": ("gamma",),
     "contrast_enhancement": ("alpha", "beta"),
@@ -364,10 +375,10 @@ class AugmentationSpec:
         _check_field_types(self)
         if self.kind not in AUGMENTATION_KINDS:
             raise ConfigError(f"unknown augmentation kind {self.kind!r}")
-        unused = [p for p in ("sigma", "gamma", "alpha", "beta")
-                  if getattr(self, p) is not None and p not in _KIND_PARAMS[self.kind]]
-        if unused:
-            raise ConfigError(f"augmentation kind {self.kind!r} does not use {unused}")
+        # Every kind accepts a slice_axis (the CLI passes one for every
+        # kind); only the blur reads it.
+        _check_kind_fields(self, "augmentation",
+                           ("kind", "slice_axis", *_KIND_PARAMS[self.kind]))
         if self.slice_axis is not None and self.slice_axis not in (0, 1, 2):
             raise ConfigError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
         if self.kind == "gaussian_blur":
@@ -391,26 +402,17 @@ class AugmentationSpec:
                 raise ConfigError(f"beta={self.beta!r} must be finite")
 
     def label(self) -> str:
-        """Canonical content-derived name, used for source tags and RNG keys."""
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "gaussian_blur":
-            return f"gaussian_blur(sigma={self.sigma!r},axis={self.slice_axis})"
-        if self.kind == "gaussian_noise":
-            return f"gaussian_noise(sigma={self.sigma!r})"
-        if self.kind == "gamma_correction":
-            return f"gamma_correction(gamma={self.gamma!r})"
-        return f"contrast_enhancement(alpha={self.alpha!r},beta={self.beta!r})"
+        """Canonical content-derived name, used for source tags and RNG keys:
+        the kind, then each parameter it uses (``slice_axis`` as ``axis``)."""
+        params = ",".join(
+            f"{'axis' if p == 'slice_axis' else p}={getattr(self, p)!r}"
+            for p in _KIND_PARAMS[self.kind]
+        )
+        return f"{self.kind}({params})" if params else self.kind
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        for key in ("sigma", "gamma", "alpha", "beta"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        if self.kind == "gaussian_blur":
-            d["slice_axis"] = self.slice_axis
-        return d
+        return {"kind": self.kind,
+                **{p: getattr(self, p) for p in _KIND_PARAMS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationSpec":

@@ -15,16 +15,16 @@ Three per-voxel rules are provided:
   meaningful for any ensemble size.
 
 Fusion streams through one accumulator, :class:`Votes`, which keeps one
-plane per class (S and W, or integer vote counts). Each map's contribution
-(its probabilities and w, or its argmax classes for majority) is computed
-once. :func:`count` then adds it, in source-tag order, one class at a
-time: w * P(., c) (or the votes for c) goes into one scratch plane, which
-is added to every accumulator that counts the map. The decision reads the
-planes without changing them, so several thresholds can decide from one
-accumulator. Nothing is stacked, so memory is O(voxels x C) for any
-ensemble size, plus one scratch plane while a map is counted; the fixed
-order makes the masks independent of input order. Ties break toward the
-lower class index.
+plane per class (S and W, or integer vote counts). Maps are counted in
+source-tag order by ``count(map, votes)``, which checks a map, works out
+its w (or its argmax classes for majority) once, then adds it one class
+at a time: w * P(., c) (or the votes for c) goes into one scratch plane,
+which is added to every accumulator that counts the map. The decision
+reads the planes without changing them, so several thresholds can decide
+from one accumulator. Nothing is stacked, so memory is O(voxels x C) for
+any ensemble size, plus one scratch plane while a map is counted; the
+fixed order makes the masks independent of input order. Ties break
+toward the lower class index.
 """
 
 from __future__ import annotations
@@ -92,16 +92,12 @@ class FusionInput:
 class Votes:
     """Running vote sums of one set of maps, kept as one plane per class.
 
-    ``contribution(map)`` checks a map against the votes and computes what
-    it adds once: its probabilities and its confidence ``w = max_c P``, or
-    for majority its argmax class per voxel (lower index on ties).
-    :func:`count` adds a contribution into the running sums ``S(., c)``
-    and ``W`` (int32 counts for majority) of one or several votes, so one
-    contribution can feed the votes of several view sets. ``decide(tau)``
-    reads the sums without changing them, so every threshold of a sweep
-    decides from one set of sums. Counted in source-tag order, the sums
-    and masks are bit-identical to a fusion of the same maps through
-    :func:`fuse`.
+    ``count(map, votes)`` adds a map into the running sums ``S(., c)`` and
+    ``W`` (int32 counts for majority) of one or several votes, so one map
+    can feed the votes of several view sets. ``decide(tau)`` reads the
+    sums without changing them, so every threshold of a sweep decides from
+    one set of sums. Counted in source-tag order, the sums and masks are
+    bit-identical to a fusion of the same maps through :func:`fuse`.
     """
 
     def __init__(self, mode: str, dims, num_classes: int):
@@ -112,18 +108,6 @@ class Votes:
         self.scores = [np.zeros(self.dims, dtype) for _ in range(num_classes)]
         self.weight = None if mode == "majority" else np.zeros(self.dims)
         self.maps = 0  # maps counted
-
-    def contribution(self, m: ProbabilityMap) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(values, weight)`` that map ``m`` adds to the sums: its
-        probabilities and ``w``, or for majority its argmax classes and
-        None."""
-        _check_consistent(m, self, "the votes")
-        if self.mode == "majority":
-            return np.argmax(m.probs, axis=-1), None
-        weight = m.probs[..., 0].copy()
-        for c in range(1, self.num_classes):
-            np.maximum(weight, m.probs[..., c], out=weight)
-        return m.probs, weight
 
     def decide(self, tau: float = 0.6) -> LabelMask:
         """The fused mask: per voxel the class of the largest score, ties to
@@ -146,19 +130,27 @@ class Votes:
         return LabelMask(labels, self.num_classes)
 
 
-def count(contribution: tuple[np.ndarray, np.ndarray | None], votes) -> None:
-    """Add one map's ``contribution`` (from ``Votes.contribution``) to each
-    of ``votes``, which share its mode, dims and classes. Class by class,
-    ``w * P(., c)`` (for majority, the votes for c) is formed in one
-    scratch plane and added to every accumulator."""
-    values, weight = contribution
-    majority = weight is None
-    scratch = np.empty(votes[0].dims, bool if majority else np.float64)
-    for c in range(votes[0].num_classes):
+def count(m: ProbabilityMap, votes) -> None:
+    """Add map ``m`` to each of ``votes``, which share one mode, dims and
+    class count; InconsistentMaps unless ``m`` has the same. Its weight
+    ``w = max_c P`` (for majority, its argmax class per voxel, lower index
+    on ties) is worked out once; then, class by class, ``w * P(., c)``
+    (the votes for c) is formed in one scratch plane and added to every
+    accumulator."""
+    _check_consistent(m, votes[0], "the votes")
+    majority = votes[0].mode == "majority"
+    if majority:
+        top = np.argmax(m.probs, axis=-1)
+    else:
+        weight = m.probs[..., 0].copy()
+        for c in range(1, m.num_classes):
+            np.maximum(weight, m.probs[..., c], out=weight)
+    scratch = np.empty(m.dims, bool if majority else np.float64)
+    for c in range(m.num_classes):
         if majority:
-            np.equal(values, c, out=scratch)
+            np.equal(top, c, out=scratch)
         else:
-            np.multiply(values[..., c], weight, out=scratch)
+            np.multiply(m.probs[..., c], weight, out=scratch)
         for acc in votes:
             acc.scores[c] += scratch
     for acc in votes:
@@ -172,7 +164,7 @@ def fuse(input: FusionInput) -> LabelMask:
     map into one :class:`Votes` in source-tag order, then decide."""
     votes = Votes(input.mode, input.dims, input.num_classes)
     for m in input.maps:
-        count(votes.contribution(m), [votes])
+        count(m, [votes])
     return votes.decide(input.tau)
 
 

@@ -258,6 +258,11 @@ def _read_label_mask(path, num_classes: int) -> tuple[NiftiHeader, LabelMask]:
 
 def read_probability_map(path) -> ProbabilityMap:
     """Read a 4D float32 probability map with dim[4] = num_classes."""
+    return _read_probability_map(path)[1]
+
+
+def _read_probability_map(path) -> tuple[NiftiHeader, ProbabilityMap]:
+    """:func:`read_probability_map` with the header of the same read."""
     header, arr = _read(path, 4, "4D map")
     if header.datatype != 16:
         raise UnsupportedDatatype(
@@ -266,7 +271,7 @@ def read_probability_map(path) -> ProbabilityMap:
         )
     # ProbabilityMap widens to float64 as it clips, one class plane at a
     # time; clipping to 0 and 1 is exact in float32, so no staging copy.
-    return ProbabilityMap(arr, source_tag=_stem(path))
+    return header, ProbabilityMap(arr, source_tag=_stem(path))
 
 
 def _stem(path) -> str:

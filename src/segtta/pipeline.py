@@ -8,8 +8,8 @@ the manifest through the same pass, in the worker pool:
    image's dims and spacing, normalize it and augment it once per
    distinct view;
 2. predict each (backend, view) once, in source-tag order (the order
-   ``fuse`` adds maps in), add each map's contribution to the ``Votes`` of
-   every distinct view set among the variants, and drop the map;
+   ``fuse`` adds maps in), ``count`` each map into the ``Votes`` of every
+   distinct view set among the variants, and drop the map;
 3. let each variant decide from its view set's votes at its own tau,
    score it, and write the masks of the variants that have an output
    directory.
@@ -416,7 +416,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             started = time.monotonic()
             counting = [acc for view_set, acc in votes.items() if view in view_set]
             if counting:
-                count(counting[0].contribution(pmap), counting)
+                count(pmap, counting)
             pmap = cached = None  # a map lives only until it is counted
             seconds["fuse_s"] += time.monotonic() - started
     except SegTTAError as e:

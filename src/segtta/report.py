@@ -48,12 +48,18 @@ def _fmt_delta(field: str, value, ref) -> str:
     return f"{(value - ref) * 100:+.2f}"
 
 
-def _report_value(report, field: str):
-    if report is None:
-        return None
-    if field == "hd95":
-        return report.hd95_mm
-    return getattr(report, field)
+def _row(columns, scope: str, case: str, variant: str, values: dict,
+         reference: dict, undefined: str, fg) -> dict:
+    """One table row as a dict of formatted strings. ``values`` and
+    ``reference`` map metric fields to numbers; a missing value is blank,
+    and so is a delta without a reference value."""
+    row = {"scope": scope, "case": case, "variant": variant}
+    for header, field in columns:
+        row[header] = _fmt(field, values.get(field))
+        row[f"d{header}"] = _fmt_delta(field, values.get(field), reference.get(field))
+    row["HD95_undefined"] = undefined
+    row["FG_mm3"] = f"{fg:.1f}" if fg is not None else ""
+    return row
 
 
 def _rows(result: RunResult):
@@ -63,34 +69,21 @@ def _rows(result: RunResult):
     rows = []
     for variant in result.variants:
         agg = result.aggregates.get(variant)
-        if agg is None:
-            continue
-        row = {"scope": "mean", "case": "", "variant": variant}
-        for header, field in columns:
-            row[header] = _fmt(field, agg.get(field))
-            if variant == result.reference or not reference:
-                row[f"d{header}"] = ""
-            else:
-                row[f"d{header}"] = _fmt_delta(
-                    field, agg.get(field), reference.get(field)
-                )
-        row["HD95_undefined"] = str(agg.get("hd95_undefined", ""))
-        fg = agg.get("fg_mm3")
-        row["FG_mm3"] = f"{fg:.1f}" if fg is not None else ""
-        rows.append(row)
+        if agg is not None:
+            rows.append(_row(
+                columns, "mean", "", variant, agg,
+                {} if variant == result.reference else reference,
+                str(agg.get("hd95_undefined", "")), agg.get("fg_mm3"),
+            ))
     for case_id in sorted(result.per_case):
         for variant in result.variants:
             if variant not in result.per_case[case_id]:
                 continue
             report = result.per_case[case_id][variant]
-            row = {"scope": "case", "case": case_id, "variant": variant}
-            for header, field in columns:
-                row[header] = _fmt(field, _report_value(report, field))
-                row[f"d{header}"] = ""
-            row["HD95_undefined"] = ""
-            fg = result.fg_volume.get(case_id, {}).get(variant)
-            row["FG_mm3"] = f"{fg:.1f}" if fg is not None else ""
-            rows.append(row)
+            values = ({**report.to_dict(), "hd95": report.hd95_mm}
+                      if report is not None else {})
+            rows.append(_row(columns, "case", case_id, variant, values, {}, "",
+                             result.fg_volume.get(case_id, {}).get(variant)))
     return rows
 
 

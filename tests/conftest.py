@@ -17,6 +17,28 @@ import segtta
 from segtta import LabelMask, ProbabilityMap, Spacing, Volume
 
 
+# --- backend fields -----------------------------------------------------------
+
+
+#: Per backend kind, a valid descriptor and each field the kind ignores,
+#: with a value other than its default.
+_IGNORED_FIELDS = {
+    "oracle": ({}, {"jitter": 2, "flip_prob": 0.3, "constant_class": 1,
+                    "command": "x", "timeout": 5.0}),
+    "noisy_oracle": ({}, {"constant_class": 1, "command": "x", "timeout": 5.0}),
+    "constant": ({}, {"confidence": 0.9, "ground_truth": "gt.nii", "jitter": 1,
+                      "flip_prob": 0.1, "command": "x", "timeout": 5.0}),
+    "external": ({"command": "x"}, {"confidence": 0.9, "ground_truth": "gt.nii",
+                                    "jitter": 1, "flip_prob": 0.1,
+                                    "constant_class": 1}),
+}
+IGNORED_FIELD_CASES = [
+    (kind, {"kind": kind, **base, field: value}, field)
+    for kind, (base, ignored) in _IGNORED_FIELDS.items()
+    for field, value in ignored.items()
+]
+
+
 # --- randomized instances -----------------------------------------------------
 
 

@@ -259,6 +259,17 @@ class TestJitterMemo:
             np.testing.assert_array_equal(labels, step(np.asarray(gt.labels)))
             assert not labels.flags.writeable
 
+    @pytest.mark.parametrize("step", [_dilate_step, _erode_step])
+    def test_jitter_stops_at_its_fixed_point(self, step):
+        # A jitter of 10**9 steps returns: after sum(dims) steps dilation has
+        # reached every voxel and erosion has emptied the mask.
+        _, gt = make_phantom(dims=(12, 12, 10), seed=5, vol_id="case")
+        labels = np.asarray(gt.labels)
+        for _ in range(sum(gt.dims)):
+            labels = step(labels)
+        np.testing.assert_array_equal(step(labels), labels)
+        np.testing.assert_array_equal(segtta.backends._jitter(gt, step, 10**9), labels)
+
     def test_memo_keeps_no_mask_alive(self):
         volume, gt = make_phantom(dims=(12, 12, 10), seed=5, vol_id="case")
         backend = BackendDescriptor("noisy_oracle", name="n", jitter=1, flip_prob=0.1)

@@ -24,6 +24,8 @@ from segtta import (
 from segtta import nifti
 from segtta.cli import main
 
+from conftest import IGNORED_FIELD_CASES
+
 
 @pytest.fixture
 def dataset_dir(tmp_path):
@@ -172,6 +174,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert repr(field) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, backend, field", IGNORED_FIELD_CASES,
+                             ids=[f"{k}-{f}" for k, _, f in IGNORED_FIELD_CASES])
+    def test_backend_field_the_kind_ignores_is_diagnosed(
+            self, dataset_dir, tmp_path, capsys, kind, backend, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"backends": [backend]}))
+        code = run_cli(
+            "run", "--config", bad, "--manifest", dataset_dir / "manifest.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"backend kind {kind!r} does not use [{field!r}]" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, named", [
@@ -389,6 +406,32 @@ class TestFuseCommand:
         # The mask keeps the scan's voxel size, as float32 pixdim holds it.
         assert read_header(dst).spacing.as_tuple() == tuple(
             float(np.float32(v)) for v in spacing.as_tuple())
+
+
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "a.nii", tmp_path / "b.nii"]
+        for path in paths:
+            write_probability_map(ProbabilityMap(np.full((4, 4, 2, 2), 0.5)),
+                                  path, Spacing(1.0, 1.0, 2.0))
+        reads = []
+        read_bytes = nifti._read_bytes
+        monkeypatch.setattr(nifti, "_read_bytes",
+                            lambda path, *a: reads.append(path) or read_bytes(path, *a))
+        assert run_cli("fuse", "--output", tmp_path / "mask.nii", *paths) == 0
+        assert sorted(map(str, reads)) == sorted(map(str, paths))
+
+    def test_spacing_mismatch_is_named(self, tmp_path, capsys):
+        probs = np.full((4, 4, 2, 2), 0.5)
+        pa, pb = tmp_path / "a.nii", tmp_path / "b.nii"
+        write_probability_map(ProbabilityMap(probs), pa, Spacing(1.0, 1.0, 1.0))
+        write_probability_map(ProbabilityMap(probs), pb, Spacing(2.0, 2.0, 5.0))
+        dst = tmp_path / "mask.nii.gz"
+        code = run_cli("fuse", "--output", dst, pa, pb)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(2.0, 2.0, 5.0)" in err and "(1.0, 1.0, 1.0)" in err
+        assert not dst.exists()
 
 
 class TestMetricsCommand:

@@ -14,6 +14,8 @@ from segtta import (
 from segtta.config import DatasetManifest, ManifestEntry, save_config
 from segtta.errors import ConfigError, InvalidTau, SegTTAError
 
+from conftest import IGNORED_FIELD_CASES
+
 
 def oracle():
     return BackendDescriptor("oracle", name="o", confidence=1.0)
@@ -102,6 +104,43 @@ class TestRunConfig:
             RunConfig.from_dict(document)
         assert isinstance(info.value, SegTTAError)
         assert isinstance(info.value, ValueError)
+
+
+class TestBackendDescriptor:
+    @pytest.mark.parametrize("backend, d", [
+        (BackendDescriptor("oracle", name="o", confidence=0.9),
+         {"kind": "oracle", "name": "o", "confidence": 0.9}),
+        (BackendDescriptor("oracle", name="o", ground_truth="gt.nii"),
+         {"kind": "oracle", "name": "o", "confidence": 1.0,
+          "ground_truth": "gt.nii"}),
+        (BackendDescriptor("noisy_oracle", name="n", confidence=0.9, jitter=1,
+                           flip_prob=0.1),
+         {"kind": "noisy_oracle", "name": "n", "confidence": 0.9, "jitter": 1,
+          "flip_prob": 0.1}),
+        (BackendDescriptor("constant", name="c", constant_class=2),
+         {"kind": "constant", "name": "c", "constant_class": 2}),
+        (BackendDescriptor("external", name="x", command="m {input} {output}",
+                           timeout=30.0),
+         {"kind": "external", "name": "x", "command": "m {input} {output}",
+          "timeout": 30.0}),
+    ], ids=["oracle", "oracle-gt", "noisy_oracle", "constant", "external"])
+    def test_to_dict_of_every_kind(self, backend, d):
+        assert backend.to_dict() == d
+        assert BackendDescriptor.from_dict(d) == backend
+
+    @pytest.mark.parametrize("kind, document, field", IGNORED_FIELD_CASES,
+                             ids=[f"{k}-{f}" for k, _, f in IGNORED_FIELD_CASES])
+    def test_field_the_kind_ignores_is_rejected(self, kind, document, field):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"backend kind {kind!r} does not use "
+                                           f"[{field!r}]")):
+            BackendDescriptor.from_dict(document)
+
+    def test_every_ignored_field_is_named(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("['jitter', 'flip_prob', 'command']")):
+            BackendDescriptor.from_dict(
+                {"kind": "oracle", "jitter": 2, "flip_prob": 0.3, "command": "x"})
 
 
 class TestManifest:

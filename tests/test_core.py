@@ -276,6 +276,27 @@ class TestAugmentationSpec:
         with pytest.raises(ConfigError, match=re.escape(str(unused))):
             AugmentationSpec.from_dict(spec)
 
+    @pytest.mark.parametrize("spec, label, d", [
+        (AugmentationSpec("identity"), "identity", {"kind": "identity"}),
+        (AugmentationSpec("gaussian_blur", sigma=1.0),
+         "gaussian_blur(sigma=1.0,axis=2)",
+         {"kind": "gaussian_blur", "sigma": 1.0, "slice_axis": 2}),
+        (AugmentationSpec("gaussian_blur", sigma=1.5, slice_axis=None),
+         "gaussian_blur(sigma=1.5,axis=None)",
+         {"kind": "gaussian_blur", "sigma": 1.5, "slice_axis": None}),
+        (AugmentationSpec("gaussian_noise", sigma=0.05),
+         "gaussian_noise(sigma=0.05)", {"kind": "gaussian_noise", "sigma": 0.05}),
+        (AugmentationSpec("gamma_correction", gamma=0.8),
+         "gamma_correction(gamma=0.8)", {"kind": "gamma_correction", "gamma": 0.8}),
+        (AugmentationSpec("contrast_enhancement", alpha=1.3),
+         "contrast_enhancement(alpha=1.3,beta=0.0)",
+         {"kind": "contrast_enhancement", "alpha": 1.3, "beta": 0.0}),
+    ], ids=["identity", "blur", "blur-3d", "noise", "gamma", "contrast"])
+    def test_label_and_dict_of_every_kind(self, spec, label, d):
+        # Labels key the random streams and name the w/o rows.
+        assert spec.label() == label
+        assert spec.to_dict() == d
+
     def test_label_roundtrip_dict(self):
         spec = AugmentationSpec("gaussian_blur", sigma=1.5, slice_axis=None)
         again = AugmentationSpec.from_dict(spec.to_dict())

@@ -14,7 +14,7 @@ from segtta import (
     fuse,
 )
 from segtta.errors import ConfigError, InconsistentMaps, InvalidTau
-from segtta.fusion import Votes
+from segtta.fusion import Votes, count
 
 from conftest import brute_force_vote, dyadic_prob_maps, random_dims
 
@@ -223,7 +223,7 @@ class TestValidation:
         b = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0]
         votes = Votes("majority", a.dims, a.num_classes)
         with pytest.raises(InconsistentMaps, match="the votes"):
-            votes.contribution(b)
+            count(b, [votes])
 
 
 class TestForegroundVolume:

@@ -573,13 +573,13 @@ class TestStreamingVotes:
 
     def test_sweep_counts_each_map_once(self, dataset, monkeypatch):
         calls = [0]
-        contribution = segtta.fusion.Votes.contribution
+        count = segtta.pipeline.count
 
-        def counted(self, pmap):
+        def counted(pmap, votes):
             calls[0] += 1
-            return contribution(self, pmap)
+            return count(pmap, votes)
 
-        monkeypatch.setattr(segtta.fusion.Votes, "contribution", counted)
+        monkeypatch.setattr(segtta.pipeline, "count", counted)
         config = noisy_config()
         result = run_threshold_sweep(config, dataset, [0.3, 0.6, 0.9])
         assert len(result.per_case) == len(dataset.entries)
