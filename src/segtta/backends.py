@@ -13,13 +13,16 @@ cost, not its bytes:
 * only the flipped voxels are rewritten;
 * every synthetic kind builds its map with
   :meth:`ProbabilityMap.from_rows`, which checks the C-row table of
-  softened one-hots instead of every voxel and then looks each voxel's
-  row up once.
+  softened one-hots instead of every voxel and holds the labels, one byte
+  per voxel: the ground truth's own or a jitter's (read-only, so not
+  copied) or the flipped copy. Each voxel's row is looked up a slab at a
+  time when the map is fused; no dense float64 map is built.
 
 The external kind shells out to a real
 model wrapper via float32 NIfTI file exchange, so hooking up an actual
-segmenter is one small script; its exit status, run time and the tail of
-its stdout and stderr go to the run's log as one ``log`` event.
+segmenter is one small script; its map is held as the float32 values
+read, 4 bytes per voxel and class. Its exit status, run time and the tail
+of its stdout and stderr go to the run's log as one ``log`` event.
 """
 
 from __future__ import annotations
@@ -149,6 +152,7 @@ def _predict_noisy(
         flat = labels.flatten()
         flat[flipped] = (flat[flipped] + offsets) % num_classes
         labels = flat.reshape(labels.shape)
+        labels.setflags(write=False)  # the map holds it without a copy
     return labels
 
 

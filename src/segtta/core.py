@@ -2,13 +2,18 @@
 
 All types are immutable after construction (frozen dataclasses over
 read-only numpy arrays), so they are safe to share across worker threads.
-The array-holding types compare and hash by identity.
+The array-holding types compare and hash by identity. A probability map
+is held in the compact form it arrives in (a table of class rows and uint8
+labels, or its own float dtype) and yields float64 values a slab of
+first-axis rows at a time (:func:`slabs`), so no float64 copy of a whole
+map need exist.
 Arrays are indexed ``[x, y, z]`` throughout; file readers convert whatever
 layout is on disk into this convention.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import MISSING, dataclass, fields
 import math
 import numbers
@@ -123,6 +128,20 @@ def _check_fields(d, kinds: dict, where: str) -> dict:
     return d
 
 
+#: Voxels per slab: a map is checked and fused this many voxels at a time,
+#: in whole planes of its first axis, so the float64 values and the votes
+#: of one slab stay small whatever the volume.
+SLAB_VOXELS = 2 ** 15
+
+
+def slabs(dims) -> list[tuple[int, int]]:
+    """The ``(a, b)`` row ranges that cut a volume of ``dims`` along its
+    first axis into slabs of at most SLAB_VOXELS voxels (at least one
+    plane each); the last one may be shorter."""
+    step = max(1, SLAB_VOXELS // max(1, dims[1] * dims[2]))
+    return [(a, min(a + step, dims[0])) for a in range(0, dims[0], step)]
+
+
 def _plane_sum(arr: np.ndarray, out=None) -> np.ndarray:
     """Sum over the last (class) axis, adding one class plane after another."""
     out = np.add(arr[..., 0], arr[..., 1], out=out)
@@ -196,30 +215,41 @@ class Volume:
         return Volume(data, self.spacing, self.vol_id)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
 
     ``probs`` has shape ``(nx, ny, nz, C)`` with 2 <= C <= ``MAX_CLASSES``
     classes (class 0 is background). Per voxel the probabilities must sum to
-    1 within ``PROB_TOL``; on construction they are clamped to [0, 1] and
-    renormalized to sum exactly. Values further out than the tolerance are
-    an error, not silently fixed, because they indicate a broken backend.
+    1 within ``PROB_TOL``; they are clamped to [0, 1] and renormalized to
+    sum exactly. Values further out than the tolerance are an error, not
+    silently fixed, because they indicate a broken backend. The whole map
+    is checked when it is built, so every rejection happens then.
 
     ``source_tag`` records (backend, view) provenance and defines the
     deterministic fusion order.
 
-    The constructor copies and checks every array it is handed, so a map
-    never shares memory with its caller. :meth:`from_rows` builds a map
-    whose every voxel is one row of a small table (the synthetic backends'
-    softened one-hots) by checking the table instead of every voxel.
+    A map is held in the compact form it arrives in, and its float64
+    values are formed a slab of rows at a time by :meth:`slab`:
+
+    * the constructor holds a read-only C-ordered copy of the array it is
+      handed, in the array's own float dtype (a map read from a file stays
+      float32), with the decision whether to renormalize; it never shares
+      memory with its caller;
+    * :meth:`from_rows` holds a checked table of C-row class vectors and a
+      read-only uint8 volume of row indices, 1 byte per voxel.
+
+    ``probs`` is built from the held form on each access and not kept.
     """
 
-    probs: np.ndarray
     source_tag: str = ""
 
-    def __post_init__(self):
-        src = np.asarray(self.probs)
+    def __init__(self, probs, source_tag: str = ""):
+        object.__setattr__(self, "source_tag", source_tag)
+        self.__post_init__(probs)
+
+    def __post_init__(self, probs):
+        src = np.asarray(probs)
         if src.dtype.kind != "f":
             src = src.astype(np.float64)
         if src.ndim != 4:
@@ -236,38 +266,34 @@ class ProbabilityMap:
                 f"map {self.source_tag!r}: probs range [{lo:g}, {hi:g}] "
                 f"outside [0, 1] by more than {PROB_TOL:g}"
             )
-        # The copy the map owns, in C order, converted and clipped in one
-        # pass. A map read from a file is Fortran-ordered; its class planes
-        # are contiguous, so it goes plane by plane.
-        arr = np.empty(src.shape)
-        c_order = src.flags.c_contiguous
-        if c_order:
-            np.clip(src, 0.0, 1.0, out=arr)
-        else:
-            for c in range(src.shape[3]):
-                np.clip(src[..., c], 0.0, 1.0, out=arr[..., c])
-        # Adding whole class planes is ~18x faster than a reduction along
-        # the strided class axis. One buffer serves the check and the
-        # divisor, and the division is in place, so a map costs one volume
-        # of scratch.
-        sums = _plane_sum(arr)
-        sums -= 1.0
-        dev = float(np.abs(sums, out=sums).max())
+        # The renormalization divisor is np.sum over the input's memory
+        # order: from 8 classes on its bits differ between a C-ordered class
+        # axis (pairwise) and any other (plane after plane), so the order
+        # is kept with the copy.
+        self._hold(values=_freeze(np.array(src, order="C")),
+                   c_order=src.flags.c_contiguous)
+        dev = 0.0
+        for a, b in slabs(self.dims):
+            # Adding whole class planes is ~18x faster than a reduction
+            # along the strided class axis; one buffer serves the sum and
+            # its deviation.
+            sums = _plane_sum(self.slab(a, b))
+            sums -= 1.0
+            dev = max(dev, float(np.abs(sums, out=sums).max()))
         if dev > PROB_TOL:
             raise NotProbabilistic(
                 f"map {self.source_tag!r}: per-voxel sum deviates from 1 "
                 f"by {dev:g} > {PROB_TOL:g}"
             )
-        if dev > RENORM_TOL:
-            # The divisor is np.sum over the input's memory order: from 8
-            # classes on its bits differ between a C-ordered class axis
-            # (pairwise) and a Fortran-ordered one (plane after plane).
-            if c_order:
-                np.sum(arr, axis=3, out=sums)
-            else:
-                _plane_sum(arr, out=sums)
-            arr /= sums[..., None]
-        object.__setattr__(self, "probs", _freeze(arr))
+        object.__setattr__(self, "_renorm", dev > RENORM_TOL)
+
+    def _hold(self, values=None, c_order=True, renorm=False, table=None, labels=None):
+        """Set the held form: ``values`` (a checked array) or ``table`` and
+        ``labels`` (a from_rows map)."""
+        for name, value in (("_values", values), ("_c_order", c_order),
+                            ("_renorm", renorm), ("_table", table),
+                            ("_labels", labels)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_rows(cls, table: np.ndarray, labels: np.ndarray,
@@ -277,8 +303,10 @@ class ProbabilityMap:
 
         The rows are checked as the constructor checks a map: clipped,
         summed and renormalized by the same rules, every row whether a
-        label picks it or not. The map is then one ``np.take`` from the
-        checked rows, so it costs one lookup per voxel and its bytes equal
+        label picks it or not. The labels must be integers indexing the
+        rows (at most ``MAX_CLASSES``, as they are held as uint8). The map
+        holds the checked rows and the labels, copied only if the caller's
+        array is writable or not uint8, so its bytes equal
         ``ProbabilityMap(np.take(table, labels, axis=0)).probs`` whenever
         no row needs renormalizing (true of every table this package
         builds) or every row is picked.
@@ -289,27 +317,56 @@ class ProbabilityMap:
         labels = np.asarray(labels)
         if labels.ndim != 3:
             raise DimensionMismatch(f"labels must be 3D, got shape {labels.shape}")
-        checked = cls(rows[:, None, None, :], source_tag).probs[:, 0, 0, :]
-        return cls._trusted(np.take(checked, labels, axis=0), source_tag)
-
-    @classmethod
-    def _trusted(cls, probs: np.ndarray, source_tag: str) -> "ProbabilityMap":
-        """A map over ``probs``, already checked, frozen and C-ordered."""
+        checked = cls(rows[:, None, None, :], source_tag).slab(0, len(rows))[:, 0, 0, :]
+        if len(rows) > MAX_CLASSES:
+            raise DimensionMismatch(
+                f"row table has {len(rows)} rows; uint8 labels index at most "
+                f"{MAX_CLASSES}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise InvalidLabels(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.size and (labels.min() < 0 or labels.max() >= len(rows)):
+            raise InvalidLabels(
+                f"labels range [{labels.min()}, {labels.max()}] outside the "
+                f"table's rows [0, {len(rows)})")
+        if labels.dtype != np.uint8 or labels.flags.writeable:
+            labels = _freeze(labels.astype(np.uint8))
         m = object.__new__(cls)
-        object.__setattr__(m, "probs", _freeze(probs))
         object.__setattr__(m, "source_tag", source_tag)
+        m._hold(table=_freeze(checked), labels=labels)
         return m
+
+    def slab(self, a: int, b: int) -> np.ndarray:
+        """Rows ``a:b`` of the map, ``(b - a, ny, nz, C)`` float64, C-ordered:
+        bit-identical to ``probs[a:b]``."""
+        if self._table is not None:
+            return np.take(self._table, self._labels[a:b], axis=0)
+        out = np.empty((b - a, *self._values.shape[1:]))
+        np.clip(self._values[a:b], 0.0, 1.0, out=out)
+        if self._renorm:
+            # The division is in place, so a slab costs one plane of scratch.
+            sums = np.sum(out, axis=3) if self._c_order else _plane_sum(out)
+            out /= sums[..., None]
+        return out
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The whole map, ``(nx, ny, nz, C)`` float64, read-only and
+        C-ordered; built on each access from the held form."""
+        return _freeze(self.slab(0, self.dims[0]))
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.probs.shape[:3]
+        return (self._labels if self._table is not None else self._values).shape[:3]
 
     @property
     def num_classes(self) -> int:
-        return self.probs.shape[3]
+        return (self._table if self._table is not None else self._values).shape[-1]
 
     def retagged(self, source_tag: str) -> "ProbabilityMap":
-        return ProbabilityMap._trusted(self.probs, source_tag)
+        """The same map, sharing its held arrays, under another tag."""
+        m = copy.copy(self)
+        object.__setattr__(m, "source_tag", source_tag)
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,10 +432,7 @@ class AugmentationSpec:
         _check_field_types(self)
         if self.kind not in AUGMENTATION_KINDS:
             raise ConfigError(f"unknown augmentation kind {self.kind!r}")
-        # Every kind accepts a slice_axis (the CLI passes one for every
-        # kind); only the blur reads it.
-        _check_kind_fields(self, "augmentation",
-                           ("kind", "slice_axis", *_KIND_PARAMS[self.kind]))
+        _check_kind_fields(self, "augmentation", ("kind", *_KIND_PARAMS[self.kind]))
         if self.slice_axis is not None and self.slice_axis not in (0, 1, 2):
             raise ConfigError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
         if self.kind == "gaussian_blur":

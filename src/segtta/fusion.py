@@ -14,17 +14,23 @@ Three per-voxel rules are provided:
   with S_hat = S / sum_k w_k(x). The normalization keeps a fixed tau
   meaningful for any ensemble size.
 
-Fusion streams through one accumulator, :class:`Votes`, which keeps one
-plane per class (S and W, or integer vote counts). Maps are counted in
-source-tag order by ``count(map, votes)``, which checks a map, works out
-its w (or its argmax classes for majority) once, then adds it one class
-at a time: w * P(., c) (or the votes for c) goes into one scratch plane,
-which is added to every accumulator that counts the map. The decision
-reads the planes without changing them, so several thresholds can decide
-from one accumulator. Nothing is stacked, so memory is O(voxels x C) for
-any ensemble size, plus one scratch plane while a map is counted; the
-fixed order makes the masks independent of input order. Ties break
-toward the lower class index.
+Fusion goes slab by slab along the first axis (``core.slabs``: at most
+``core.SLAB_VOXELS`` voxels each, in whole planes). Per slab it streams
+through one accumulator per group of maps, :class:`Votes`, which keeps
+one plane per class (S and W, or integer vote counts). Maps are counted in
+source-tag order by ``count(map, votes)``, which checks a map, forms its
+slab of float64 values, works out its w (or its argmax classes for
+majority) once, then adds it one class at a time: w * P(., c) (or the
+votes for c) goes into one scratch plane, which is added to every
+accumulator that counts the map. The decision reads the planes without
+changing them, so several thresholds decide from one accumulator, and
+writes the slab of each mask. :func:`fuse_groups` is that loop, for the
+pipeline and for :func:`fuse` alike. Nothing is stacked and no plane spans
+the volume: besides the maps, which stay in the compact form they are held
+in, and the output masks, fusion holds one slab of votes per group and one
+slab of one map at a time, for any ensemble size. The fixed order makes
+the masks independent of input order; ties break toward the lower class
+index.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 
 import numpy as np
 
-from .core import LabelMask, ProbabilityMap, Spacing
+from .core import LabelMask, ProbabilityMap, Spacing, slabs
 from .errors import ConfigError, InconsistentMaps, InvalidTau
 
 VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
@@ -90,27 +96,31 @@ class FusionInput:
 
 
 class Votes:
-    """Running vote sums of one set of maps, kept as one plane per class.
+    """Running vote sums of one set of maps over one slab of rows, kept as
+    one plane per class.
 
-    ``count(map, votes)`` adds a map into the running sums ``S(., c)`` and
-    ``W`` (int32 counts for majority) of one or several votes, so one map
-    can feed the votes of several view sets. ``decide(tau)`` reads the
-    sums without changing them, so every threshold of a sweep decides from
-    one set of sums. Counted in source-tag order, the sums and masks are
-    bit-identical to a fusion of the same maps through :func:`fuse`.
+    ``rows`` is the ``(a, b)`` range of first-axis rows the votes cover
+    (all of ``dims`` by default). ``count(map, votes)`` adds a map's slab
+    into the running sums ``S(., c)`` and ``W`` (int32 counts for majority)
+    of one or several votes, so one map can feed the votes of several view
+    sets. ``decide(tau, out)`` reads the sums without changing them, so
+    every threshold of a sweep decides from one set of sums.
     """
 
-    def __init__(self, mode: str, dims, num_classes: int):
+    def __init__(self, mode: str, dims, num_classes: int, rows=None):
         self.mode = _check_mode(mode)
         self.dims = tuple(dims)
         self.num_classes = num_classes
+        self.rows = (0, self.dims[0]) if rows is None else tuple(rows)
+        shape = (self.rows[1] - self.rows[0], *self.dims[1:])
         dtype = np.int32 if mode == "majority" else np.float64
-        self.scores = [np.zeros(self.dims, dtype) for _ in range(num_classes)]
-        self.weight = None if mode == "majority" else np.zeros(self.dims)
+        self.scores = [np.zeros(shape, dtype) for _ in range(num_classes)]
+        self.weight = None if mode == "majority" else np.zeros(shape)
         self.maps = 0  # maps counted
 
-    def decide(self, tau: float = 0.6) -> LabelMask:
-        """The fused mask: per voxel the class of the largest score, ties to
+    def decide(self, tau: float, out: np.ndarray) -> None:
+        """Write the fused labels of the slab into ``out`` (uint8, the
+        slab's shape): per voxel the class of the largest score, ties to
         the lower class; for threshold_weighted the scores are S / W and a
         voxel whose largest falls below ``tau`` is background."""
         if not self.maps:
@@ -121,36 +131,36 @@ class Votes:
         # W >= 1/C > 0 (a map's per-voxel max is >= 1/C), so S/W is in [0, 1].
         scores = (s / self.weight if normalized else s for s in self.scores)
         best = np.array(next(scores))  # a copy: the maxima go into it
-        labels = np.zeros(self.dims, dtype=np.uint8)
+        out[...] = 0
         for c, score in enumerate(scores, start=1):
-            np.copyto(labels, c, where=score > best)
+            np.copyto(out, c, where=score > best)
             np.maximum(best, score, out=best)
         if normalized:
-            labels[best < tau] = 0
-        return LabelMask(labels, self.num_classes)
+            out[best < tau] = 0
 
 
 def count(m: ProbabilityMap, votes) -> None:
-    """Add map ``m`` to each of ``votes``, which share one mode, dims and
-    class count; InconsistentMaps unless ``m`` has the same. Its weight
-    ``w = max_c P`` (for majority, its argmax class per voxel, lower index
-    on ties) is worked out once; then, class by class, ``w * P(., c)``
-    (the votes for c) is formed in one scratch plane and added to every
-    accumulator."""
+    """Add map ``m``'s slab to each of ``votes``, which share one mode,
+    dims, class count and rows; InconsistentMaps unless ``m`` has the same
+    dims and class count. Its weight ``w = max_c P`` (for majority, its
+    argmax class per voxel, lower index on ties) is worked out once; then,
+    class by class, ``w * P(., c)`` (the votes for c) is formed in one
+    scratch plane and added to every accumulator."""
     _check_consistent(m, votes[0], "the votes")
     majority = votes[0].mode == "majority"
+    probs = m.slab(*votes[0].rows)
     if majority:
-        top = np.argmax(m.probs, axis=-1)
+        top = np.argmax(probs, axis=-1)
     else:
-        weight = m.probs[..., 0].copy()
+        weight = probs[..., 0].copy()
         for c in range(1, m.num_classes):
-            np.maximum(weight, m.probs[..., c], out=weight)
-    scratch = np.empty(m.dims, bool if majority else np.float64)
+            np.maximum(weight, probs[..., c], out=weight)
+    scratch = np.empty(probs.shape[:3], bool if majority else np.float64)
     for c in range(m.num_classes):
         if majority:
             np.equal(top, c, out=scratch)
         else:
-            np.multiply(m.probs[..., c], weight, out=scratch)
+            np.multiply(probs[..., c], weight, out=scratch)
         for acc in votes:
             acc.scores[c] += scratch
     for acc in votes:
@@ -159,13 +169,38 @@ def count(m: ProbabilityMap, votes) -> None:
         acc.maps += 1
 
 
+def fuse_groups(mode: str, maps, keys, groups, decisions,
+                count=count) -> list[LabelMask]:
+    """One fused mask per decision, over consistent ``maps`` in source-tag
+    order, fused slab by slab.
+
+    ``keys[i]`` is map i's key (in the pipeline, its view) and ``groups``
+    are collections of keys (view sets); a decision ``(g, tau)`` fuses the
+    maps whose key is in ``groups[g]`` at ``tau``. Per slab of
+    :func:`~segtta.core.slabs`, one :class:`Votes` is made per group,
+    each map is counted once, in order, into the votes of every group that
+    holds its key, and each decision writes its slab of labels. Only one
+    slab of votes exists at a time. ``count`` is the function that adds a
+    map to votes.
+    """
+    dims, num_classes = maps[0].dims, maps[0].num_classes
+    labels = [np.empty(dims, np.uint8) for _ in decisions]
+    for a, b in slabs(dims):
+        votes = [Votes(mode, dims, num_classes, (a, b)) for _ in groups]
+        for m, key in zip(maps, keys):
+            counting = [acc for group, acc in zip(groups, votes) if key in group]
+            if counting:
+                count(m, counting)
+        for (g, tau), out in zip(decisions, labels):
+            votes[g].decide(tau, out[a:b])
+    return [LabelMask(out, num_classes) for out in labels]
+
+
 def fuse(input: FusionInput) -> LabelMask:
-    """Fuse with the voting rule selected by the input's mode: count each
-    map into one :class:`Votes` in source-tag order, then decide."""
-    votes = Votes(input.mode, input.dims, input.num_classes)
-    for m in input.maps:
-        count(m, [votes])
-    return votes.decide(input.tau)
+    """Fuse with the voting rule selected by the input's mode: the maps,
+    in source-tag order, through :func:`fuse_groups` as one group."""
+    keys = [0] * len(input.maps)
+    return fuse_groups(input.mode, input.maps, keys, [{0}], [(0, input.tau)])[0]
 
 
 def foreground_volume(mask: LabelMask, spacing: Spacing) -> float:

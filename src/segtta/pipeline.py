@@ -8,18 +8,26 @@ the manifest through the same pass, in the worker pool:
    image's dims and spacing, normalize it and augment it once per
    distinct view;
 2. predict each (backend, view) once, in source-tag order (the order
-   ``fuse`` adds maps in), ``count`` each map into the ``Votes`` of every
-   distinct view set among the variants, and drop the map;
-3. let each variant decide from its view set's votes at its own tau,
-   score it, and write the masks of the variants that have an output
-   directory.
+   ``fuse`` counts maps in), and hold the maps;
+3. fuse them slab by slab through ``fusion.fuse_groups``: per slab, one
+   ``Votes`` per distinct view set among the variants, each map counted
+   into the votes of every view set that holds its view, and each variant
+   deciding its slab of the mask at its own tau; then score each variant
+   and write the masks of the variants that have an output directory.
 
-A probability map lives only until it is counted, through one scratch
-plane, so memory is bounded by the cases in flight times their distinct
-view sets (C + 1 planes each), plus one map and one plane per case in
-flight and the jittered labels a noisy oracle keeps with the case's mask
-(one volume of uint8 per jitter direction), whatever the ensemble size.
-The result is assembled in manifest order.
+A case in flight holds its views, its maps and one slab of votes. A map
+is held compactly: a synthetic map as its uint8 labels (1 byte per voxel,
+and none of its own when it reuses the ground truth's or a jitter's), a
+map from an external backend as its float32 values (4 x C bytes per
+voxel). The votes of a slab are C + 1 planes of at most
+``core.SLAB_VOXELS`` voxels per distinct view set, so no plane spans the
+volume. The maps go once the case is fused, before it is scored. With B
+external members, V views and C classes a case holds B x V x C x 4 bytes
+per voxel of maps, where whole-volume votes took (V + 1) x (C + 1) x 8:
+with C = 2 and V = 5, four or more external members hold more than that.
+A noisy oracle also keeps its jittered labels with the case's mask (one
+volume of uint8 per jitter direction). The result is assembled in
+manifest order.
 
 ``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
 ``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
@@ -65,9 +73,9 @@ from .errors import (
     ConfigError, DimensionMismatch, InsufficientAugmentations, IoFailure,
     SegTTAError,
 )
-from .fusion import Votes, count, foreground_volume, _check_tau
+from .fusion import count, foreground_volume, fuse_groups, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these two names here;
-# the pipeline itself fuses through Votes.
+# the pipeline itself fuses through fuse_groups.
 from .fusion import FusionInput, fuse  # noqa: F401
 from .metrics import CaseScorer, MetricReport, evaluate
 from .rng import SeededRng
@@ -205,8 +213,8 @@ class RunResult:
     wall seconds, and ``peak_rss_mb``, ``ru_maxrss / 1024`` at its end:
     the peak resident memory of the whole process so far, in MB where
     ``ru_maxrss`` is in KiB (Linux), not of this experiment alone. A case
-    holds one set of vote planes per distinct view set of the variants,
-    not its probability maps.
+    holds its maps in compact form and one slab of votes per distinct view
+    set of the variants.
     """
 
     dataset: str
@@ -334,18 +342,18 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
               process_slots: threading.Semaphore):
     """Load, predict, fuse, score and write one case.
 
-    Predictions run in source-tag order; each map is added to the
-    :class:`Votes` of every distinct view set among ``variants`` that holds
-    its view and then dropped, so the case holds view sets x (C + 1) planes,
-    not backends x views maps. Each variant decides from its view set's
-    votes at its own tau; the masks equal ``fuse`` of the same maps.
+    Predictions run in source-tag order and the case holds the maps; then
+    :func:`fuse_groups` fuses them slab by slab, one group of votes per
+    distinct view set among ``variants``, and each variant decides from
+    its view set's votes at its own tau; the masks equal ``fuse`` of the
+    same maps. The maps are dropped before the rows are scored.
 
     Returns ``(reports, fg, seconds, None)``: per variant the metric report
     (None without ground truth) and the fused foreground volume, and the
     case's seconds per stage. A variant with no prediction in the case is
     left out of its row. A case that fails with a SegTTAError, to load or at
     its first failing prediction in source-tag order, returns ``(None, None,
-    seconds, reason)``. A map outlives its count only if ``cache`` keeps it.
+    seconds, reason)``. A map outlives its case only if ``cache`` keeps it.
     """
     case_id = entry.case_id
     seconds = dict.fromkeys(_STAGES, 0.0)
@@ -375,18 +383,20 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
         seconds["load_s"] = time.monotonic() - t0
     log.emit("case_loaded", case=case_id, views=list(views))
 
-    # Every prediction, in source-tag order, the order fuse() adds maps in.
+    # Every prediction, in source-tag order, the order fuse() counts maps in.
     pairs = sorted(
         ((source_tag(backend.name, view), backend, view)
          for backend in config.backends for view in views
          if config.subset is None or (backend.name, view) in config.subset),
         key=lambda pair: pair[0],
     )
-    votes = {}  # one accumulator per distinct view set that has a map
+    # One group of votes per distinct view set that has a map.
+    groups = []
     for _, views_of_variant, _ in variants:
         view_set = frozenset(views_of_variant)
-        if view_set not in votes and any(v in view_set for _, _, v in pairs):
-            votes[view_set] = Votes(config.voting, volume.dims, num_classes)
+        if view_set not in groups and any(v in view_set for _, _, v in pairs):
+            groups.append(view_set)
+    maps, map_views = [], []
     t0 = time.monotonic()
     try:
         for tag, backend, view in pairs:
@@ -413,31 +423,33 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
                 log.emit("prediction", case=case_id, backend=backend.name,
                          view=view, cached=False,
                          elapsed_s=round(time.monotonic() - started, 4))
-            started = time.monotonic()
-            counting = [acc for view_set, acc in votes.items() if view in view_set]
-            if counting:
-                count(pmap, counting)
-            pmap = cached = None  # a map lives only until it is counted
-            seconds["fuse_s"] += time.monotonic() - started
+            maps.append(pmap)
+            map_views.append(view)
     except SegTTAError as e:
         log.emit("case_failed", case=case_id, backend=backend.name, view=view,
                  error=str(e), error_type=type(e).__name__)
         return None, None, seconds, f"{tag}: {e}"
     finally:
-        seconds["predict_s"] = time.monotonic() - t0 - seconds["fuse_s"]
-    views = None  # only prediction reads the views
+        seconds["predict_s"] = time.monotonic() - t0
+    pmap = cached = views = None  # only prediction reads the views
+
+    t0 = time.monotonic()
+    fused = [(name, frozenset(views_of_variant), tau)
+             for name, views_of_variant, tau in variants
+             if frozenset(views_of_variant) in groups]
+    masks = fuse_groups(
+        config.voting, maps, map_views, groups,
+        [(groups.index(view_set), tau) for _, view_set, tau in fused], count=count,
+    ) if fused else []
+    maps = None  # the case holds its masks, not its maps, while it is scored
+    seconds["fuse_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     truth = CaseScorer(gt, volume.spacing) if gt is not None else None
     seconds["score_s"] = time.monotonic() - t0
     reports: dict = {}
     fg: dict = {}
-    for name, views_of_variant, tau in variants:
-        acc = votes.get(frozenset(views_of_variant))
-        if acc is None:
-            continue
-        t0 = time.monotonic()
-        mask = acc.decide(tau)
+    for (name, _, _), mask in zip(fused, masks):
         t1 = time.monotonic()
         fg[name] = foreground_volume(mask, volume.spacing)
         reports[name] = (
@@ -448,7 +460,6 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
             nifti.write_label_mask(
                 mask, volume.spacing, mask_dirs[name] / f"{case_id}.nii.gz"
             )
-        seconds["fuse_s"] += t1 - t0
         seconds["score_s"] += t2 - t1
         seconds["write_s"] += time.monotonic() - t2
     log.emit("case_done", case=case_id)

@@ -373,6 +373,28 @@ class TestAugmentCommand:
         assert code == 1
         assert "['sigma']" in capsys.readouterr().err
 
+    def test_slice_axis_only_for_the_blur(self, tmp_path, rng, capsys):
+        # The default --slice-axis 2 is every kind's default; another value
+        # names a field that only the blur reads.
+        volume = Volume(rng.random((6, 6, 6)), Spacing(1, 1, 1), vol_id="v")
+        src = tmp_path / "v.nii"
+        write_volume(volume, src, datatype=16)
+        flags = {"identity": [], "gaussian_blur": ["--sigma", "1.0"],
+                 "gaussian_noise": ["--sigma", "0.05"],
+                 "gamma_correction": ["--gamma", "0.8"],
+                 "contrast_enhancement": ["--alpha", "1.3"]}
+        for kind, params in flags.items():
+            assert run_cli("augment", "--input", src, "--output", tmp_path / "o.nii",
+                           "--kind", kind, *params) == 0
+        capsys.readouterr()
+        code = run_cli("augment", "--input", src, "--output", tmp_path / "o.nii",
+                       "--kind", "gamma_correction", "--gamma", "0.8",
+                       "--slice-axis", "none")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "['slice_axis']" in err
+        assert "Traceback" not in err
+
     def test_noise_is_seeded(self, tmp_path, rng):
         volume = Volume(rng.random((6, 6, 6)), Spacing(1, 1, 1), vol_id="v")
         src = tmp_path / "v.nii"

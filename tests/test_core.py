@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from segtta.errors import (
     InvalidSigma,
     NotProbabilistic,
 )
+from segtta.core import SLAB_VOXELS, slabs
 
 
 def make_volume(values, spacing=(1, 1, 1)):
@@ -196,6 +198,95 @@ class TestProbabilityMap:
             ProbabilityMap.from_rows(table, labels[0])
         with pytest.raises(DimensionMismatch, match="num_classes=1"):
             ProbabilityMap.from_rows(np.ones((1, 1)), labels)
+        with pytest.raises(DimensionMismatch, match="257 rows"):
+            ProbabilityMap.from_rows(np.full((257, 2), 0.5), labels)
+
+    @staticmethod
+    def whole_map_formula(probs):
+        """Clip in float64, then renormalize every voxel by np.sum over the
+        class axis in the input's memory order if any voxel is off."""
+        clipped = np.clip(probs.astype(np.float64), 0.0, 1.0)
+        sums = clipped.sum(axis=3)
+        if np.abs(sums - 1.0).max() > 1e-12:
+            clipped = clipped / sums[..., None]
+        return np.ascontiguousarray(clipped)
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 9])
+    def test_slabs_are_rows_of_the_whole_map(self, rng, num_classes):
+        # 3 slabs, the last of 10 planes. One voxel of the last slab is off
+        # by 5e-4, which renormalizes every voxel of every slab.
+        dims = (70, 36, 30)
+        assert [b - a for a, b in slabs(dims)] == [30, 30, 10]
+        exact = rng.random((*dims, num_classes))
+        exact /= exact.sum(axis=3, keepdims=True)
+        off = exact.copy()
+        off[65, 3, 4] *= 1 + 5e-4
+        for values in (exact, off):
+            for probs in (values, np.asfortranarray(values), values.astype(np.float32),
+                          np.asfortranarray(values.astype(np.float32))):
+                want = self.whole_map_formula(probs)
+                m = ProbabilityMap(probs)
+                assert m.probs.tobytes() == want.tobytes()
+                for a, b in [*slabs(dims), (0, 1), (29, 31), (69, 70), (0, 70)]:
+                    got = m.slab(a, b)
+                    assert got.dtype == np.float64 and got.flags.c_contiguous
+                    assert got.tobytes() == want[a:b].tobytes()
+
+    def test_whole_map_checked_when_built(self, rng):
+        # The one bad voxel lies in the last, partial slab.
+        probs = np.full((70, 36, 30, 2), 0.5, dtype=np.float32)
+        probs[69, 35, 29, 1] = 0.51
+        with pytest.raises(NotProbabilistic, match="deviates"):
+            ProbabilityMap(probs)
+        probs[69, 35, 29] = np.nan
+        with pytest.raises(NotProbabilistic, match="NaN"):
+            ProbabilityMap(probs)
+
+    def test_float32_map_held_as_float32(self, rng):
+        # A map read from a file is float32: it is held in 4 bytes per
+        # value, and checked a slab at a time, not as a float64 copy.
+        fg = rng.random((70, 36, 30)).astype(np.float32)
+        probs = np.asfortranarray(np.stack([1 - fg, fg], axis=-1))
+        tracemalloc.start()
+        try:
+            m = ProbabilityMap(probs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.num_classes == 2 and m.dims == (70, 36, 30)
+        assert probs.nbytes <= held < probs.nbytes + 10_000
+        assert peak < probs.nbytes + 4 * SLAB_VOXELS * 2 * 8
+
+    def test_from_rows_holds_its_labels(self):
+        # 1 byte per voxel; read-only uint8 labels are held without a copy,
+        # writable ones are copied, so a later write does not reach the map.
+        table = np.array([[0.9, 0.1], [0.2, 0.8]])
+        labels = np.zeros((40, 36, 30), dtype=np.uint8)
+        labels[::3] = 1
+        want = np.take(table, labels, axis=0)
+        frozen = labels.copy()
+        frozen.setflags(write=False)
+        for given, copied in ((frozen, False), (labels, True)):
+            tracemalloc.start()
+            try:
+                m = ProbabilityMap.from_rows(table, given, "t")
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (held >= labels.nbytes) == copied
+            assert held < labels.nbytes + 10_000
+        labels[:] = 0
+        assert m.probs.tobytes() == want.tobytes()
+        assert m.retagged("u").slab(0, 40).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("labels, match", [
+        (np.full((2, 2, 2), 2), r"labels range \[2, 2\] outside the table's rows \[0, 2\)"),
+        (np.full((2, 2, 2), -1), r"labels range \[-1, -1\]"),
+        (np.zeros((2, 2, 2)), "labels must be integers"),
+    ], ids=["past-the-rows", "negative", "float"])
+    def test_from_rows_labels_must_index_the_rows(self, labels, match):
+        with pytest.raises(InvalidLabels, match=match):
+            ProbabilityMap.from_rows(np.array([[0.9, 0.1], [0.2, 0.8]]), labels)
 
     def test_rejects_single_class(self):
         with pytest.raises(DimensionMismatch):
@@ -271,6 +362,8 @@ class TestAugmentationSpec:
          ["alpha", "beta"]),
         ({"kind": "gamma_correction", "gamma": 0.8, "sigma": 3}, ["sigma"]),
         ({"kind": "contrast_enhancement", "alpha": 1.3, "gamma": 2.0}, ["gamma"]),
+        ({"kind": "gamma_correction", "gamma": 0.8, "slice_axis": None}, ["slice_axis"]),
+        ({"kind": "identity", "slice_axis": 0}, ["slice_axis"]),
     ])
     def test_parameter_the_kind_does_not_use_is_rejected(self, spec, unused):
         with pytest.raises(ConfigError, match=re.escape(str(unused))):

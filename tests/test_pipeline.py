@@ -258,16 +258,21 @@ class TestRunSegtta:
         assert render(results[1], "markdown") == render(result, "markdown")
 
     def test_maps_live_only_while_their_case_runs(self, dataset, monkeypatch):
+        # A case holds its maps until it has fused them, and no longer.
         config = noisy_config(jobs=1)
         per_case = len(config.backends) * (1 + len(config.augmentations))
-        refs = []  # weak references: maps hash their arrays, so no WeakSet
+        refs = {}  # case id -> weak references to its maps
         predict = segtta.backends.predict
 
-        def tracked(*args, **kwargs):
-            # No earlier map, of this case or another, outlives its count.
-            assert all(ref() is None for ref in refs)
-            pmap = predict(*args, **kwargs)
-            refs.append(weakref.ref(pmap))
+        def alive(other_than=None):
+            return [case for case, case_refs in refs.items() if case != other_than
+                    for ref in case_refs if ref() is not None]
+
+        def tracked(backend, volume, *args, **kwargs):
+            # When a case predicts, no map of an earlier case is alive.
+            assert not alive(other_than=volume.vol_id)
+            pmap = predict(backend, volume, *args, **kwargs)
+            refs.setdefault(volume.vol_id, []).append(weakref.ref(pmap))
             return pmap
 
         def no_hashing(*args, **kwargs):
@@ -278,7 +283,9 @@ class TestRunSegtta:
         result = run_segtta(config, dataset)
         assert not result.failures
         assert len(result.per_case) == len(dataset.entries)
-        assert len(refs) == len(dataset.entries) * per_case
+        assert list(refs) == [entry.case_id for entry in dataset.entries]
+        assert all(len(case_refs) == per_case for case_refs in refs.values())
+        assert not alive()
 
     def test_each_file_read_once(self, dataset, monkeypatch):
         # The label's spacing comes from the header of its one read.
@@ -506,7 +513,7 @@ class TestSweep:
 
 
 class TestStreamingVotes:
-    """Each map is counted once into per-view-set votes, then dropped."""
+    """Each map is counted once per slab into per-view-set votes."""
 
     @staticmethod
     def three_class_config(voting):
@@ -526,8 +533,11 @@ class TestStreamingVotes:
     @pytest.mark.parametrize("voting", ["majority", "confidence_weighted",
                                         "threshold_weighted"])
     def test_rows_equal_fuse_of_the_same_maps(self, tmp_path, monkeypatch, voting):
+        # 3 slabs, the last of 2 planes.
+        dims = (66, 32, 32)
+        assert [b - a for a, b in segtta.core.slabs(dims)] == [32, 32, 2]
         manifest = load_manifest(write_phantom_dataset(
-            tmp_path, n_cases=2, dims=(12, 14, 10), num_classes=3, seed=9
+            tmp_path, n_cases=2, dims=dims, num_classes=3, seed=9
         ))
         config, views = self.three_class_config(voting)
         maps, masks = {}, []
@@ -610,6 +620,55 @@ class TestStreamingVotes:
             tracemalloc.stop()
         assert len(result.per_case) == 1
         assert peak < (10 if experiment == "sweep" else 20) * one_map
+
+    @pytest.mark.parametrize("experiment", ["run", "ablate", "sweep"])
+    def test_fusion_holds_one_slab_of_votes(self, tmp_path, monkeypatch, experiment):
+        # At one plane per slab, this phantom spans 64 slabs. Fusing holds
+        # per slab one set of votes per view set, and per row its mask (1
+        # byte per voxel, and its LabelMask copy); one float64 plane of the
+        # whole volume is 8 bytes per voxel, a dense float64 map 16. The
+        # case holds its maps as uint8 labels, not 25 dense maps (400).
+        dims = (64, 32, 32)
+        voxels = 64 * 32 * 32
+        monkeypatch.setattr(segtta.core, "SLAB_VOXELS", 32 * 32)
+        assert len(segtta.core.slabs(dims)) == 64
+        manifest = load_manifest(write_phantom_dataset(
+            tmp_path, n_cases=1, dims=dims, num_classes=2, seed=5
+        ))
+        config = noisy_config(5, jobs=1)
+        run = {
+            "run": lambda: run_segtta(config, manifest),
+            "ablate": lambda: run_ablation(config, manifest),
+            "sweep": lambda: run_threshold_sweep(config, manifest, [0.3, 0.6, 0.9]),
+        }[experiment]
+        fusing = []
+        fuse_groups = segtta.pipeline.fuse_groups
+
+        def traced(mode, maps, keys, groups, decisions, **kwargs):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            masks = fuse_groups(mode, maps, keys, groups, decisions, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+            fusing.append((peak - before, len(decisions)))
+            return masks
+
+        monkeypatch.setattr(segtta.pipeline, "fuse_groups", traced)
+        run()  # first-call allocations (imports, caches) are not the case's
+        fusing.clear()
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.per_case) == 1
+        [(fuse_peak, rows)] = fusing
+        assert rows == (3 if experiment == "sweep" else 6)
+        # Measured 14.4 (6 rows) and 6.4 (3 rows) bytes per voxel.
+        assert fuse_peak < (2 * rows + 4) * voxels
+        # Measured 68 bytes per voxel: the volume and its views (48), the
+        # maps' labels and the scoring.
+        assert peak < 90 * voxels
 
 
 class TestObservability:
