@@ -371,7 +371,12 @@ class ProbabilityMap:
 
 @dataclass(frozen=True, eq=False)
 class LabelMask:
-    """Per-voxel integer class assignment, 0 = background."""
+    """Per-voxel integer class assignment, 0 = background.
+
+    ``labels`` is held as a read-only C-ordered uint8 array: the array
+    passed in when it is one already, else a copy, as
+    :meth:`ProbabilityMap.from_rows` holds its labels.
+    """
 
     labels: np.ndarray
     num_classes: int
@@ -390,7 +395,9 @@ class LabelMask:
                 f"labels range [{arr.min()}, {arr.max()}] outside "
                 f"[0, {self.num_classes})"
             )
-        object.__setattr__(self, "labels", _freeze(arr.astype(np.uint8)))
+        if arr.dtype != np.uint8 or arr.flags.writeable or not arr.flags.c_contiguous:
+            arr = _freeze(arr.astype(np.uint8))
+        object.__setattr__(self, "labels", arr)
 
     @property
     def dims(self) -> tuple[int, int, int]:

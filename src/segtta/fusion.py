@@ -185,14 +185,18 @@ def fuse_groups(mode: str, maps, keys, groups, decisions,
     """
     dims, num_classes = maps[0].dims, maps[0].num_classes
     labels = [np.empty(dims, np.uint8) for _ in decisions]
+    counted = [(m, [g for g, group in enumerate(groups) if key in group])
+               for m, key in zip(maps, keys)]
     for a, b in slabs(dims):
         votes = [Votes(mode, dims, num_classes, (a, b)) for _ in groups]
-        for m, key in zip(maps, keys):
-            counting = [acc for group, acc in zip(groups, votes) if key in group]
-            if counting:
-                count(m, counting)
+        for m, into in counted:
+            if into:
+                count(m, [votes[g] for g in into])
         for (g, tau), out in zip(decisions, labels):
             votes[g].decide(tau, out[a:b])
+        votes = None  # gone before the next slab's votes are made
+    for out in labels:
+        out.setflags(write=False)  # so the mask holds it without a copy
     return [LabelMask(out, num_classes) for out in labels]
 
 

@@ -20,9 +20,13 @@ The nearest-surface distances come from an exact Euclidean distance
 transform that handles anisotropic spacing: two linear sweeps along the
 first axis, then one min-plus pass per remaining axis over the squared
 distances, out[i] = min_j f[j] + (delta*(i-j))^2, as whole-array numpy
-operations per offset. A pass stops at the first offset whose cost
-reaches the largest value left, which is exact since every later term is
-larger still. A voxel with no seed in the volume is at distance inf.
+operations per offset. A pass goes over blocks of lines, and each block
+stops at the first offset whose cost reaches the largest value left in
+it, which is exact since every later term is larger still; lines are
+independent and ``min`` is exact, so blocking changes no bit. The
+squares and the passes work in place, so a transform holds its result
+and either one copy of it, while an axis's lines are laid out, or the
+scratch of one block. A voxel with no seed in the volume is at distance inf.
 
 Every row of a case is scored against the same ground truth, so a
 ``CaseScorer`` prepares that side once: the ground-truth surface, its
@@ -196,29 +200,41 @@ def surface_voxels(mask: LabelMask, class_set=None) -> np.ndarray:
     return np.argwhere(_surface(_foreground(mask, class_set)))
 
 
+#: Voxels per block of lines in a min-plus pass, whose scratch is a few
+#: blocks whatever the volume. Smaller blocks spend more interpreter time
+#: per voxel, which worker threads cannot overlap.
+_PASS_VOXELS = 2 ** 16
+
+
 def _min_plus_pass(f2: np.ndarray, delta: float) -> None:
     """``out[i] = min_j f2[j] + (delta*(i-j))^2`` along axis 0, exactly.
 
     ``f2`` holds squared distances, shape (n, lines), inf where a line has
-    no seed yet; it is overwritten with the result. Lines holding no finite
-    value stay inf and are left out. Offsets stop at the first k whose cost
-    reaches the largest value left: every later term is at least that large.
+    no seed yet; it is overwritten with the result. The lines go in blocks
+    of at most _PASS_VOXELS voxels. In a block, lines holding no finite
+    value stay inf and are left out, and offsets stop at the first k whose
+    cost reaches the largest value left: every later term is at least that
+    large. Lines are independent and ``min`` is exact, so the blocks give
+    the bits of one pass over all lines.
     """
-    live = np.isfinite(f2).any(axis=0)
-    f = np.compress(live, f2, axis=1)
-    n = f.shape[0]
-    out = f.copy()
-    term = np.empty_like(f)
-    for k in range(1, n):
-        cost = delta * delta * k * k
-        if cost >= out.max(initial=0.0):
-            break
-        shifted = term[k:]
-        np.add(f[k:], cost, out=shifted)  # seeds k after each site
-        np.minimum(out[:-k], shifted, out=out[:-k])
-        np.add(f[:-k], cost, out=shifted)  # seeds k before each site
-        np.minimum(out[k:], shifted, out=out[k:])
-    f2[:, live] = out
+    n = f2.shape[0]
+    step = max(1, _PASS_VOXELS // n)
+    for start in range(0, f2.shape[1], step):
+        block = f2[:, start:start + step]
+        live = np.isfinite(block).any(axis=0)
+        f = np.compress(live, block, axis=1)
+        out = f.copy()
+        term = np.empty_like(f)
+        for k in range(1, n):
+            cost = delta * delta * k * k
+            if cost >= out.max(initial=0.0):
+                break
+            shifted = term[k:]
+            np.add(f[k:], cost, out=shifted)  # seeds k after each site
+            np.minimum(out[:-k], shifted, out=out[:-k])
+            np.add(f[:-k], cost, out=shifted)  # seeds k before each site
+            np.minimum(out[k:], shifted, out=out[k:])
+        block[:, live] = out
 
 
 def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
@@ -228,25 +244,29 @@ def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     binary input, then each remaining axis applies one min-plus pass over
     the squared distances (see ``_min_plus_pass``). A voxel with no seed
     anywhere in the volume, so every voxel of a seedless input, gets inf.
+    The work is in place: besides the result, either one more volume (the
+    copy that lays out an axis's lines) or the scratch of one block of a
+    pass exists at a time.
     """
     if seeds.ndim != 3:
         raise DimensionMismatch(f"seed mask must be 3D, got shape {seeds.shape}")
     deltas = spacing.as_tuple()
 
     # Axis 0: distance along x by forward/backward sweeps, then square.
-    d = np.where(seeds, 0.0, np.inf)
+    d2 = np.where(seeds, 0.0, np.inf)
     nx = seeds.shape[0]
     for i in range(1, nx):
-        np.minimum(d[i], d[i - 1] + deltas[0], out=d[i])
+        np.minimum(d2[i], d2[i - 1] + deltas[0], out=d2[i])
     for i in range(nx - 2, -1, -1):
-        np.minimum(d[i], d[i + 1] + deltas[0], out=d[i])
-    d2 = d * d
+        np.minimum(d2[i], d2[i + 1] + deltas[0], out=d2[i])
+    np.multiply(d2, d2, out=d2)
 
     for axis in (1, 2):
         lines = np.ascontiguousarray(np.moveaxis(d2, axis, 0))
+        d2 = None  # the pass needs only the copy
         _min_plus_pass(lines.reshape(lines.shape[0], -1), deltas[axis])
         d2 = np.moveaxis(lines, 0, axis)
-    return np.sqrt(d2)
+    return np.sqrt(d2, out=d2)
 
 
 #: First margin, in voxels, by which a row's transform grows the

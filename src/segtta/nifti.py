@@ -27,7 +27,7 @@ import zlib
 
 import numpy as np
 
-from .core import LabelMask, ProbabilityMap, Spacing, Volume
+from .core import LabelMask, ProbabilityMap, Spacing, Volume, slabs
 from .errors import (
     CorruptHeader,
     DimensionMismatch,
@@ -305,20 +305,33 @@ def _build_header(
     return rec.tobytes()
 
 
+#: Bytes of voxels handed to the compressor at a time.
+_WRITE_CHUNK = 2 ** 18
+
+
 def _write_file(path, header: bytes, data: np.ndarray):
-    """Write one file, creating its directory; an OSError is an IoFailure."""
+    """Write one file, creating its directory; an OSError is an IoFailure.
+
+    The voxels go out in Fortran order straight from ``data`` when it is
+    Fortran-contiguous, else from one reordered copy of it.
+    """
     pad = b"\x00" * (MIN_VOX_OFFSET - HEADER_SIZE)  # no extensions
-    payload = header + pad + data.tobytes(order="F")
+    voxels = data.reshape(-1, order="F").view(np.uint8)
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         if _is_gzip(path):
             with open(path, "wb") as raw:
                 # mtime=0 keeps the compressed bytes identical across runs.
                 with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as f:
-                    f.write(payload)
+                    f.write(header + pad)
+                    # Chunks keep each compressed piece small; deflate's
+                    # output does not depend on how its input is cut.
+                    for start in range(0, len(voxels), _WRITE_CHUNK):
+                        f.write(voxels[start:start + _WRITE_CHUNK])
         else:
             with open(path, "wb") as f:
-                f.write(payload)
+                f.write(header + pad)
+                f.write(voxels)
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
@@ -364,8 +377,14 @@ def write_label_mask(mask: LabelMask, spacing: Spacing, path, byteorder: str = "
 def write_probability_map(p: ProbabilityMap, path, spacing: Spacing,
                           byteorder: str = "<"):
     """Write a probability map as a 4D float32 file with dim[4]=num_classes
-    and the voxel spacing of the scan it segments."""
+    and the voxel spacing of the scan it segments.
+
+    The float32 values are filled in slab by slab, in the file's order, so
+    besides the map the write holds them and one float64 slab.
+    """
     dim = (*p.dims, p.num_classes)
     header = _build_header(dim, (*spacing.as_tuple(), 0.0), 16, byteorder)
-    data = p.probs.astype(np.dtype("f4").newbyteorder(byteorder))
+    data = np.empty(dim, np.dtype("f4").newbyteorder(byteorder), order="F")
+    for a, b in slabs(p.dims):
+        data[a:b] = p.slab(a, b)
     _write_file(path, header, data)

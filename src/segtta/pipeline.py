@@ -5,26 +5,32 @@ views it fuses and its threshold tau. Every experiment runs each case of
 the manifest through the same pass, in the worker pool:
 
 1. load the case (each file read once), check that its label has the
-   image's dims and spacing, normalize it and augment it once per
-   distinct view;
-2. predict each (backend, view) once, in source-tag order (the order
-   ``fuse`` counts maps in), and hold the maps;
-3. fuse them slab by slab through ``fusion.fuse_groups``: per slab, one
+   image's dims and spacing, and normalize it;
+2. build each distinct view in config order, predict it once with every
+   backend, and drop it before building the next, holding each map under
+   its source tag;
+3. fuse the maps in source-tag order (the order ``fuse`` counts maps in)
+   slab by slab through ``fusion.fuse_groups``: per slab, one
    ``Votes`` per distinct view set among the variants, each map counted
    into the votes of every view set that holds its view, and each variant
    deciding its slab of the mask at its own tau; then score each variant
    and write the masks of the variants that have an output directory.
 
-A case in flight holds its views, its maps and one slab of votes. A map
-is held compactly: a synthetic map as its uint8 labels (1 byte per voxel,
+A case in flight holds its normalized volume, at most one augmented view,
+its maps and one slab of votes. Prediction goes view by view, but fusion
+counts the maps in source-tag order and every stream is keyed by
+content, so the order predictions run in changes no sum. A map is held
+compactly: a synthetic map as its uint8 labels (1 byte per voxel,
 and none of its own when it reuses the ground truth's or a jitter's), a
 map from an external backend as its float32 values (4 x C bytes per
 voxel). The votes of a slab are C + 1 planes of at most
 ``core.SLAB_VOXELS`` voxels per distinct view set, so no plane spans the
-volume. The maps go once the case is fused, before it is scored. With B
-external members, V views and C classes a case holds B x V x C x 4 bytes
-per voxel of maps, where whole-volume votes took (V + 1) x (C + 1) x 8:
-with C = 2 and V = 5, four or more external members hold more than that.
+volume. Once the last prediction is done the case keeps only the
+volume's spacing, and the maps go once the case is fused, before it is
+scored. With B external members, V views and C classes a case holds
+B x V x C x 4 bytes per voxel of maps, where whole-volume votes took
+(V + 1) x (C + 1) x 8: with C = 2 and V = 5, four or more external
+members hold more than that.
 A noisy oracle also keeps its jittered labels with the case's mask (one
 volume of uint8 per jitter direction). The result is assembled in
 manifest order.
@@ -32,14 +38,15 @@ manifest order.
 ``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
 ``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
 ``run_threshold_sweep`` is one ``tau=<t>`` row per threshold, all deciding
-from one accumulator. A case whose load or any prediction fails is
-recorded once, with the reason of its first failure in source-tag order,
-and skipped, so one corrupt scan cannot void a long run. A case fails
-only on a ``SegTTAError``, the one class of rejected input; any other
-exception is a bug and propagates out of the run. All
-randomness is stream-keyed by content (seed, case id, augmentation label,
-backend name), so a row equals the fused row of a from-scratch run of the
-same views, whatever the worker count. A ``PredictionCache`` passed in
+from one accumulator. A case whose load, any view or any prediction
+fails is recorded once, with the reason its first failure would have had
+if every view were built before predicting in source-tag order, and
+skipped, so one corrupt scan cannot void a long run. A case fails only on
+a ``SegTTAError``, the one class of rejected input; any other exception
+is a bug and propagates out of the run. All randomness is stream-keyed
+by content (seed, case id, augmentation label, backend name), so a row
+equals the fused row of a from-scratch run of the same views, whatever
+the worker count. A ``PredictionCache`` passed in
 reuses predictions across calls; without one nothing is hashed or kept.
 
 The ``EventLog`` passed in is the run's one event channel: the pass logs
@@ -210,11 +217,11 @@ class RunResult:
     seconds of each stage summed over cases, so with several workers it
     counts worker time, not wall time; ``fuse_s`` counts both adding maps
     to the votes and deciding. It also holds ``wall_s``, the experiment's
-    wall seconds, and ``peak_rss_mb``, ``ru_maxrss / 1024`` at its end:
-    the peak resident memory of the whole process so far, in MB where
-    ``ru_maxrss`` is in KiB (Linux), not of this experiment alone. A case
-    holds its maps in compact form and one slab of votes per distinct view
-    set of the variants.
+    wall seconds, and ``peak_rss_mb``, the peak resident memory in MB of
+    the whole process so far at its end (``VmHWM`` where the system has
+    it, else ``ru_maxrss``), not of this experiment alone. A case holds
+    one augmented view at a time, its maps in compact form and one slab of
+    votes per distinct view set of the variants.
     """
 
     dataset: str
@@ -342,21 +349,35 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
               process_slots: threading.Semaphore):
     """Load, predict, fuse, score and write one case.
 
-    Predictions run in source-tag order and the case holds the maps; then
-    :func:`fuse_groups` fuses them slab by slab, one group of votes per
-    distinct view set among ``variants``, and each variant decides from
-    its view set's votes at its own tau; the masks equal ``fuse`` of the
-    same maps. The maps are dropped before the rows are scored.
+    The views are built one at a time, in config order, and each is
+    predicted by every backend and dropped before the next is built; the
+    case keeps each map under its source tag. Then :func:`fuse_groups`
+    fuses the maps in source-tag order, slab by slab, one group of votes
+    per distinct view set among ``variants``, and each variant decides
+    from its view set's votes at its own tau; the masks equal ``fuse`` of
+    the same maps. The maps are dropped before the rows are scored.
 
     Returns ``(reports, fg, seconds, None)``: per variant the metric report
     (None without ground truth) and the fused foreground volume, and the
-    case's seconds per stage. A variant with no prediction in the case is
-    left out of its row. A case that fails with a SegTTAError, to load or at
-    its first failing prediction in source-tag order, returns ``(None, None,
-    seconds, reason)``. A map outlives its case only if ``cache`` keeps it.
+    case's seconds per stage (building the views counts as loading). A
+    variant with no prediction in the case is left out of its row. A case
+    that fails with a SegTTAError returns ``(None, None, seconds, reason)``,
+    with the reason of building every view first and then predicting in
+    source-tag order: a view that cannot be built is a ``load:`` failure,
+    and otherwise the failing prediction with the smallest source tag is
+    reported. So once a prediction fails, the views not yet built are
+    built, and the pairs not yet run whose tags are smaller are run in tag
+    order, stopping at the first that fails. A map outlives its case only
+    if ``cache`` keeps it.
     """
     case_id = entry.case_id
     seconds = dict.fromkeys(_STAGES, 0.0)
+
+    def failure(stage: str, e: SegTTAError, **where):
+        log.emit("case_failed", case=case_id, **where, error=str(e),
+                 error_type=type(e).__name__)
+        return None, None, seconds, f"{stage}: {e}"
+
     t0 = time.monotonic()
     try:
         volume = nifti.read_volume(entry.image)
@@ -369,101 +390,148 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
                     f"label dims {gt.dims} != image dims {volume.dims}")
             _check_spacing(header.spacing, volume.spacing, "label", "image")
         volume, _, _ = normalize_intensity(volume)
-        views = {BASELINE_VIEW: volume} if config.include_baseline else {}
-        for spec in config.augmentations:
-            label = spec.label()
-            if label not in views:  # identical specs give identical views
-                rng = augmentation_rng(config.seed, case_id, label)
-                views[label] = augment.apply(spec, volume, rng)
     except SegTTAError as e:
-        log.emit("case_failed", case=case_id, error=str(e),
-                 error_type=type(e).__name__)
-        return None, None, seconds, f"load: {e}"
+        return failure("load", e)
     finally:
         seconds["load_s"] = time.monotonic() - t0
+    views = _view_names(config)
     log.emit("case_loaded", case=case_id, views=list(views))
-
-    # Every prediction, in source-tag order, the order fuse() counts maps in.
-    pairs = sorted(
-        ((source_tag(backend.name, view), backend, view)
-         for backend in config.backends for view in views
-         if config.subset is None or (backend.name, view) in config.subset),
-        key=lambda pair: pair[0],
-    )
+    specs = {spec.label(): spec for spec in config.augmentations}
+    # Each view's predictions, in source-tag order.
+    pairs = {
+        view: sorted(((source_tag(backend.name, view), backend)
+                      for backend in config.backends
+                      if config.subset is None or (backend.name, view) in config.subset),
+                     key=lambda pair: pair[0])
+        for view in views
+    }
     # One group of votes per distinct view set that has a map.
     groups = []
     for _, views_of_variant, _ in variants:
         view_set = frozenset(views_of_variant)
-        if view_set not in groups and any(v in view_set for _, _, v in pairs):
+        if view_set not in groups and any(pairs[view] for view in view_set):
             groups.append(view_set)
-    maps, map_views = [], []
-    t0 = time.monotonic()
-    try:
-        for tag, backend, view in pairs:
-            cached = None
+
+    def build(view: str) -> Volume:
+        t = time.monotonic()
+        try:
+            if view == BASELINE_VIEW:
+                return volume
+            rng = augmentation_rng(config.seed, case_id, view)
+            return augment.apply(specs[view], volume, rng)
+        finally:
+            seconds["load_s"] += time.monotonic() - t
+
+    def predict(tag: str, backend, view: str, image: Volume) -> ProbabilityMap:
+        t = time.monotonic()
+        try:
             if cache is not None:
-                key = cache.key(backend.to_dict(), view, views[view],
-                                config.seed, num_classes)
+                key = cache.key(backend.to_dict(), view, image, config.seed,
+                                num_classes)
                 cached = cache.get(key)
-            if cached is not None:
-                pmap = cached.retagged(tag)
-                log.emit("prediction", case=case_id, backend=backend.name,
-                         view=view, cached=True)
-            else:
-                started = time.monotonic()
-                rng = prediction_rng(config.seed, case_id, backend.name, view)
-                with (process_slots if backend.kind == "external"
-                      else contextlib.nullcontext()):
-                    pmap = backends.predict(
-                        backend, views[view], num_classes, rng,
-                        ground_truth=gt, source_tag=tag, log=log,
-                    )
-                if cache is not None:
-                    cache.put(key, pmap)
-                log.emit("prediction", case=case_id, backend=backend.name,
-                         view=view, cached=False,
-                         elapsed_s=round(time.monotonic() - started, 4))
-            maps.append(pmap)
-            map_views.append(view)
-    except SegTTAError as e:
-        log.emit("case_failed", case=case_id, backend=backend.name, view=view,
-                 error=str(e), error_type=type(e).__name__)
-        return None, None, seconds, f"{tag}: {e}"
-    finally:
-        seconds["predict_s"] = time.monotonic() - t0
-    pmap = cached = views = None  # only prediction reads the views
+                if cached is not None:
+                    log.emit("prediction", case=case_id, backend=backend.name,
+                             view=view, cached=True)
+                    return cached.retagged(tag)
+            rng = prediction_rng(config.seed, case_id, backend.name, view)
+            with (process_slots if backend.kind == "external"
+                  else contextlib.nullcontext()):
+                pmap = backends.predict(
+                    backend, image, num_classes, rng,
+                    ground_truth=gt, source_tag=tag, log=log,
+                )
+            if cache is not None:
+                cache.put(key, pmap)
+            log.emit("prediction", case=case_id, backend=backend.name,
+                     view=view, cached=False,
+                     elapsed_s=round(time.monotonic() - t, 4))
+            return pmap
+        finally:
+            seconds["predict_s"] += time.monotonic() - t
+
+    def predict_all(todo) -> tuple | None:
+        """Run each ``(tag, backend, view, image)`` in order into ``maps``;
+        the first failure as ``(tag, backend, view, error)``, or None."""
+        for tag, backend, view, image in todo:
+            try:
+                maps[tag] = view, predict(tag, backend, view, image)
+            except SegTTAError as e:
+                return tag, backend, view, e
+        return None
+
+    maps = {}  # source tag -> (view, map)
+    failed = None
+    try:
+        for i, view in enumerate(views):
+            image = build(view)
+            failed = predict_all([(tag, b, view, image) for tag, b in pairs[view]])
+            image = None  # at most one view of the case is alive
+            if failed is not None:
+                rest = {later: build(later) for later in views[i + 1:]}
+                failed = predict_all(sorted(
+                    ((tag, b, later, image) for later, image in rest.items()
+                     for tag, b in pairs[later] if tag < failed[0]),
+                    key=lambda pair: pair[0],
+                )) or failed
+                break
+    except SegTTAError as e:  # a view that cannot be built
+        return failure("load", e)
+    if failed is not None:
+        tag, backend, view, e = failed
+        return failure(tag, e, backend=backend.name, view=view)
+    spacing = volume.spacing
+    volume = None  # only prediction reads the views
 
     t0 = time.monotonic()
     fused = [(name, frozenset(views_of_variant), tau)
              for name, views_of_variant, tau in variants
              if frozenset(views_of_variant) in groups]
+    ordered = [maps[tag] for tag in sorted(maps)]  # fuse() counts maps in tag order
+    maps = None
     masks = fuse_groups(
-        config.voting, maps, map_views, groups,
-        [(groups.index(view_set), tau) for _, view_set, tau in fused], count=count,
+        config.voting, [m for _, m in ordered], [view for view, _ in ordered],
+        groups, [(groups.index(view_set), tau) for _, view_set, tau in fused],
+        count=count,
     ) if fused else []
-    maps = None  # the case holds its masks, not its maps, while it is scored
+    ordered = None  # the case holds its masks, not its maps, while it is scored
     seconds["fuse_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    truth = CaseScorer(gt, volume.spacing) if gt is not None else None
+    truth = CaseScorer(gt, spacing) if gt is not None else None
     seconds["score_s"] = time.monotonic() - t0
     reports: dict = {}
     fg: dict = {}
     for (name, _, _), mask in zip(fused, masks):
         t1 = time.monotonic()
-        fg[name] = foreground_volume(mask, volume.spacing)
+        fg[name] = foreground_volume(mask, spacing)
         reports[name] = (
-            evaluate(mask, truth, volume.spacing) if truth is not None else None
+            evaluate(mask, truth, spacing) if truth is not None else None
         )
         t2 = time.monotonic()
         if name in mask_dirs:
             nifti.write_label_mask(
-                mask, volume.spacing, mask_dirs[name] / f"{case_id}.nii.gz"
+                mask, spacing, mask_dirs[name] / f"{case_id}.nii.gz"
             )
         seconds["score_s"] += t2 - t1
         seconds["write_s"] += time.monotonic() - t2
     log.emit("case_done", case=case_id)
     return reports, fg, seconds, None
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB: ``VmHWM`` of
+    ``/proc/self/status`` where that file exists, else ``ru_maxrss`` (KiB
+    on Linux). ``ru_maxrss`` also counts, across exec, the peak of the
+    process that launched this one; ``VmHWM`` counts this process alone.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # in kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
@@ -509,7 +577,7 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
         log.emit("stage", stage=stage, seconds=round(total, 6))
     names = [name for name, _, _ in variants]
     timings["wall_s"] = time.monotonic() - started
-    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    timings["peak_rss_mb"] = _peak_rss_mb()
     log.emit("run_done", dataset=manifest.name, cases=len(per_case),
              failures=len(failures), wall_s=round(timings["wall_s"], 6),
              peak_rss_mb=timings["peak_rss_mb"])

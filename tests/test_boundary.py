@@ -50,12 +50,12 @@ _NAMES = [
     "sigma", "gamma", "alpha", "beta", "slice_axis", "jitter", "flip_prob",
     "confidence", "constant_class", "label", "classes", "id", "image",
 ]
-#: Values of one JSON type, to replace a value of that type with. Integers
-#: stay at most 300: a run's time grows with a jitter, which has no upper
-#: bound yet.
+#: Values of one JSON type, to replace a value of that type with. An
+#: integer may be as large as 10**9: a jitter stops at its fixed point, so
+#: a run's time does not grow with it.
 _LIKE = {
     bool: st.booleans(),
-    int: st.integers(-3, 300),
+    int: st.integers(-3, 300) | st.just(10 ** 9),
     float: st.floats(-2.0, 300.0)
     | st.sampled_from([float("nan"), float("inf"), 1e-9, 1e9, 1e308]),
     # "\ud800", a lone surrogate, passes json.load but is not Unicode text.

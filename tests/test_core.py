@@ -322,6 +322,25 @@ class TestLabelMask:
         m = LabelMask(np.zeros((2, 2, 2), dtype=np.int32), 2)
         assert m.dims == (2, 2, 2)
 
+    def test_holds_a_read_only_uint8_array_without_a_copy(self):
+        # Any other array is copied, so a later write does not reach the mask.
+        labels = np.zeros((4, 3, 2), dtype=np.uint8)
+        labels[::2] = 1
+        frozen = labels.copy()
+        frozen.setflags(write=False)
+        fortran = np.asfortranarray(frozen)
+        fortran.setflags(write=False)
+        for given, copied in ((frozen, False), (labels, True), (fortran, True),
+                              (labels.astype(np.int64), True)):
+            m = LabelMask(given, 2)
+            assert (m.labels is not given) == copied
+            assert m.labels.dtype == np.uint8 and m.labels.flags.c_contiguous
+            assert not m.labels.flags.writeable
+            assert m.labels.tobytes() == frozen.tobytes()
+        m = LabelMask(labels, 2)
+        labels[:] = 0
+        assert m.labels.any()
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(InvalidLabels,
                            match=r"labels range \[5, 5\] outside \[0, 3\)"):

@@ -287,6 +287,89 @@ class TestRunSegtta:
         assert all(len(case_refs) == per_case for case_refs in refs.values())
         assert not alive()
 
+    @pytest.mark.parametrize("experiment", ["run", "ablate"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_view_alive_at_each_prediction(self, dataset, monkeypatch,
+                                               experiment, jobs):
+        # A case builds each view just before its predictions and drops it
+        # before building the next.
+        config = noisy_config(jobs=jobs)
+        views = {}  # case id -> weak references to its augmented views
+        lock = threading.Lock()
+        apply, predict = segtta.augment.apply, segtta.backends.predict
+
+        def alive(case_id):
+            with lock:
+                return sum(ref() is not None for ref in views.get(case_id, []))
+
+        def tracked_apply(spec, volume, rng):
+            assert alive(volume.vol_id) == 0
+            view = apply(spec, volume, rng)
+            with lock:
+                views.setdefault(volume.vol_id, []).append(weakref.ref(view))
+            return view
+
+        def tracked_predict(backend, volume, *args, **kwargs):
+            assert alive(volume.vol_id) <= 1
+            return predict(backend, volume, *args, **kwargs)
+
+        monkeypatch.setattr(segtta.augment, "apply", tracked_apply)
+        monkeypatch.setattr(segtta.backends, "predict", tracked_predict)
+        run = run_segtta if experiment == "run" else run_ablation
+        result = run(config, dataset)
+        assert not result.failures
+        assert sorted(views) == sorted(entry.case_id for entry in dataset.entries)
+        assert all(len(refs) == len(config.augmentations) for refs in views.values())
+        assert not any(alive(case_id) for case_id in views)
+
+    @pytest.mark.parametrize("include_baseline", [True, False])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_reason_is_the_smallest_failing_tag(
+        self, dataset, monkeypatch, include_baseline, jobs
+    ):
+        # Backend "b" comes first in the config and "a" sorts first in tag
+        # order, so the first prediction to fail is often not the one with
+        # the smallest tag. Every view is built before a prediction counts:
+        # a view that cannot be built fails the case as a load.
+        gamma, contrast, blur, noise = (
+            spec.label() for spec in default_augmentations())
+        failing = {  # case -> (failing (backend, view) pairs, unbuildable view)
+            "case000": ({("b", "baseline"), ("a", noise)}, None),
+            "case001": ({("b", noise), ("a", gamma)}, None),
+            "case002": ({("b", gamma)}, contrast),
+            "case003": (set(), None),
+        }
+        assert sorted(failing) == [entry.case_id for entry in dataset.entries]
+        config = noisy_config(jobs=jobs, include_baseline=include_baseline)
+        config = replace(config, backends=tuple(
+            replace(config.backends[0], name=name) for name in ("b", "a")))
+        apply, predict = segtta.augment.apply, segtta.backends.predict
+
+        def unbuildable(spec, volume, rng):
+            if spec.label() == failing[volume.vol_id][1]:
+                raise InvalidVolume(f"cannot build {spec.label()}")
+            return apply(spec, volume, rng)
+
+        def refusing(backend, volume, *args, source_tag, **kwargs):
+            if tuple(source_tag.split("|")) in failing[volume.vol_id][0]:
+                raise InvalidVolume(f"refused {source_tag}")
+            return predict(backend, volume, *args, source_tag=source_tag, **kwargs)
+
+        monkeypatch.setattr(segtta.augment, "apply", unbuildable)
+        monkeypatch.setattr(segtta.backends, "predict", refusing)
+        result = run_segtta(config, dataset)
+        views = ["baseline"] if include_baseline else []
+        views += [gamma, contrast, blur, noise]
+        want = []
+        for case_id, (pairs, view) in failing.items():
+            tags = sorted(f"{b}|{v}" for b, v in pairs if v in views)
+            if view is not None:
+                want.append((case_id, f"load: cannot build {view}"))
+            elif tags:
+                want.append((case_id, f"{tags[0]}: refused {tags[0]}"))
+        assert list(result.failures) == want
+        assert list(result.per_case) == ["case003"]
+
     def test_each_file_read_once(self, dataset, monkeypatch):
         # The label's spacing comes from the header of its one read.
         reads = []
@@ -624,10 +707,11 @@ class TestStreamingVotes:
     @pytest.mark.parametrize("experiment", ["run", "ablate", "sweep"])
     def test_fusion_holds_one_slab_of_votes(self, tmp_path, monkeypatch, experiment):
         # At one plane per slab, this phantom spans 64 slabs. Fusing holds
-        # per slab one set of votes per view set, and per row its mask (1
-        # byte per voxel, and its LabelMask copy); one float64 plane of the
-        # whole volume is 8 bytes per voxel, a dense float64 map 16. The
-        # case holds its maps as uint8 labels, not 25 dense maps (400).
+        # one slab of votes per view set, and per row its mask (1 byte per
+        # voxel, which its LabelMask holds without a copy); one float64
+        # plane of the whole volume is 8 bytes per voxel, a dense float64
+        # map 16. The case holds its maps as uint8 labels, not 25 dense
+        # maps (400).
         dims = (64, 32, 32)
         voxels = 64 * 32 * 32
         monkeypatch.setattr(segtta.core, "SLAB_VOXELS", 32 * 32)
@@ -664,11 +748,13 @@ class TestStreamingVotes:
         assert len(result.per_case) == 1
         [(fuse_peak, rows)] = fusing
         assert rows == (3 if experiment == "sweep" else 6)
-        # Measured 14.4 (6 rows) and 6.4 (3 rows) bytes per voxel.
-        assert fuse_peak < (2 * rows + 4) * voxels
-        # Measured 68 bytes per voxel: the volume and its views (48), the
-        # maps' labels and the scoring.
-        assert peak < 90 * voxels
+        # Measured 8.9 (6 rows) and 4.0 (3 rows) bytes per voxel; 14.4 and
+        # 6.4 when each mask was copied and two slabs of votes overlapped.
+        assert fuse_peak < (rows + 4) * voxels
+        # Measured 41 to 44 bytes per voxel (65 to 68 with every view held
+        # at once and whole-volume scratch in the distance transform): the
+        # volume and one view (16), the maps' labels and the scoring.
+        assert peak < 55 * voxels
 
 
 class TestObservability:
