@@ -219,7 +219,7 @@ class Volume:
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
 
-    ``probs`` has shape ``(nx, ny, nz, C)`` with 2 <= C <= ``MAX_CLASSES``
+    A map has shape ``(nx, ny, nz, C)`` with 2 <= C <= ``MAX_CLASSES``
     classes (class 0 is background). Per voxel the probabilities must sum to
     1 within ``PROB_TOL``; they are clamped to [0, 1] and renormalized to
     sum exactly. Values further out than the tolerance are an error, not
@@ -238,8 +238,6 @@ class ProbabilityMap:
       memory with its caller;
     * :meth:`from_rows` holds a checked table of C-row class vectors and a
       read-only uint8 volume of row indices, 1 byte per voxel.
-
-    ``probs`` is built from the held form on each access and not kept.
     """
 
     source_tag: str = ""
@@ -306,8 +304,8 @@ class ProbabilityMap:
         label picks it or not. The labels must be integers indexing the
         rows (at most ``MAX_CLASSES``, as they are held as uint8). The map
         holds the checked rows and the labels, copied only if the caller's
-        array is writable or not uint8, so its bytes equal
-        ``ProbabilityMap(np.take(table, labels, axis=0)).probs`` whenever
+        array is writable or not uint8, so its slabs equal those of
+        ``ProbabilityMap(np.take(table, labels, axis=0))`` whenever
         no row needs renormalizing (true of every table this package
         builds) or every row is picked.
         """
@@ -337,7 +335,7 @@ class ProbabilityMap:
 
     def slab(self, a: int, b: int) -> np.ndarray:
         """Rows ``a:b`` of the map, ``(b - a, ny, nz, C)`` float64, C-ordered:
-        bit-identical to ``probs[a:b]``."""
+        clipped to [0, 1] and renormalized when the map needs it."""
         if self._table is not None:
             return np.take(self._table, self._labels[a:b], axis=0)
         out = np.empty((b - a, *self._values.shape[1:]))
@@ -347,12 +345,6 @@ class ProbabilityMap:
             sums = np.sum(out, axis=3) if self._c_order else _plane_sum(out)
             out /= sums[..., None]
         return out
-
-    @property
-    def probs(self) -> np.ndarray:
-        """The whole map, ``(nx, ny, nz, C)`` float64, read-only and
-        C-ordered; built on each access from the held form."""
-        return _freeze(self.slab(0, self.dims[0]))
 
     @property
     def dims(self) -> tuple[int, int, int]:

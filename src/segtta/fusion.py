@@ -169,31 +169,29 @@ def count(m: ProbabilityMap, votes) -> None:
         acc.maps += 1
 
 
-def fuse_groups(mode: str, maps, keys, groups, decisions,
-                count=count) -> list[LabelMask]:
+def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
     """One fused mask per decision, over consistent ``maps`` in source-tag
     order, fused slab by slab.
 
-    ``keys[i]`` is map i's key (in the pipeline, its view) and ``groups``
-    are collections of keys (view sets); a decision ``(g, tau)`` fuses the
-    maps whose key is in ``groups[g]`` at ``tau``. Per slab of
-    :func:`~segtta.core.slabs`, one :class:`Votes` is made per group,
-    each map is counted once, in order, into the votes of every group that
-    holds its key, and each decision writes its slab of labels. Only one
-    slab of votes exists at a time. ``count`` is the function that adds a
-    map to votes.
+    ``keys[i]`` is map i's key (in the pipeline, its view); a decision
+    ``(group, tau)`` fuses at ``tau`` the maps whose key is in ``group``,
+    a frozenset of keys (in the pipeline, a view set). Per slab of
+    :func:`~segtta.core.slabs`, one :class:`Votes` is made per distinct
+    group, each map is counted once, in order, into the votes of every
+    group that holds its key, and each decision writes its slab of labels.
+    Only one slab of votes exists at a time.
     """
     dims, num_classes = maps[0].dims, maps[0].num_classes
+    groups = list(dict.fromkeys(group for group, _ in decisions))
     labels = [np.empty(dims, np.uint8) for _ in decisions]
-    counted = [(m, [g for g, group in enumerate(groups) if key in group])
-               for m, key in zip(maps, keys)]
+    counted = [(m, [g for g in groups if key in g]) for m, key in zip(maps, keys)]
     for a, b in slabs(dims):
-        votes = [Votes(mode, dims, num_classes, (a, b)) for _ in groups]
+        votes = {g: Votes(mode, dims, num_classes, (a, b)) for g in groups}
         for m, into in counted:
             if into:
                 count(m, [votes[g] for g in into])
-        for (g, tau), out in zip(decisions, labels):
-            votes[g].decide(tau, out[a:b])
+        for (group, tau), out in zip(decisions, labels):
+            votes[group].decide(tau, out[a:b])
         votes = None  # gone before the next slab's votes are made
     for out in labels:
         out.setflags(write=False)  # so the mask holds it without a copy
@@ -203,8 +201,8 @@ def fuse_groups(mode: str, maps, keys, groups, decisions,
 def fuse(input: FusionInput) -> LabelMask:
     """Fuse with the voting rule selected by the input's mode: the maps,
     in source-tag order, through :func:`fuse_groups` as one group."""
-    keys = [0] * len(input.maps)
-    return fuse_groups(input.mode, input.maps, keys, [{0}], [(0, input.tau)])[0]
+    return fuse_groups(input.mode, input.maps, [0] * len(input.maps),
+                       [(frozenset({0}), input.tau)])[0]
 
 
 def foreground_volume(mask: LabelMask, spacing: Spacing) -> float:

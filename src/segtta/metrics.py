@@ -161,15 +161,6 @@ def overlap_metrics(pred: LabelMask, gt: LabelMask) -> MetricReport:
 # --- surfaces and distances ---------------------------------------------------
 
 
-def _foreground(mask: LabelMask, class_set=None) -> np.ndarray:
-    if class_set is None:
-        return mask.labels > 0
-    fg = np.zeros(mask.dims, dtype=bool)
-    for c in class_set:
-        fg |= mask.labels == c
-    return fg
-
-
 _STEPS = (
     (slice(None, -1), slice(1, None), slice(-1, None)),  # neighbour at +1
     (slice(1, None), slice(None, -1), slice(None, 1)),  # neighbour at -1
@@ -194,10 +185,10 @@ def _surface(fg: np.ndarray) -> np.ndarray:
     return fg & ~interior
 
 
-def surface_voxels(mask: LabelMask, class_set=None) -> np.ndarray:
-    """Coordinates (K, 3) of the surface of the given classes (default: all
-    foreground), in row-major order."""
-    return np.argwhere(_surface(_foreground(mask, class_set)))
+def surface_voxels(mask: LabelMask) -> np.ndarray:
+    """Coordinates (K, 3) of the surface of the foreground (every class but
+    background), in row-major order."""
+    return np.argwhere(_surface(mask.labels > 0))
 
 
 #: Voxels per block of lines in a min-plus pass, whose scratch is a few

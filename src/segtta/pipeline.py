@@ -1,53 +1,25 @@
 """End-to-end orchestration: one pass per case behind every experiment.
 
 An experiment is a list of variants. A variant is a named result row: the
-views it fuses and its threshold tau. Every experiment runs each case of
-the manifest through the same pass, in the worker pool:
-
-1. load the case (each file read once), check that its label has the
-   image's dims and spacing, and normalize it;
-2. build each distinct view in config order, predict it once with every
-   backend, and drop it before building the next, holding each map under
-   its source tag;
-3. fuse the maps in source-tag order (the order ``fuse`` counts maps in)
-   slab by slab through ``fusion.fuse_groups``: per slab, one
-   ``Votes`` per distinct view set among the variants, each map counted
-   into the votes of every view set that holds its view, and each variant
-   deciding its slab of the mask at its own tau; then score each variant
-   and write the masks of the variants that have an output directory.
-
-A case in flight holds its normalized volume, at most one augmented view,
-its maps and one slab of votes. Prediction goes view by view, but fusion
-counts the maps in source-tag order and every stream is keyed by
-content, so the order predictions run in changes no sum. A map is held
-compactly: a synthetic map as its uint8 labels (1 byte per voxel,
-and none of its own when it reuses the ground truth's or a jitter's), a
-map from an external backend as its float32 values (4 x C bytes per
-voxel). The votes of a slab are C + 1 planes of at most
-``core.SLAB_VOXELS`` voxels per distinct view set, so no plane spans the
-volume. Once the last prediction is done the case keeps only the
-volume's spacing, and the maps go once the case is fused, before it is
-scored. With B external members, V views and C classes a case holds
-B x V x C x 4 bytes per voxel of maps, where whole-volume votes took
-(V + 1) x (C + 1) x 8: with C = 2 and V = 5, four or more external
-members hold more than that.
-A noisy oracle also keeps its jittered labels with the case's mask (one
-volume of uint8 per jitter direction). The result is assembled in
-manifest order.
+views it fuses and its threshold tau. :func:`_run_variants` plans an
+experiment once from its config (each view's backends in source-tag
+order, and the variants that have a prediction to fuse), then runs every
+case of the manifest through :func:`_run_case` in the worker pool and
+assembles the result in manifest order. ``_run_case``'s docstring states
+the pass a case goes through, its failure rule and what it holds in
+memory.
 
 ``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
 ``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
 ``run_threshold_sweep`` is one ``tau=<t>`` row per threshold, all deciding
-from one accumulator. A case whose load, any view or any prediction
-fails is recorded once, with the reason its first failure would have had
-if every view were built before predicting in source-tag order, and
-skipped, so one corrupt scan cannot void a long run. A case fails only on
-a ``SegTTAError``, the one class of rejected input; any other exception
-is a bug and propagates out of the run. All randomness is stream-keyed
-by content (seed, case id, augmentation label, backend name), so a row
-equals the fused row of a from-scratch run of the same views, whatever
-the worker count. A ``PredictionCache`` passed in
-reuses predictions across calls; without one nothing is hashed or kept.
+from one accumulator. A failed case is recorded once, with its reason,
+and skipped, so one corrupt scan cannot void a long run. A case fails
+only on a ``SegTTAError``, the one class of rejected input; any other
+exception is a bug and propagates out of the run. All randomness is
+stream-keyed by content (seed, case id, augmentation label, backend
+name), so a row equals the fused row of a from-scratch run of the same
+views, whatever the worker count. A ``PredictionCache`` passed in reuses
+predictions across calls; without one nothing is hashed or kept.
 
 The ``EventLog`` passed in is the run's one event channel: the pass logs
 each load, prediction, failure and stage total there, and an external
@@ -80,7 +52,7 @@ from .errors import (
     ConfigError, DimensionMismatch, InsufficientAugmentations, IoFailure,
     SegTTAError,
 )
-from .fusion import count, foreground_volume, fuse_groups, _check_tau
+from .fusion import foreground_volume, fuse_groups, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these two names here;
 # the pipeline itself fuses through fuse_groups.
 from .fusion import FusionInput, fuse  # noqa: F401
@@ -219,9 +191,8 @@ class RunResult:
     to the votes and deciding. It also holds ``wall_s``, the experiment's
     wall seconds, and ``peak_rss_mb``, the peak resident memory in MB of
     the whole process so far at its end (``VmHWM`` where the system has
-    it, else ``ru_maxrss``), not of this experiment alone. A case holds
-    one augmented view at a time, its maps in compact form and one slab of
-    votes per distinct view set of the variants.
+    it, else ``ru_maxrss``), not of this experiment alone. What a case
+    holds while it runs is stated in :func:`_run_case`.
     """
 
     dataset: str
@@ -344,31 +315,50 @@ def _view_names(config: RunConfig, drop: int | None = None) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
-              mask_dirs: dict, cache: PredictionCache | None, log: EventLog,
-              process_slots: threading.Semaphore):
+def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
+              num_classes: int, mask_dirs: dict, cache: PredictionCache | None,
+              log: EventLog, process_slots: threading.Semaphore):
     """Load, predict, fuse, score and write one case.
 
-    The views are built one at a time, in config order, and each is
-    predicted by every backend and dropped before the next is built; the
-    case keeps each map under its source tag. Then :func:`fuse_groups`
-    fuses the maps in source-tag order, slab by slab, one group of votes
-    per distinct view set among ``variants``, and each variant decides
-    from its view set's votes at its own tau; the masks equal ``fuse`` of
-    the same maps. The maps are dropped before the rows are scored.
+    ``pairs`` maps each view, in config order, to its ``(source tag,
+    backend)`` pairs in tag order, and ``variants`` lists the ``(name,
+    view set, tau)`` of the variants that have a prediction, as
+    :func:`_run_variants` plans them.
 
-    Returns ``(reports, fg, seconds, None)``: per variant the metric report
-    (None without ground truth) and the fused foreground volume, and the
-    case's seconds per stage (building the views counts as loading). A
-    variant with no prediction in the case is left out of its row. A case
-    that fails with a SegTTAError returns ``(None, None, seconds, reason)``,
-    with the reason of building every view first and then predicting in
-    source-tag order: a view that cannot be built is a ``load:`` failure,
-    and otherwise the failing prediction with the smallest source tag is
-    reported. So once a prediction fails, the views not yet built are
-    built, and the pairs not yet run whose tags are smaller are run in tag
-    order, stopping at the first that fails. A map outlives its case only
-    if ``cache`` keeps it.
+    The case is loaded (each file read once), its label checked against
+    the image's dims and spacing, and normalized. Each view is built in
+    turn, predicted by its backends and dropped before the next is built;
+    the case keeps each map under its source tag. Then :func:`fuse_groups`
+    fuses the maps in source-tag order, slab by slab, one group of votes
+    per distinct view set, and each variant decides at its own tau; the
+    masks equal ``fuse`` of the same maps, so the order predictions run in
+    changes no sum. The maps are dropped before the rows are scored, and
+    the masks of the variants in ``mask_dirs`` are written.
+
+    Failure rule: a case fails with the reason it would have if every view
+    were built first and the pairs then predicted in source-tag order. A
+    view that cannot be built is a ``load:`` failure; otherwise the failing
+    pair with the smallest tag is reported. So after a failure every later
+    view is still built, and only its pairs whose tag is smaller than the
+    failing one are predicted.
+
+    Memory: a case in flight holds its normalized volume, at most one
+    augmented view (after a failure too), its maps and one slab of votes
+    per distinct view set: C + 1 planes of at most ``core.SLAB_VOXELS``
+    voxels. A map is held compactly: a synthetic map as its uint8 labels
+    (1 byte per voxel, none of its own when it reuses the ground truth's
+    or a jitter's), a map from an external backend as its float32 values
+    (4 x C bytes per voxel), so B external members over V views take
+    B x V x C x 4 bytes per voxel. A noisy oracle also keeps its jittered
+    labels with the case's mask (one volume of uint8 per jitter
+    direction). Once the last prediction is done the case keeps only the
+    volume's spacing; a map outlives its case only if ``cache`` keeps it.
+
+    Returns ``(reports, fg, seconds, None)``: per variant of ``variants``
+    the metric report (None without ground truth) and the fused foreground
+    volume, and the case's seconds per stage (building the views counts as
+    loading). A case that fails with a SegTTAError returns ``(None, None,
+    seconds, reason)``.
     """
     case_id = entry.case_id
     seconds = dict.fromkeys(_STAGES, 0.0)
@@ -394,23 +384,8 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
         return failure("load", e)
     finally:
         seconds["load_s"] = time.monotonic() - t0
-    views = _view_names(config)
-    log.emit("case_loaded", case=case_id, views=list(views))
+    log.emit("case_loaded", case=case_id, views=list(pairs))
     specs = {spec.label(): spec for spec in config.augmentations}
-    # Each view's predictions, in source-tag order.
-    pairs = {
-        view: sorted(((source_tag(backend.name, view), backend)
-                      for backend in config.backends
-                      if config.subset is None or (backend.name, view) in config.subset),
-                     key=lambda pair: pair[0])
-        for view in views
-    }
-    # One group of votes per distinct view set that has a map.
-    groups = []
-    for _, views_of_variant, _ in variants:
-        view_set = frozenset(views_of_variant)
-        if view_set not in groups and any(pairs[view] for view in view_set):
-            groups.append(view_set)
 
     def build(view: str) -> Volume:
         t = time.monotonic()
@@ -449,31 +424,19 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
         finally:
             seconds["predict_s"] += time.monotonic() - t
 
-    def predict_all(todo) -> tuple | None:
-        """Run each ``(tag, backend, view, image)`` in order into ``maps``;
-        the first failure as ``(tag, backend, view, error)``, or None."""
-        for tag, backend, view, image in todo:
-            try:
-                maps[tag] = view, predict(tag, backend, view, image)
-            except SegTTAError as e:
-                return tag, backend, view, e
-        return None
-
     maps = {}  # source tag -> (view, map)
-    failed = None
+    failed = None  # (tag, backend, view, error) of the smallest failing tag
     try:
-        for i, view in enumerate(views):
+        for view, view_pairs in pairs.items():
             image = build(view)
-            failed = predict_all([(tag, b, view, image) for tag, b in pairs[view]])
+            for tag, backend in view_pairs:
+                if failed is not None and tag > failed[0]:
+                    break
+                try:
+                    maps[tag] = view, predict(tag, backend, view, image)
+                except SegTTAError as e:
+                    failed = tag, backend, view, e
             image = None  # at most one view of the case is alive
-            if failed is not None:
-                rest = {later: build(later) for later in views[i + 1:]}
-                failed = predict_all(sorted(
-                    ((tag, b, later, image) for later, image in rest.items()
-                     for tag, b in pairs[later] if tag < failed[0]),
-                    key=lambda pair: pair[0],
-                )) or failed
-                break
     except SegTTAError as e:  # a view that cannot be built
         return failure("load", e)
     if failed is not None:
@@ -483,16 +446,12 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
     volume = None  # only prediction reads the views
 
     t0 = time.monotonic()
-    fused = [(name, frozenset(views_of_variant), tau)
-             for name, views_of_variant, tau in variants
-             if frozenset(views_of_variant) in groups]
     ordered = [maps[tag] for tag in sorted(maps)]  # fuse() counts maps in tag order
     maps = None
     masks = fuse_groups(
         config.voting, [m for _, m in ordered], [view for view, _ in ordered],
-        groups, [(groups.index(view_set), tau) for _, view_set, tau in fused],
-        count=count,
-    ) if fused else []
+        [(view_set, tau) for _, view_set, tau in variants],
+    ) if variants else []
     ordered = None  # the case holds its masks, not its maps, while it is scored
     seconds["fuse_s"] = time.monotonic() - t0
 
@@ -501,7 +460,7 @@ def _run_case(entry, *, config: RunConfig, variants, num_classes: int,
     seconds["score_s"] = time.monotonic() - t0
     reports: dict = {}
     fg: dict = {}
-    for (name, _, _), mask in zip(fused, masks):
+    for (name, _, _), mask in zip(variants, masks):
         t1 = time.monotonic()
         fg[name] = foreground_volume(mask, spacing)
         reports[name] = (
@@ -537,7 +496,8 @@ def _peak_rss_mb() -> float:
 def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
                   reference, result_config: dict, out_dir, masks: dict,
                   cache: PredictionCache | None, log: EventLog | None) -> RunResult:
-    """Run every case through :func:`_run_case` and shape the result.
+    """Plan the experiment once, run every case through :func:`_run_case`
+    with that plan, and shape the result.
 
     ``masks`` maps a variant name to the directory under ``out_dir`` that
     receives its masks; nothing is written without an output directory.
@@ -550,8 +510,17 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
     started = time.monotonic()
     log = log if log is not None else EventLog(None)
     log.emit("run_start", dataset=manifest.name, config=result_config)
+    pairs = {
+        view: sorted(((source_tag(backend.name, view), backend)
+                      for backend in config.backends
+                      if config.subset is None or (backend.name, view) in config.subset),
+                     key=lambda pair: pair[0])
+        for view in _view_names(config)
+    }
     run_case = functools.partial(
-        _run_case, config=config, variants=variants,
+        _run_case, config=config, pairs=pairs,
+        variants=[(name, frozenset(views), tau) for name, views, tau in variants
+                  if any(pairs[view] for view in views)],
         num_classes=manifest.num_classes, mask_dirs=mask_dirs, cache=cache,
         log=log, process_slots=threading.Semaphore(config.process_jobs),
     )

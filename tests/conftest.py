@@ -42,6 +42,11 @@ IGNORED_FIELD_CASES = [
 # --- randomized instances -----------------------------------------------------
 
 
+def dense(m: ProbabilityMap) -> np.ndarray:
+    """The whole of map ``m``, ``(nx, ny, nz, C)`` float64, as one slab."""
+    return m.slab(0, m.dims[0])
+
+
 def random_dims(rng, max_voxels=64):
     """Random small (nx, ny, nz) with at most ``max_voxels`` voxels."""
     while True:
@@ -78,7 +83,7 @@ def _argmax_lowest(values):
 
 def brute_force_vote(maps, mode, tau=0.6):
     """Per-voxel re-implementation of the three voting rules, plain loops."""
-    arrays = [np.asarray(m.probs) for m in maps]
+    arrays = [dense(m) for m in maps]
     dims = arrays[0].shape[:3]
     num_classes = arrays[0].shape[3]
     out = np.zeros(dims, dtype=np.int64)

@@ -35,7 +35,7 @@ from segtta.errors import (
 )
 from segtta.metrics import _surface
 
-from conftest import brute_force_neighbourhood_ops, reference_noisy_oracle
+from conftest import brute_force_neighbourhood_ops, dense, reference_noisy_oracle
 
 
 pytestmark = pytest.mark.usefixtures("child_imports_segtta")
@@ -55,15 +55,15 @@ class TestOracle:
         volume, gt = case
         out = predict(BackendDescriptor("oracle", name="o", confidence=1.0),
                       volume, 2, stream(), ground_truth=gt)
-        np.testing.assert_array_equal(np.argmax(out.probs, axis=-1), gt.labels)
-        assert out.probs.max() == 1.0
+        np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), gt.labels)
+        assert dense(out).max() == 1.0
 
     def test_softened_confidence(self, case):
         volume, gt = case
         out = predict(BackendDescriptor("oracle", name="o", confidence=0.8),
                       volume, 2, stream(), ground_truth=gt)
-        np.testing.assert_array_equal(np.argmax(out.probs, axis=-1), gt.labels)
-        assert np.allclose(out.probs.max(axis=-1), 0.8)
+        np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), gt.labels)
+        assert np.allclose(dense(out).max(axis=-1), 0.8)
 
     def test_ground_truth_from_file(self, case, tmp_path):
         volume, gt = case
@@ -71,7 +71,7 @@ class TestOracle:
         write_label_mask(gt, volume.spacing, path)
         backend = BackendDescriptor("oracle", name="o", ground_truth=str(path))
         out = predict(backend, volume, 2, stream())
-        np.testing.assert_array_equal(np.argmax(out.probs, axis=-1), gt.labels)
+        np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), gt.labels)
 
     def test_missing_ground_truth(self, case):
         volume, _ = case
@@ -104,8 +104,8 @@ class TestNoisyOracle:
         backend = BackendDescriptor("noisy_oracle", name="n", jitter=0,
                                     flip_prob=0.0, confidence=0.9)
         out = predict(backend, volume, 2, stream(), ground_truth=gt)
-        np.testing.assert_array_equal(np.argmax(out.probs, axis=-1), gt.labels)
-        assert np.allclose(out.probs.max(axis=-1), 0.9)
+        np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), gt.labels)
+        assert np.allclose(dense(out).max(axis=-1), 0.9)
 
     def test_deterministic_per_stream(self, case):
         volume, gt = case
@@ -113,9 +113,9 @@ class TestNoisyOracle:
                                     flip_prob=0.2, confidence=0.9)
         a = predict(backend, volume, 2, stream(), ground_truth=gt)
         b = predict(backend, volume, 2, stream(), ground_truth=gt)
-        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(dense(a), dense(b))
         c = predict(backend, volume, 2, stream("other"), ground_truth=gt)
-        assert not np.array_equal(a.probs, c.probs)
+        assert not np.array_equal(dense(a), dense(c))
 
     def test_flip_rate_converges(self):
         volume, gt = make_phantom(dims=(48, 48, 48), seed=11, vol_id="big")
@@ -124,7 +124,7 @@ class TestNoisyOracle:
                                     flip_prob=p, confidence=0.9)
         out = predict(backend, volume, 2, SeededRng(2024, "flip-rate"),
                       ground_truth=gt)
-        disagree = (np.argmax(out.probs, axis=-1) != gt.labels).mean()
+        disagree = (np.argmax(dense(out), axis=-1) != gt.labels).mean()
         n = 48**3
         se = np.sqrt(p * (1 - p) / n)
         assert abs(disagree - p) < 3 * se
@@ -134,7 +134,7 @@ class TestNoisyOracle:
         backend = BackendDescriptor("noisy_oracle", name="n", jitter=1,
                                     flip_prob=0.0, confidence=1.0)
         out = predict(backend, volume, 2, stream(), ground_truth=gt)
-        pred = np.argmax(out.probs, axis=-1)
+        pred = np.argmax(dense(out), axis=-1)
         fg = gt.labels > 0
         # Prediction is either a one-voxel dilation or erosion of the truth.
         changed = pred != gt.labels
@@ -148,7 +148,7 @@ class TestNoisyOracle:
         backend = BackendDescriptor("noisy_oracle", name="n", jitter=0,
                                     flip_prob=1.0, confidence=0.9)
         out = predict(backend, volume, 3, stream(), ground_truth=gt)
-        pred = np.argmax(out.probs, axis=-1)
+        pred = np.argmax(dense(out), axis=-1)
         assert (pred != gt.labels).all()
 
 
@@ -167,11 +167,10 @@ class TestNoisyOracleBytes:
 
     @staticmethod
     def check_map(probs, want, where):
-        """``probs`` is read-only, C-ordered float64 and, byte for byte, the
-        checked map of the dense softened array ``want``."""
+        """``probs`` is C-ordered float64 and, byte for byte, the checked
+        map of the dense softened array ``want``."""
         assert probs.dtype == np.float64 and probs.flags.c_contiguous, where
-        assert not probs.flags.writeable, where
-        assert probs.tobytes() == ProbabilityMap(want).probs.tobytes(), where
+        assert probs.tobytes() == dense(ProbabilityMap(want)).tobytes(), where
 
     @pytest.mark.parametrize("num_classes", [2, 3, 9, 256])
     def test_matches_the_reference(self, num_classes):
@@ -195,7 +194,7 @@ class TestNoisyOracleBytes:
             where = (shape, jitter, flip_prob, confidence)
             assert got.dtype == np.float64 and got.flags.c_contiguous, where
             assert got.tobytes() == want.tobytes(), where
-            probs = predict(backend, volume, num_classes, rng, ground_truth=gt).probs
+            probs = dense(predict(backend, volume, num_classes, rng, ground_truth=gt))
             self.check_map(probs, want, where)
 
     @pytest.mark.parametrize("num_classes", [2, 3, 9, 256])
@@ -223,7 +222,7 @@ class TestNoisyOracleBytes:
             want = reference_noisy_oracle(labels, num_classes, confidence, 0, 0.0,
                                           None)
             gt = LabelMask(labels, num_classes)  # the constant kind ignores it
-            probs = predict(backend, volume, num_classes, stream(), ground_truth=gt).probs
+            probs = dense(predict(backend, volume, num_classes, stream(), ground_truth=gt))
             self.check_map(probs, want, (backend, confidence))
 
 
@@ -318,8 +317,8 @@ class TestConstant:
         volume, _ = case
         out = predict(BackendDescriptor("constant", name="c", constant_class=0),
                       volume, 2, stream())
-        np.testing.assert_array_equal(np.argmax(out.probs, axis=-1), 0)
-        assert out.probs[..., 0].min() == 1.0
+        np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), 0)
+        assert dense(out)[..., 0].min() == 1.0
 
     def test_class_out_of_range(self, case):
         volume, _ = case
@@ -339,7 +338,7 @@ class TestConstant:
                       volume, 3, stream())
         want = np.zeros((*volume.dims, 3))
         want[..., 2] = 1.0
-        assert out.probs.tobytes() == want.tobytes()
+        assert dense(out).tobytes() == want.tobytes()
 
 
 ECHO_BACKEND = textwrap.dedent(
@@ -389,7 +388,7 @@ class TestExternalProcess:
         assert out.source_tag == "x|baseline"
         expected_fg = volume.data > 0.5
         np.testing.assert_array_equal(
-            np.argmax(out.probs, axis=-1) == 1, expected_fg
+            np.argmax(dense(out), axis=-1) == 1, expected_fg
         )
         # The exchange directory is cleaned up afterwards.
         assert not any(p.name.startswith("segtta-") for p in tmp_path.iterdir())
@@ -481,7 +480,7 @@ class TestExternalProcess:
         )
         out = predict(backend, volume, 2, stream())
         np.testing.assert_array_equal(
-            np.argmax(out.probs, axis=-1) == 1, volume.data > 0.5
+            np.argmax(dense(out), axis=-1) == 1, volume.data > 0.5
         )
 
     def test_missing_output(self, case, tmp_path):

@@ -26,6 +26,8 @@ from segtta.errors import (
 )
 from segtta.core import SLAB_VOXELS, slabs
 
+from conftest import dense
+
 
 def make_volume(values, spacing=(1, 1, 1)):
     return Volume(np.asarray(values, dtype=float), Spacing(*spacing), vol_id="t")
@@ -105,14 +107,14 @@ class TestProbabilityMap:
         probs = np.full((1, 1, 1, 2), 0.5)
         probs[..., 0] = 0.5004  # sum 1.0004, inside tolerance
         p = ProbabilityMap(probs)
-        np.testing.assert_allclose(p.probs.sum(axis=3), 1.0, atol=1e-15)
+        np.testing.assert_allclose(dense(p).sum(axis=3), 1.0, atol=1e-15)
 
     def test_renormalization_idempotent(self, rng):
         probs = rng.random((3, 3, 3, 4))
         probs /= probs.sum(axis=3, keepdims=True)
         once = ProbabilityMap(probs)
-        twice = ProbabilityMap(once.probs)
-        np.testing.assert_array_equal(once.probs, twice.probs)
+        twice = ProbabilityMap(dense(once))
+        np.testing.assert_array_equal(dense(once), dense(twice))
 
     def test_rejects_bad_sum(self):
         probs = np.zeros((1, 1, 1, 2))
@@ -133,8 +135,8 @@ class TestProbabilityMap:
         probs[..., 0] = 1.0005
         probs[..., 1] = -0.0005
         p = ProbabilityMap(probs)
-        assert p.probs.min() >= 0.0
-        assert p.probs.max() <= 1.0
+        assert dense(p).min() >= 0.0
+        assert dense(p).max() <= 1.0
 
     def test_rejects_nan_and_inf_before_range(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -164,7 +166,7 @@ class TestProbabilityMap:
         if np.abs(sums - 1.0).max() > 1e-12:
             clipped = clipped / sums[..., None]
         caller = probs.copy(order="K")
-        got = ProbabilityMap(caller).probs
+        got = dense(ProbabilityMap(caller))
         assert got.tobytes() == clipped.tobytes()
         assert not np.shares_memory(got, caller) and caller.flags.writeable
         np.testing.assert_array_equal(caller, probs)
@@ -181,10 +183,13 @@ class TestProbabilityMap:
             caller = table.copy()
             got = ProbabilityMap.from_rows(caller, labels, "t")
             want = ProbabilityMap(np.take(table, labels, axis=0), "t")
-            assert got.probs.tobytes() == want.probs.tobytes()
-            assert got.probs.flags.c_contiguous and not got.probs.flags.writeable
+            assert dense(got).tobytes() == dense(want).tobytes()
+            whole = dense(got)
+            assert whole.flags.c_contiguous
+            whole[...] = 0  # a copy: writing it leaves the map as it was
+            assert dense(got).tobytes() == dense(want).tobytes()
             assert got.source_tag == "t"
-            assert not np.shares_memory(got.probs, caller) and caller.flags.writeable
+            assert not np.shares_memory(dense(got), caller) and caller.flags.writeable
             np.testing.assert_array_equal(caller, table)
 
     def test_from_rows_checks_every_row(self):
@@ -226,7 +231,7 @@ class TestProbabilityMap:
                           np.asfortranarray(values.astype(np.float32))):
                 want = self.whole_map_formula(probs)
                 m = ProbabilityMap(probs)
-                assert m.probs.tobytes() == want.tobytes()
+                assert dense(m).tobytes() == want.tobytes()
                 for a, b in [*slabs(dims), (0, 1), (29, 31), (69, 70), (0, 70)]:
                     got = m.slab(a, b)
                     assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -276,7 +281,7 @@ class TestProbabilityMap:
             assert (held >= labels.nbytes) == copied
             assert held < labels.nbytes + 10_000
         labels[:] = 0
-        assert m.probs.tobytes() == want.tobytes()
+        assert dense(m).tobytes() == want.tobytes()
         assert m.retagged("u").slab(0, 40).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("labels, match", [
@@ -300,7 +305,7 @@ class TestProbabilityMap:
 
     def test_identity_equality_and_hashing(self, rng):
         a, b = dyadic(rng, (2, 2, 2), 2), dyadic(rng, (2, 2, 2), 2)
-        twin = ProbabilityMap(a.probs, source_tag=a.source_tag)
+        twin = ProbabilityMap(dense(a), source_tag=a.source_tag)
         assert a == a and a != twin and a != b
         maps = weakref.WeakSet([a, b, twin])
         assert len(maps) == 3 and a in maps

@@ -16,7 +16,7 @@ from segtta import (
 from segtta.errors import ConfigError, InconsistentMaps, InvalidTau
 from segtta.fusion import Votes, count
 
-from conftest import brute_force_vote, dyadic_prob_maps, random_dims
+from conftest import brute_force_vote, dense, dyadic_prob_maps, random_dims
 
 
 def pmap(per_class_rows, tag="m0"):
@@ -29,7 +29,7 @@ class TestMajority:
     def test_single_map_is_argmax(self, rng):
         maps = dyadic_prob_maps(rng, 1, (3, 2, 2), 3)
         out = fuse(FusionInput(tuple(maps), mode="majority"))
-        np.testing.assert_array_equal(out.labels, np.argmax(maps[0].probs, axis=-1))
+        np.testing.assert_array_equal(out.labels, np.argmax(dense(maps[0]), axis=-1))
 
     def test_strict_majority(self):
         maps = (
@@ -51,7 +51,7 @@ class TestConfidenceWeighted:
         base = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0]
         maps = tuple(base.retagged(f"m{i}") for i in range(3))
         out = fuse(FusionInput(maps, mode="confidence_weighted"))
-        np.testing.assert_array_equal(out.labels, np.argmax(base.probs, axis=-1))
+        np.testing.assert_array_equal(out.labels, np.argmax(dense(base), axis=-1))
 
     def test_hand_worked_example(self):
         maps = (pmap([[0.9, 0.1]], "a"), pmap([[0.4, 0.6]], "b"))
@@ -174,7 +174,7 @@ class TestStreamingMemory:
         # A stack of the 16 maps, or any N-way temporary, would need 16x.
         maps = tuple(dyadic_prob_maps(rng, 16, (32, 32, 16), 2))
         input = FusionInput(maps, mode=mode, tau=0.6)
-        one_map = maps[0].probs.nbytes
+        one_map = dense(maps[0]).nbytes
         tracemalloc.start()
         try:
             fuse(input)

@@ -127,14 +127,6 @@ class TestSurface:
         m = mask(np.ones((3, 3, 3)))
         assert len(surface_voxels(m)) == 26
 
-    def test_class_subset(self):
-        labels = np.zeros((6, 6, 6), dtype=np.uint8)
-        labels[1:3, 1:3, 1:3] = 1
-        labels[4:5, 4:5, 4:5] = 2
-        m = LabelMask(labels, 3)
-        only_two = surface_voxels(m, class_set=[2])
-        np.testing.assert_array_equal(only_two, [[4, 4, 4]])
-
     def test_matches_independent_implementation(self, rng):
         for seed in range(10):
             m = make_blob_mask((12, 13, 11), seed=seed, threshold=0.58)

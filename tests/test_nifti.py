@@ -31,6 +31,8 @@ from segtta.errors import (
     UnsupportedDatatype,
 )
 
+from conftest import dense
+
 
 def build_nifti_bytes(
     dims,
@@ -279,7 +281,7 @@ class TestProbabilityMaps:
         p = read_probability_map(tmp_path / "p.nii")
         assert p.dims == (2, 2, 1)
         assert p.num_classes == 2
-        np.testing.assert_allclose(p.probs[..., 1], 0.7, atol=1e-7)
+        np.testing.assert_allclose(dense(p)[..., 1], 0.7, atol=1e-7)
 
     def test_rejects_non_probabilistic(self, tmp_path):
         probs = np.zeros((2, 2, 1, 2), dtype="<f4")
@@ -314,8 +316,8 @@ class TestProbabilityMaps:
         table = np.array([[0.9, 0.1], [0.25, 0.75], [0.5, 0.5]])
         labels = (np.indices(dims).sum(axis=0) // 7 % 3).astype(np.uint8)
         labels.setflags(write=False)
-        dense = np.take(table, labels, axis=0).astype(np.float32)
-        for p in (ProbabilityMap.from_rows(table, labels), ProbabilityMap(dense)):
+        values = np.take(table, labels, axis=0).astype(np.float32)
+        for p in (ProbabilityMap.from_rows(table, labels), ProbabilityMap(values)):
             for name in ("p.nii", "p.nii.gz"):
                 path = tmp_path / name
                 write_probability_map(p, path, spacing, endian)
@@ -325,11 +327,11 @@ class TestProbabilityMaps:
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert peak < dense.nbytes + 2 * 2 ** 20
+                assert peak < values.nbytes + 2 * 2 ** 20
                 raw = path.read_bytes()
                 if name.endswith(".gz"):
                     raw = gzip.decompress(raw)
-                payload = raw[:352] + p.probs.astype(endian + "f4").tobytes(order="F")
+                payload = raw[:352] + dense(p).astype(endian + "f4").tobytes(order="F")
                 assert raw == payload
                 if name.endswith(".gz"):
                     one_piece = io.BytesIO()
@@ -356,8 +358,8 @@ class TestProbabilityMaps:
                                 arr.astype(endian + "f4").tobytes(order="F"),
                                 endian=endian)
         (tmp_path / "p.nii").write_bytes(raw)
-        got = read_probability_map(tmp_path / "p.nii").probs
-        want = ProbabilityMap(arr.astype(np.float64)).probs
+        got = dense(read_probability_map(tmp_path / "p.nii"))
+        want = dense(ProbabilityMap(arr.astype(np.float64)))
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 

@@ -287,13 +287,20 @@ class TestRunSegtta:
         assert all(len(case_refs) == per_case for case_refs in refs.values())
         assert not alive()
 
-    @pytest.mark.parametrize("experiment", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        ("experiment", "refused"),
+        [("run", False), ("ablate", False), ("run", True), ("ablate", True)],
+        ids=["run", "ablate", "run-refused", "ablate-refused"],
+    )
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_view_alive_at_each_prediction(self, dataset, monkeypatch,
-                                               experiment, jobs):
+                                               experiment, jobs, refused):
         # A case builds each view just before its predictions and drops it
-        # before building the next.
+        # before building the next, also once a backend has refused its
+        # baseline view and the later views are built only to settle the
+        # failure's reason.
         config = noisy_config(jobs=jobs)
+        failing = dataset.entries[1].case_id if refused else None
         views = {}  # case id -> weak references to its augmented views
         lock = threading.Lock()
         apply, predict = segtta.augment.apply, segtta.backends.predict
@@ -309,15 +316,18 @@ class TestRunSegtta:
                 views.setdefault(volume.vol_id, []).append(weakref.ref(view))
             return view
 
-        def tracked_predict(backend, volume, *args, **kwargs):
+        def tracked_predict(backend, volume, *args, source_tag, **kwargs):
             assert alive(volume.vol_id) <= 1
-            return predict(backend, volume, *args, **kwargs)
+            if volume.vol_id == failing and source_tag == "nb1|baseline":
+                raise InvalidVolume(f"refused {source_tag}")
+            return predict(backend, volume, *args, source_tag=source_tag, **kwargs)
 
         monkeypatch.setattr(segtta.augment, "apply", tracked_apply)
         monkeypatch.setattr(segtta.backends, "predict", tracked_predict)
         run = run_segtta if experiment == "run" else run_ablation
         result = run(config, dataset)
-        assert not result.failures
+        assert list(result.failures) == (
+            [(failing, "nb1|baseline: refused nb1|baseline")] if refused else [])
         assert sorted(views) == sorted(entry.case_id for entry in dataset.entries)
         assert all(len(refs) == len(config.augmentations) for refs in views.values())
         assert not any(alive(case_id) for case_id in views)
@@ -666,13 +676,13 @@ class TestStreamingVotes:
 
     def test_sweep_counts_each_map_once(self, dataset, monkeypatch):
         calls = [0]
-        count = segtta.pipeline.count
+        count = segtta.fusion.count
 
         def counted(pmap, votes):
             calls[0] += 1
             return count(pmap, votes)
 
-        monkeypatch.setattr(segtta.pipeline, "count", counted)
+        monkeypatch.setattr(segtta.fusion, "count", counted)
         config = noisy_config()
         result = run_threshold_sweep(config, dataset, [0.3, 0.6, 0.9])
         assert len(result.per_case) == len(dataset.entries)
@@ -728,10 +738,10 @@ class TestStreamingVotes:
         fusing = []
         fuse_groups = segtta.pipeline.fuse_groups
 
-        def traced(mode, maps, keys, groups, decisions, **kwargs):
+        def traced(mode, maps, keys, decisions):
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            masks = fuse_groups(mode, maps, keys, groups, decisions, **kwargs)
+            masks = fuse_groups(mode, maps, keys, decisions)
             _, peak = tracemalloc.get_traced_memory()
             fusing.append((peak - before, len(decisions)))
             return masks
