@@ -52,9 +52,9 @@ write_volume(volume, big, datatype=16, byteorder=">")
 print(f"big-endian read matches: "
       f"{np.array_equal(read_volume(big).data, reloaded.data)}\n")
 
-# Intensity normalization maps any dynamic range onto [0, 1] and records
-# the affine so it can be undone; augmentations expect this range.
+# Intensity normalization maps any dynamic range affinely onto [0, 1]
+# (minimum to 0, maximum to 1); augmentations expect this range.
 shifted = volume.with_data(volume.data * 400.0 - 100.0)
-normalized, lo, hi = normalize_intensity(shifted)
-print(f"normalized from [{lo:.1f}, {hi:.1f}] to "
+normalized = normalize_intensity(shifted)
+print(f"normalized from [{shifted.data.min():.1f}, {shifted.data.max():.1f}] to "
       f"[{normalized.data.min():.1f}, {normalized.data.max():.1f}]")

@@ -15,7 +15,7 @@ from segtta import (
 )
 
 volume, _ = make_phantom(dims=(48, 48, 32), seed=3, vol_id="demo")
-volume, _, _ = normalize_intensity(volume)
+volume = normalize_intensity(volume)
 
 
 def describe(name, before, after):

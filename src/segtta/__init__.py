@@ -23,7 +23,6 @@ from .core import (
     Spacing,
     Volume,
     default_augmentations,
-    denormalize_intensity,
     normalize_intensity,
 )
 from .augment import (
@@ -93,7 +92,6 @@ __all__ = [
     "apply",
     "contrast_enhancement",
     "default_augmentations",
-    "denormalize_intensity",
     "distance_transform",
     "emit_report",
     "evaluate",

@@ -173,25 +173,28 @@ def _predict_external(
         )
         started = time.monotonic()
         # A session of its own makes the shell and everything it starts one
-        # process group, so a timeout (or an interrupt) kills the model, not
-        # just the shell. The child's output is only logged and quoted, so
-        # bytes that do not decode are replaced rather than failing the run.
+        # process group, which is killed however the shell ends: on a
+        # timeout or an interrupt it takes the model down, not just the
+        # shell, and after a normal exit any helper left in the background.
+        # The group id stays allocated while a member lives, so it names no
+        # other group; an empty group is the usual case. The child's output
+        # is only logged and quoted, so bytes that do not decode are
+        # replaced rather than failing the run.
         with subprocess.Popen(
             command, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, errors="replace", start_new_session=True,
         ) as proc:
             try:
                 stdout, stderr = proc.communicate(timeout=backend.timeout)
-            except BaseException as e:
+            except subprocess.TimeoutExpired as e:
+                raise ProcessFailure(
+                    f"backend {backend.name!r} timed out after "
+                    f"{backend.timeout}s: {command}"
+                ) from e
+            finally:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
-                if isinstance(e, subprocess.TimeoutExpired):
-                    raise ProcessFailure(
-                        f"backend {backend.name!r} timed out after "
-                        f"{backend.timeout}s: {command}"
-                    ) from e
-                raise
         if log is not None:
             log.emit(
                 "log", logger=__name__,

@@ -163,7 +163,7 @@ def _cmd_augment(args) -> int:
     )
     volume = nifti.read_volume(args.input)
     if args.normalize:
-        volume, _, _ = normalize_intensity(volume)
+        volume = normalize_intensity(volume)
     rng = augmentation_rng(args.seed, volume.vol_id, spec.label())
     out = augment.apply(spec, volume, rng)
     nifti.write_volume(out, args.output, datatype=16)

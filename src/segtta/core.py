@@ -142,9 +142,9 @@ def slabs(dims) -> list[tuple[int, int]]:
     return [(a, min(a + step, dims[0])) for a in range(0, dims[0], step)]
 
 
-def _plane_sum(arr: np.ndarray, out=None) -> np.ndarray:
+def _plane_sum(arr: np.ndarray) -> np.ndarray:
     """Sum over the last (class) axis, adding one class plane after another."""
-    out = np.add(arr[..., 0], arr[..., 1], out=out)
+    out = arr[..., 0] + arr[..., 1]
     for c in range(2, arr.shape[-1]):
         out += arr[..., c]
     return out
@@ -487,24 +487,11 @@ def default_augmentations() -> tuple[AugmentationSpec, ...]:
     )
 
 
-def normalize_intensity(v: Volume) -> tuple[Volume, float, float]:
-    """Affinely map a volume's intensities onto [0, 1].
-
-    Returns ``(normalized, original_min, original_max)``; the recorded range
-    inverts the map via :func:`denormalize_intensity`. Constant volumes map
-    to all zeros with recorded range ``(min, min + 1)`` so the inverse is
-    still well defined.
-    """
+def normalize_intensity(v: Volume) -> Volume:
+    """Affinely map a volume's intensities onto [0, 1], its minimum to 0 and
+    its maximum to 1; a constant volume maps to all zeros."""
     mn = float(v.data.min())
     mx = float(v.data.max())
-    if mx > mn:
-        out = (v.data - mn) / (mx - mn)
-    else:
-        out = np.zeros_like(v.data)
-        mx = mn + 1.0
-    return v.with_data(out), mn, mx
-
-
-def denormalize_intensity(v: Volume, original_min: float, original_max: float) -> Volume:
-    """Invert :func:`normalize_intensity` using its recorded range."""
-    return v.with_data(v.data * (original_max - original_min) + original_min)
+    if mx == mn:
+        return v.with_data(np.zeros_like(v.data))
+    return v.with_data((v.data - mn) / (mx - mn))

@@ -31,10 +31,6 @@ class IoFailure(SegTTAError, OSError):
     """Reading or writing the underlying file failed."""
 
 
-class UnrepresentableValue(SegTTAError, ValueError):
-    """A value cannot be stored in the requested datatype without clamping."""
-
-
 class NotProbabilistic(SegTTAError, ValueError):
     """Per-voxel class probabilities do not sum to one within tolerance."""
 

@@ -86,14 +86,6 @@ class FusionInput:
         _check_tau(self.tau)
         object.__setattr__(self, "maps", tuple(sorted(maps, key=lambda m: m.source_tag)))
 
-    @property
-    def dims(self):
-        return self.maps[0].dims
-
-    @property
-    def num_classes(self) -> int:
-        return self.maps[0].num_classes
-
 
 class Votes:
     """Running vote sums of one set of maps over one slab of rows, kept as

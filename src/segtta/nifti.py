@@ -13,8 +13,8 @@ present before any array is built, so a short file or an oversized claim
 is reported as truncated. ``read_header`` alone reads just the header.
 
 Written files are canonical: vox_offset=352, scl_slope=1, scl_inter=0,
-little-endian unless asked otherwise, and gzip members carry mtime=0 so
-identical volumes produce identical bytes.
+little-endian (a volume may ask for big-endian), and gzip members carry
+mtime=0 so identical volumes produce identical bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     IoFailure,
     InvalidLabels,
-    UnrepresentableValue,
     UnsupportedDatatype,
 )
 
@@ -336,55 +335,35 @@ def _write_file(path, header: bytes, data: np.ndarray):
         raise IoFailure(f"cannot write {path}: {e}") from e
 
 
-def _convert_for_write(arr: np.ndarray, datatype: int, clamp: bool) -> np.ndarray:
-    dtype = np.dtype(DTYPE_FOR_CODE[datatype])
-    if datatype in (16, 64):
-        return arr.astype(dtype)
-    info = np.iinfo(dtype)
-    rounded = np.rint(arr)  # round half to even
-    if clamp:
-        rounded = np.clip(rounded, info.min, info.max)
-    elif rounded.size and (rounded.min() < info.min or rounded.max() > info.max):
-        bad = rounded.min() if rounded.min() < info.min else rounded.max()
-        raise UnrepresentableValue(
-            f"value {bad} outside [{info.min}, {info.max}] for datatype={datatype}"
-        )
-    return rounded.astype(dtype)
-
-
-def write_volume(v: Volume, path, datatype: int = 16, clamp: bool = True,
-                 byteorder: str = "<"):
-    """Write a volume; integer datatypes round half-to-even then clamp.
-
-    With ``clamp=False`` an out-of-range value raises UnrepresentableValue
-    instead of being clamped.
-    """
+def write_volume(v: Volume, path, datatype: int = 16, byteorder: str = "<"):
+    """Write a volume; integer datatypes round half-to-even then clamp."""
     if datatype not in DTYPE_FOR_CODE:
         raise UnsupportedDatatype(f"datatype={datatype} not in {sorted(DTYPE_FOR_CODE)}")
-    data = _convert_for_write(v.data, datatype, clamp)
-    data = data.astype(data.dtype.newbyteorder(byteorder))
+    dtype = np.dtype(DTYPE_FOR_CODE[datatype]).newbyteorder(byteorder)
+    data = v.data
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        data = np.clip(np.rint(data), info.min, info.max)
     header = _build_header(v.dims, v.spacing.as_tuple(), datatype, byteorder)
-    _write_file(path, header, data)
+    _write_file(path, header, data.astype(dtype))
 
 
-def write_label_mask(mask: LabelMask, spacing: Spacing, path, byteorder: str = "<"):
-    """Write a label mask as a uint8 volume."""
-    header = _build_header(mask.dims, spacing.as_tuple(), 2, byteorder)
-    data = mask.labels.astype(np.dtype("u1").newbyteorder(byteorder))
-    _write_file(path, header, data)
+def write_label_mask(mask: LabelMask, spacing: Spacing, path):
+    """Write a label mask as a little-endian uint8 volume."""
+    header = _build_header(mask.dims, spacing.as_tuple(), 2, "<")
+    _write_file(path, header, mask.labels)
 
 
-def write_probability_map(p: ProbabilityMap, path, spacing: Spacing,
-                          byteorder: str = "<"):
-    """Write a probability map as a 4D float32 file with dim[4]=num_classes
-    and the voxel spacing of the scan it segments.
+def write_probability_map(p: ProbabilityMap, path, spacing: Spacing):
+    """Write a probability map as a little-endian 4D float32 file with
+    dim[4]=num_classes and the voxel spacing of the scan it segments.
 
     The float32 values are filled in slab by slab, in the file's order, so
     besides the map the write holds them and one float64 slab.
     """
     dim = (*p.dims, p.num_classes)
-    header = _build_header(dim, (*spacing.as_tuple(), 0.0), 16, byteorder)
-    data = np.empty(dim, np.dtype("f4").newbyteorder(byteorder), order="F")
+    header = _build_header(dim, (*spacing.as_tuple(), 0.0), 16, "<")
+    data = np.empty(dim, np.dtype("<f4"), order="F")
     for a, b in slabs(p.dims):
         data[a:b] = p.slab(a, b)
     _write_file(path, header, data)

@@ -22,8 +22,9 @@ views, whatever the worker count. A ``PredictionCache`` passed in reuses
 predictions across calls; without one nothing is hashed or kept.
 
 The ``EventLog`` passed in is the run's one event channel: the pass logs
-each load, prediction, failure and stage total there, and an external
-backend logs its child's exit status, stdout and stderr there too.
+each load, prediction and failure, each finished case with its stage
+seconds, and each stage total there, and an external backend logs its
+child's exit status, stdout and stderr there too.
 """
 
 from __future__ import annotations
@@ -141,16 +142,18 @@ class PredictionCache:
 
     @staticmethod
     def _volume_hash(v: Volume) -> str:
+        """The digest of a view that :meth:`key` takes: id, geometry and
+        voxels; worked out once per view, whatever its backends."""
         h = hashlib.sha256()
         h.update(v.vol_id.encode())
         h.update(repr((v.dims, v.spacing.as_tuple())).encode())
         h.update(v.data.tobytes())
         return h.hexdigest()
 
-    def key(self, backend_dict: dict, view: str, volume: Volume, seed: int,
+    def key(self, backend_dict: dict, view: str, volume_hash: str, seed: int,
             num_classes: int) -> str:
         payload = json.dumps(
-            [backend_dict, view, self._volume_hash(volume), seed, num_classes],
+            [backend_dict, view, volume_hash, seed, num_classes],
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -356,9 +359,10 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
 
     Returns ``(reports, fg, seconds, None)``: per variant of ``variants``
     the metric report (None without ground truth) and the fused foreground
-    volume, and the case's seconds per stage (building the views counts as
-    loading). A case that fails with a SegTTAError returns ``(None, None,
-    seconds, reason)``.
+    volume, and the case's seconds per stage (building the views, and
+    hashing them for ``cache``, counts as loading), which its ``case_done``
+    event also carries. A case that fails with a SegTTAError returns
+    ``(None, None, seconds, reason)``.
     """
     case_id = entry.case_id
     seconds = dict.fromkeys(_STAGES, 0.0)
@@ -379,7 +383,7 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
                 raise DimensionMismatch(
                     f"label dims {gt.dims} != image dims {volume.dims}")
             _check_spacing(header.spacing, volume.spacing, "label", "image")
-        volume, _, _ = normalize_intensity(volume)
+        volume = normalize_intensity(volume)
     except SegTTAError as e:
         return failure("load", e)
     finally:
@@ -387,21 +391,22 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     log.emit("case_loaded", case=case_id, views=list(pairs))
     specs = {spec.label(): spec for spec in config.augmentations}
 
-    def build(view: str) -> Volume:
+    def build(view: str) -> tuple[Volume, str | None]:
+        """The view and, with a cache, its digest."""
         t = time.monotonic()
         try:
-            if view == BASELINE_VIEW:
-                return volume
-            rng = augmentation_rng(config.seed, case_id, view)
-            return augment.apply(specs[view], volume, rng)
+            image = volume if view == BASELINE_VIEW else augment.apply(
+                specs[view], volume, augmentation_rng(config.seed, case_id, view))
+            return image, cache._volume_hash(image) if cache is not None else None
         finally:
             seconds["load_s"] += time.monotonic() - t
 
-    def predict(tag: str, backend, view: str, image: Volume) -> ProbabilityMap:
+    def predict(tag: str, backend, view: str, image: Volume,
+                digest: str | None) -> ProbabilityMap:
         t = time.monotonic()
         try:
             if cache is not None:
-                key = cache.key(backend.to_dict(), view, image, config.seed,
+                key = cache.key(backend.to_dict(), view, digest, config.seed,
                                 num_classes)
                 cached = cache.get(key)
                 if cached is not None:
@@ -428,12 +433,12 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     failed = None  # (tag, backend, view, error) of the smallest failing tag
     try:
         for view, view_pairs in pairs.items():
-            image = build(view)
+            image, digest = build(view)
             for tag, backend in view_pairs:
                 if failed is not None and tag > failed[0]:
                     break
                 try:
-                    maps[tag] = view, predict(tag, backend, view, image)
+                    maps[tag] = view, predict(tag, backend, view, image, digest)
                 except SegTTAError as e:
                     failed = tag, backend, view, e
             image = None  # at most one view of the case is alive
@@ -473,7 +478,8 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
             )
         seconds["score_s"] += t2 - t1
         seconds["write_s"] += time.monotonic() - t2
-    log.emit("case_done", case=case_id)
+    log.emit("case_done", case=case_id,
+             **{stage: round(s, 6) for stage, s in seconds.items()})
     return reports, fg, seconds, None
 
 

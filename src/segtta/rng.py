@@ -30,10 +30,6 @@ class SeededRng:
         self.seed = int(seed)
         self.key = tuple(str(p) for p in key_parts)
 
-    def child(self, *key_parts) -> "SeededRng":
-        """Derive a sub-stream by extending the key."""
-        return SeededRng(self.seed, *self.key, *key_parts)
-
     def generator(self) -> np.random.Generator:
         digest = hashlib.sha256("\x1f".join(self.key).encode("utf-8")).digest()
         words = np.frombuffer(digest, dtype="<u4")

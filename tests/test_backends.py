@@ -2,6 +2,7 @@ import gc
 import itertools
 import os
 import shlex
+import signal
 import sys
 import textwrap
 import threading
@@ -468,6 +469,24 @@ class TestExternalProcess:
         while process_alive(pid) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not process_alive(pid)
+
+    def test_background_helper_killed_after_normal_exit(self, case, tmp_path):
+        # A model that leaves a helper behind and exits 0: the helper goes
+        # with the child's process group once predict returns.
+        volume, _ = case
+        pid_file = tmp_path / "helper.pid"
+        cmd = (f"sleep 30 >/dev/null 2>&1 & echo $! > {shlex.quote(str(pid_file))}; "
+               + script_command(tmp_path, ECHO_BACKEND))
+        backend = BackendDescriptor("external", name="x", command=cmd, timeout=60.0)
+        assert predict(backend, volume, 2, stream()).dims == volume.dims
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while process_alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = process_alive(pid)
+        if leaked:
+            os.kill(pid, signal.SIGKILL)  # not left running by a failed check
+        assert not leaked
 
     def test_exchange_dir_with_space(self, case, tmp_path, monkeypatch):
         spaced = tmp_path / "exchange dir"

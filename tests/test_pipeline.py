@@ -280,6 +280,7 @@ class TestRunSegtta:
 
         monkeypatch.setattr(segtta.backends, "predict", tracked)
         monkeypatch.setattr(PredictionCache, "key", no_hashing)
+        monkeypatch.setattr(PredictionCache, "_volume_hash", no_hashing)
         result = run_segtta(config, dataset)
         assert not result.failures
         assert len(result.per_case) == len(dataset.entries)
@@ -533,6 +534,23 @@ class TestAblation:
                     == scratch.per_case[case_id]["fused"]
                 )
 
+    def test_each_view_hashed_once(self, dataset, monkeypatch):
+        # A view is hashed once for the cache, not once per backend.
+        config = noisy_config(n_members=5)
+        views = 1 + len(config.augmentations)
+        hashed = []
+        volume_hash = PredictionCache._volume_hash
+
+        def counted(v):
+            hashed.append(v.vol_id)
+            return volume_hash(v)
+
+        monkeypatch.setattr(PredictionCache, "_volume_hash", staticmethod(counted))
+        cache = PredictionCache()
+        run_ablation(config, dataset, cache=cache)
+        assert len(hashed) == len(dataset.entries) * views
+        assert cache.misses == len(dataset.entries) * views * len(config.backends)
+
     def test_each_case_prepared_and_row_scored_once(self, dataset, monkeypatch):
         calls = {"evaluate": 0, "apply": 0}
 
@@ -784,6 +802,15 @@ class TestObservability:
         (done,) = [e for e in events if e["event"] == "run_done"]
         assert done["wall_s"] == round(result.timings["wall_s"], 6)
         assert done["peak_rss_mb"] == result.timings["peak_rss_mb"]
+        # Each finished case carries its own stage seconds, which add up
+        # to the stage totals within their rounding.
+        cases = [e for e in events if e["event"] == "case_done"]
+        assert sorted(e["case"] for e in cases) == sorted(
+            entry.case_id for entry in dataset.entries)
+        for stage in stages:
+            assert all(e[stage] >= 0 for e in cases)
+            assert sum(e[stage] for e in cases) == pytest.approx(
+                logged[stage], abs=(len(cases) + 1) * 5e-7)
 
     def test_api_run_logs_external_child_output(self, dataset, tmp_path,
                                                 talking_model):

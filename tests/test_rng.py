@@ -30,15 +30,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def test_child_extends_key():
-    parent = SeededRng(7, "case")
-    child = parent.child("blur")
-    direct = SeededRng(7, "case", "blur")
-    np.testing.assert_array_equal(
-        child.generator().random(20), direct.generator().random(20)
-    )
-
-
 def test_key_parts_are_delimited():
     # ("ab", "c") and ("a", "bc") must be distinct streams.
     a = SeededRng(1, "ab", "c").generator().random(20)
