@@ -115,14 +115,9 @@ def _jitter(gt: LabelMask, step, steps: int) -> np.ndarray:
 
 
 def _resolve_ground_truth(
-    backend: BackendDescriptor, volume: Volume, num_classes: int,
-    ground_truth: LabelMask | None,
+    backend: BackendDescriptor, volume: Volume, gt: LabelMask | None,
 ) -> LabelMask:
-    if backend.ground_truth is not None:
-        gt = nifti.read_label_mask(backend.ground_truth, num_classes)
-    elif ground_truth is not None:
-        gt = ground_truth
-    else:
+    if gt is None:
         raise GroundTruthMissing(
             f"backend {backend.name!r} ({backend.kind}) has no ground truth for "
             f"volume {volume.vol_id!r}"
@@ -246,10 +241,9 @@ def predict(
 ) -> ProbabilityMap:
     """Run one backend on one volume and validate the result.
 
-    Oracle kinds take the ground truth from the descriptor's fixed path or,
-    failing that, from the ``ground_truth`` argument (the pipeline passes
-    the case's own mask). ``source_tag`` defaults to the backend name.
-    ``log`` is the run's event log, any object with ``EventLog.emit``'s
+    Oracle kinds take the ground truth from the ``ground_truth`` argument
+    (the pipeline passes the case's own mask). ``source_tag`` defaults to
+    the backend name. ``log`` is the run's event log, any object with ``EventLog.emit``'s
     signature; without one no event is written.
     """
     if num_classes < 2:
@@ -257,10 +251,9 @@ def predict(
     tag = source_tag if source_tag is not None else backend.name
     confidence = backend.confidence
     if backend.kind == "oracle":
-        gt = _resolve_ground_truth(backend, volume, num_classes, ground_truth)
-        labels = gt.labels
+        labels = _resolve_ground_truth(backend, volume, ground_truth).labels
     elif backend.kind == "noisy_oracle":
-        gt = _resolve_ground_truth(backend, volume, num_classes, ground_truth)
+        gt = _resolve_ground_truth(backend, volume, ground_truth)
         labels = _predict_noisy(backend, gt, num_classes, rng)
     elif backend.kind == "constant":
         if backend.constant_class >= num_classes:

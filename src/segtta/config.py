@@ -21,8 +21,8 @@ from .fusion import _check_mode, _check_tau
 
 #: The fields each backend kind uses besides ``kind`` and ``name``.
 _KIND_FIELDS = {
-    "oracle": ("confidence", "ground_truth"),
-    "noisy_oracle": ("confidence", "ground_truth", "jitter", "flip_prob"),
+    "oracle": ("confidence",),
+    "noisy_oracle": ("confidence", "jitter", "flip_prob"),
     "constant": ("constant_class",),
     "external": ("command", "timeout"),
 }
@@ -31,6 +31,9 @@ BACKEND_KINDS = tuple(_KIND_FIELDS)
 DEFAULT_SEED = 2024
 DEFAULT_TAU = 0.6
 
+#: The view label of the un-augmented volume.
+BASELINE_VIEW = "baseline"
+
 
 @dataclass(frozen=True)
 class BackendDescriptor:
@@ -38,7 +41,8 @@ class BackendDescriptor:
 
     kinds and their parameters:
 
-    * ``oracle``: softened one-of the ground truth; ``confidence`` is the
+    * ``oracle``: softened one-hot of the case's own label mask, which the
+      pipeline passes to :func:`backends.predict`; ``confidence`` is the
       probability assigned to the true class (the rest is shared evenly).
     * ``noisy_oracle``: the oracle after jittering the foreground boundary
       by ``jitter`` voxels (dilate or erode, seeded direction) and flipping
@@ -47,16 +51,13 @@ class BackendDescriptor:
     * ``external``: runs ``command`` with ``{input}``/``{output}``/
       ``{classes}`` substituted, exchanging float32 NIfTI files.
 
-    ``ground_truth`` optionally points oracle kinds at a fixed label file;
-    otherwise the pipeline supplies the case's own label mask. ``name``
-    identifies the backend in source tags and RNG stream keys and must be
-    unique within a run config. A field the kind does not use must keep
-    its default; any other value is rejected.
+    ``name`` identifies the backend in source tags and RNG stream keys and
+    must be unique within a run config. A field the kind does not use must
+    keep its default; any other value is rejected.
     """
 
     kind: str
     name: str = ""
-    ground_truth: str | None = None
     confidence: float = 1.0
     jitter: int = 0
     flip_prob: float = 0.0
@@ -83,11 +84,8 @@ class BackendDescriptor:
             raise ConfigError("external backend needs a command template")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "name": self.name}
-        for field in _KIND_FIELDS[self.kind]:
-            if getattr(self, field) is not None:  # ground_truth is optional
-                d[field] = getattr(self, field)
-        return d
+        return {"kind": self.kind, "name": self.name,
+                **{field: getattr(self, field) for field in _KIND_FIELDS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackendDescriptor":
@@ -99,10 +97,10 @@ class RunConfig:
     """The complete experiment description.
 
     ``subset`` optionally restricts the backend x view cross product to the
-    listed ``(backend name, view label)`` pairs; views are "baseline" or an
-    augmentation's canonical label. ``jobs`` is the number of cases in
-    flight: each worker loads, predicts, fuses and scores one case at a
-    time. ``process_jobs`` bounds the external model processes running at
+    listed ``(backend name, view label)`` pairs, each naming a backend and
+    one of :attr:`views`; augmentation labels must be unique. ``jobs`` is
+    the number of cases in flight: each worker loads, predicts, fuses and
+    scores one case at a time. ``process_jobs`` bounds the external model processes running at
     once across those workers. Neither affects results.
     """
 
@@ -129,6 +127,9 @@ class RunConfig:
             raise ConfigError(f"backend names must be unique, got {names}")
         object.__setattr__(self, "backends", named)
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
+        labels = [spec.label() for spec in self.augmentations]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"augmentation labels must be unique, got {labels}")
         _check_mode(self.voting)
         _check_tau(self.tau)
         if self.seed < 0:
@@ -147,6 +148,18 @@ class RunConfig:
             object.__setattr__(
                 self, "subset", tuple((str(b), str(v)) for b, v in self.subset)
             )
+            unknown = [[b, v] for b, v in self.subset
+                       if b not in names or v not in self.views]
+            if unknown:
+                raise ConfigError(f"config field 'subset' has pairs that name no "
+                                  f"backend or view of the config: {json.dumps(unknown)}")
+
+    @property
+    def views(self) -> tuple[str, ...]:
+        """The views the config fuses, in config order: ``BASELINE_VIEW``
+        when included, then each augmentation's label."""
+        return ((BASELINE_VIEW,) if self.include_baseline else ()) + tuple(
+            spec.label() for spec in self.augmentations)
 
     def to_dict(self) -> dict:
         d = {
@@ -198,12 +211,6 @@ def _read_json(path):
 
 def load_config(path) -> RunConfig:
     return RunConfig.from_dict(_check_json(_read_json(path), "object", f"config {path}"))
-
-
-def save_config(config: RunConfig, path):
-    with open(path, "w") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 @dataclass(frozen=True)

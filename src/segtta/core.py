@@ -178,9 +178,6 @@ class Spacing:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.dx, self.dy, self.dz)
 
-    def scaled(self, s: float) -> "Spacing":
-        return Spacing(self.dx * s, self.dy * s, self.dz * s)
-
 
 @dataclass(frozen=True, eq=False)
 class Volume:
@@ -222,8 +219,10 @@ class ProbabilityMap:
     A map has shape ``(nx, ny, nz, C)`` with 2 <= C <= ``MAX_CLASSES``
     classes (class 0 is background). Per voxel the probabilities must sum to
     1 within ``PROB_TOL``; they are clamped to [0, 1] and renormalized to
-    sum exactly. Values further out than the tolerance are an error, not
-    silently fixed, because they indicate a broken backend. The whole map
+    sum exactly, by the sum of the class planes added one after another,
+    whatever the input's memory layout. Values further out than the
+    tolerance are an error, not silently fixed, because they indicate a
+    broken backend. The whole map
     is checked when it is built, so every rejection happens then.
 
     ``source_tag`` records (backend, view) provenance and defines the
@@ -264,12 +263,7 @@ class ProbabilityMap:
                 f"map {self.source_tag!r}: probs range [{lo:g}, {hi:g}] "
                 f"outside [0, 1] by more than {PROB_TOL:g}"
             )
-        # The renormalization divisor is np.sum over the input's memory
-        # order: from 8 classes on its bits differ between a C-ordered class
-        # axis (pairwise) and any other (plane after plane), so the order
-        # is kept with the copy.
-        self._hold(values=_freeze(np.array(src, order="C")),
-                   c_order=src.flags.c_contiguous)
+        self._hold(values=_freeze(np.array(src, order="C")))
         dev = 0.0
         for a, b in slabs(self.dims):
             # Adding whole class planes is ~18x faster than a reduction
@@ -285,12 +279,11 @@ class ProbabilityMap:
             )
         object.__setattr__(self, "_renorm", dev > RENORM_TOL)
 
-    def _hold(self, values=None, c_order=True, renorm=False, table=None, labels=None):
+    def _hold(self, values=None, renorm=False, table=None, labels=None):
         """Set the held form: ``values`` (a checked array) or ``table`` and
         ``labels`` (a from_rows map)."""
-        for name, value in (("_values", values), ("_c_order", c_order),
-                            ("_renorm", renorm), ("_table", table),
-                            ("_labels", labels)):
+        for name, value in (("_values", values), ("_renorm", renorm),
+                            ("_table", table), ("_labels", labels)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -342,8 +335,7 @@ class ProbabilityMap:
         np.clip(self._values[a:b], 0.0, 1.0, out=out)
         if self._renorm:
             # The division is in place, so a slab costs one plane of scratch.
-            sums = np.sum(out, axis=3) if self._c_order else _plane_sum(out)
-            out /= sums[..., None]
+            out /= _plane_sum(out)[..., None]
         return out
 
     @property

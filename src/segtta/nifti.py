@@ -105,12 +105,10 @@ class NiftiHeader:
 
     dim: tuple[int, ...]
     datatype: int
-    bitpix: int
     pixdim: tuple[float, ...]
     vox_offset: int
     scl_slope: float
     scl_inter: float
-    magic: bytes
     byteorder: str  # "<" or ">"
 
     @property
@@ -193,12 +191,10 @@ def _parse_header(raw: bytes, path) -> NiftiHeader:
     return NiftiHeader(
         dim=dim,
         datatype=datatype,
-        bitpix=bitpix,
         pixdim=pixdim,
         vox_offset=int(vox_offset),
         scl_slope=float(rec["scl_slope"]),
         scl_inter=float(rec["scl_inter"]),
-        magic=magic,
         byteorder=byteorder,
     )
 

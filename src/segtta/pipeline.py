@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment, backends, nifti
-from .config import DatasetManifest, RunConfig, _read_json
+from .config import BASELINE_VIEW, DatasetManifest, RunConfig, _read_json
 from .core import (
     ProbabilityMap, Spacing, Volume, _check_fields, _check_json,
     normalize_intensity,
@@ -60,7 +60,6 @@ from .fusion import FusionInput, fuse  # noqa: F401
 from .metrics import CaseScorer, MetricReport, evaluate
 from .rng import SeededRng
 
-BASELINE_VIEW = "baseline"
 FUSED_VARIANT = "fused"
 
 #: Relative tolerance between a label's and its image's voxel spacing;
@@ -308,16 +307,6 @@ def _aggregate(per_case: dict, fg_volume: dict, variants) -> dict:
 _STAGES = ("load_s", "predict_s", "fuse_s", "score_s", "write_s")
 
 
-def _view_names(config: RunConfig, drop: int | None = None) -> tuple[str, ...]:
-    """The views a config fuses, in config order; ``drop`` leaves out the
-    augmentation at that index (a view another spec shares stays)."""
-    names = [BASELINE_VIEW] if config.include_baseline else []
-    for i, spec in enumerate(config.augmentations):
-        if i != drop and spec.label() not in names:
-            names.append(spec.label())
-    return tuple(names)
-
-
 def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
               num_classes: int, mask_dirs: dict, cache: PredictionCache | None,
               log: EventLog, process_slots: threading.Semaphore):
@@ -521,7 +510,7 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
                       for backend in config.backends
                       if config.subset is None or (backend.name, view) in config.subset),
                      key=lambda pair: pair[0])
-        for view in _view_names(config)
+        for view in config.views
     }
     run_case = functools.partial(
         _run_case, config=config, pairs=pairs,
@@ -579,7 +568,7 @@ def run_segtta(config: RunConfig, manifest: DatasetManifest, out_dir=None,
     are written under ``out_dir/masks`` when an output directory is given;
     metrics are computed for cases with ground truth.
     """
-    views = _view_names(config)
+    views = config.views
     variants = [(view, (view,), config.tau) for view in views]
     variants.append((FUSED_VARIANT, views, config.tau))
     return _run_variants(
@@ -604,12 +593,14 @@ def run_ablation(config: RunConfig, manifest: DatasetManifest, out_dir=None,
         raise InsufficientAugmentations(
             f"ablation needs >= 2 augmentations, got {len(config.augmentations)}"
         )
-    variants = [("full", _view_names(config), config.tau)]
+    views = config.views
+    variants = [("full", views, config.tau)]
     if config.include_baseline:
         variants.insert(0, (BASELINE_VIEW, (BASELINE_VIEW,), config.tau))
     variants += [
-        (f"w/o {spec.label()}", _view_names(config, drop=i), config.tau)
-        for i, spec in enumerate(config.augmentations)
+        (f"w/o {spec.label()}",
+         tuple(view for view in views if view != spec.label()), config.tau)
+        for spec in config.augmentations
     ]
     return _run_variants(
         config, manifest, variants, reference="full",
@@ -625,13 +616,16 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
 
     Reports metrics and fused foreground volume per threshold, and writes
     each threshold's masks under ``out_dir/masks/tau=<t>``; the reference
-    row for deltas is tau=0.6 when present, else the first.
+    row for deltas is tau=0.6 when present, else the first. Thresholds
+    whose ``tau=<t>`` row names coincide raise ConfigError.
     """
     taus = [_check_tau(t) for t in taus]
     if not taus:
         raise SegTTAError("sweep needs at least one tau")
-    views = _view_names(config)
-    variants = [(f"tau={t:g}", views, t) for t in taus]
+    variants = [(f"tau={t:g}", config.views, t) for t in taus]
+    names = [name for name, _, _ in variants]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"sweep taus {taus} must name distinct rows, got {names}")
     reference = next(
         (name for name, _, t in variants if abs(t - 0.6) < 1e-12),
         variants[0][0],

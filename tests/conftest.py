@@ -26,11 +26,10 @@ _IGNORED_FIELDS = {
     "oracle": ({}, {"jitter": 2, "flip_prob": 0.3, "constant_class": 1,
                     "command": "x", "timeout": 5.0}),
     "noisy_oracle": ({}, {"constant_class": 1, "command": "x", "timeout": 5.0}),
-    "constant": ({}, {"confidence": 0.9, "ground_truth": "gt.nii", "jitter": 1,
-                      "flip_prob": 0.1, "command": "x", "timeout": 5.0}),
-    "external": ({"command": "x"}, {"confidence": 0.9, "ground_truth": "gt.nii",
-                                    "jitter": 1, "flip_prob": 0.1,
-                                    "constant_class": 1}),
+    "constant": ({}, {"confidence": 0.9, "jitter": 1, "flip_prob": 0.1,
+                      "command": "x", "timeout": 5.0}),
+    "external": ({"command": "x"}, {"confidence": 0.9, "jitter": 1,
+                                    "flip_prob": 0.1, "constant_class": 1}),
 }
 IGNORED_FIELD_CASES = [
     (kind, {"kind": kind, **base, field: value}, field)

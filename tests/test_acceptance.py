@@ -219,7 +219,8 @@ def test_criterion_5_metric_identities(rng):
         a = make_blob_mask((14, 12, 10), seed=2, threshold=0.58)
         assert hd95(m, m, spacing) == 0.0
         assert hd95(a, m, spacing) == hd95(m, a, spacing)
-        assert hd95(a, m, spacing.scaled(2.0)) == 2.0 * hd95(a, m, spacing)
+        doubled = Spacing(*(2.0 * d for d in spacing.as_tuple()))
+        assert hd95(a, m, doubled) == 2.0 * hd95(a, m, spacing)
 
 
 def test_criterion_6_augmentation_identities(rng):

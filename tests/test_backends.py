@@ -22,7 +22,6 @@ from segtta import (
     Volume,
     make_phantom,
     predict,
-    write_label_mask,
 )
 import segtta.backends
 from segtta.backends import _dilate_step, _erode_step, _predict_noisy, _soften
@@ -65,14 +64,6 @@ class TestOracle:
                       volume, 2, stream(), ground_truth=gt)
         np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), gt.labels)
         assert np.allclose(dense(out).max(axis=-1), 0.8)
-
-    def test_ground_truth_from_file(self, case, tmp_path):
-        volume, gt = case
-        path = tmp_path / "gt.nii.gz"
-        write_label_mask(gt, volume.spacing, path)
-        backend = BackendDescriptor("oracle", name="o", ground_truth=str(path))
-        out = predict(backend, volume, 2, stream())
-        np.testing.assert_array_equal(np.argmax(dense(out), axis=-1), gt.labels)
 
     def test_missing_ground_truth(self, case):
         volume, _ = case

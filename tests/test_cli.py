@@ -176,6 +176,53 @@ class TestRun:
         assert repr(field) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, override, named", [
+        ("run", {"subset": [["nbX", "baseline"]]}, '[["nbX", "baseline"]]'),
+        ("run", {"subset": [["nb0", "baselin"]]}, '[["nb0", "baselin"]]'),
+        ("run", {"subset": [[1, 2]]}, '[["1", "2"]]'),
+        ("ablate", {"augmentations": [
+            {"kind": "gamma_correction", "gamma": 0.8},
+            {"kind": "gaussian_blur", "sigma": 1.0},
+            {"kind": "gamma_correction", "gamma": 0.8}]},
+         "augmentation labels must be unique, got ['gamma_correction(gamma=0.8)', "
+         "'gaussian_blur(sigma=1.0,axis=2)', 'gamma_correction(gamma=0.8)']"),
+        ("run", {"backends": [{"kind": "oracle", "ground_truth": "gt.nii"}]},
+         "unknown backend fields ['ground_truth']"),
+    ], ids=["unknown-backend", "unknown-view", "numbers", "repeated-augmentation",
+            "ground-truth-file"])
+    def test_config_the_run_cannot_honour_is_diagnosed(
+            self, dataset_dir, config_path, tmp_path, capsys, command, override, named):
+        config = {**json.loads(config_path.read_text()), **override}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = run_cli(
+            command, "--config", bad, "--manifest", dataset_dir / "manifest.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("taus, named", [
+        ("0.3,0.3000001,0.9", "got ['tau=0.3', 'tau=0.3', 'tau=0.9']"),
+        ("0.6,0.6", "got ['tau=0.6', 'tau=0.6']"),
+    ], ids=["close", "equal"])
+    def test_sweep_taus_sharing_a_row_name_are_diagnosed(
+            self, dataset_dir, config_path, tmp_path, capsys, taus, named):
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--config", config_path,
+            "--manifest", dataset_dir / "manifest.json", "--taus", taus,
+            "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert "Traceback" not in err
+        assert not (out / "masks").exists()
+
     @pytest.mark.parametrize("kind, backend, field", IGNORED_FIELD_CASES,
                              ids=[f"{k}-{f}" for k, _, f in IGNORED_FIELD_CASES])
     def test_backend_field_the_kind_ignores_is_diagnosed(

@@ -11,7 +11,7 @@ from segtta import (
     load_config,
     load_manifest,
 )
-from segtta.config import DatasetManifest, ManifestEntry, save_config
+from segtta.config import DatasetManifest, ManifestEntry
 from segtta.errors import ConfigError, InvalidTau, SegTTAError
 
 from conftest import IGNORED_FIELD_CASES
@@ -45,6 +45,32 @@ class TestRunConfig:
                 BackendDescriptor("constant", name="x"),
             ))
 
+    @pytest.mark.parametrize("subset, unknown", [
+        ((("nbX", "baseline"),), '[["nbX", "baseline"]]'),
+        ((("o", "baselin"), ("o", "baseline")), '[["o", "baselin"]]'),
+        (((1, 2),), '[["1", "2"]]'),
+    ], ids=["unknown-backend", "unknown-view", "numbers"])
+    def test_subset_must_name_a_backend_and_a_view(self, subset, unknown):
+        with pytest.raises(ConfigError, match=re.escape(f"of the config: {unknown}")):
+            RunConfig(backends=(oracle(),), subset=subset)
+
+    def test_subset_views_follow_the_config(self):
+        gamma = AugmentationSpec("gamma_correction", gamma=0.8)
+        cfg = RunConfig(backends=(oracle(),), augmentations=(gamma,),
+                        subset=(("o", gamma.label()),))
+        assert cfg.views == ("baseline", "gamma_correction(gamma=0.8)")
+        with pytest.raises(ConfigError, match="baseline"):
+            RunConfig(backends=(oracle(),), augmentations=(gamma,),
+                      include_baseline=False, subset=(("o", "baseline"),))
+
+    def test_augmentation_labels_must_be_unique(self):
+        gamma = AugmentationSpec("gamma_correction", gamma=0.8)
+        blur = AugmentationSpec("gaussian_blur", sigma=1.0)
+        with pytest.raises(ConfigError, match=re.escape(
+                "augmentation labels must be unique, got ['gamma_correction(gamma=0.8)', "
+                "'gaussian_blur(sigma=1.0,axis=2)', 'gamma_correction(gamma=0.8)']")):
+            RunConfig(backends=(oracle(),), augmentations=(gamma, blur, gamma))
+
     def test_tau_validated(self):
         with pytest.raises(InvalidTau):
             RunConfig(backends=(oracle(),), tau=0.0)
@@ -69,7 +95,7 @@ class TestRunConfig:
             subset=(("n0", "baseline"),),
         )
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
 
     def test_missing_augmentations_field_uses_default_set(self, tmp_path):
@@ -98,6 +124,8 @@ class TestRunConfig:
         ({"backends": [{"kind": "oracle"}],
           "augmentations": [{"kind": "identity", "axis": 1}]},
          "augmentation fields ['axis']"),
+        ({"backends": [{"kind": "oracle", "ground_truth": "gt.nii"}]},
+         "backend fields ['ground_truth']"),
     ])
     def test_unknown_field_is_a_config_error(self, document, field):
         with pytest.raises(ConfigError, match=re.escape(f"unknown {field}")) as info:
@@ -110,9 +138,6 @@ class TestBackendDescriptor:
     @pytest.mark.parametrize("backend, d", [
         (BackendDescriptor("oracle", name="o", confidence=0.9),
          {"kind": "oracle", "name": "o", "confidence": 0.9}),
-        (BackendDescriptor("oracle", name="o", ground_truth="gt.nii"),
-         {"kind": "oracle", "name": "o", "confidence": 1.0,
-          "ground_truth": "gt.nii"}),
         (BackendDescriptor("noisy_oracle", name="n", confidence=0.9, jitter=1,
                            flip_prob=0.1),
          {"kind": "noisy_oracle", "name": "n", "confidence": 0.9, "jitter": 1,
@@ -123,7 +148,7 @@ class TestBackendDescriptor:
                            timeout=30.0),
          {"kind": "external", "name": "x", "command": "m {input} {output}",
           "timeout": 30.0}),
-    ], ids=["oracle", "oracle-gt", "noisy_oracle", "constant", "external"])
+    ], ids=["oracle", "noisy_oracle", "constant", "external"])
     def test_to_dict_of_every_kind(self, backend, d):
         assert backend.to_dict() == d
         assert BackendDescriptor.from_dict(d) == backend

@@ -150,10 +150,9 @@ class TestProbabilityMap:
 
     @pytest.mark.parametrize("num_classes", range(2, 13))
     def test_bytes_match_clip_sum_divide(self, rng, num_classes):
-        # The plain formula: clip to [0, 1], renormalize by np.sum over the
-        # class axis when any voxel's sum is off by more than RENORM_TOL.
-        # From 8 classes on, np.sum's bits depend on the memory order, so
-        # both orders are checked.
+        # The plain formula: clip to [0, 1], renormalize by the sum of the
+        # class planes, added one after another, when any voxel's sum is off
+        # by more than RENORM_TOL. Both memory orders are checked.
         exact = rng.random((5, 4, 3, num_classes))
         exact /= exact.sum(axis=3, keepdims=True)
         noisy = exact + rng.uniform(-2e-4, 2e-4, exact.shape) / num_classes
@@ -164,7 +163,7 @@ class TestProbabilityMap:
     @staticmethod
     def check_formula(probs):
         clipped = np.clip(probs, 0.0, 1.0)
-        sums = clipped.sum(axis=3)
+        sums = sum(clipped[..., c] for c in range(clipped.shape[3]))
         if np.abs(sums - 1.0).max() > 1e-12:
             clipped = clipped / sums[..., None]
         caller = probs.copy(order="K")
@@ -172,6 +171,17 @@ class TestProbabilityMap:
         assert got.tobytes() == clipped.tobytes()
         assert not np.shares_memory(got, caller) and caller.flags.writeable
         np.testing.assert_array_equal(caller, probs)
+
+    @pytest.mark.parametrize("num_classes", range(2, 13))
+    def test_bytes_do_not_depend_on_memory_layout(self, rng, num_classes):
+        # 3 slabs; the off-by-5e-4 values renormalize every voxel.
+        exact = rng.random((70, 36, 30, num_classes))
+        exact /= exact.sum(axis=3, keepdims=True)
+        for values in (exact, exact * (1 + 5e-4 / num_classes)):
+            c_map = ProbabilityMap(np.ascontiguousarray(values))
+            f_map = ProbabilityMap(np.asfortranarray(values))
+            for a, b in slabs(c_map.dims):
+                assert c_map.slab(a, b).tobytes() == f_map.slab(a, b).tobytes()
 
     @pytest.mark.parametrize("num_classes", range(2, 13))
     def test_from_rows_matches_the_dense_map(self, rng, num_classes):
@@ -210,10 +220,10 @@ class TestProbabilityMap:
 
     @staticmethod
     def whole_map_formula(probs):
-        """Clip in float64, then renormalize every voxel by np.sum over the
-        class axis in the input's memory order if any voxel is off."""
+        """Clip in float64, then renormalize every voxel by the sum of its
+        class planes, added one after another, if any voxel is off."""
         clipped = np.clip(probs.astype(np.float64), 0.0, 1.0)
-        sums = clipped.sum(axis=3)
+        sums = sum(clipped[..., c] for c in range(clipped.shape[3]))
         if np.abs(sums - 1.0).max() > 1e-12:
             clipped = clipped / sums[..., None]
         return np.ascontiguousarray(clipped)

@@ -1,7 +1,10 @@
 from dataclasses import replace
 import json
+import os
 from pathlib import Path
+import re
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -37,7 +40,9 @@ import segtta.backends
 import segtta.fusion
 import segtta.metrics
 import segtta.nifti
-from segtta.errors import InsufficientAugmentations, InvalidTau, InvalidVolume
+from segtta.errors import (
+    ConfigError, InsufficientAugmentations, InvalidTau, InvalidVolume,
+)
 import segtta.pipeline
 from segtta.pipeline import EventLog
 
@@ -622,6 +627,15 @@ class TestSweep:
         with pytest.raises(InvalidTau):
             run_threshold_sweep(noisy_config(), dataset, [0.5, 1.5])
 
+    @pytest.mark.parametrize("taus, named", [
+        ([0.3, 0.3000001, 0.9], "taus [0.3, 0.3000001, 0.9] must name distinct "
+                                "rows, got ['tau=0.3', 'tau=0.3', 'tau=0.9']"),
+        ([0.6, 0.6], "taus [0.6, 0.6] must name distinct rows"),
+    ], ids=["close", "equal"])
+    def test_taus_must_name_distinct_rows(self, dataset, taus, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            run_threshold_sweep(noisy_config(), dataset, taus)
+
 
 class TestStreamingVotes:
     """Each map is counted once per slab into per-view-set votes."""
@@ -862,3 +876,33 @@ class TestObservability:
         assert {(r["thread"], r["j"]) for r in records} == {
             (i, j) for i in range(4) for j in range(200)
         }
+
+
+#: Imports every segtta module and runs a 2-case phantom with the test-only
+#: packages made unimportable, as a numpy-only install would have them.
+_NUMPY_ONLY_RUN = """
+import importlib, pkgutil, sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+import segtta
+for module in pkgutil.iter_modules(segtta.__path__):
+    importlib.import_module("segtta." + module.name)
+manifest = segtta.load_manifest(segtta.write_phantom_dataset(
+    sys.argv[1], n_cases=2, dims=(10, 10, 8), seed=1))
+member = segtta.BackendDescriptor("noisy_oracle", name="n", confidence=0.9,
+                                  jitter=1, flip_prob=0.1)
+result = segtta.run_segtta(segtta.RunConfig(backends=(member,)), manifest)
+print(len(result.per_case), len(result.failures))
+"""
+
+
+def test_runs_with_numpy_as_the_only_dependency(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path / "data")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "0"]
