@@ -1,36 +1,34 @@
 """Voting fusion of probability maps into a single label mask.
 
-Three per-voxel rules are provided:
+The three modes are one weighted vote. Map i gives class c the vote
+w_i(x) P_i(x, c) at voxel x, and the votes are summed over the maps,
 
-* majority: each map casts one vote for its argmax class,
-      y(x) = argmax_c  #{i : argmax_c' P_i(x, c') = c}
-* confidence-weighted: class scores weighted by each map's confidence,
-      y(x) = argmax_c  sum_i w_i(x) P_i(x, c),   w_i(x) = max_c P_i(x, c)
-* threshold-weighted: the confidence-weighted score is normalized by the
-  total weight, and a voxel is labeled only when the winning normalized
-  score reaches the threshold tau; otherwise it falls back to background,
-      S(x, c) = sum_k w_k(x) P_k(x, c)
-      y(x)    = argmax_c S_hat(x, c)  if max_c S_hat >= tau else 0,
-  with S_hat = S / sum_k w_k(x). The normalization keeps a fixed tau
-  meaningful for any ensemble size.
+    S(x, c) = sum_i w_i(x) P_i(x, c),    W(x) = sum_i w_i(x);
 
-Fusion goes slab by slab along the first axis (``core.slabs``: at most
-``core.SLAB_VOXELS`` voxels each, in whole planes). Per slab it streams
-through one accumulator per group of maps, :class:`Votes`, which keeps
-one plane per class (S and W, or integer vote counts). Maps are counted in
-source-tag order by ``count(map, votes)``, which checks a map, forms its
-slab of float64 values, works out its w (or its argmax classes for
-majority) once, then adds it one class at a time: w * P(., c) (or the
-votes for c) goes into one scratch plane, which is added to every
-accumulator that counts the map. The decision reads the planes without
-changing them, so several thresholds decide from one accumulator, and
-writes the slab of each mask. :func:`fuse_groups` is that loop, for the
-pipeline and for :func:`fuse` alike. Nothing is stacked and no plane spans
-the volume: besides the maps, which stay in the compact form they are held
-in, and the output masks, fusion holds one slab of votes per group and one
-slab of one map at a time, for any ensemble size. The fixed order makes
-the masks independent of input order; ties break toward the lower class
-index.
+each voxel takes the class of the largest score, ties to the lower class:
+
+* majority: a map votes with the one-hot of its argmax class (lower class
+  on ties) at weight 1, so S counts each class's votes, exactly in
+  float64, and the score is S;
+* confidence-weighted: w_i(x) = max_c P_i(x, c), and the score is S, with
+  no normalization and no tau;
+* threshold-weighted: the same w_i, and the score is S_hat = S / W; a
+  voxel whose largest S_hat falls below the threshold tau is background.
+  The normalization keeps a fixed tau meaningful for any ensemble size.
+
+:func:`fuse_groups` fuses slab by slab along the first axis
+(``core.slabs``: at most ``core.SLAB_VOXELS`` voxels each, in whole
+planes), for the pipeline and for :func:`fuse` alike. Per slab it keeps C
+planes of S and one of W for each group of maps. It forms each map's slab
+of float64 values and its w once, in source-tag order, then adds
+w * P(., c) from one scratch plane into every group that holds the map.
+Each decision reads its group's sums without changing them, so several
+thresholds decide from one set of sums, and writes its slab of the mask.
+Nothing is stacked and no plane spans the volume: besides the maps, which
+stay in the compact form they are held in, and the output masks, fusion
+holds one slab of sums per group and one slab of one map at a time, for
+any ensemble size. The fixed order makes the masks independent of input
+order.
 """
 
 from __future__ import annotations
@@ -58,14 +56,17 @@ def _check_mode(mode) -> str:
     return mode
 
 
-def _check_consistent(m: ProbabilityMap, ref, name: str) -> None:
-    """Raise InconsistentMaps unless map ``m`` has the dims and class count
-    of ``ref`` (a map or votes), called ``name`` in the message."""
-    if (m.dims, m.num_classes) != (ref.dims, ref.num_classes):
-        raise InconsistentMaps(
-            f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
-            f"classes; {name} has {ref.dims} and {ref.num_classes}"
-        )
+def _check_consistent(maps) -> None:
+    """Raise InconsistentMaps, naming both maps, unless every map has the
+    dims and class count of the first."""
+    first = maps[0]
+    for m in maps[1:]:
+        if (m.dims, m.num_classes) != (first.dims, first.num_classes):
+            raise InconsistentMaps(
+                f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
+                f"classes; map {first.source_tag!r} has {first.dims} and "
+                f"{first.num_classes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,85 +81,29 @@ class FusionInput:
         maps = tuple(self.maps)
         if not maps:
             raise InconsistentMaps("fusion input needs at least one probability map")
-        for m in maps[1:]:
-            _check_consistent(m, maps[0], repr(maps[0].source_tag))
+        _check_consistent(maps)
         _check_mode(self.mode)
         _check_tau(self.tau)
         object.__setattr__(self, "maps", tuple(sorted(maps, key=lambda m: m.source_tag)))
 
 
-class Votes:
-    """Running vote sums of one set of maps over one slab of rows, kept as
-    one plane per class.
-
-    ``rows`` is the ``(a, b)`` range of first-axis rows the votes cover
-    (all of ``dims`` by default). ``count(map, votes)`` adds a map's slab
-    into the running sums ``S(., c)`` and ``W`` (int32 counts for majority)
-    of one or several votes, so one map can feed the votes of several view
-    sets. ``decide(tau, out)`` reads the sums without changing them, so
-    every threshold of a sweep decides from one set of sums.
-    """
-
-    def __init__(self, mode: str, dims, num_classes: int, rows=None):
-        self.mode = _check_mode(mode)
-        self.dims = tuple(dims)
-        self.num_classes = num_classes
-        self.rows = (0, self.dims[0]) if rows is None else tuple(rows)
-        shape = (self.rows[1] - self.rows[0], *self.dims[1:])
-        dtype = np.int32 if mode == "majority" else np.float64
-        self.scores = [np.zeros(shape, dtype) for _ in range(num_classes)]
-        self.weight = None if mode == "majority" else np.zeros(shape)
-        self.maps = 0  # maps counted
-
-    def decide(self, tau: float, out: np.ndarray) -> None:
-        """Write the fused labels of the slab into ``out`` (uint8, the
-        slab's shape): per voxel the class of the largest score, ties to
-        the lower class; for threshold_weighted the scores are S / W and a
-        voxel whose largest falls below ``tau`` is background."""
-        if not self.maps:
-            raise InconsistentMaps("votes need at least one probability map")
-        normalized = self.mode == "threshold_weighted"
-        if normalized:
-            tau = _check_tau(tau)
-        # W >= 1/C > 0 (a map's per-voxel max is >= 1/C), so S/W is in [0, 1].
-        scores = (s / self.weight if normalized else s for s in self.scores)
-        best = np.array(next(scores))  # a copy: the maxima go into it
-        out[...] = 0
-        for c, score in enumerate(scores, start=1):
-            np.copyto(out, c, where=score > best)
-            np.maximum(best, score, out=best)
-        if normalized:
-            out[best < tau] = 0
-
-
-def count(m: ProbabilityMap, votes) -> None:
-    """Add map ``m``'s slab to each of ``votes``, which share one mode,
-    dims, class count and rows; InconsistentMaps unless ``m`` has the same
-    dims and class count. Its weight ``w = max_c P`` (for majority, its
-    argmax class per voxel, lower index on ties) is worked out once; then,
-    class by class, ``w * P(., c)`` (the votes for c) is formed in one
-    scratch plane and added to every accumulator."""
-    _check_consistent(m, votes[0], "the votes")
-    majority = votes[0].mode == "majority"
-    probs = m.slab(*votes[0].rows)
-    if majority:
-        top = np.argmax(probs, axis=-1)
-    else:
-        weight = probs[..., 0].copy()
-        for c in range(1, m.num_classes):
-            np.maximum(weight, probs[..., c], out=weight)
-    scratch = np.empty(probs.shape[:3], bool if majority else np.float64)
-    for c in range(m.num_classes):
-        if majority:
-            np.equal(top, c, out=scratch)
-        else:
-            np.multiply(probs[..., c], weight, out=scratch)
-        for acc in votes:
-            acc.scores[c] += scratch
-    for acc in votes:
-        if not majority:
-            acc.weight += weight
-        acc.maps += 1
+def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
+    """Write into ``out`` (uint8, the slab's shape) the fused labels of one
+    group's ``sums``, its C planes of S and then its plane of W: per voxel
+    the class of the largest score, ties to the lower class; for
+    threshold_weighted the scores are S / W and a voxel whose largest
+    falls below ``tau`` is background. The sums are not changed."""
+    *classes, weight = sums
+    normalized = mode == "threshold_weighted"
+    # W >= 1/C > 0 (a map's per-voxel max is >= 1/C), so S/W is in [0, 1].
+    scores = (s / weight if normalized else s for s in classes)
+    best = np.array(next(scores))  # a copy: the maxima go into it
+    out[...] = 0
+    for c, score in enumerate(scores, start=1):
+        np.copyto(out, c, where=score > best)
+        np.maximum(best, score, out=best)
+    if normalized:
+        out[best < tau] = 0
 
 
 def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
@@ -167,24 +112,50 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
 
     ``keys[i]`` is map i's key (in the pipeline, its view); a decision
     ``(group, tau)`` fuses at ``tau`` the maps whose key is in ``group``,
-    a frozenset of keys (in the pipeline, a view set). Per slab of
-    :func:`~segtta.core.slabs`, one :class:`Votes` is made per distinct
-    group, each map is counted once, in order, into the votes of every
-    group that holds its key, and each decision writes its slab of labels.
-    Only one slab of votes exists at a time.
+    a frozenset of keys (in the pipeline, a view set). The mode, the maps'
+    consistency, the taus and that every group holds a map are checked
+    once, up front. Per slab of :func:`~segtta.core.slabs`, each distinct
+    group gets its sums, each map's slab is formed once and its votes added,
+    in order, into the sums of every group that holds its key, and each
+    decision writes its slab of labels. Only one slab of sums exists at a
+    time.
     """
-    dims, num_classes = maps[0].dims, maps[0].num_classes
+    _check_mode(mode)
     groups = list(dict.fromkeys(group for group, _ in decisions))
+    for group in groups:
+        if not any(key in group for key in keys):
+            raise InconsistentMaps(
+                f"group {sorted(group, key=str)} holds no probability map")
+    if mode == "threshold_weighted":
+        decisions = [(group, _check_tau(tau)) for group, tau in decisions]
+    _check_consistent(maps)
+    dims, num_classes = maps[0].dims, maps[0].num_classes
     labels = [np.empty(dims, np.uint8) for _ in decisions]
-    counted = [(m, [g for g in groups if key in g]) for m, key in zip(maps, keys)]
+    held = [[group for group in groups if key in group] for key in keys]
     for a, b in slabs(dims):
-        votes = {g: Votes(mode, dims, num_classes, (a, b)) for g in groups}
-        for m, into in counted:
-            if into:
-                count(m, [votes[g] for g in into])
+        shape = (b - a, *dims[1:])
+        sums = {g: [np.zeros(shape) for _ in range(num_classes + 1)] for g in groups}
+        for m, into in zip(maps, held):
+            if not into:
+                continue
+            probs = m.slab(a, b)
+            if mode == "majority":  # the one-hot of its argmax, in place
+                np.equal(np.argmax(probs, axis=-1)[..., None],
+                         np.arange(num_classes), out=probs)
+            weight = probs[..., 0].copy()
+            for c in range(1, num_classes):
+                np.maximum(weight, probs[..., c], out=weight)
+            scratch = np.empty(shape)
+            for c in range(num_classes):
+                np.multiply(probs[..., c], weight, out=scratch)
+                for group in into:
+                    sums[group][c] += scratch
+            for group in into:
+                sums[group][num_classes] += weight
+            probs = weight = scratch = None  # freed before the next slab is formed
         for (group, tau), out in zip(decisions, labels):
-            votes[group].decide(tau, out[a:b])
-        votes = None  # gone before the next slab's votes are made
+            _decide(mode, sums[group], tau, out[a:b])
+        sums = None  # gone before the next slab's sums are made
     for out in labels:
         out.setflags(write=False)  # so the mask holds it without a copy
     return [LabelMask(out, num_classes) for out in labels]

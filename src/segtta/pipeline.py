@@ -12,7 +12,7 @@ memory.
 ``run_segtta`` is the per-view rows plus ``fused``; ``run_ablation`` is
 ``baseline``, ``full`` and one ``w/o <aug>`` row per augmentation;
 ``run_threshold_sweep`` is one ``tau=<t>`` row per threshold, all deciding
-from one accumulator. A failed case is recorded once, with its reason,
+from one set of vote sums. A failed case is recorded once, with its reason,
 and skipped, so one corrupt scan cannot void a long run. A case fails
 only on a ``SegTTAError``, the one class of rejected input; any other
 exception is a bug and propagates out of the run. All randomness is
@@ -92,36 +92,41 @@ def source_tag(backend_name: str, view: str) -> str:
 class EventLog:
     """Append-only line-delimited JSON event log, safe across threads.
 
-    The file stays open; every line is flushed as it is written, so the
-    log is readable up to the last event even if the process dies.
+    The file (and its directory) is created at the first event, so an
+    experiment that rejects its arguments before it starts leaves the
+    directory as it was. The file then stays open; every line is flushed
+    as it is written, so the log is readable up to the last event even if
+    the process dies.
     """
 
     def __init__(self, path=None):
+        self._path = path or None
         self._file = None
         self._lock = threading.Lock()
-        if path:
-            try:
-                Path(path).parent.mkdir(parents=True, exist_ok=True)
-                self._file = open(path, "w")
-            except OSError as e:
-                raise IoFailure(f"cannot write {path}: {e}") from e
 
     def emit(self, event: str, **fields):
-        if self._file is None:
+        if self._path is None:
             return
         record = {"t": time.time(), "event": event, **fields}
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
-            if self._file is not None:
-                self._file.write(line + "\n")
-                self._file.flush()
+            if self._path is None:
+                return
+            if self._file is None:
+                try:
+                    Path(self._path).parent.mkdir(parents=True, exist_ok=True)
+                    self._file = open(self._path, "w")
+                except OSError as e:
+                    raise IoFailure(f"cannot write {self._path}: {e}") from e
+            self._file.write(line + "\n")
+            self._file.flush()
 
     def close(self):
         """Close the file; later events are dropped."""
         with self._lock:
             if self._file is not None:
                 self._file.close()
-                self._file = None
+            self._path = self._file = None
 
 
 class PredictionCache:
@@ -189,12 +194,12 @@ class RunResult:
     values; undefined HD95 entries are excluded and counted. ``failures``
     lists ``(case, reason)`` in manifest order. ``timings`` holds the
     seconds of each stage summed over cases, so with several workers it
-    counts worker time, not wall time; ``fuse_s`` counts both adding maps
-    to the votes and deciding. It also holds ``wall_s``, the experiment's
-    wall seconds, and ``peak_rss_mb``, the peak resident memory in MB of
-    the whole process so far at its end (``VmHWM`` where the system has
-    it, else ``ru_maxrss``), not of this experiment alone. What a case
-    holds while it runs is stated in :func:`_run_case`.
+    counts worker time, not wall time; ``fuse_s`` counts both adding the
+    maps' votes into the sums and deciding. It also holds ``wall_s``, the
+    experiment's wall seconds, and ``peak_rss_mb``, the peak resident
+    memory in MB of the whole process so far at its end (``VmHWM`` where
+    the system has it, else ``ru_maxrss``), not of this experiment alone.
+    What a case holds while it runs is stated in :func:`_run_case`.
     """
 
     dataset: str
@@ -321,7 +326,7 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     the image's dims and spacing, and normalized. Each view is built in
     turn, predicted by its backends and dropped before the next is built;
     the case keeps each map under its source tag. Then :func:`fuse_groups`
-    fuses the maps in source-tag order, slab by slab, one group of votes
+    fuses the maps in source-tag order, slab by slab, into one set of sums
     per distinct view set, and each variant decides at its own tau; the
     masks equal ``fuse`` of the same maps, so the order predictions run in
     changes no sum. The maps are dropped before the rows are scored, and
@@ -335,7 +340,7 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     failing one are predicted.
 
     Memory: a case in flight holds its normalized volume, at most one
-    augmented view (after a failure too), its maps and one slab of votes
+    augmented view (after a failure too), its maps and one slab of sums
     per distinct view set: C + 1 planes of at most ``core.SLAB_VOXELS``
     voxels. A map is held compactly: a synthetic map as its uint8 labels
     (1 byte per voxel, none of its own when it reuses the ground truth's

@@ -1,6 +1,8 @@
 import gzip
+import hashlib
 import json
 import logging
+import re
 import struct
 
 import numpy as np
@@ -23,6 +25,8 @@ from segtta import (
 )
 from segtta import nifti
 from segtta.cli import main
+from segtta.errors import IoFailure
+from segtta.pipeline import EventLog
 
 from conftest import IGNORED_FIELD_CASES
 
@@ -52,6 +56,29 @@ def config_path(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def tree_digests(root):
+    """Every path under ``root``, with the sha256 of each file's bytes."""
+    return {
+        path.relative_to(root):
+            hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
+def written_run(out, dataset_dir, config_path):
+    """The digests of a good run's outputs, written into ``out``."""
+    code = run_cli(
+        "run", "--config", config_path,
+        "--manifest", dataset_dir / "manifest.json", "--out", out,
+    )
+    assert code == 0
+    digests = tree_digests(out)
+    assert {"result.json", "report.md", "run.log.jsonl"} <= {
+        str(path) for path in digests}
+    assert (out / "run.log.jsonl").stat().st_size > 0
+    return digests
 
 
 class TestRun:
@@ -210,7 +237,9 @@ class TestRun:
     ], ids=["close", "equal"])
     def test_sweep_taus_sharing_a_row_name_are_diagnosed(
             self, dataset_dir, config_path, tmp_path, capsys, taus, named):
+        # Rejected into a directory a good run wrote, it leaves it as it was.
         out = tmp_path / "out"
+        before = written_run(out, dataset_dir, config_path)
         code = run_cli(
             "sweep", "--config", config_path,
             "--manifest", dataset_dir / "manifest.json", "--taus", taus,
@@ -221,7 +250,39 @@ class TestRun:
         assert err.startswith("error: ")
         assert named in err
         assert "Traceback" not in err
-        assert not (out / "masks").exists()
+        assert tree_digests(out) == before
+
+    def test_ablation_of_one_augmentation_leaves_out_as_it_was(
+            self, dataset_dir, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        before = written_run(out, dataset_dir, config_path)
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({
+            **json.loads(config_path.read_text()),
+            "augmentations": [{"kind": "gamma_correction", "gamma": 0.8}],
+        }))
+        code = run_cli(
+            "ablate", "--config", one,
+            "--manifest", dataset_dir / "manifest.json", "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ablation needs >= 2 augmentations, got 1")
+        assert "Traceback" not in err
+        assert tree_digests(out) == before
+
+    def test_out_below_a_file_is_an_io_failure(self, dataset_dir, config_path,
+                                               capsys):
+        log = config_path / "out" / "run.log.jsonl"
+        code = run_cli(
+            "run", "--config", config_path,
+            "--manifest", dataset_dir / "manifest.json",
+            "--out", config_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {log}: ")
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write {log}: ")):
+            EventLog(log).emit("run_start")
 
     @pytest.mark.parametrize("kind, backend, field", IGNORED_FIELD_CASES,
                              ids=[f"{k}-{f}" for k, _, f in IGNORED_FIELD_CASES])

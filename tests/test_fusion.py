@@ -1,5 +1,6 @@
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -13,8 +14,9 @@ from segtta import (
     foreground_volume,
     fuse,
 )
+import segtta.core
 from segtta.errors import ConfigError, InconsistentMaps, InvalidTau
-from segtta.fusion import Votes, count
+from segtta.fusion import VOTING_MODES, fuse_groups
 
 from conftest import brute_force_vote, dense, dyadic_prob_maps, random_dims
 
@@ -166,6 +168,48 @@ class TestSharedProperties:
         out = fuse(FusionInput((pmap([row, row], "a"),), mode=mode, tau=0.6))
         assert (out.labels == 255).all() and out.num_classes == 256
 
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_groups_equal_the_oracle_across_slabs(self, data):
+        # Maps on the k/16 grid (so every sum is exact) fused in 1-3 keyed
+        # groups over at least 3 slabs, the last partial; each group's mask
+        # must be the brute-force vote of the maps its keys select.
+        mode = data.draw(st.sampled_from(VOTING_MODES))
+        num_classes = data.draw(st.integers(2, 8))
+        planes = data.draw(st.integers(2, 3))  # per slab
+        whole, rest = data.draw(st.integers(2, 3)), data.draw(st.integers(1, planes - 1))
+        dims = (planes * whole + rest, data.draw(st.integers(1, 3)),
+                data.draw(st.integers(1, 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def grid(size):
+            return rng.multinomial(16, [1 / num_classes] * num_classes, size=size) / 16
+
+        maps = []
+        for i in range(data.draw(st.integers(1, 6))):
+            form = data.draw(st.sampled_from(["float64", "float32", "rows"]))
+            if form == "rows":
+                rows = int(rng.integers(1, 5))
+                maps.append(ProbabilityMap.from_rows(
+                    grid(rows), rng.integers(0, rows, size=dims), source_tag=f"m{i}"))
+            else:  # a map read from a file is held as float32
+                maps.append(ProbabilityMap(grid(dims).astype(form),
+                                           source_tag=f"m{i}"))
+        keys = [data.draw(st.integers(0, 2)) for _ in maps]
+        some_keys = st.sets(st.sampled_from(sorted(set(keys))), min_size=1)
+        decisions = [
+            (frozenset(data.draw(some_keys)), data.draw(st.floats(0.01, 1.0)))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segtta.core, "SLAB_VOXELS", planes * dims[1] * dims[2])
+            cuts = segtta.core.slabs(dims)
+            assert len(cuts) >= 3 and cuts[-1][1] - cuts[-1][0] < planes
+            masks = fuse_groups(mode, maps, keys, decisions)
+        for (group, tau), mask in zip(decisions, masks):
+            held = [m for m, key in zip(maps, keys) if key in group]
+            np.testing.assert_array_equal(mask.labels, brute_force_vote(held, mode, tau))
+
 
 class TestStreamingMemory:
     @pytest.mark.parametrize("mode", ["majority", "confidence_weighted",
@@ -211,19 +255,32 @@ class TestValidation:
         lambda mode, maps: RunConfig(backends=(BackendDescriptor("oracle"),),
                                      voting=mode),
         lambda mode, maps: FusionInput(maps, mode=mode),
-        lambda mode, maps: Votes(mode, maps[0].dims, maps[0].num_classes),
-    ], ids=["RunConfig", "FusionInput", "Votes"])
+        lambda mode, maps: fuse_groups(mode, maps, [0], [(frozenset({0}), 0.6)]),
+    ], ids=["RunConfig", "FusionInput", "fuse_groups"])
     def test_unknown_mode_names_it(self, rng, build):
         maps = tuple(dyadic_prob_maps(rng, 1, (2, 2, 2), 2))
         with pytest.raises(ConfigError, match="'plurality'"):
             build("plurality", maps)
 
-    def test_votes_reject_inconsistent_map(self, rng):
+    def test_fuse_groups_rejects_inconsistent_maps(self, rng):
         a = dyadic_prob_maps(rng, 1, (2, 2, 2), 2)[0]
-        b = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0]
-        votes = Votes("majority", a.dims, a.num_classes)
-        with pytest.raises(InconsistentMaps, match="the votes"):
-            count(b, [votes])
+        b = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0].retagged("m1")
+        with pytest.raises(InconsistentMaps, match="map 'm1' has .*; map 'm0' has"):
+            fuse_groups("majority", [a, b], [0, 0], [(frozenset({0}), 0.6)])
+
+    def test_group_without_a_map_is_rejected(self, rng):
+        maps = dyadic_prob_maps(rng, 2, (2, 2, 2), 2)
+        with pytest.raises(InconsistentMaps, match=r"group \[2\] holds no"):
+            fuse_groups("confidence_weighted", maps, [0, 1],
+                        [(frozenset({0, 1}), 0.6), (frozenset({2}), 0.6)])
+
+    @pytest.mark.parametrize("tau", [0.0, 1.5, float("nan"), "0.6"],
+                             ids=["zero", "above-one", "nan", "string"])
+    def test_threshold_decision_rejects_bad_tau(self, rng, tau):
+        maps = dyadic_prob_maps(rng, 2, (2, 2, 2), 2)
+        with pytest.raises(InvalidTau):
+            fuse_groups("threshold_weighted", maps, [0, 1],
+                        [(frozenset({0}), 0.6), (frozenset({0, 1}), tau)])
 
 
 class TestForegroundVolume:

@@ -19,6 +19,7 @@ from segtta import (
     FusionInput,
     LabelMask,
     PredictionCache,
+    ProbabilityMap,
     RunConfig,
     RunResult,
     Spacing,
@@ -707,19 +708,34 @@ class TestStreamingVotes:
             assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_sweep_counts_each_map_once(self, dataset, monkeypatch):
-        calls = [0]
-        count = segtta.fusion.count
+        # Fusion forms each map's slab once, whatever the number of taus:
+        # count the slabs formed by the thread that is fusing.
+        monkeypatch.setattr(segtta.core, "SLAB_VOXELS", 5 * 18 * 14)
+        slabs = len(segtta.core.slabs((18, 18, 14)))
+        assert slabs == 4
+        formed, fusing = [], set()
+        slab, fuse_groups = ProbabilityMap.slab, segtta.pipeline.fuse_groups
 
-        def counted(pmap, votes):
-            calls[0] += 1
-            return count(pmap, votes)
+        def counted(pmap, a, b):
+            if threading.get_ident() in fusing:
+                formed.append((a, b))
+            return slab(pmap, a, b)
 
-        monkeypatch.setattr(segtta.fusion, "count", counted)
+        def traced(*args):
+            fusing.add(threading.get_ident())
+            try:
+                return fuse_groups(*args)
+            finally:
+                fusing.discard(threading.get_ident())
+
+        monkeypatch.setattr(ProbabilityMap, "slab", counted)
+        monkeypatch.setattr(segtta.pipeline, "fuse_groups", traced)
         config = noisy_config()
         result = run_threshold_sweep(config, dataset, [0.3, 0.6, 0.9])
         assert len(result.per_case) == len(dataset.entries)
         views = 1 + len(config.augmentations)
-        assert calls[0] == len(dataset.entries) * len(config.backends) * views
+        maps = len(dataset.entries) * len(config.backends) * views
+        assert len(formed) == maps * slabs
 
     @pytest.mark.parametrize("experiment", ["run", "ablate", "sweep"])
     def test_case_memory_is_votes_not_maps(self, tmp_path, experiment):
