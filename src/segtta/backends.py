@@ -47,6 +47,7 @@ from .errors import (
     DimensionMismatch,
     GroundTruthMissing,
     InvalidConfidence,
+    IoFailure,
     NotProbabilistic,
     ProcessFailure,
     SegTTAError,
@@ -155,7 +156,11 @@ def _predict_external(
     backend: BackendDescriptor, volume: Volume, num_classes: int, log
 ) -> ProbabilityMap:
     base = os.environ.get("SEGTTA_TMPDIR") or None
-    workdir = tempfile.mkdtemp(prefix="segtta-", dir=base)
+    try:
+        workdir = tempfile.mkdtemp(prefix="segtta-", dir=base)
+    except OSError as e:  # the case fails, as a failed input write does
+        raise IoFailure(f"cannot create a work directory in "
+                        f"{base or tempfile.gettempdir()}: {e}") from e
     try:
         input_path = os.path.join(workdir, "input.nii")
         output_path = os.path.join(workdir, "output.nii")

@@ -185,10 +185,10 @@ def _cmd_fuse(args) -> int:
 def _cmd_metrics(args) -> int:
     # Without --classes, read with the widest count, then count the labels.
     (pred_header, pred), (gt_header, gt) = (
-        nifti._read_label_mask(path, args.classes or MAX_CLASSES)
+        nifti._read_label_mask(path, MAX_CLASSES if args.classes is None else args.classes)
         for path in (args.pred, args.gt)
     )
-    if not args.classes:
+    if args.classes is None:
         classes = max(int(pred.labels.max()), int(gt.labels.max()), 1) + 1
         pred, gt = LabelMask(pred.labels, classes), LabelMask(gt.labels, classes)
     _check_spacing(pred_header.spacing, gt_header.spacing,

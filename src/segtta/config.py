@@ -7,7 +7,7 @@ individual config fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import json
 import math
 from pathlib import Path
@@ -162,17 +162,10 @@ class RunConfig:
             spec.label() for spec in self.augmentations)
 
     def to_dict(self) -> dict:
-        d = {
-            "backends": [b.to_dict() for b in self.backends],
-            "augmentations": [a.to_dict() for a in self.augmentations],
-            "voting": self.voting,
-            "tau": self.tau,
-            "seed": self.seed,
-            "include_baseline": self.include_baseline,
-            "jobs": self.jobs,
-            "process_jobs": self.process_jobs,
-        }
-        if self.subset is not None:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["backends"] = [b.to_dict() for b in self.backends]
+        d["augmentations"] = [a.to_dict() for a in self.augmentations]
+        if d.pop("subset") is not None:  # left out when None
             d["subset"] = [list(pair) for pair in self.subset]
         return d
 

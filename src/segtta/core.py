@@ -156,6 +156,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _label_volume(labels, bound: int, what: str, rows: str = "") -> np.ndarray:
+    """``labels``, a 3D volume (else DimensionMismatch naming ``what``) of
+    integers in ``[0, bound)`` (else InvalidLabels; ``rows`` names that
+    range), as a read-only C-ordered uint8 array: itself if it is one, else
+    a copy. ``bound`` is at most MAX_CLASSES."""
+    arr = np.asarray(labels)
+    if arr.ndim != 3:
+        raise DimensionMismatch(f"{what} must be 3D, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidLabels(f"labels must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise InvalidLabels(f"labels range [{arr.min()}, {arr.max()}] outside "
+                            f"{rows}[0, {bound})")
+    if arr.dtype != np.uint8 or arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = _freeze(arr.astype(np.uint8))
+    return arr
+
+
 @dataclass(frozen=True)
 class Spacing:
     """Physical voxel size in millimeters along each axis."""
@@ -292,12 +310,13 @@ class ProbabilityMap:
         """The map whose voxel ``[x, y, z]`` is row ``labels[x, y, z]`` of
         ``table``, an ``(R, C)`` array of class probabilities.
 
-        The rows are checked as the constructor checks a map: clipped,
-        summed and renormalized by the same rules, every row whether a
-        label picks it or not. The labels must be integers indexing the
-        rows (at most ``MAX_CLASSES``, as they are held as uint8). The map
-        holds the checked rows and the labels, copied only if the caller's
-        array is writable or not uint8, so its slabs equal those of
+        The table must be 2D with at most ``MAX_CLASSES`` rows, as the
+        labels are held as uint8; then the labels must be a 3D volume of
+        integers indexing the rows; then the rows are checked as the
+        constructor checks a map: clipped, summed and renormalized by the
+        same rules, every row whether a label picks it or not. The map
+        holds the checked rows and the labels, as
+        :class:`LabelMask` holds its labels, so its slabs equal those of
         ``ProbabilityMap(np.take(table, labels, axis=0))`` whenever
         no row needs renormalizing (true of every table this package
         builds) or every row is picked.
@@ -305,22 +324,12 @@ class ProbabilityMap:
         rows = np.asarray(table)
         if rows.ndim != 2:
             raise DimensionMismatch(f"row table must be 2D, got shape {rows.shape}")
-        labels = np.asarray(labels)
-        if labels.ndim != 3:
-            raise DimensionMismatch(f"labels must be 3D, got shape {labels.shape}")
-        checked = cls(rows[:, None, None, :], source_tag).slab(0, len(rows))[:, 0, 0, :]
         if len(rows) > MAX_CLASSES:
             raise DimensionMismatch(
                 f"row table has {len(rows)} rows; uint8 labels index at most "
                 f"{MAX_CLASSES}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise InvalidLabels(f"labels must be integers, got dtype {labels.dtype}")
-        if labels.size and (labels.min() < 0 or labels.max() >= len(rows)):
-            raise InvalidLabels(
-                f"labels range [{labels.min()}, {labels.max()}] outside the "
-                f"table's rows [0, {len(rows)})")
-        if labels.dtype != np.uint8 or labels.flags.writeable:
-            labels = _freeze(labels.astype(np.uint8))
+        labels = _label_volume(labels, len(rows), "labels", "the table's rows ")
+        checked = cls(rows[:, None, None, :], source_tag).slab(0, len(rows))[:, 0, 0, :]
         m = object.__new__(cls)
         object.__setattr__(m, "source_tag", source_tag)
         m._hold(table=_freeze(checked), labels=labels)
@@ -357,31 +366,20 @@ class ProbabilityMap:
 class LabelMask:
     """Per-voxel integer class assignment, 0 = background.
 
-    ``labels`` is held as a read-only C-ordered uint8 array: the array
-    passed in when it is one already, else a copy, as
-    :meth:`ProbabilityMap.from_rows` holds its labels.
+    ``num_classes`` is checked first, then ``labels``, which is held as a
+    read-only C-ordered uint8 array: the array passed in when it is one
+    already, else a copy.
     """
 
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if arr.ndim != 3:
-            raise DimensionMismatch(f"label mask must be 3D, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidLabels(f"labels must be integers, got dtype {arr.dtype}")
         if not 2 <= self.num_classes <= MAX_CLASSES:
             raise ConfigError(
                 f"num_classes={self.num_classes} outside [2, {MAX_CLASSES}]")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
-            raise InvalidLabels(
-                f"labels range [{arr.min()}, {arr.max()}] outside "
-                f"[0, {self.num_classes})"
-            )
-        if arr.dtype != np.uint8 or arr.flags.writeable or not arr.flags.c_contiguous:
-            arr = _freeze(arr.astype(np.uint8))
-        object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "labels", _label_volume(
+            self.labels, self.num_classes, "label mask"))
 
     @property
     def dims(self) -> tuple[int, int, int]:

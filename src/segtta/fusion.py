@@ -71,7 +71,7 @@ def _check_consistent(maps) -> None:
 
 @dataclass(frozen=True)
 class FusionInput:
-    """A consistent, deterministically ordered set of maps to fuse."""
+    """A consistent set of maps to fuse, kept in the order given."""
 
     maps: tuple[ProbabilityMap, ...]
     mode: str = "threshold_weighted"
@@ -84,7 +84,7 @@ class FusionInput:
         _check_consistent(maps)
         _check_mode(self.mode)
         _check_tau(self.tau)
-        object.__setattr__(self, "maps", tuple(sorted(maps, key=lambda m: m.source_tag)))
+        object.__setattr__(self, "maps", maps)
 
 
 def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
@@ -108,7 +108,8 @@ def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
 
 def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
     """One fused mask per decision, over consistent ``maps`` in source-tag
-    order, fused slab by slab.
+    order, fused slab by slab. The order is set here: the maps, each with
+    its key, are sorted stably by tag, so the order given changes no mask.
 
     ``keys[i]`` is map i's key (in the pipeline, its view); a decision
     ``(group, tau)`` fuses at ``tau`` the maps whose key is in ``group``,
@@ -129,6 +130,7 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
     if mode == "threshold_weighted":
         decisions = [(group, _check_tau(tau)) for group, tau in decisions]
     _check_consistent(maps)
+    maps, keys = zip(*sorted(zip(maps, keys), key=lambda pair: pair[0].source_tag))
     dims, num_classes = maps[0].dims, maps[0].num_classes
     labels = [np.empty(dims, np.uint8) for _ in decisions]
     held = [[group for group in groups if key in group] for key in keys]
@@ -162,8 +164,8 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
 
 
 def fuse(input: FusionInput) -> LabelMask:
-    """Fuse with the voting rule selected by the input's mode: the maps,
-    in source-tag order, through :func:`fuse_groups` as one group."""
+    """Fuse with the voting rule selected by the input's mode: the maps
+    through :func:`fuse_groups` as one group."""
     return fuse_groups(input.mode, input.maps, [0] * len(input.maps),
                        [(frozenset({0}), input.tau)])[0]
 

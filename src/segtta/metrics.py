@@ -54,11 +54,14 @@ from .core import LabelMask, Spacing, _check_fields, _check_json
 from .errors import ConfigError, DimensionMismatch
 
 
+#: Every field of MetricReport, in order, with its JSON type.
 _REPORT_FIELDS = {
     "per_class_iou": "object", "per_class_dice": "object",
     "miou": "number", "mdice": "number", "aiou": "number", "adice": "number",
     "hd95_mm": "number or null", "undefined_reason": "string or null",
 }
+#: The fields from class numbers to scores, which JSON keys by string.
+_CLASS_SCORES = ("per_class_iou", "per_class_dice")
 
 
 @dataclass(frozen=True)
@@ -80,32 +83,20 @@ class MetricReport:
     undefined_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "per_class_iou": {str(c): v for c, v in self.per_class_iou.items()},
-            "per_class_dice": {str(c): v for c, v in self.per_class_dice.items()},
-            "miou": self.miou,
-            "mdice": self.mdice,
-            "aiou": self.aiou,
-            "adice": self.adice,
-            "hd95_mm": self.hd95_mm,
-            "undefined_reason": self.undefined_reason,
-        }
+        d = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        for name in _CLASS_SCORES:
+            d[name] = {str(c): v for c, v in d[name].items()}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
         """Inverse of :meth:`to_dict`; a missing or mistyped field raises
         ConfigError naming ``where`` and the field."""
         _check_fields(d, _REPORT_FIELDS, where)
-        return cls(
-            per_class_iou=_class_scores(d, "per_class_iou", where),
-            per_class_dice=_class_scores(d, "per_class_dice", where),
-            miou=d["miou"],
-            mdice=d["mdice"],
-            aiou=d["aiou"],
-            adice=d["adice"],
-            hd95_mm=d["hd95_mm"],
-            undefined_reason=d["undefined_reason"],
-        )
+        return cls(**{
+            name: _class_scores(d, name, where) if name in _CLASS_SCORES else d[name]
+            for name in _REPORT_FIELDS
+        })
 
 
 def _class_scores(d: dict, field: str, where: str) -> dict[int, float]:

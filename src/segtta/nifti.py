@@ -6,6 +6,8 @@ orders are handled; endianness is detected from dim[0], which must land in
 [1, 7] for exactly one of the two orders. Orientation (qform/sform) is
 neither read nor written (files are written with both codes 0); only the
 pixdim voxel spacing is honored, since nothing in this pipeline resamples.
+Every reader applies scl_slope/scl_inter when the slope is nonzero, so
+the scaled values of a label mask are its labels.
 
 Each reader reads its file once: the header is parsed from the bytes
 read, and the data size the header claims is checked against the bytes
@@ -206,8 +208,9 @@ def read_header(path) -> NiftiHeader:
 
 def _read(path, ndim: int, what: str) -> tuple[NiftiHeader, np.ndarray]:
     """Read the file once; return its header and its data section, checked
-    against the size the header claims, as a read-only array view of the
-    bytes read, shaped [x, y, z(, c)]."""
+    against the size the header claims, shaped [x, y, z(, c)]: a read-only
+    array view of the bytes read, or, when the header scales its values,
+    those values times scl_slope plus scl_inter in float64."""
     raw = _read_bytes(path)
     header = _parse_header(raw, path)
     if header.ndim != ndim:
@@ -221,15 +224,16 @@ def _read(path, ndim: int, what: str) -> tuple[NiftiHeader, np.ndarray]:
             f"{path}: data section truncated ({len(data)} of {nbytes} bytes)"
         )
     # File order is x fastest; reshape with Fortran order to index [x, y, z].
-    return header, np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
+    arr = np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
+    if header.scl_slope != 0.0 and (header.scl_slope, header.scl_inter) != (1.0, 0.0):
+        # Widened first: float32 times a Python float stays float32.
+        arr = arr.astype(np.float64) * header.scl_slope + header.scl_inter
+    return header, arr
 
 
 def read_volume(path) -> Volume:
-    """Read a 3D volume, applying scl_slope/scl_inter when slope is nonzero."""
+    """Read a 3D volume as float64."""
     header, arr = _read(path, 3, "3D volume")
-    arr = arr.astype(np.float64)
-    if header.scl_slope != 0.0 and (header.scl_slope, header.scl_inter) != (1.0, 0.0):
-        arr = arr * header.scl_slope + header.scl_inter
     return Volume(arr, header.spacing, vol_id=_stem(path))
 
 

@@ -176,6 +176,7 @@ class PredictionCache:
             self._store[key] = value
 
 
+#: Every field of RunResult, in order, with its JSON type in result.json.
 _RESULT_FIELDS = {
     "dataset": "string", "num_classes": "integer", "variants": "list",
     "reference": "string or null", "per_case": "object", "fg_volume": "object",
@@ -214,24 +215,15 @@ class RunResult:
     timings: dict
 
     def to_dict(self) -> dict:
-        per_case = {
-            case: {
-                variant: (report.to_dict() if report is not None else None)
-                for variant, report in variants.items()
-            }
-            for case, variants in self.per_case.items()
-        }
         return {
-            "dataset": self.dataset,
-            "num_classes": self.num_classes,
+            **{name: getattr(self, name) for name in _RESULT_FIELDS},
             "variants": list(self.variants),
-            "reference": self.reference,
-            "per_case": per_case,
-            "fg_volume": self.fg_volume,
-            "aggregates": self.aggregates,
+            "per_case": {
+                case: {variant: None if report is None else report.to_dict()
+                       for variant, report in row.items()}
+                for case, row in self.per_case.items()
+            },
             "failures": [list(f) for f in self.failures],
-            "config": self.config,
-            "timings": self.timings,
         }
 
     @classmethod
@@ -257,23 +249,21 @@ class RunResult:
                     r, f"{where}[{variant!r}]")
                 for variant, r in _check_json(row, "object", where).items()
             }
-        return cls(
-            dataset=d["dataset"],
-            num_classes=d["num_classes"],
-            variants=tuple(d["variants"]),
-            reference=d["reference"],
-            per_case=per_case,
-            fg_volume=d["fg_volume"],
-            aggregates=d["aggregates"],
-            failures=tuple(tuple(f) for f in d["failures"]),
-            config=d["config"],
-            timings=d["timings"],
-        )
+        return cls(**{
+            **{name: d[name] for name in _RESULT_FIELDS},
+            "variants": tuple(d["variants"]),
+            "per_case": per_case,
+            "failures": tuple(tuple(f) for f in d["failures"]),
+        })
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        """Write the result as JSON; an OSError is an IoFailure naming it."""
+        try:
+            with open(path, "w") as f:
+                json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+                f.write("\n")
+        except OSError as e:
+            raise IoFailure(f"cannot write {path}: {e}") from e
 
     @classmethod
     def load(cls, path) -> "RunResult":
@@ -325,12 +315,13 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     The case is loaded (each file read once), its label checked against
     the image's dims and spacing, and normalized. Each view is built in
     turn, predicted by its backends and dropped before the next is built;
-    the case keeps each map under its source tag. Then :func:`fuse_groups`
-    fuses the maps in source-tag order, slab by slab, into one set of sums
-    per distinct view set, and each variant decides at its own tau; the
-    masks equal ``fuse`` of the same maps, so the order predictions run in
-    changes no sum. The maps are dropped before the rows are scored, and
-    the masks of the variants in ``mask_dirs`` are written.
+    the case keeps each map and its view in prediction order. Then
+    :func:`fuse_groups` sorts the maps by source tag and fuses them slab by
+    slab into one set of sums per distinct view set, and each variant
+    decides at its own tau; the masks equal ``fuse`` of the same maps, so
+    the order predictions run in changes no sum. The maps are dropped
+    before the rows are scored, and the masks of the variants in
+    ``mask_dirs`` are written.
 
     Failure rule: a case fails with the reason it would have if every view
     were built first and the pairs then predicted in source-tag order. A
@@ -423,7 +414,7 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
         finally:
             seconds["predict_s"] += time.monotonic() - t
 
-    maps = {}  # source tag -> (view, map)
+    maps, views = [], []  # in prediction order, each map beside its view
     failed = None  # (tag, backend, view, error) of the smallest failing tag
     try:
         for view, view_pairs in pairs.items():
@@ -432,7 +423,8 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
                 if failed is not None and tag > failed[0]:
                     break
                 try:
-                    maps[tag] = view, predict(tag, backend, view, image, digest)
+                    maps.append(predict(tag, backend, view, image, digest))
+                    views.append(view)
                 except SegTTAError as e:
                     failed = tag, backend, view, e
             image = None  # at most one view of the case is alive
@@ -445,13 +437,11 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     volume = None  # only prediction reads the views
 
     t0 = time.monotonic()
-    ordered = [maps[tag] for tag in sorted(maps)]  # fuse() counts maps in tag order
-    maps = None
     masks = fuse_groups(
-        config.voting, [m for _, m in ordered], [view for view, _ in ordered],
+        config.voting, maps, views,
         [(view_set, tau) for _, view_set, tau in variants],
     ) if variants else []
-    ordered = None  # the case holds its masks, not its maps, while it is scored
+    maps = None  # the case holds its masks, not its maps, while it is scored
     seconds["fuse_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -524,11 +514,8 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
         num_classes=manifest.num_classes, mask_dirs=mask_dirs, cache=cache,
         log=log, process_slots=threading.Semaphore(config.process_jobs),
     )
-    if config.jobs == 1:
-        outcomes = [run_case(entry) for entry in manifest.entries]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(run_case, manifest.entries))
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        outcomes = list(pool.map(run_case, manifest.entries))
 
     per_case: dict = {}
     fg_volume: dict = {}
@@ -626,7 +613,7 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
     """
     taus = [_check_tau(t) for t in taus]
     if not taus:
-        raise SegTTAError("sweep needs at least one tau")
+        raise ConfigError(f"sweep taus {taus} hold no threshold")
     variants = [(f"tau={t:g}", config.views, t) for t in taus]
     names = [name for name, _, _ in variants]
     if len(set(names)) != len(names):

@@ -30,6 +30,7 @@ from segtta.errors import (
     DimensionMismatch,
     GroundTruthMissing,
     InvalidConfidence,
+    IoFailure,
     NotProbabilistic,
     ProcessFailure,
 )
@@ -531,6 +532,37 @@ class TestExternalProcess:
         with pytest.raises(NotProbabilistic):
             predict(backend, volume, 2, stream())
 
+    def test_output_dims_differ_from_the_input(self, case, tmp_path):
+        volume, _ = case
+        body = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from segtta import read_volume, ProbabilityMap, write_probability_map
+
+            volume = read_volume(sys.argv[1])
+            probs = np.full((3, 3, 3, 2), 0.5)
+            write_probability_map(ProbabilityMap(probs), sys.argv[2], volume.spacing)
+            """
+        )
+        backend = BackendDescriptor("external", name="x",
+                                    command=script_command(tmp_path, body))
+        with pytest.raises(DimensionMismatch,
+                           match=r"output dims \(3, 3, 3\) != input dims \(12, 12, 10\)"):
+            predict(backend, volume, 2, stream())
+
+    def test_missing_exchange_dir_is_an_io_failure(self, case, tmp_path, monkeypatch):
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(missing))
+        volume, _ = case
+        backend = BackendDescriptor(
+            "external", name="x", command=script_command(tmp_path, ECHO_BACKEND),
+        )
+        with pytest.raises(IoFailure) as info:
+            predict(backend, volume, 2, stream())
+        assert str(info.value).startswith(f"cannot create a work directory in {missing}: ")
+        assert not missing.exists()
+
     def test_wrong_class_count(self, case, tmp_path):
         volume, _ = case
         body = textwrap.dedent(
@@ -554,6 +586,16 @@ class TestDescriptorValidation:
     def test_bad_flip_prob(self):
         with pytest.raises(ValueError):
             BackendDescriptor("noisy_oracle", flip_prob=1.5)
+
+    @pytest.mark.parametrize("kind, field, value, match", [
+        ("oracle", "confidence", 0.0, r"confidence=0.0 outside \(0, 1\]"),
+        ("oracle", "confidence", 1.5, r"confidence=1.5 outside \(0, 1\]"),
+        ("noisy_oracle", "jitter", -1, "jitter=-1 must be >= 0"),
+        ("constant", "constant_class", -1, "constant_class=-1 must be >= 0"),
+    ], ids=["confidence-zero", "confidence-above-one", "jitter", "constant-class"])
+    def test_field_out_of_range(self, kind, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            BackendDescriptor(kind, **{field: value})
 
     def test_bad_timeout(self):
         with pytest.raises(ValueError):

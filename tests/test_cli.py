@@ -316,10 +316,15 @@ class TestRun:
          "{blocked}/masks"),
         ("run --config {number} --manifest {manifest}", "{number}"),
         ("run --config {string} --manifest {manifest}", "{string}"),
+        ("run --config {config} --manifest {manifest} --out {taken}",
+         "cannot write {taken}/result.json: "),
+        ("sweep --config {config} --manifest {manifest} --taus ,", "taus []"),
+        ("metrics --pred {label} --gt {label} --classes 0", "num_classes=0"),
     ], ids=["missing-config", "missing-manifest", "missing-result",
             "malformed-config", "malformed-manifest", "malformed-result",
             "bad-taus", "bad-slice-axis", "out-under-a-file",
-            "masks-dir-a-file", "number-config", "string-config"])
+            "masks-dir-a-file", "number-config", "string-config",
+            "result-a-directory", "no-taus", "zero-classes"])
     def test_bad_input_file_or_flag_is_named(self, dataset_dir, config_path,
                                              tmp_path, capsys, command, named):
         malformed = tmp_path / "malformed.json"
@@ -330,9 +335,12 @@ class TestRun:
         blocked = tmp_path / "blocked"  # an output directory whose masks/ is a file
         blocked.mkdir()
         (blocked / "masks").write_text("")
+        taken = tmp_path / "taken"  # an output directory whose result.json is a directory
+        (taken / "result.json").mkdir(parents=True)
         paths = {
             "missing": tmp_path / "missing.json", "malformed": malformed,
             "number": number, "string": string, "blocked": blocked,
+            "taken": taken, "label": dataset_dir / "case000_label.nii.gz",
             "config": config_path, "manifest": dataset_dir / "manifest.json",
         }
         code = main([arg.format(**paths) for arg in command.split()])

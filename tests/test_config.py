@@ -75,6 +75,10 @@ class TestRunConfig:
         with pytest.raises(InvalidTau):
             RunConfig(backends=(oracle(),), tau=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed=-1 must be non-negative"):
+            RunConfig(backends=(oracle(),), seed=-1)
+
     def test_bad_voting_mode(self):
         with pytest.raises(ValueError):
             RunConfig(backends=(oracle(),), voting="plurality")

@@ -52,6 +52,10 @@ class TestVolume:
         with pytest.raises(DimensionMismatch):
             make_volume(np.zeros((2, 3)))
 
+    def test_rejects_a_zero_dim(self):
+        with pytest.raises(DimensionMismatch, match=r"dims must be >= 1, got \(2, 0, 3\)"):
+            make_volume(np.zeros((2, 0, 3)))
+
     def test_rejects_nan(self):
         data = np.zeros((2, 2, 2))
         data[0, 0, 0] = np.nan
@@ -139,6 +143,14 @@ class TestProbabilityMap:
         p = ProbabilityMap(probs)
         assert dense(p).min() >= 0.0
         assert dense(p).max() <= 1.0
+
+    def test_integer_array_is_widened(self):
+        onehot = np.zeros((2, 2, 1, 3), dtype=np.int64)
+        onehot[..., 1] = 1
+        assert dense(ProbabilityMap(onehot)).tobytes() == dense(
+            ProbabilityMap(onehot.astype(np.float64))).tobytes()
+        with pytest.raises(NotProbabilistic, match=r"range \[0, 2\]"):
+            ProbabilityMap(onehot * 2)
 
     def test_rejects_nan_and_inf_before_range(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -390,6 +402,16 @@ class TestAugmentationSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             AugmentationSpec("elastic")
+
+    @pytest.mark.parametrize("spec, match", [
+        (dict(kind="gaussian_blur", sigma=1.0, slice_axis=3),
+         r"slice_axis=3 not in \(0, 1, 2\) or None"),
+        (dict(kind="contrast_enhancement", alpha=1.3, beta=float("inf")),
+         "beta=inf must be finite"),
+    ], ids=["slice-axis", "beta"])
+    def test_parameter_out_of_range(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            AugmentationSpec(**spec)
 
     @pytest.mark.parametrize("spec, unused", [
         ({"kind": "identity", "sigma": 1.0}, ["sigma"]),

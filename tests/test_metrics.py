@@ -168,6 +168,10 @@ class TestDistanceTransform:
                 d, brute_force_distances(seeds, spacing), rtol=0, atol=1e-9
             )
 
+    def test_rejects_a_2d_seed_mask(self):
+        with pytest.raises(DimensionMismatch, match=r"seed mask must be 3D, got shape \(4, 5\)"):
+            distance_transform(np.zeros((4, 5), dtype=bool), Spacing(1, 1, 1))
+
     def test_seedless_volume_is_all_inf(self):
         d = distance_transform(np.zeros((4, 5, 3), dtype=bool), Spacing(1, 2, 3))
         assert np.isposinf(d).all()

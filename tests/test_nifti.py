@@ -95,6 +95,38 @@ class TestReadHandBuiltFiles:
         path.write_bytes(raw)
         assert read_volume(path).data[0, 0, 0] == 7.0
 
+    @pytest.mark.parametrize("slope, want", [(2.0, [0, 2]), (1.0, [0, 1])],
+                             ids=["slope-2", "unscaled"])
+    def test_label_mask_is_scaled(self, tmp_path, slope, want):
+        # Stored {0, 1} with scl_slope=2 are the labels {0, 2}.
+        raw = build_nifti_bytes((2, 1, 1), bytes([0, 1]), datatype=2, bitpix=8,
+                                scl_slope=slope)
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(raw)
+        assert read_label_mask(path, 3).labels.ravel().tolist() == want
+
+    def test_label_mask_scaled_off_the_integers_is_invalid(self, tmp_path):
+        raw = build_nifti_bytes((2, 1, 1), bytes([0, 1]), datatype=2, bitpix=8,
+                                scl_slope=0.5)
+        path = tmp_path / "half.nii"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidLabels, match="half.nii: mask voxels are not integral"):
+            read_label_mask(path, 2)
+
+    def test_probability_map_is_scaled_in_float64(self, tmp_path):
+        # scl_slope=0.1 is not exact in float32, so float32 arithmetic would
+        # round each product differently from the float64 the map is held in.
+        stored = np.zeros((2, 2, 1, 2), dtype="<f4")
+        stored[..., 0], stored[..., 1] = 3.0, 7.0
+        stored[0, 0, 0] = 5.0, 5.0
+        raw = build_nifti_bytes((2, 2, 1, 2), stored.tobytes(order="F"), scl_slope=0.1)
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(raw)
+        want = ProbabilityMap(stored.astype(np.float64) * float(np.float32(0.1)))
+        assert dense(read_probability_map(path)).tobytes() == dense(want).tobytes()
+        wrong = ProbabilityMap(stored * np.float32(0.1))
+        assert dense(want).tobytes() != dense(wrong).tobytes()
+
     def test_big_endian_equals_little_twin(self, tmp_path, rng):
         values = rng.random(24).astype("f4")
         little = build_nifti_bytes((2, 3, 4), values.astype("<f4").tobytes(),
@@ -155,6 +187,12 @@ class TestHeaderValidation:
         (tmp_path / "pd.nii").write_bytes(raw)
         with pytest.raises(CorruptHeader, match=r"pixdim\[2\]"):
             read_volume(tmp_path / "pd.nii")
+
+    def test_dim0_of_five_rejected(self, tmp_path):
+        raw = build_nifti_bytes((2, 2, 2, 1, 1), np.zeros(8, "<f4").tobytes())
+        (tmp_path / "5d.nii").write_bytes(raw)
+        with pytest.raises(CorruptHeader, match=r"dim\[0\]=5 not in \{3, 4\}"):
+            read_volume(tmp_path / "5d.nii")
 
     def test_4d_file_rejected_by_read_volume(self, tmp_path):
         raw = build_nifti_bytes((2, 2, 2, 2), np.zeros(16, "<f4").tobytes())
@@ -219,6 +257,11 @@ class TestRoundTrips:
         path2 = tmp_path / f"v2{suffix}"
         write_volume(again, path2, datatype=datatype, byteorder=byteorder)
         assert _data_bytes(path) == _data_bytes(path2)
+
+    def test_unknown_datatype_not_written(self, tmp_path, rng):
+        with pytest.raises(UnsupportedDatatype, match=r"datatype=8 not in \[2, 4, 16, 64\]"):
+            write_volume(make_volume(rng), tmp_path / "v.nii", datatype=8)
+        assert not (tmp_path / "v.nii").exists()
 
     def test_uint8_clamp_rule(self, tmp_path):
         v = Volume(np.array([[[255.4, -3.0, 7.5]]]), Spacing(1, 1, 1))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 import json
 import os
 from pathlib import Path
@@ -42,7 +42,7 @@ import segtta.fusion
 import segtta.metrics
 import segtta.nifti
 from segtta.errors import (
-    ConfigError, InsufficientAugmentations, InvalidTau, InvalidVolume,
+    ConfigError, InsufficientAugmentations, InvalidTau, InvalidVolume, IoFailure,
 )
 import segtta.pipeline
 from segtta.pipeline import EventLog
@@ -426,6 +426,43 @@ class TestRunSegtta:
             b = result.per_case[case_id]["fused"]
             assert a.aiou == b.aiou
 
+    def test_report_leaves_out_a_view_without_pairs(self, dataset):
+        # Only baseline has a pair, so no case has a row of any augmented
+        # view, though the result still lists those variants.
+        config = noisy_config(2, subset=(("nb0", "baseline"),))
+        result = run_segtta(config, dataset)
+        assert len(result.variants) == 6
+        rows = render(result, "csv").splitlines()[1:]
+        variants = [row.split(",")[2] for row in rows]
+        assert variants == ["baseline", "fused"] * (1 + len(dataset.entries))
+
+    def test_missing_exchange_dir_fails_each_case(self, dataset, tmp_path, monkeypatch):
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(missing))
+        config = RunConfig(
+            backends=(BackendDescriptor("external", name="m", command="true"),),
+            augmentations=(AugmentationSpec("gamma_correction", gamma=0.8),),
+        )
+        result = run_segtta(config, dataset)
+        assert not result.per_case
+        assert [case for case, _ in result.failures] == [
+            e.case_id for e in dataset.entries]
+        for _, reason in result.failures:
+            assert reason.startswith(
+                f"m|baseline: cannot create a work directory in {missing}: ")
+
+    def test_result_save_into_a_directory_is_an_io_failure(self, dataset, tmp_path):
+        result = run_segtta(noisy_config(1), replace(dataset, entries=dataset.entries[:1]))
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write {tmp_path}: ")):
+            result.save(tmp_path)
+
+    def test_result_fields_are_the_dataclass_fields(self):
+        # to_dict and from_dict read these tables, so a field missing from
+        # one would silently leave the documents.
+        for cls, table in ((RunResult, segtta.pipeline._RESULT_FIELDS),
+                           (segtta.metrics.MetricReport, segtta.metrics._REPORT_FIELDS)):
+            assert list(table) == [f.name for f in fields(cls)]
+
     def test_masks_written(self, dataset, tmp_path):
         out = tmp_path / "out"
         result = run_segtta(noisy_config(), dataset, out_dir=out)
@@ -627,6 +664,10 @@ class TestSweep:
     def test_invalid_tau(self, dataset):
         with pytest.raises(InvalidTau):
             run_threshold_sweep(noisy_config(), dataset, [0.5, 1.5])
+
+    def test_no_tau_is_a_config_error(self, dataset):
+        with pytest.raises(ConfigError, match=re.escape("sweep taus [] hold no threshold")):
+            run_threshold_sweep(noisy_config(), dataset, [])
 
     @pytest.mark.parametrize("taus, named", [
         ([0.3, 0.3000001, 0.9], "taus [0.3, 0.3000001, 0.9] must name distinct "
