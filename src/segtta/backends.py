@@ -20,9 +20,12 @@ cost, not its bytes:
 
 The external kind shells out to a real
 model wrapper via float32 NIfTI file exchange, so hooking up an actual
-segmenter is one small script; its map is held as the float32 values
-read, 4 bytes per voxel and class. Its exit status, run time and the tail
-of its stdout and stderr go to the run's log as one ``log`` event.
+segmenter is one small script. Its map is read and checked whole, then
+its values are moved to a file beside the exchange directory
+(:meth:`ProbabilityMap.spilled`), 4 bytes per voxel and class of disk
+instead of memory, which fusion reads a slab at a time; the file goes
+with the last map holding it. Its exit status, run time and the tail of
+its stdout and stderr go to the run's log as one ``log`` event.
 """
 
 from __future__ import annotations
@@ -229,7 +232,7 @@ def _predict_external(
                 f"backend {backend.name!r} output has {pmap.num_classes} "
                 f"classes, expected {num_classes}"
             )
-        return pmap
+        return pmap.spilled(base)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

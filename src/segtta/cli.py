@@ -24,7 +24,7 @@ from .core import (
     AUGMENTATION_KINDS, MAX_CLASSES, AugmentationSpec, LabelMask,
     normalize_intensity,
 )
-from .errors import ConfigError, SegTTAError
+from .errors import ConfigError, IoFailure, SegTTAError
 from .fusion import VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
 from .pipeline import (
@@ -111,14 +111,30 @@ def _apply_overrides(config, args):
     return replace(config, **overrides) if overrides else config
 
 
+def _outputs(args) -> tuple[Path, Path]:
+    """The result and report files a run writes into ``--out``."""
+    out = Path(args.out)
+    return out / "result.json", out / f"report.{'csv' if args.format == 'csv' else 'md'}"
+
+
+def _check_out(args):
+    """Raise IoFailure naming the path, before anything runs or is written,
+    when ``--out`` is a file or its result or report path is a directory."""
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise IoFailure(f"cannot write into {out}: not a directory")
+    for path in _outputs(args):
+        if path.is_dir():
+            raise IoFailure(f"cannot write {path}: is a directory")
+
+
 def _finish_run(result: RunResult, args) -> int:
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        result.save(out / "result.json")
-        suffix = "csv" if args.format == "csv" else "md"
-        emit_report(result, args.format, out / f"report.{suffix}")
-        print(f"wrote {out / 'result.json'} and report.{suffix}")
+        result_path, report_path = _outputs(args)
+        result_path.parent.mkdir(parents=True, exist_ok=True)
+        result.save(result_path)
+        emit_report(result, args.format, report_path)
+        print(f"wrote {result_path} and {report_path.name}")
     else:
         print(render(result, args.format))
     for case_id, message in result.failures:
@@ -137,6 +153,8 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"--taus: {e}") from e
     config = _apply_overrides(load_config(args.config), args)
     manifest = load_manifest(args.manifest)
+    if args.out:
+        _check_out(args)
     log = EventLog(Path(args.out) / "run.log.jsonl" if args.out else None)
     try:
         if args.command == "run":

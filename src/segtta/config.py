@@ -259,13 +259,10 @@ def load_manifest(path) -> DatasetManifest:
         where = f"{path}: case {i}"
         if not isinstance(item, dict):
             raise ConfigError(f"{where} must be a JSON object, got {type(item).__name__}")
-        _check_fields(item, _CASE_FIELDS, where)
+        _check_fields(item, _CASE_FIELDS, where, optional={"label"})
         # The id names the case's mask file, so it must stay inside --out.
         if item["id"] in ("", ".", "..") or any(c in item["id"] for c in "/\\\0"):
             raise ConfigError(f"{where} field 'id' {item['id']!r} is not a plain file name")
-        extra = set(item) - {*_CASE_FIELDS, "label"}
-        if extra:
-            raise ConfigError(f"{where} has unknown fields {sorted(extra)}")
         label = _check_json(item.get("label"), "string or null",
                             f"{where} field 'label'")
         entries.append(ManifestEntry(

@@ -3,20 +3,24 @@
 All types are immutable after construction (frozen dataclasses over
 read-only numpy arrays), so they are safe to share across worker threads.
 The array-holding types compare and hash by identity. A probability map
-is held in the compact form it arrives in (a table of class rows and uint8
-labels, or its own float dtype) and yields float64 values a slab of
-first-axis rows at a time (:func:`slabs`), so no float64 copy of a whole
-map need exist.
+is held in a compact form: a table of class rows and uint8 labels, its
+values in its own float dtype, or those values in a file on disk. It
+yields float64 values a slab of first-axis rows at a time
+(:func:`slabs`), so no float64 copy of a whole map need exist.
 Arrays are indexed ``[x, y, z]`` throughout; file readers convert whatever
 layout is on disk into this convention.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from dataclasses import MISSING, dataclass, fields
 import math
 import numbers
+import os
+import tempfile
+import weakref
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .errors import (
     InvalidLabels,
     InvalidSigma,
     InvalidVolume,
+    IoFailure,
     NotProbabilistic,
 )
 
@@ -116,15 +121,19 @@ def _check_json(value, kind: str, where: str):
     return value
 
 
-def _check_fields(d, kinds: dict, where: str) -> dict:
+def _check_fields(d, kinds: dict, where: str, optional=()) -> dict:
     """JSON object ``d``, after checking that it holds every key of
-    ``kinds`` with a value of that JSON type; else a ConfigError naming
-    ``where`` and the first key missing or mistyped."""
+    ``kinds`` with a value of that JSON type and no key outside ``kinds``
+    and ``optional``; else a ConfigError naming ``where`` and the first key
+    missing or mistyped, or the unknown keys."""
     _check_json(d, "object", where)
     for key, kind in kinds.items():
         if key not in d:
             raise ConfigError(f"{where} has no {key!r} field")
         _check_json(d[key], kind, f"{where} field {key!r}")
+    extra = set(d) - {*kinds, *optional}
+    if extra:
+        raise ConfigError(f"{where} has unknown fields {sorted(extra)}")
     return d
 
 
@@ -230,6 +239,41 @@ class Volume:
         return Volume(data, self.spacing, self.vol_id)
 
 
+def _remove_file(path: str) -> None:
+    with contextlib.suppress(OSError):
+        os.remove(path)
+
+
+class _MapFile:
+    """A map's values on disk: raw little-endian floats of its C-ordered
+    ``(nx, ny, nz, C)`` array, read a slab of rows at a time as
+    ``held[a:b]``. The maps that hold one file share this object; the file
+    is removed when the last of them is collected, or at interpreter exit.
+    """
+
+    __slots__ = ("path", "shape", "dtype", "remove", "__weakref__")
+
+    def __init__(self, path: str, shape: tuple, dtype: np.dtype):
+        self.path, self.shape, self.dtype = path, shape, dtype
+        self.remove = weakref.finalize(self, _remove_file, path)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Rows ``rows.start:rows.stop`` (a step-1 slice within the map),
+        read with one ``np.fromfile``: C order makes them contiguous. A
+        missing or short file is an IoFailure naming it."""
+        a, b = rows.start, rows.stop
+        row = math.prod(self.shape[1:])
+        try:
+            values = np.fromfile(self.path, self.dtype, (b - a) * row,
+                                 offset=a * row * self.dtype.itemsize)
+        except OSError as e:
+            raise IoFailure(f"cannot read map file {self.path}: {e}") from e
+        if values.size != (b - a) * row:
+            raise IoFailure(f"map file {self.path} is short: rows {a}:{b} "
+                            f"need {(b - a) * row} values, found {values.size}")
+        return values.reshape(b - a, *self.shape[1:])
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
@@ -246,13 +290,17 @@ class ProbabilityMap:
     ``source_tag`` records (backend, view) provenance and defines the
     deterministic fusion order.
 
-    A map is held in the compact form it arrives in, and its float64
-    values are formed a slab of rows at a time by :meth:`slab`:
+    A map is held in one of three compact forms, and its float64 values
+    are formed a slab of rows at a time by :meth:`slab`:
 
     * the constructor holds a read-only C-ordered copy of the array it is
       handed, in the array's own float dtype (a map read from a file stays
       float32), with the decision whether to renormalize; it never shares
       memory with its caller;
+    * :meth:`spilled` moves such values to a file on disk, keeping the
+      decision: a few hundred bytes of memory whatever the volume. Each
+      slab is read from the file and goes through the same clip and
+      renormalization as values held in memory, so its bytes are the same;
     * :meth:`from_rows` holds a checked table of C-row class vectors and a
       read-only uint8 volume of row indices, 1 byte per voxel.
     """
@@ -298,8 +346,8 @@ class ProbabilityMap:
         object.__setattr__(self, "_renorm", dev > RENORM_TOL)
 
     def _hold(self, values=None, renorm=False, table=None, labels=None):
-        """Set the held form: ``values`` (a checked array) or ``table`` and
-        ``labels`` (a from_rows map)."""
+        """Set the held form: ``values`` (a checked array, or the
+        ``_MapFile`` of one) or ``table`` and ``labels`` (a from_rows map)."""
         for name, value in (("_values", values), ("_renorm", renorm),
                             ("_table", table), ("_labels", labels)):
             object.__setattr__(self, name, value)
@@ -335,6 +383,35 @@ class ProbabilityMap:
         m._hold(table=_freeze(checked), labels=labels)
         return m
 
+    def spilled(self, directory=None) -> "ProbabilityMap":
+        """The same map, under the same tag, with its values moved from
+        memory to a new file in ``directory`` (the system's temporary
+        directory when None). Only a map held as values can be spilled.
+
+        The file holds the values in their own float width, little-endian,
+        and is removed when the last map sharing it (this one, its
+        :meth:`retagged` copies) is collected. A file that cannot be
+        created or written is an IoFailure naming it, and is removed.
+        """
+        values = self._values
+        dtype = np.dtype(f"<f{values.dtype.itemsize}")
+        try:
+            fd, path = tempfile.mkstemp(prefix="segtta-", suffix=".map", dir=directory)
+        except OSError as e:
+            raise IoFailure(f"cannot create a map file in "
+                            f"{directory or tempfile.gettempdir()}: {e}") from e
+        held = _MapFile(path, values.shape, dtype)
+        try:
+            with open(fd, "wb") as f:
+                for a, b in slabs(self.dims):
+                    f.write(values[a:b].astype(dtype, copy=False))
+        except OSError as e:
+            held.remove()
+            raise IoFailure(f"cannot write map file {path}: {e}") from e
+        m = copy.copy(self)
+        object.__setattr__(m, "_values", held)
+        return m
+
     def slab(self, a: int, b: int) -> np.ndarray:
         """Rows ``a:b`` of the map, ``(b - a, ny, nz, C)`` float64, C-ordered:
         clipped to [0, 1] and renormalized when the map needs it."""
@@ -356,7 +433,7 @@ class ProbabilityMap:
         return (self._table if self._table is not None else self._values).shape[-1]
 
     def retagged(self, source_tag: str) -> "ProbabilityMap":
-        """The same map, sharing its held arrays, under another tag."""
+        """The same map, sharing its held arrays or file, under another tag."""
         m = copy.copy(self)
         object.__setattr__(m, "source_tag", source_tag)
         return m

@@ -90,8 +90,9 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "metric report") -> "MetricReport":
-        """Inverse of :meth:`to_dict`; a missing or mistyped field raises
-        ConfigError naming ``where`` and the field."""
+        """Inverse of :meth:`to_dict`; a missing or mistyped field, or a
+        key that names no field, raises ConfigError naming ``where`` and
+        the key."""
         _check_fields(d, _REPORT_FIELDS, where)
         return cls(**{
             name: _class_scores(d, name, where) if name in _CLASS_SCORES else d[name]

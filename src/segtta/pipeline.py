@@ -228,8 +228,8 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        """Inverse of :meth:`to_dict`; a missing or mistyped field raises
-        ConfigError naming it."""
+        """Inverse of :meth:`to_dict`; a missing or mistyped field, or a
+        key that names no field, raises ConfigError naming it."""
         _check_fields(d, _RESULT_FIELDS, "result")
         for variant in d["variants"]:
             _check_json(variant, "string", "result variant")
@@ -328,19 +328,25 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     view that cannot be built is a ``load:`` failure; otherwise the failing
     pair with the smallest tag is reported. So after a failure every later
     view is still built, and only its pairs whose tag is smaller than the
-    failing one are predicted.
+    failing one are predicted. A map file that cannot be read back while
+    the maps are fused is a ``fuse:`` failure.
 
     Memory: a case in flight holds its normalized volume, at most one
     augmented view (after a failure too), its maps and one slab of sums
     per distinct view set: C + 1 planes of at most ``core.SLAB_VOXELS``
     voxels. A map is held compactly: a synthetic map as its uint8 labels
     (1 byte per voxel, none of its own when it reuses the ground truth's
-    or a jitter's), a map from an external backend as its float32 values
-    (4 x C bytes per voxel), so B external members over V views take
-    B x V x C x 4 bytes per voxel. A noisy oracle also keeps its jittered
-    labels with the case's mask (one volume of uint8 per jitter
-    direction). Once the last prediction is done the case keeps only the
-    volume's spacing; a map outlives its case only if ``cache`` keeps it.
+    or a jitter's), a map from an external backend as a file of its
+    float32 values under ``SEGTTA_TMPDIR`` (else the system's temporary
+    directory), which fusion reads a slab at a time. So B external
+    members over V views take B x V x C x 4 bytes per voxel of disk while
+    the case runs, not of memory; while one is read and checked it holds
+    its values in memory, once per process slot. A noisy oracle also
+    keeps its jittered labels with the case's mask (one volume of uint8
+    per jitter direction). Once the last prediction is done the case
+    keeps only the volume's spacing; a map, and its file, outlives its
+    case only if ``cache`` keeps it: a failed case drops its maps as it
+    returns.
 
     Returns ``(reports, fg, seconds, None)``: per variant of ``variants``
     the metric report (None without ground truth) and the fused foreground
@@ -426,7 +432,9 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
                     maps.append(predict(tag, backend, view, image, digest))
                     views.append(view)
                 except SegTTAError as e:
-                    failed = tag, backend, view, e
+                    # Without its traceback, which holds this frame, the
+                    # error keeps no map alive once the case returns.
+                    failed = tag, backend, view, e.with_traceback(None)
             image = None  # at most one view of the case is alive
     except SegTTAError as e:  # a view that cannot be built
         return failure("load", e)
@@ -437,12 +445,16 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     volume = None  # only prediction reads the views
 
     t0 = time.monotonic()
-    masks = fuse_groups(
-        config.voting, maps, views,
-        [(view_set, tau) for _, view_set, tau in variants],
-    ) if variants else []
-    maps = None  # the case holds its masks, not its maps, while it is scored
-    seconds["fuse_s"] = time.monotonic() - t0
+    try:
+        masks = fuse_groups(
+            config.voting, maps, views,
+            [(view_set, tau) for _, view_set, tau in variants],
+        ) if variants else []
+    except SegTTAError as e:  # a map file that cannot be read
+        return failure("fuse", e)
+    finally:
+        maps = None  # the case holds its masks, not its maps, while it is scored
+        seconds["fuse_s"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     truth = CaseScorer(gt, spacing) if gt is not None else None

@@ -9,6 +9,7 @@ against themselves.
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ def random_mask(rng, dims, num_classes=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def read_only_map_files(monkeypatch):
+    """Make every file ``tempfile.mkstemp`` creates open read-only, so that
+    writing a map file fails; the list this returns collects their paths."""
+    made, mkstemp = [], tempfile.mkstemp
+
+    def read_only(**kwargs):
+        fd, path = mkstemp(**kwargs)
+        os.close(fd)
+        made.append(path)
+        return os.open(path, os.O_RDONLY), path
+
+    monkeypatch.setattr(tempfile, "mkstemp", read_only)
+    return made
 
 
 @pytest.fixture

@@ -383,8 +383,13 @@ class TestExternalProcess:
         np.testing.assert_array_equal(
             np.argmax(dense(out), axis=-1) == 1, expected_fg
         )
-        # The exchange directory is cleaned up afterwards.
-        assert not any(p.name.startswith("segtta-") for p in tmp_path.iterdir())
+        # The exchange directory is cleaned up afterwards; the map's values
+        # stay in one file until the map is dropped.
+        assert not any(p.is_dir() and p.name.startswith("segtta-")
+                       for p in tmp_path.iterdir())
+        (spill,) = tmp_path.glob("segtta-*.map")
+        del out
+        assert not spill.exists()
 
     def test_nonzero_exit(self, case, tmp_path):
         volume, _ = case

@@ -271,6 +271,31 @@ class TestRun:
         assert "Traceback" not in err
         assert tree_digests(out) == before
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["ablate"], ["sweep", "--taus", "0.3,0.6"],
+        ["run", "--format", "csv"],
+    ], ids=["run", "ablate", "sweep", "run-csv"])
+    @pytest.mark.parametrize("blocker", ["out", "result.json", "report"])
+    def test_unwritable_out_is_named_before_any_case_runs(
+            self, dataset_dir, tmp_path, config_path, capsys, command, blocker):
+        # --out a file, or its result or report path a directory: nothing
+        # runs, so no mask and no log is written.
+        out = tmp_path / "out"
+        if blocker == "out":
+            out.write_text("")
+            named = f"cannot write into {out}: "
+        else:
+            name = "report.csv" if "csv" in command else "report.md"
+            blocked = out / (name if blocker == "report" else blocker)
+            blocked.mkdir(parents=True)
+            named = f"cannot write {blocked}: "
+        before = tree_digests(tmp_path)
+        code = run_cli(*command, "--config", config_path,
+                       "--manifest", dataset_dir / "manifest.json", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert tree_digests(tmp_path) == before
+
     def test_out_below_a_file_is_an_io_failure(self, dataset_dir, config_path,
                                                capsys):
         log = config_path / "out" / "run.log.jsonl"
@@ -655,9 +680,15 @@ class TestReportCommand:
          "per_case['c1']['fused'] has no 'per_class_iou' field"),
         (lambda d: {**d, "per_case": {"c1": [1]}},
          "per_case['c1'] must be object"),
+        (lambda d: {**d, "diagnostics": {}, "typo": 1},
+         "result has unknown fields ['diagnostics', 'typo']"),
+        (lambda d: {**d, "per_case": {"c1": {"fused": {
+            **d["per_case"]["c1"]["fused"], "typo": 1}}}},
+         "per_case['c1']['fused'] has unknown fields ['typo']"),
     ], ids=["empty", "per-case-only", "list", "per-case-number",
             "variant-list", "failure-number", "failure-short", "fg-list",
-            "aggregate-string", "aggregate-huge", "report-empty", "row-list"])
+            "aggregate-string", "aggregate-huge", "report-empty", "row-list",
+            "result-unknown-key", "report-unknown-key"])
     def test_malformed_result_is_named(self, tmp_path, capsys, mutate, named):
         path = tmp_path / "r.json"
         path.write_text(json.dumps(self.saved_result()))

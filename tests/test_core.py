@@ -21,6 +21,7 @@ from segtta.errors import (
     InvalidGamma,
     InvalidLabels,
     InvalidSigma,
+    IoFailure,
     NotProbabilistic,
 )
 from segtta.core import SLAB_VOXELS, slabs
@@ -241,9 +242,10 @@ class TestProbabilityMap:
         return np.ascontiguousarray(clipped)
 
     @pytest.mark.parametrize("num_classes", [2, 3, 9])
-    def test_slabs_are_rows_of_the_whole_map(self, rng, num_classes):
+    def test_slabs_are_rows_of_the_whole_map(self, rng, tmp_path, num_classes):
         # 3 slabs, the last of 10 planes. One voxel of the last slab is off
-        # by 5e-4, which renormalizes every voxel of every slab.
+        # by 5e-4, which renormalizes every voxel of every slab. A map
+        # spilled to a file yields the same bytes as the map in memory.
         dims = (70, 36, 30)
         assert [b - a for a, b in slabs(dims)] == [30, 30, 10]
         exact = rng.random((*dims, num_classes))
@@ -252,14 +254,16 @@ class TestProbabilityMap:
         off[65, 3, 4] *= 1 + 5e-4
         for values in (exact, off):
             for probs in (values, np.asfortranarray(values), values.astype(np.float32),
-                          np.asfortranarray(values.astype(np.float32))):
+                          np.asfortranarray(values.astype(np.float32)),
+                          values.astype(">f4")):
                 want = self.whole_map_formula(probs)
                 m = ProbabilityMap(probs)
-                assert dense(m).tobytes() == want.tobytes()
-                for a, b in [*slabs(dims), (0, 1), (29, 31), (69, 70), (0, 70)]:
-                    got = m.slab(a, b)
-                    assert got.dtype == np.float64 and got.flags.c_contiguous
-                    assert got.tobytes() == want[a:b].tobytes()
+                for held in (m, m.spilled(tmp_path)):
+                    assert dense(held).tobytes() == want.tobytes()
+                    for a, b in [*slabs(dims), (0, 1), (29, 31), (69, 70), (0, 70)]:
+                        got = held.slab(a, b)
+                        assert got.dtype == np.float64 and got.flags.c_contiguous
+                        assert got.tobytes() == want[a:b].tobytes()
 
     def test_whole_map_checked_when_built(self, rng):
         # The one bad voxel lies in the last, partial slab.
@@ -307,6 +311,67 @@ class TestProbabilityMap:
         labels[:] = 0
         assert dense(m).tobytes() == want.tobytes()
         assert m.retagged("u").slab(0, 40).tobytes() == want.tobytes()
+
+    @staticmethod
+    def spill_input(rng, dims=(70, 36, 30)):
+        fg = rng.random(dims).astype(np.float32)
+        return ProbabilityMap(np.stack([1 - fg, fg], axis=-1), "t")
+
+    def test_spilled_map_holds_a_file_not_its_values(self, rng, tmp_path):
+        fg = rng.random((70, 36, 30)).astype(np.float32)
+        probs = np.stack([1 - fg, fg], axis=-1)
+        m = ProbabilityMap(probs, "t")
+        m.spilled(tmp_path)  # first-call allocations are not the map's
+        tracemalloc.start()
+        try:
+            spilled = m.spilled(tmp_path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1000
+        assert (spilled.dims, spilled.num_classes, spilled.source_tag) == (
+            m.dims, m.num_classes, "t")
+        (path,) = tmp_path.iterdir()
+        assert path.stat().st_size == 70 * 36 * 30 * 2 * 4
+        assert path.read_bytes() == probs.astype("<f4").tobytes()
+
+    def test_spill_file_goes_with_the_last_map_holding_it(self, rng, tmp_path):
+        spilled = self.spill_input(rng).spilled(tmp_path)
+        (path,) = tmp_path.iterdir()
+        want = dense(spilled)
+        copy = spilled.retagged("u")
+        del spilled
+        gc.collect()
+        assert dense(copy).tobytes() == want.tobytes()
+        del copy
+        assert not path.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing"])
+    def test_damaged_spill_file_is_an_io_failure(self, rng, tmp_path, damage):
+        spilled = self.spill_input(rng).spilled(tmp_path)
+        (path,) = tmp_path.iterdir()
+        assert spilled.slab(0, 30).shape == (30, 36, 30, 2)
+        if damage == "missing":
+            path.unlink()
+        else:
+            with open(path, "r+b") as f:
+                f.truncate(path.stat().st_size - 4)
+        with pytest.raises(IoFailure, match=re.escape(str(path))):
+            spilled.slab(60, 70)
+
+    def test_unwritable_spill_file_is_an_io_failure(self, rng, tmp_path, monkeypatch,
+                                                    read_only_map_files):
+        m = self.spill_input(rng)
+        with pytest.raises(IoFailure) as info:
+            m.spilled(tmp_path)
+        assert str(info.value).startswith(
+            f"cannot write map file {read_only_map_files[0]}: ")
+        assert not any(tmp_path.iterdir())
+        monkeypatch.undo()
+        missing = tmp_path / "missing"
+        with pytest.raises(IoFailure, match=re.escape(
+                f"cannot create a map file in {missing}: ")):
+            m.spilled(missing)
 
     @pytest.mark.parametrize("labels, match", [
         (np.full((2, 2, 2), 2), r"labels range \[2, 2\] outside the table's rows \[0, 2\)"),

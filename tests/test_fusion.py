@@ -168,6 +168,25 @@ class TestSharedProperties:
         out = fuse(FusionInput((pmap([row, row], "a"),), mode=mode, tau=0.6))
         assert (out.labels == 255).all() and out.num_classes == 256
 
+    def test_spilled_maps_fuse_as_the_maps_in_memory(self, rng, tmp_path):
+        # float32 maps over 3 slabs, one of them off by 5e-4 so that it is
+        # renormalized, fused in two groups at two taus.
+        dims = (70, 36, 30)
+        assert len(segtta.core.slabs(dims)) == 3
+        maps = []
+        for i in range(4):
+            probs = rng.dirichlet([1.0, 1.0, 1.0], size=dims).astype(np.float32)
+            if i == 1:
+                probs[5, 5, 5] *= 1 + 5e-4
+            maps.append(ProbabilityMap(probs, source_tag=f"m{i}"))
+        spilled = [m.spilled(tmp_path) for m in maps]
+        keys = [0, 1, 0, 1]
+        decisions = [(frozenset({0}), 0.6), (frozenset({0, 1}), 0.4)]
+        for mode in VOTING_MODES:
+            want = fuse_groups(mode, maps, keys, decisions)
+            got = fuse_groups(mode, spilled, keys, decisions)
+            assert [m.labels.tobytes() for m in got] == [m.labels.tobytes() for m in want]
+
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(st.data())
     def test_groups_equal_the_oracle_across_slabs(self, data):

@@ -75,6 +75,25 @@ def noisy_config(n_members=3, **overrides):
     return RunConfig(**defaults)
 
 
+# An external model that counts its calls in the directory argv[4] and
+# exits 1 on those listed in argv[3].
+COUNTING_MODEL = """
+import os
+import sys
+import numpy as np
+from segtta import ProbabilityMap, read_volume, write_probability_map
+
+call = len(os.listdir(sys.argv[4]))
+open(os.path.join(sys.argv[4], str(call)), "w").close()
+if str(call) in sys.argv[3].split(","):
+    sys.exit(1)
+volume = read_volume(sys.argv[1])
+fg = (volume.data > 0.5)[..., None]
+write_probability_map(ProbabilityMap(np.where(fg, [0.2, 0.8], [0.9, 0.1])), sys.argv[2],
+                      volume.spacing)
+"""
+
+
 class TestRunSegtta:
     def test_perfect_oracle_passthrough(self, dataset):
         config = RunConfig(
@@ -450,6 +469,78 @@ class TestRunSegtta:
         for _, reason in result.failures:
             assert reason.startswith(
                 f"m|baseline: cannot create a work directory in {missing}: ")
+
+    @staticmethod
+    def spilling_run(dataset, tmp_path, monkeypatch, failing=()):
+        """Run an external member on case000's baseline and gamma views with
+        ``SEGTTA_TMPDIR`` set to an empty directory, which is returned
+        beside the result. The member exits 1 on the calls numbered in
+        ``failing`` (0 is the baseline view's), and each fusion records the
+        files of the directory as it starts."""
+        spill_dir, calls = tmp_path / "spill", tmp_path / "calls"
+        spill_dir.mkdir()
+        calls.mkdir()
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(spill_dir))
+        script = tmp_path / "model.py"
+        script.write_text(COUNTING_MODEL)
+        failing = ",".join(map(str, failing)) or "-"
+        config = RunConfig(
+            backends=(BackendDescriptor(
+                "external", name="m",
+                command=f"{sys.executable} {script} {{input}} {{output}} {failing} {calls}"),),
+            augmentations=(AugmentationSpec("gamma_correction", gamma=0.8),),
+            jobs=1,
+        )
+        fusing, fuse_groups = [], segtta.pipeline.fuse_groups
+
+        def recorded(*args):
+            fusing.append(sorted(p.name for p in spill_dir.iterdir()))
+            return fuse_groups(*args)
+
+        monkeypatch.setattr(segtta.pipeline, "fuse_groups", recorded)
+        result = run_segtta(config, replace(dataset, entries=dataset.entries[:1]))
+        return result, spill_dir, fusing
+
+    @pytest.mark.parametrize("failing", [(), (1,)], ids=["good", "gamma-view-fails"])
+    def test_map_files_are_gone_when_the_run_returns(
+            self, dataset, tmp_path, monkeypatch, child_imports_segtta, failing):
+        # The failing view's prediction comes after the baseline map was
+        # written to its file.
+        result, spill_dir, fusing = self.spilling_run(
+            dataset, tmp_path, monkeypatch, failing)
+        if failing:
+            assert not fusing and not result.per_case
+            [(case, reason)] = result.failures
+            assert reason.startswith("m|gamma_correction(gamma=0.8): ")
+        else:
+            [names] = fusing
+            assert len(names) == 2 and all(n.endswith(".map") for n in names)
+            assert list(result.per_case) == ["case000"]
+        assert not any(spill_dir.iterdir())
+
+    def test_unwritable_map_file_fails_its_pair(self, dataset, tmp_path, monkeypatch,
+                                                child_imports_segtta, read_only_map_files):
+        result, spill_dir, fusing = self.spilling_run(dataset, tmp_path, monkeypatch)
+        assert not fusing and not result.per_case
+        [(case, reason)] = result.failures
+        assert reason.startswith(
+            f"m|baseline: cannot write map file {read_only_map_files[0]}: ")
+        assert not any(spill_dir.iterdir())
+
+    def test_map_file_gone_before_fusion_fails_the_case(
+            self, dataset, tmp_path, monkeypatch, child_imports_segtta):
+        fuse_groups = segtta.pipeline.fuse_groups
+
+        def unlinking(mode, maps, *args):
+            for path in Path(os.environ["SEGTTA_TMPDIR"]).iterdir():
+                path.unlink()
+            return fuse_groups(mode, maps, *args)
+
+        monkeypatch.setattr(segtta.pipeline, "fuse_groups", unlinking)
+        result, spill_dir, fusing = self.spilling_run(dataset, tmp_path, monkeypatch)
+        assert len(fusing) == 1 and not result.per_case
+        [(case, reason)] = result.failures
+        assert reason.startswith(f"fuse: cannot read map file {spill_dir}")
 
     def test_result_save_into_a_directory_is_an_io_failure(self, dataset, tmp_path):
         result = run_segtta(noisy_config(1), replace(dataset, entries=dataset.entries[:1]))
