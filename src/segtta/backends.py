@@ -20,12 +20,13 @@ cost, not its bytes:
 
 The external kind shells out to a real
 model wrapper via float32 NIfTI file exchange, so hooking up an actual
-segmenter is one small script. Its map is read and checked whole, then
-its values are moved to a file beside the exchange directory
-(:meth:`ProbabilityMap.spilled`), 4 bytes per voxel and class of disk
-instead of memory, which fusion reads a slab at a time; the file goes
-with the last map holding it. Its exit status, run time and the tail of
-its stdout and stderr go to the run's log as one ``log`` event.
+segmenter is one small script. Its map, like any map read from a file,
+is held in a file made as it is checked, beside the exchange directory
+(:func:`~segtta.nifti.read_probability_map`): 4 bytes per voxel and
+class of disk instead of memory, which fusion reads a slab at a time;
+the file goes with the last map holding it. Its exit status, run time
+and the tail of its stdout and stderr go to the run's log as one ``log``
+event.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ import weakref
 import numpy as np
 
 from .config import BackendDescriptor
-from .core import LabelMask, ProbabilityMap, Volume
+from .core import LabelMask, ProbabilityMap, Volume, temp_dir
 from .errors import (
     ConfigError,
     DimensionMismatch,
     GroundTruthMissing,
     InvalidConfidence,
     IoFailure,
+    MapFileFailure,
     NotProbabilistic,
     ProcessFailure,
     SegTTAError,
@@ -158,12 +160,11 @@ def _predict_noisy(
 def _predict_external(
     backend: BackendDescriptor, volume: Volume, num_classes: int, log
 ) -> ProbabilityMap:
-    base = os.environ.get("SEGTTA_TMPDIR") or None
+    base = temp_dir()
     try:
         workdir = tempfile.mkdtemp(prefix="segtta-", dir=base)
     except OSError as e:  # the case fails, as a failed input write does
-        raise IoFailure(f"cannot create a work directory in "
-                        f"{base or tempfile.gettempdir()}: {e}") from e
+        raise IoFailure(f"cannot create a work directory in {base}: {e}") from e
     try:
         input_path = os.path.join(workdir, "input.nii")
         output_path = os.path.join(workdir, "output.nii")
@@ -216,8 +217,8 @@ def _predict_external(
             )
         try:
             pmap = nifti.read_probability_map(output_path)
-        except NotProbabilistic:
-            raise
+        except (NotProbabilistic, MapFileFailure):
+            raise  # the values, or the machine, not the file's format
         except SegTTAError as e:
             raise ProcessFailure(
                 f"backend {backend.name!r} produced malformed output: {e}"
@@ -232,7 +233,7 @@ def _predict_external(
                 f"backend {backend.name!r} output has {pmap.num_classes} "
                 f"classes, expected {num_classes}"
             )
-        return pmap.spilled(base)
+        return pmap
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -190,6 +190,13 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    # Checked before any map is read: a bad --output would waste the fusion.
+    output = Path(args.output)
+    if output.is_dir():
+        raise IoFailure(f"cannot write {output}: is a directory")
+    parent = next(p for p in output.parents if p.exists())
+    if not parent.is_dir():
+        raise IoFailure(f"cannot write {output}: {parent} is not a directory")
     headers, maps = zip(*(nifti._read_probability_map(p) for p in args.maps))
     for path, header in zip(args.maps[1:], headers[1:]):
         _check_spacing(header.spacing, headers[0].spacing,

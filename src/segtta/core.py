@@ -4,8 +4,9 @@ All types are immutable after construction (frozen dataclasses over
 read-only numpy arrays), so they are safe to share across worker threads.
 The array-holding types compare and hash by identity. A probability map
 is held in a compact form: a table of class rows and uint8 labels, its
-values in its own float dtype, or those values in a file on disk. It
-yields float64 values a slab of first-axis rows at a time
+values in its own float width, or those values in a file on disk, which
+is how a map read from a file is held: in a file made as it is checked.
+It yields float64 values a slab of first-axis rows at a time
 (:func:`slabs`), so no float64 copy of a whole map need exist.
 Arrays are indexed ``[x, y, z]`` throughout; file readers convert whatever
 layout is on disk into this convention.
@@ -33,6 +34,7 @@ from .errors import (
     InvalidSigma,
     InvalidVolume,
     IoFailure,
+    MapFileFailure,
     NotProbabilistic,
 )
 
@@ -239,6 +241,13 @@ class Volume:
         return Volume(data, self.spacing, self.vol_id)
 
 
+def temp_dir() -> str:
+    """Where the package makes its files while it runs (the files of maps
+    read from NIfTI files, external models' exchange directories):
+    ``SEGTTA_TMPDIR`` when set, else the system's temporary directory."""
+    return os.environ.get("SEGTTA_TMPDIR") or tempfile.gettempdir()
+
+
 def _remove_file(path: str) -> None:
     with contextlib.suppress(OSError):
         os.remove(path)
@@ -294,24 +303,29 @@ class ProbabilityMap:
     are formed a slab of rows at a time by :meth:`slab`:
 
     * the constructor holds a read-only C-ordered copy of the array it is
-      handed, in the array's own float dtype (a map read from a file stays
-      float32), with the decision whether to renormalize; it never shares
-      memory with its caller;
-    * :meth:`spilled` moves such values to a file on disk, keeping the
-      decision: a few hundred bytes of memory whatever the volume. Each
-      slab is read from the file and goes through the same clip and
-      renormalization as values held in memory, so its bytes are the same;
+      handed, little-endian in the array's own float width, with the
+      decision whether to renormalize; it never shares memory with its
+      caller;
+    * with ``directory``, it writes those values to a new file there
+      instead, a slab at a time as it checks them, so no whole-map copy is
+      made, and holds the file: a few hundred bytes of memory whatever the
+      volume. Every map read from a NIfTI file is held so. A slab read
+      from the file goes through the same clip and renormalization as
+      values in memory, so its bytes are the same. The file goes with the
+      last map sharing it (this one, its :meth:`retagged` copies), and
+      with a map that fails its check; one that cannot be created or
+      written is a MapFileFailure naming it;
     * :meth:`from_rows` holds a checked table of C-row class vectors and a
       read-only uint8 volume of row indices, 1 byte per voxel.
     """
 
     source_tag: str = ""
 
-    def __init__(self, probs, source_tag: str = ""):
+    def __init__(self, probs, source_tag: str = "", *, directory=None):
         object.__setattr__(self, "source_tag", source_tag)
-        self.__post_init__(probs)
+        self.__post_init__(probs, directory)
 
-    def __post_init__(self, probs):
+    def __post_init__(self, probs, directory):
         src = np.asarray(probs)
         if src.dtype.kind != "f":
             src = src.astype(np.float64)
@@ -320,30 +334,52 @@ class ProbabilityMap:
         if not 2 <= src.shape[3] <= MAX_CLASSES:
             raise DimensionMismatch(
                 f"num_classes={src.shape[3]} outside [2, {MAX_CLASSES}]")
+        dtype = np.dtype(f"<f{src.dtype.itemsize}")
+        if directory is None:
+            held = _freeze(np.array(src, dtype, order="C"))
+            sink = contextlib.nullcontext()
+        else:
+            try:
+                fd, path = tempfile.mkstemp(prefix="segtta-", suffix=".map",
+                                            dir=directory)
+            except OSError as e:
+                raise MapFileFailure(
+                    f"cannot create a map file in {directory}: {e}") from e
+            held, sink = _MapFile(path, src.shape, dtype), open(fd, "wb")
         # Exact in any float dtype: widening to float64 keeps the order.
-        lo, hi = float(src.min()), float(src.max())  # NaN propagates into both
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise NotProbabilistic(f"map {self.source_tag!r}: probs contain NaN or Inf")
-        if lo < -PROB_TOL or hi > 1.0 + PROB_TOL:
-            raise NotProbabilistic(
-                f"map {self.source_tag!r}: probs range [{lo:g}, {hi:g}] "
-                f"outside [0, 1] by more than {PROB_TOL:g}"
-            )
-        self._hold(values=_freeze(np.array(src, order="C")))
-        dev = 0.0
-        for a, b in slabs(self.dims):
-            # Adding whole class planes is ~18x faster than a reduction
-            # along the strided class axis; one buffer serves the sum and
-            # its deviation.
-            sums = _plane_sum(self.slab(a, b))
-            sums -= 1.0
-            dev = max(dev, float(np.abs(sums, out=sums).max()))
-        if dev > PROB_TOL:
-            raise NotProbabilistic(
-                f"map {self.source_tag!r}: per-voxel sum deviates from 1 "
-                f"by {dev:g} > {PROB_TOL:g}"
-            )
-        object.__setattr__(self, "_renorm", dev > RENORM_TOL)
+        lo, hi, dev = math.inf, -math.inf, 0.0
+        try:
+            with sink as f:
+                for a, b in slabs(src.shape):
+                    if f is None:
+                        rows = held[a:b]
+                    else:
+                        rows = np.ascontiguousarray(src[a:b], dtype)
+                        f.write(rows)
+                    lo, hi = np.minimum(lo, rows.min()), np.maximum(hi, rows.max())
+                    # Adding whole class planes is ~18x faster than a reduction
+                    # along the strided class axis; one buffer serves the sum
+                    # and its deviation.
+                    sums = _plane_sum(np.clip(rows, 0.0, 1.0, out=np.empty(rows.shape)))
+                    sums -= 1.0
+                    dev = max(dev, float(np.abs(sums, out=sums).max()))
+        except OSError as e:
+            held.remove()
+            raise MapFileFailure(f"cannot write map file {held.path}: {e}") from e
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN propagates into both
+            problem = "probs contain NaN or Inf"
+        elif lo < -PROB_TOL or hi > 1.0 + PROB_TOL:
+            problem = (f"probs range [{lo:g}, {hi:g}] outside [0, 1] by more than "
+                       f"{PROB_TOL:g}")
+        elif dev > PROB_TOL:
+            problem = f"per-voxel sum deviates from 1 by {dev:g} > {PROB_TOL:g}"
+        else:
+            self._hold(values=held, renorm=dev > RENORM_TOL)
+            return
+        if directory is not None:
+            held.remove()
+        raise NotProbabilistic(f"map {self.source_tag!r}: {problem}")
 
     def _hold(self, values=None, renorm=False, table=None, labels=None):
         """Set the held form: ``values`` (a checked array, or the
@@ -381,35 +417,6 @@ class ProbabilityMap:
         m = object.__new__(cls)
         object.__setattr__(m, "source_tag", source_tag)
         m._hold(table=_freeze(checked), labels=labels)
-        return m
-
-    def spilled(self, directory=None) -> "ProbabilityMap":
-        """The same map, under the same tag, with its values moved from
-        memory to a new file in ``directory`` (the system's temporary
-        directory when None). Only a map held as values can be spilled.
-
-        The file holds the values in their own float width, little-endian,
-        and is removed when the last map sharing it (this one, its
-        :meth:`retagged` copies) is collected. A file that cannot be
-        created or written is an IoFailure naming it, and is removed.
-        """
-        values = self._values
-        dtype = np.dtype(f"<f{values.dtype.itemsize}")
-        try:
-            fd, path = tempfile.mkstemp(prefix="segtta-", suffix=".map", dir=directory)
-        except OSError as e:
-            raise IoFailure(f"cannot create a map file in "
-                            f"{directory or tempfile.gettempdir()}: {e}") from e
-        held = _MapFile(path, values.shape, dtype)
-        try:
-            with open(fd, "wb") as f:
-                for a, b in slabs(self.dims):
-                    f.write(values[a:b].astype(dtype, copy=False))
-        except OSError as e:
-            held.remove()
-            raise IoFailure(f"cannot write map file {path}: {e}") from e
-        m = copy.copy(self)
-        object.__setattr__(m, "_values", held)
         return m
 
     def slab(self, a: int, b: int) -> np.ndarray:

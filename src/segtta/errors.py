@@ -31,6 +31,11 @@ class IoFailure(SegTTAError, OSError):
     """Reading or writing the underlying file failed."""
 
 
+class MapFileFailure(IoFailure):
+    """The file that holds a map's values could not be created or written:
+    a fault of the machine, not of the input the map is read from."""
+
+
 class NotProbabilistic(SegTTAError, ValueError):
     """Per-voxel class probabilities do not sum to one within tolerance."""
 

@@ -13,6 +13,10 @@ Each reader reads its file once: the header is parsed from the bytes
 read, and the data size the header claims is checked against the bytes
 present before any array is built, so a short file or an oversized claim
 is reported as truncated. ``read_header`` alone reads just the header.
+A probability map read from a file is held in a file made as it is
+checked, slab by slab, under ``SEGTTA_TMPDIR`` (else the system's
+temporary directory; :func:`~segtta.core.temp_dir`), so besides the
+file's bytes a read holds a slab at a time and no copy of the map.
 
 Written files are canonical: vox_offset=352, scl_slope=1, scl_inter=0,
 little-endian (a volume may ask for big-endian), and gzip members carry
@@ -29,7 +33,7 @@ import zlib
 
 import numpy as np
 
-from .core import LabelMask, ProbabilityMap, Spacing, Volume, slabs
+from .core import LabelMask, ProbabilityMap, Spacing, Volume, slabs, temp_dir
 from .errors import (
     CorruptHeader,
     DimensionMismatch,
@@ -256,7 +260,8 @@ def _read_label_mask(path, num_classes: int) -> tuple[NiftiHeader, LabelMask]:
 
 
 def read_probability_map(path) -> ProbabilityMap:
-    """Read a 4D float32 probability map with dim[4] = num_classes."""
+    """Read a 4D float32 probability map with dim[4] = num_classes, held
+    in a file of its values made as they are checked (see the module)."""
     return _read_probability_map(path)[1]
 
 
@@ -268,9 +273,7 @@ def _read_probability_map(path) -> tuple[NiftiHeader, ProbabilityMap]:
             f"{path}: probability maps must be float32 (datatype=16), "
             f"got {header.datatype}"
         )
-    # ProbabilityMap widens to float64 as it clips, one class plane at a
-    # time; clipping to 0 and 1 is exact in float32, so no staging copy.
-    return header, ProbabilityMap(arr, source_tag=_stem(path))
+    return header, ProbabilityMap(arr, _stem(path), directory=temp_dir())
 
 
 def _stem(path) -> str:

@@ -336,17 +336,18 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     per distinct view set: C + 1 planes of at most ``core.SLAB_VOXELS``
     voxels. A map is held compactly: a synthetic map as its uint8 labels
     (1 byte per voxel, none of its own when it reuses the ground truth's
-    or a jitter's), a map from an external backend as a file of its
-    float32 values under ``SEGTTA_TMPDIR`` (else the system's temporary
-    directory), which fusion reads a slab at a time. So B external
-    members over V views take B x V x C x 4 bytes per voxel of disk while
-    the case runs, not of memory; while one is read and checked it holds
-    its values in memory, once per process slot. A noisy oracle also
-    keeps its jittered labels with the case's mask (one volume of uint8
-    per jitter direction). Once the last prediction is done the case
-    keeps only the volume's spacing; a map, and its file, outlives its
-    case only if ``cache`` keeps it: a failed case drops its maps as it
-    returns.
+    or a jitter's), and a map from an external backend, as any map read
+    from a file, as a file of its float32 values under ``SEGTTA_TMPDIR``
+    (else the system's temporary directory), made as the map is checked,
+    which fusion reads a slab at a time. So B external members over V
+    views take B x V x C x 4 bytes per voxel of disk while the case runs,
+    not of memory. Reading a map makes no staging copy of its values: it
+    holds the child's file bytes and one slab, once per process slot. A
+    noisy oracle also keeps its jittered labels with the case's mask (one
+    volume of uint8 per jitter direction). Once the last prediction is
+    done the case keeps only the volume's spacing; a map, and its file,
+    outlives its case only if ``cache`` keeps it: a failed case drops its
+    maps as it returns.
 
     Returns ``(reports, fg, seconds, None)``: per variant of ``variants``
     the metric report (None without ground truth) and the fused foreground

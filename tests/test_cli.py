@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from segtta import (
 from segtta import nifti
 from segtta.cli import main
 from segtta.errors import IoFailure
+from segtta.fusion import FusionInput, fuse
 from segtta.pipeline import EventLog
 
 from conftest import IGNORED_FIELD_CASES
@@ -582,6 +584,66 @@ class TestFuseCommand:
                             lambda path, *a: reads.append(path) or read_bytes(path, *a))
         assert run_cli("fuse", "--output", tmp_path / "mask.nii", *paths) == 0
         assert sorted(map(str, reads)) == sorted(map(str, paths))
+
+    @pytest.mark.parametrize("blocker", ["directory", "parent-file"])
+    def test_bad_output_is_named_before_any_map_is_read(
+            self, tmp_path, monkeypatch, capsys, blocker):
+        path = tmp_path / "m.nii"
+        write_probability_map(ProbabilityMap(np.full((4, 4, 2, 2), 0.5)), path,
+                              Spacing(1.0, 1.0, 2.0))
+        if blocker == "directory":
+            output = tmp_path / "adir"
+            output.mkdir()
+            named = f"cannot write {output}: is a directory"
+        else:
+            output = path / "sub" / "mask.nii"
+            named = f"cannot write {output}: {path} is not a directory"
+        reads = []
+        read = nifti._read_probability_map
+        monkeypatch.setattr(nifti, "_read_probability_map",
+                            lambda p: reads.append(p) or read(p))
+        assert run_cli("fuse", "--output", output, path) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not reads
+
+    def test_maps_stay_on_disk(self, tmp_path, monkeypatch):
+        # Ten 64x64x48x2 float32 maps take 15.7 MB in memory; each is held in
+        # a file under SEGTTA_TMPDIR, removed once the mask is written, and
+        # the mask is that of the maps held in memory.
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(spill))
+        gen = np.random.default_rng(3)
+        dims, spacing = (64, 64, 48), Spacing(1.0, 1.0, 2.0)
+        maps, paths = [], []
+        for i in range(10):
+            fg = gen.random(dims).astype(np.float32)
+            maps.append(ProbabilityMap(np.stack([1 - fg, fg], axis=-1), f"m{i}.nii"))
+            paths.append(tmp_path / f"m{i}.nii")
+            write_probability_map(maps[-1], paths[-1], spacing)
+        want = fuse(FusionInput(tuple(maps)))
+        maps = None
+        tracemalloc.start()
+        try:
+            assert run_cli("fuse", "--output", tmp_path / "mask.nii", *paths) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert not any(spill.iterdir())
+        assert read_label_mask(tmp_path / "mask.nii", 2).labels.tobytes() == (
+            want.labels.tobytes())
+
+    def test_missing_map_directory_is_an_io_failure(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "m.nii"
+        write_probability_map(ProbabilityMap(np.full((4, 4, 2, 2), 0.5)), path,
+                              Spacing(1.0, 1.0, 2.0))
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(missing))
+        assert run_cli("fuse", "--output", tmp_path / "mask.nii", path) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot create a map file in {missing}: ")
+        assert not (tmp_path / "mask.nii").exists()
 
     def test_spacing_mismatch_is_named(self, tmp_path, capsys):
         probs = np.full((4, 4, 2, 2), 0.5)

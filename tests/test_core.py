@@ -245,7 +245,7 @@ class TestProbabilityMap:
     def test_slabs_are_rows_of_the_whole_map(self, rng, tmp_path, num_classes):
         # 3 slabs, the last of 10 planes. One voxel of the last slab is off
         # by 5e-4, which renormalizes every voxel of every slab. A map
-        # spilled to a file yields the same bytes as the map in memory.
+        # held in a file yields the same bytes as the map in memory.
         dims = (70, 36, 30)
         assert [b - a for a, b in slabs(dims)] == [30, 30, 10]
         exact = rng.random((*dims, num_classes))
@@ -257,23 +257,30 @@ class TestProbabilityMap:
                           np.asfortranarray(values.astype(np.float32)),
                           values.astype(">f4")):
                 want = self.whole_map_formula(probs)
-                m = ProbabilityMap(probs)
-                for held in (m, m.spilled(tmp_path)):
+                for held in (ProbabilityMap(probs),
+                             ProbabilityMap(probs, directory=tmp_path)):
                     assert dense(held).tobytes() == want.tobytes()
                     for a, b in [*slabs(dims), (0, 1), (29, 31), (69, 70), (0, 70)]:
                         got = held.slab(a, b)
                         assert got.dtype == np.float64 and got.flags.c_contiguous
                         assert got.tobytes() == want[a:b].tobytes()
 
-    def test_whole_map_checked_when_built(self, rng):
-        # The one bad voxel lies in the last, partial slab.
-        probs = np.full((70, 36, 30, 2), 0.5, dtype=np.float32)
-        probs[69, 35, 29, 1] = 0.51
-        with pytest.raises(NotProbabilistic, match="deviates"):
-            ProbabilityMap(probs)
-        probs[69, 35, 29] = np.nan
-        with pytest.raises(NotProbabilistic, match="NaN"):
-            ProbabilityMap(probs)
+    def test_whole_map_checked_when_built(self, rng, tmp_path):
+        # The one bad voxel lies in the last, partial slab; a map held in a
+        # file leaves no file when it is rejected.
+        for directory in (None, tmp_path):
+            probs = np.full((70, 36, 30, 2), 0.5, dtype=np.float32)
+            probs[69, 35, 29, 1] = 0.51
+            with pytest.raises(NotProbabilistic, match="deviates"):
+                ProbabilityMap(probs, directory=directory)
+            probs[69, 35, 29, 1] = 1.01
+            with pytest.raises(NotProbabilistic, match=r"range \[0.5, 1.01\]"):
+                ProbabilityMap(probs, directory=directory)
+            probs[0, 0, 0, 1] = 2.0  # out of range, but the NaN is named first
+            probs[69, 35, 29] = np.nan
+            with pytest.raises(NotProbabilistic, match="NaN"):
+                ProbabilityMap(probs, directory=directory)
+        assert not any(tmp_path.iterdir())
 
     def test_float32_map_held_as_float32(self, rng):
         # A map read from a file is float32: it is held in 4 bytes per
@@ -313,30 +320,31 @@ class TestProbabilityMap:
         assert m.retagged("u").slab(0, 40).tobytes() == want.tobytes()
 
     @staticmethod
-    def spill_input(rng, dims=(70, 36, 30)):
+    def spill_input(rng, directory, dims=(70, 36, 30)):
         fg = rng.random(dims).astype(np.float32)
-        return ProbabilityMap(np.stack([1 - fg, fg], axis=-1), "t")
+        return ProbabilityMap(np.stack([1 - fg, fg], axis=-1), "t", directory=directory)
 
     def test_spilled_map_holds_a_file_not_its_values(self, rng, tmp_path):
+        # A Fortran-ordered big-endian array, as a NIfTI file holds one.
         fg = rng.random((70, 36, 30)).astype(np.float32)
-        probs = np.stack([1 - fg, fg], axis=-1)
-        m = ProbabilityMap(probs, "t")
-        m.spilled(tmp_path)  # first-call allocations are not the map's
+        probs = np.asfortranarray(np.stack([1 - fg, fg], axis=-1), ">f4")
+        ProbabilityMap(probs, directory=tmp_path)  # first-call allocations are not the map's
         tracemalloc.start()
         try:
-            spilled = m.spilled(tmp_path)
+            spilled = ProbabilityMap(probs, "t", directory=tmp_path)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held < 1000
         assert (spilled.dims, spilled.num_classes, spilled.source_tag) == (
-            m.dims, m.num_classes, "t")
+            (70, 36, 30), 2, "t")
         (path,) = tmp_path.iterdir()
+        assert path.name.startswith("segtta-") and path.suffix == ".map"
         assert path.stat().st_size == 70 * 36 * 30 * 2 * 4
-        assert path.read_bytes() == probs.astype("<f4").tobytes()
+        assert path.read_bytes() == probs.astype("<f4").tobytes(order="C")
 
     def test_spill_file_goes_with_the_last_map_holding_it(self, rng, tmp_path):
-        spilled = self.spill_input(rng).spilled(tmp_path)
+        spilled = self.spill_input(rng, tmp_path)
         (path,) = tmp_path.iterdir()
         want = dense(spilled)
         copy = spilled.retagged("u")
@@ -348,7 +356,7 @@ class TestProbabilityMap:
 
     @pytest.mark.parametrize("damage", ["truncated", "missing"])
     def test_damaged_spill_file_is_an_io_failure(self, rng, tmp_path, damage):
-        spilled = self.spill_input(rng).spilled(tmp_path)
+        spilled = self.spill_input(rng, tmp_path)
         (path,) = tmp_path.iterdir()
         assert spilled.slab(0, 30).shape == (30, 36, 30, 2)
         if damage == "missing":
@@ -361,9 +369,8 @@ class TestProbabilityMap:
 
     def test_unwritable_spill_file_is_an_io_failure(self, rng, tmp_path, monkeypatch,
                                                     read_only_map_files):
-        m = self.spill_input(rng)
         with pytest.raises(IoFailure) as info:
-            m.spilled(tmp_path)
+            self.spill_input(rng, tmp_path)
         assert str(info.value).startswith(
             f"cannot write map file {read_only_map_files[0]}: ")
         assert not any(tmp_path.iterdir())
@@ -371,7 +378,7 @@ class TestProbabilityMap:
         missing = tmp_path / "missing"
         with pytest.raises(IoFailure, match=re.escape(
                 f"cannot create a map file in {missing}: ")):
-            m.spilled(missing)
+            self.spill_input(rng, missing)
 
     @pytest.mark.parametrize("labels, match", [
         (np.full((2, 2, 2), 2), r"labels range \[2, 2\] outside the table's rows \[0, 2\)"),

@@ -173,13 +173,13 @@ class TestSharedProperties:
         # renormalized, fused in two groups at two taus.
         dims = (70, 36, 30)
         assert len(segtta.core.slabs(dims)) == 3
-        maps = []
+        maps, spilled = [], []
         for i in range(4):
             probs = rng.dirichlet([1.0, 1.0, 1.0], size=dims).astype(np.float32)
             if i == 1:
                 probs[5, 5, 5] *= 1 + 5e-4
             maps.append(ProbabilityMap(probs, source_tag=f"m{i}"))
-        spilled = [m.spilled(tmp_path) for m in maps]
+            spilled.append(ProbabilityMap(probs, f"m{i}", directory=tmp_path))
         keys = [0, 1, 0, 1]
         decisions = [(frozenset({0}), 0.6), (frozenset({0, 1}), 0.4)]
         for mode in VOTING_MODES:
