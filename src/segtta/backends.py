@@ -3,20 +3,24 @@
 The synthetic kinds (oracle, noisy oracle, constant) make desk-scale
 experiments controllable: the noisy oracle in particular is a stand-in for
 checkpoint diversity, with tunable boundary jitter and label flips. Its
-output is fixed by its random stream: it draws one uniform and one class
-offset per voxel, whatever the flip rate. The shortcuts below change its
-cost, not its bytes:
+output is fixed by its random stream: a jitter direction when it
+jitters; then, when it flips, one uniform per voxel and one class offset
+in 1..C-1 per voxel, the stream's last draw. The shortcuts below change
+its cost, not its bytes:
 
 * a ground-truth mask is jittered at most once per direction and step
   count; the result is kept for as long as the mask is alive, so the
   members and views of a case share it;
-* only the flipped voxels are rewritten;
+* with two classes the only offset is 1, so the offsets are not drawn
+  and a flip is one XOR of the labels with the voxels whose uniform is
+  below the flip rate; with more, only the flipped voxels are rewritten;
 * every synthetic kind builds its map with
   :meth:`ProbabilityMap.from_rows`, which checks the C-row table of
-  softened one-hots instead of every voxel and holds the labels, one byte
-  per voxel: the ground truth's own or a jitter's (read-only, so not
-  copied) or the flipped copy. Each voxel's row is looked up a slab at a
-  time when the map is fused; no dense float64 map is built.
+  softened one-hots instead of every voxel, once per distinct table, and
+  holds the labels, one byte per voxel: the ground truth's own or a
+  jitter's (read-only, so not copied) or the flipped copy. Each voxel's
+  row is looked up a slab at a time when the map is fused; no dense
+  float64 map is built.
 
 The external kind shells out to a real
 model wrapper via float32 NIfTI file exchange, so hooking up an actual
@@ -51,6 +55,7 @@ from .errors import (
     DimensionMismatch,
     GroundTruthMissing,
     InvalidConfidence,
+    InvalidLabels,
     IoFailure,
     MapFileFailure,
     NotProbabilistic,
@@ -122,6 +127,7 @@ def _jitter(gt: LabelMask, step, steps: int) -> np.ndarray:
 
 def _resolve_ground_truth(
     backend: BackendDescriptor, volume: Volume, gt: LabelMask | None,
+    num_classes: int,
 ) -> LabelMask:
     if gt is None:
         raise GroundTruthMissing(
@@ -133,26 +139,40 @@ def _resolve_ground_truth(
             f"ground truth dims {gt.dims} != volume dims {volume.dims} "
             f"for {volume.vol_id!r}"
         )
+    if gt.num_classes > num_classes:
+        raise InvalidLabels(
+            f"ground truth for {volume.vol_id!r} has {gt.num_classes} classes, "
+            f"more than num_classes={num_classes}"
+        )
     return gt
 
 
 def _predict_noisy(
     backend: BackendDescriptor, gt: LabelMask, num_classes: int, rng: SeededRng
 ) -> np.ndarray:
-    """The noisy oracle's labels: ``gt`` jittered, then flipped."""
+    """The noisy oracle's labels: ``gt`` jittered, then flipped, as a
+    read-only uint8 volume. ``gt`` has at most ``num_classes`` classes
+    (:func:`predict` checks it), so with two its labels are 0 and 1 and a
+    flip is an XOR."""
     gen = rng.generator()
     labels = np.asarray(gt.labels)
     if backend.jitter > 0:
         step = _dilate_step if int(gen.integers(0, 2)) else _erode_step
         labels = _jitter(gt, step, backend.jitter)
     if backend.flip_prob > 0:
-        flipped = np.flatnonzero(gen.random(labels.shape) < backend.flip_prob)
-        # Offset by 1..C-1 modulo C, so a flipped voxel always changes class.
-        # The sum is int64: uint8 would wrap once C > 128.
-        offsets = gen.integers(1, num_classes, size=labels.shape).ravel()[flipped]
-        flat = labels.flatten()
-        flat[flipped] = (flat[flipped] + offsets) % num_classes
-        labels = flat.reshape(labels.shape)
+        flip = gen.random(labels.shape) < backend.flip_prob
+        if num_classes == 2:
+            # The one offset in 1..1 turns 0 into 1 and 1 into 0. The offset
+            # draw is the stream's last, so skipping it changes no byte.
+            labels = labels ^ flip
+        else:
+            flipped = np.flatnonzero(flip)
+            # Offset by 1..C-1 modulo C, so a flipped voxel always changes
+            # class. The sum is int64: uint8 would wrap once C > 128.
+            offsets = gen.integers(1, num_classes, size=labels.shape).ravel()[flipped]
+            flat = labels.flatten()
+            flat[flipped] = (flat[flipped] + offsets) % num_classes
+            labels = flat.reshape(labels.shape)
         labels.setflags(write=False)  # the map holds it without a copy
     return labels
 
@@ -251,18 +271,21 @@ def predict(
     """Run one backend on one volume and validate the result.
 
     Oracle kinds take the ground truth from the ``ground_truth`` argument
-    (the pipeline passes the case's own mask). ``source_tag`` defaults to
-    the backend name. ``log`` is the run's event log, any object with ``EventLog.emit``'s
-    signature; without one no event is written.
+    (the pipeline passes the case's own mask); one declared with more
+    classes than ``num_classes`` is InvalidLabels naming both counts.
+    ``source_tag`` defaults to the backend name. ``log`` is the run's
+    event log, any object with ``EventLog.emit``'s signature; without one
+    no event is written.
     """
     if num_classes < 2:
         raise ConfigError(f"num_classes={num_classes} must be >= 2")
     tag = source_tag if source_tag is not None else backend.name
     confidence = backend.confidence
     if backend.kind == "oracle":
-        labels = _resolve_ground_truth(backend, volume, ground_truth).labels
+        labels = _resolve_ground_truth(
+            backend, volume, ground_truth, num_classes).labels
     elif backend.kind == "noisy_oracle":
-        gt = _resolve_ground_truth(backend, volume, ground_truth)
+        gt = _resolve_ground_truth(backend, volume, ground_truth, num_classes)
         labels = _predict_noisy(backend, gt, num_classes, rng)
     elif backend.kind == "constant":
         if backend.constant_class >= num_classes:

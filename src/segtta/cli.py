@@ -197,10 +197,13 @@ def _cmd_fuse(args) -> int:
     parent = next(p for p in output.parents if p.exists())
     if not parent.is_dir():
         raise IoFailure(f"cannot write {output}: {parent} is not a directory")
-    headers, maps = zip(*(nifti._read_probability_map(p) for p in args.maps))
+    # So are the spacings, from the headers alone: a mismatch reads no map
+    # data and writes no map file.
+    headers = [nifti.read_header(p) for p in args.maps]
     for path, header in zip(args.maps[1:], headers[1:]):
         _check_spacing(header.spacing, headers[0].spacing,
                        f"map {path}", f"map {args.maps[0]}")
+    maps = tuple(nifti.read_probability_map(p) for p in args.maps)
     mask = fuse(FusionInput(maps, mode=args.mode, tau=args.tau))
     nifti.write_label_mask(mask, headers[0].spacing, args.output)
     print(f"wrote {args.output}")

@@ -21,6 +21,7 @@ import math
 import numbers
 import os
 import tempfile
+import threading
 import weakref
 
 import numpy as np
@@ -283,6 +284,16 @@ class _MapFile:
         return values.reshape(b - a, *self.shape[1:])
 
 
+#: Checked row tables of :meth:`ProbabilityMap.from_rows`, keyed by the
+#: float table's content: {(dtype, shape, bytes): read-only float64 rows}.
+#: A synthetic backend's table is one entry, shared by all its maps; past
+#: ROW_TABLES_KEPT entries the oldest goes, so the memo holds at most
+#: 16 MB even of 256-class tables (key and rows, 512 KB each).
+_checked_rows: dict = {}
+_checked_rows_lock = threading.Lock()
+ROW_TABLES_KEPT = 16
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
@@ -315,8 +326,9 @@ class ProbabilityMap:
       last map sharing it (this one, its :meth:`retagged` copies), and
       with a map that fails its check; one that cannot be created or
       written is a MapFileFailure naming it;
-    * :meth:`from_rows` holds a checked table of C-row class vectors and a
-      read-only uint8 volume of row indices, 1 byte per voxel.
+    * :meth:`from_rows` holds a checked table of C-row class vectors, one
+      shared by every map built from an equal table, and a read-only uint8
+      volume of row indices, 1 byte per voxel.
     """
 
     source_tag: str = ""
@@ -404,6 +416,13 @@ class ProbabilityMap:
         ``ProbabilityMap(np.take(table, labels, axis=0))`` whenever
         no row needs renormalizing (true of every table this package
         builds) or every row is picked.
+
+        The labels are checked on every call; the rows once per distinct
+        content. A table that passed is kept, read-only, and shared by
+        every map built from a table of the same dtype, shape and bytes,
+        so the many maps of one backend hold one table. A table that
+        fails is never kept: it raises NotProbabilistic naming this
+        call's ``source_tag`` every time.
         """
         rows = np.asarray(table)
         if rows.ndim != 2:
@@ -413,10 +432,21 @@ class ProbabilityMap:
                 f"row table has {len(rows)} rows; uint8 labels index at most "
                 f"{MAX_CLASSES}")
         labels = _label_volume(labels, len(rows), "labels", "the table's rows ")
-        checked = cls(rows[:, None, None, :], source_tag).slab(0, len(rows))[:, 0, 0, :]
+        if rows.dtype.kind != "f":  # as the constructor would, so the key
+            rows = rows.astype(np.float64)  # holds values, not object pointers
+        key = (rows.dtype.str, rows.shape, rows.tobytes())
+        with _checked_rows_lock:
+            checked = _checked_rows.get(key)
+        if checked is None:
+            checked = _freeze(
+                cls(rows[:, None, None, :], source_tag).slab(0, len(rows))[:, 0, 0, :])
+            with _checked_rows_lock:
+                checked = _checked_rows.setdefault(key, checked)
+                if len(_checked_rows) > ROW_TABLES_KEPT:
+                    del _checked_rows[next(iter(_checked_rows))]
         m = object.__new__(cls)
         object.__setattr__(m, "source_tag", source_tag)
-        m._hold(table=_freeze(checked), labels=labels)
+        m._hold(table=checked, labels=labels)
         return m
 
     def slab(self, a: int, b: int) -> np.ndarray:

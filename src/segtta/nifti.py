@@ -262,18 +262,13 @@ def _read_label_mask(path, num_classes: int) -> tuple[NiftiHeader, LabelMask]:
 def read_probability_map(path) -> ProbabilityMap:
     """Read a 4D float32 probability map with dim[4] = num_classes, held
     in a file of its values made as they are checked (see the module)."""
-    return _read_probability_map(path)[1]
-
-
-def _read_probability_map(path) -> tuple[NiftiHeader, ProbabilityMap]:
-    """:func:`read_probability_map` with the header of the same read."""
     header, arr = _read(path, 4, "4D map")
     if header.datatype != 16:
         raise UnsupportedDatatype(
             f"{path}: probability maps must be float32 (datatype=16), "
             f"got {header.datatype}"
         )
-    return header, ProbabilityMap(arr, _stem(path), directory=temp_dir())
+    return ProbabilityMap(arr, _stem(path), directory=temp_dir())
 
 
 def _stem(path) -> str:

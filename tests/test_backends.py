@@ -30,6 +30,7 @@ from segtta.errors import (
     DimensionMismatch,
     GroundTruthMissing,
     InvalidConfidence,
+    InvalidLabels,
     IoFailure,
     NotProbabilistic,
     ProcessFailure,
@@ -622,6 +623,18 @@ class TestPredictArguments:
             predict(BackendDescriptor("oracle", name="o"), volume, 1, stream(),
                     ground_truth=gt)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("kind, flip_prob", [
+        ("noisy_oracle", 0.5), ("noisy_oracle", 1.0), ("oracle", 0.0)])
+    def test_ground_truth_with_more_classes_is_named(self, case, kind, flip_prob):
+        # Flipping every voxel would wrap class 2 back into range; the
+        # declared count is refused whatever the draws.
+        volume, _ = case
+        gt = LabelMask(np.arange(volume.data.size).reshape(volume.dims) % 3, 3)
+        backend = BackendDescriptor(kind, name="n", flip_prob=flip_prob)
+        with pytest.raises(InvalidLabels, match=(
+                r"ground truth for 'case' has 3 classes, more than num_classes=2")):
+            predict(backend, volume, 2, stream(), ground_truth=gt)
 
     def test_unknown_kind_is_a_config_error(self, case):
         volume, gt = case

@@ -578,12 +578,14 @@ class TestFuseCommand:
         for path in paths:
             write_probability_map(ProbabilityMap(np.full((4, 4, 2, 2), 0.5)),
                                   path, Spacing(1.0, 1.0, 2.0))
+        # Every header first, for the spacings; then each file whole, once.
         reads = []
         read_bytes = nifti._read_bytes
-        monkeypatch.setattr(nifti, "_read_bytes",
-                            lambda path, *a: reads.append(path) or read_bytes(path, *a))
+        monkeypatch.setattr(nifti, "_read_bytes", lambda path, size=-1: (
+            reads.append((str(path), size)) or read_bytes(path, size)))
         assert run_cli("fuse", "--output", tmp_path / "mask.nii", *paths) == 0
-        assert sorted(map(str, reads)) == sorted(map(str, paths))
+        assert reads == [(str(p), nifti.HEADER_SIZE) for p in paths] + [
+            (str(p), -1) for p in paths]
 
     @pytest.mark.parametrize("blocker", ["directory", "parent-file"])
     def test_bad_output_is_named_before_any_map_is_read(
@@ -599,8 +601,8 @@ class TestFuseCommand:
             output = path / "sub" / "mask.nii"
             named = f"cannot write {output}: {path} is not a directory"
         reads = []
-        read = nifti._read_probability_map
-        monkeypatch.setattr(nifti, "_read_probability_map",
+        read = nifti.read_probability_map
+        monkeypatch.setattr(nifti, "read_probability_map",
                             lambda p: reads.append(p) or read(p))
         assert run_cli("fuse", "--output", output, path) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
@@ -656,6 +658,27 @@ class TestFuseCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "(2.0, 2.0, 5.0)" in err and "(1.0, 1.0, 1.0)" in err
+        assert not dst.exists()
+
+    def test_spacing_mismatch_reads_no_map(self, tmp_path, monkeypatch, capsys):
+        # The headers decide it: no map's data is read and no map file is
+        # made under SEGTTA_TMPDIR.
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(spill))
+        probs = np.full((4, 4, 2, 2), 0.5)
+        pa, pb = tmp_path / "a.nii", tmp_path / "b.nii.gz"
+        write_probability_map(ProbabilityMap(probs), pa, Spacing(1.0, 1.0, 1.0))
+        write_probability_map(ProbabilityMap(probs), pb, Spacing(1.0, 1.0, 3.0))
+        reads = []
+        read = nifti._read
+        monkeypatch.setattr(nifti, "_read", lambda p, *a: reads.append(p) or read(p, *a))
+        dst = tmp_path / "mask.nii.gz"
+        assert run_cli("fuse", "--output", dst, pa, pb) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(1.0, 1.0, 3.0)" in err
+        assert not reads
+        assert not any(spill.iterdir())
         assert not dst.exists()
 
 

@@ -1,5 +1,7 @@
 import gc
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -24,7 +26,7 @@ from segtta.errors import (
     IoFailure,
     NotProbabilistic,
 )
-from segtta.core import SLAB_VOXELS, slabs
+from segtta.core import ROW_TABLES_KEPT, SLAB_VOXELS, _checked_rows, slabs
 
 from conftest import dense
 
@@ -230,6 +232,99 @@ class TestProbabilityMap:
             ProbabilityMap.from_rows(np.ones((1, 1)), labels)
         with pytest.raises(DimensionMismatch, match="257 rows"):
             ProbabilityMap.from_rows(np.full((257, 2), 0.5), labels)
+
+    def test_bad_table_raises_with_each_call_tag(self):
+        # A failed check is not kept: the second call checks again and
+        # names its own map.
+        table = np.array([[0.5, 0.5], [0.2, 0.9]])
+        labels = np.zeros((2, 2, 2), dtype=np.uint8)
+        for tag in ("first", "second"):
+            with pytest.raises(NotProbabilistic, match=f"map '{tag}': per-voxel sum"):
+                ProbabilityMap.from_rows(table.copy(), labels, tag)
+
+    def test_equal_tables_share_one_checked_table(self):
+        # Keyed by content, not by the array: two equal tables built apart
+        # give one read-only table, which shares no memory with either.
+        labels = np.zeros((2, 2, 2), dtype=np.uint8)
+        a, b = (np.array([[0.7, 0.3], [0.3, 0.7]]) for _ in range(2))
+        ma = ProbabilityMap.from_rows(a, labels, "a")
+        mb = ProbabilityMap.from_rows(b, labels, "b")
+        assert ma._table is mb._table and not ma._table.flags.writeable
+        assert not np.shares_memory(ma._table, a) and a.flags.writeable
+        # The same values in another dtype are another entry.
+        mc = ProbabilityMap.from_rows(a.astype(np.float32), labels, "c")
+        assert mc._table is not ma._table
+
+    def test_table_changed_in_place_is_checked_again(self):
+        labels = np.array([0, 1] * 4, dtype=np.uint8).reshape(2, 2, 2)
+        table = np.array([[0.6, 0.4], [0.4, 0.6]])
+        first = ProbabilityMap.from_rows(table, labels, "t")
+        table[1] = [0.1, 0.9]
+        assert dense(ProbabilityMap.from_rows(table, labels, "t")).tobytes() == (
+            np.take(table, labels, axis=0).tobytes())
+        assert dense(first)[0, 0, 1].tolist() == [0.4, 0.6]
+        table[1] = [0.1, 1.2]
+        with pytest.raises(NotProbabilistic, match="map 'u': probs range"):
+            ProbabilityMap.from_rows(table, labels, "u")
+
+    def test_checked_tables_are_bounded(self):
+        labels = np.zeros((1, 1, 1), dtype=np.uint8)
+        for i in range(ROW_TABLES_KEPT + 5):
+            p = 0.51 + i / 1000
+            ProbabilityMap.from_rows(np.array([[p, 1 - p]]), labels)
+            assert len(_checked_rows) <= ROW_TABLES_KEPT
+
+    def test_threads_share_one_checked_table(self):
+        labels = np.zeros((2, 2, 2), dtype=np.uint8)
+        start = threading.Barrier(4)
+        tables = []
+
+        def build():
+            start.wait()
+            table = np.array([[0.61, 0.39], [0.39, 0.61]])
+            tables.append(ProbabilityMap.from_rows(table, labels)._table)
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(tables) == 4 and all(t is tables[0] for t in tables)
+
+    def test_threads_keep_the_bound(self):
+        # More threads than cores, switching often, each past the bound:
+        # no lookup or eviction fails, the memo stays bounded and every map
+        # holds its own table's values.
+        labels = np.zeros((2, 2, 2), dtype=np.uint8)
+        start = threading.Barrier(8)
+        built, errors = [], []
+
+        def build(i):
+            try:
+                start.wait()
+                for j in range(3 * ROW_TABLES_KEPT):
+                    # A table of this thread's own, then one every thread uses.
+                    for p in (0.6 + (i * 3 * ROW_TABLES_KEPT + j) / 1e5, 0.55):
+                        table = np.array([[p, 1 - p]])
+                        built.append((table, ProbabilityMap.from_rows(table, labels)))
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(_checked_rows) <= ROW_TABLES_KEPT
+        assert len(built) == 8 * 3 * ROW_TABLES_KEPT * 2
+        assert all(np.array_equal(m._table, table) for table, m in built)
 
     @staticmethod
     def whole_map_formula(probs):
