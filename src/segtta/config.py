@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 import json
 import math
+import re
 from pathlib import Path
 
 from .core import (
@@ -171,13 +172,44 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """The config of a JSON document. Beyond what the constructor
+        checks, each external backend's ``command`` must hold ``{output}``
+        and no placeholder ``backends`` does not fill: a ``{name}`` of
+        letters, digits and underscores, not after a ``$``, other than
+        ``{input}``, ``{output}`` and ``{classes}``. Either is a
+        ConfigError naming the backend and the placeholder."""
         kwargs = dict(_check_known_fields(d, cls, "config"))
         kwargs["backends"] = _objects(d, "backends", BackendDescriptor)
         kwargs["augmentations"] = (
             _objects(d, "augmentations", AugmentationSpec)
             if "augmentations" in d else default_augmentations()
         )
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        for b in config.backends:
+            if b.kind == "external":
+                _check_placeholders(b)
+        return config
+
+
+#: The placeholders an external command may hold, which ``backends``
+#: fills; a shell's ``${name}`` is not one.
+_COMMAND_PLACEHOLDERS = ("{input}", "{output}", "{classes}")
+_PLACEHOLDER = re.compile(r"(?<!\$)\{\w+\}")
+
+
+def _check_placeholders(backend: BackendDescriptor) -> None:
+    """Raise ConfigError naming ``backend`` and the placeholder unless its
+    command holds ``{output}`` and no placeholder outside
+    _COMMAND_PLACEHOLDERS."""
+    unknown = [p for p in _PLACEHOLDER.findall(backend.command)
+               if p not in _COMMAND_PLACEHOLDERS]
+    if unknown:
+        raise ConfigError(f"external backend {backend.name!r} command has "
+                          f"unknown placeholder {unknown[0]}; it may use "
+                          f"{', '.join(_COMMAND_PLACEHOLDERS)}")
+    if "{output}" not in backend.command:
+        raise ConfigError(f"external backend {backend.name!r} command has no "
+                          f"{{output}} placeholder, so its map cannot be read")
 
 
 def _objects(d: dict, field: str, cls) -> tuple:

@@ -284,14 +284,40 @@ class _MapFile:
         return values.reshape(b - a, *self.shape[1:])
 
 
+class Memo:
+    """A bounded memo keyed by content, shared by threads: at most ``kept``
+    entries, the oldest going first, each lookup and store under one lock.
+    Keys must be values (bytes, numbers, tuples of them), never object ids,
+    which a collected object hands on to the next."""
+
+    def __init__(self, kept: int):
+        self.kept, self._entries, self._lock = kept, {}, threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, make):
+        """The value kept for ``key``; else ``make()``'s, made outside the
+        lock and then kept. Threads that make one key at once each get the
+        value kept first. A ``make`` that raises keeps nothing."""
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key]
+        value = make()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            if len(self._entries) > self.kept:
+                del self._entries[next(iter(self._entries))]
+        return value
+
+
 #: Checked row tables of :meth:`ProbabilityMap.from_rows`, keyed by the
 #: float table's content: {(dtype, shape, bytes): read-only float64 rows}.
 #: A synthetic backend's table is one entry, shared by all its maps; past
 #: ROW_TABLES_KEPT entries the oldest goes, so the memo holds at most
 #: 16 MB even of 256-class tables (key and rows, 512 KB each).
-_checked_rows: dict = {}
-_checked_rows_lock = threading.Lock()
 ROW_TABLES_KEPT = 16
+_checked_rows = Memo(ROW_TABLES_KEPT)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -329,15 +355,20 @@ class ProbabilityMap:
     * :meth:`from_rows` holds a checked table of C-row class vectors, one
       shared by every map built from an equal table, and a read-only uint8
       volume of row indices, 1 byte per voxel.
+
+    ``scale``, a ``(slope, inter)`` pair, makes the values ``probs`` times
+    slope plus inter, formed in float64 a slab at a time as they are
+    checked (and written, with ``directory``): how a NIfTI file's
+    scl_slope and scl_inter apply, without a whole scaled copy.
     """
 
     source_tag: str = ""
 
-    def __init__(self, probs, source_tag: str = "", *, directory=None):
+    def __init__(self, probs, source_tag: str = "", *, directory=None, scale=None):
         object.__setattr__(self, "source_tag", source_tag)
-        self.__post_init__(probs, directory)
+        self.__post_init__(probs, directory, scale)
 
-    def __post_init__(self, probs, directory):
+    def __post_init__(self, probs, directory, scale):
         src = np.asarray(probs)
         if src.dtype.kind != "f":
             src = src.astype(np.float64)
@@ -346,9 +377,21 @@ class ProbabilityMap:
         if not 2 <= src.shape[3] <= MAX_CLASSES:
             raise DimensionMismatch(
                 f"num_classes={src.shape[3]} outside [2, {MAX_CLASSES}]")
-        dtype = np.dtype(f"<f{src.dtype.itemsize}")
+        dtype = np.dtype(f"<f{8 if scale is not None else src.dtype.itemsize}")
+
+        def values(rows):
+            """``rows`` of ``src`` as held: scaled in float64, or C-ordered
+            in ``dtype``."""
+            if scale is None:
+                return np.ascontiguousarray(rows, dtype)
+            out = rows.astype(np.float64, order="C")
+            out *= scale[0]
+            out += scale[1]
+            return out
+
         if directory is None:
-            held = _freeze(np.array(src, dtype, order="C"))
+            held = _freeze(values(src) if scale is not None
+                           else np.array(src, dtype, order="C"))
             sink = contextlib.nullcontext()
         else:
             try:
@@ -366,7 +409,7 @@ class ProbabilityMap:
                     if f is None:
                         rows = held[a:b]
                     else:
-                        rows = np.ascontiguousarray(src[a:b], dtype)
+                        rows = values(src[a:b])
                         f.write(rows)
                     lo, hi = np.minimum(lo, rows.min()), np.maximum(hi, rows.max())
                     # Adding whole class planes is ~18x faster than a reduction
@@ -423,6 +466,12 @@ class ProbabilityMap:
         so the many maps of one backend hold one table. A table that
         fails is never kept: it raises NotProbabilistic naming this
         call's ``source_tag`` every time.
+
+        :attr:`row_table` hands fusion the checked rows and the labels.
+        When every map it fuses is held so, it votes once per row, not
+        per voxel, and steps a uint16 state per voxel through interned
+        sums (see :mod:`segtta.fusion`): the masks are the bytes the same
+        maps held as values give, a few times faster.
         """
         rows = np.asarray(table)
         if rows.ndim != 2:
@@ -434,20 +483,22 @@ class ProbabilityMap:
         labels = _label_volume(labels, len(rows), "labels", "the table's rows ")
         if rows.dtype.kind != "f":  # as the constructor would, so the key
             rows = rows.astype(np.float64)  # holds values, not object pointers
-        key = (rows.dtype.str, rows.shape, rows.tobytes())
-        with _checked_rows_lock:
-            checked = _checked_rows.get(key)
-        if checked is None:
-            checked = _freeze(
-                cls(rows[:, None, None, :], source_tag).slab(0, len(rows))[:, 0, 0, :])
-            with _checked_rows_lock:
-                checked = _checked_rows.setdefault(key, checked)
-                if len(_checked_rows) > ROW_TABLES_KEPT:
-                    del _checked_rows[next(iter(_checked_rows))]
+        checked = _checked_rows.get(
+            (rows.dtype.str, rows.shape, rows.tobytes()),
+            lambda: _freeze(cls(rows[:, None, None, :], source_tag)
+                            .slab(0, len(rows))[:, 0, 0, :]))
         m = object.__new__(cls)
         object.__setattr__(m, "source_tag", source_tag)
         m._hold(table=checked, labels=labels)
         return m
+
+    @property
+    def row_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(table, labels)`` of a :meth:`from_rows` map, its checked
+        read-only ``(R, C)`` float64 rows and its read-only uint8 volume of
+        row indices, so that voxel ``[x, y, z]`` is ``table[labels[x, y,
+        z]]``; None for a map held as values."""
+        return None if self._table is None else (self._table, self._labels)
 
     def slab(self, a: int, b: int) -> np.ndarray:
         """Rows ``a:b`` of the map, ``(b - a, ny, nz, C)`` float64, C-ordered:

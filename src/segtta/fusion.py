@@ -18,17 +18,37 @@ each voxel takes the class of the largest score, ties to the lower class:
 
 :func:`fuse_groups` fuses slab by slab along the first axis
 (``core.slabs``: at most ``core.SLAB_VOXELS`` voxels each, in whole
-planes), for the pipeline and for :func:`fuse` alike. Per slab it keeps C
-planes of S and one of W for each group of maps. It forms each map's slab
-of float64 values and its w once, in source-tag order, then adds
-w * P(., c) from one scratch plane into every group that holds the map.
+planes), for the pipeline and for :func:`fuse` alike, adding the maps in
+source-tag order, so the masks are independent of input order. Each group
+of maps (in the pipeline, a view set) holds its running sums
+(S_0..S_{C-1}, W) per voxel in one of two ways:
+
+* as values, for any maps: per slab, C + 1 float64 planes per group. Each
+  map's slab of float64 values and its w are formed once, and w * P(., c)
+  is added from one scratch plane into every group that holds the map.
+  Besides the maps, which stay in the compact form they are held in, and
+  the output masks, fusion then holds one slab of sums per group and one
+  slab of one map at a time, for any ensemble size;
+* as interned states, when every map is a row-table map
+  (``ProbabilityMap.from_rows``, how synthetic members are held). Such a
+  map's vote at a voxel is one of its R table rows, so a group's sums
+  take few distinct values: 102 after 25 two-class maps of one
+  confidence, some thousands after 25 three-class ones. Once per group
+  and set of vote rows (so once per experiment: the chains are kept,
+  keyed by content), each state the sums can reach after k maps is
+  listed, as the states after k - 1 maps plus each row of map k's votes,
+  with the same float64 add, deduplicated by value; step k's uint16 table
+  sends (state, row) to the next state, and each final state is decided
+  once per tau. Per slab, a map moves each of its groups' uint16 states
+  one step (one add of its labels, one table lookup), and a decision is
+  one lookup: one uint16 plane per group and no float64 plane. The states
+  are the value path's sums, formed by the same adds in the same order,
+  so the masks are the same bytes, with no tolerance. A chain that would
+  pass ``CHAIN_PAIRS`` (state, row) pairs at a step, or ``CHAIN_BYTES``,
+  sends its call to the value path.
+
 Each decision reads its group's sums without changing them, so several
 thresholds decide from one set of sums, and writes its slab of the mask.
-Nothing is stacked and no plane spans the volume: besides the maps, which
-stay in the compact form they are held in, and the output masks, fusion
-holds one slab of sums per group and one slab of one map at a time, for
-any ensemble size. The fixed order makes the masks independent of input
-order.
 """
 
 from __future__ import annotations
@@ -38,7 +58,7 @@ import math
 
 import numpy as np
 
-from .core import LabelMask, ProbabilityMap, Spacing, slabs
+from .core import LabelMask, Memo, ProbabilityMap, Spacing, _freeze, slabs
 from .errors import ConfigError, InconsistentMaps, InvalidTau
 
 VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
@@ -88,8 +108,9 @@ class FusionInput:
 
 
 def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
-    """Write into ``out`` (uint8, the slab's shape) the fused labels of one
-    group's ``sums``, its C planes of S and then its plane of W: per voxel
+    """Write into ``out`` (uint8, shaped as each plane of ``sums``) the
+    fused labels of one group's ``sums``, its C planes of S and then its
+    plane of W, for a slab's voxels or a chain's final states: per voxel
     the class of the largest score, ties to the lower class; for
     threshold_weighted the scores are S / W and a voxel whose largest
     falls below ``tau`` is background. The sums are not changed."""
@@ -106,6 +127,100 @@ def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
         out[best < tau] = 0
 
 
+#: Bounds of one group's chain of interned sums: a step's (state, row)
+#: pairs index a uint16 table, and the chain's tables, with the sums of the
+#: step being interned, take at most CHAIN_BYTES.
+CHAIN_PAIRS = 2 ** 16
+CHAIN_BYTES = 2 ** 20
+
+#: Chains of interned sums, keyed by the mode and each step's vote rows, so
+#: the cases of an experiment share them; at most CHAINS_KEPT x CHAIN_BYTES.
+CHAINS_KEPT = 16
+_chains = Memo(CHAINS_KEPT)
+
+
+def _weigh(mode: str, probs: np.ndarray) -> np.ndarray:
+    """The weight w of each voxel, or table row, of ``probs`` (float64, the
+    classes last), after making ``probs`` the one-hot of its argmax in place
+    for majority."""
+    num_classes = probs.shape[-1]
+    if mode == "majority":
+        np.equal(np.argmax(probs, axis=-1)[..., None], np.arange(num_classes),
+                 out=probs)
+    weight = probs[..., 0].copy()
+    for c in range(1, num_classes):
+        np.maximum(weight, probs[..., c], out=weight)
+    return weight
+
+
+def _vote_rows(mode: str, table: np.ndarray) -> np.ndarray:
+    """A row-table map's votes, one row (w P_0, .., w P_{C-1}, w) per row
+    of its ``table``, formed by the value path's own ops."""
+    probs = np.array(table)
+    weight = _weigh(mode, probs)
+    return np.column_stack([probs * weight[:, None], weight])
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of float rows, the
+    inverse 1-D: the distinct rows in lexicographic order, equal by value,
+    and each row's index among them. A lexsort of the columns finds them
+    about 5x faster than ``np.unique``'s structured sort."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), bool)  # where a new distinct row starts
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    index = np.empty(len(rows), np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
+
+
+def _intern(steps) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """The chain of a group whose maps vote the rows ``steps``, in order:
+    per step, a uint16 table from (state, row) to the next state, and the
+    final states' sums as C + 1 rows (S_0..S_{C-1}, W); None past
+    CHAIN_PAIRS or CHAIN_BYTES. Step k's table is indexed by the state
+    times the step's row count plus the row, and holds the next state so
+    premultiplied for step k + 1, so a step is one add and one lookup."""
+    width = steps[0].shape[1]
+    states, tables, size = np.zeros((1, width)), [], 0
+    for votes in steps:
+        pairs = len(states) * len(votes)
+        size += 2 * pairs
+        if pairs > CHAIN_PAIRS or size + 8 * width * pairs > CHAIN_BYTES:
+            return None
+        # The value path's add, sums += votes, for every pair at once.
+        sums = (states[:, None, :] + votes[None, :, :]).reshape(pairs, width)
+        states, index = _unique_rows(sums)
+        tables.append(index)
+    for k, votes in enumerate(steps[1:]):
+        tables[k] = tables[k] * len(votes)
+    return [_freeze(table.astype(np.uint16)) for table in tables], _freeze(states.T)
+
+
+def _chains_of(mode: str, maps, held, groups) -> dict | None:
+    """Each group's chain (see :func:`_intern`) when every map is a
+    row-table map and every chain is within its bounds, else None."""
+    tables = [m.row_table for m in maps]
+    if any(table is None for table in tables):
+        return None
+    votes = {}  # per table object of this call, its vote rows and their key
+    for table, _ in tables:
+        if id(table) not in votes:
+            rows = _vote_rows(mode, table)
+            votes[id(table)] = rows, (rows.shape, rows.tobytes())
+    chains = {}
+    for group in groups:
+        steps = [votes[id(table)] for (table, _), into in zip(tables, held)
+                 if group in into]
+        chain = _chains.get((mode, tuple(key for _, key in steps)),
+                            lambda: _intern([rows for rows, _ in steps]))
+        if chain is None:
+            return None
+        chains[group] = chain
+    return chains
+
+
 def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
     """One fused mask per decision, over consistent ``maps`` in source-tag
     order, fused slab by slab. The order is set here: the maps, each with
@@ -116,10 +231,11 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
     a frozenset of keys (in the pipeline, a view set). The mode, the maps'
     consistency, the taus and that every group holds a map are checked
     once, up front. Per slab of :func:`~segtta.core.slabs`, each distinct
-    group gets its sums, each map's slab is formed once and its votes added,
+    group gets its sums, each map's slab is read once and its votes added,
     in order, into the sums of every group that holds its key, and each
-    decision writes its slab of labels. Only one slab of sums exists at a
-    time.
+    decision writes its slab of labels. The sums are interned states when
+    every map is a row-table map and values otherwise (see the module);
+    only one slab of them exists at a time.
     """
     _check_mode(mode)
     groups = list(dict.fromkeys(group for group, _ in decisions))
@@ -134,6 +250,19 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
     dims, num_classes = maps[0].dims, maps[0].num_classes
     labels = [np.empty(dims, np.uint8) for _ in decisions]
     held = [[group for group in groups if key in group] for key in keys]
+    chains = _chains_of(mode, maps, held, groups)
+    if chains is None:
+        _fuse_values(mode, maps, held, groups, decisions, labels)
+    else:
+        _fuse_states(mode, maps, held, chains, decisions, labels)
+    for out in labels:
+        out.setflags(write=False)  # so the mask holds it without a copy
+    return [LabelMask(out, num_classes) for out in labels]
+
+
+def _fuse_values(mode: str, maps, held, groups, decisions, labels) -> None:
+    """Fuse into ``labels`` with C + 1 float64 planes of sums per group."""
+    dims, num_classes = maps[0].dims, maps[0].num_classes
     for a, b in slabs(dims):
         shape = (b - a, *dims[1:])
         sums = {g: [np.zeros(shape) for _ in range(num_classes + 1)] for g in groups}
@@ -141,12 +270,7 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
             if not into:
                 continue
             probs = m.slab(a, b)
-            if mode == "majority":  # the one-hot of its argmax, in place
-                np.equal(np.argmax(probs, axis=-1)[..., None],
-                         np.arange(num_classes), out=probs)
-            weight = probs[..., 0].copy()
-            for c in range(1, num_classes):
-                np.maximum(weight, probs[..., c], out=weight)
+            weight = _weigh(mode, probs)
             scratch = np.empty(shape)
             for c in range(num_classes):
                 np.multiply(probs[..., c], weight, out=scratch)
@@ -158,9 +282,37 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
         for (group, tau), out in zip(decisions, labels):
             _decide(mode, sums[group], tau, out[a:b])
         sums = None  # gone before the next slab's sums are made
-    for out in labels:
-        out.setflags(write=False)  # so the mask holds it without a copy
-    return [LabelMask(out, num_classes) for out in labels]
+
+
+def _fuse_states(mode: str, maps, held, chains, decisions, labels) -> None:
+    """Fuse into ``labels`` with one uint16 plane of interned states per
+    group, stepped by ``chains`` (see :func:`_chains_of`)."""
+    tables = {group: iter(chain[0]) for group, chain in chains.items()}
+    # Per map, in order, the (group, table) of each group holding it.
+    steps = [[(group, next(tables[group])) for group in into] for into in held]
+    decided = []  # per decision, the label of each final state
+    for group, tau in decisions:
+        sums = chains[group][1]
+        decided.append(np.empty(sums.shape[1], np.uint8))
+        _decide(mode, sums, tau, decided[-1])
+    # The lookups cannot leave their tables (a label is below its map's
+    # row count), so "clip" only spares numpy a buffered copy.
+    for a, b in slabs(maps[0].dims):
+        states = {}
+        for m, step in zip(maps, steps):
+            if not step:
+                continue
+            rows = m.row_table[1][a:b]
+            for group, table in step:
+                state = states.get(group)
+                if state is None:
+                    states[group] = table.take(rows)
+                else:
+                    np.add(state, rows, out=state)
+                    table.take(state, out=state, mode="clip")
+        for (group, _), table, out in zip(decisions, decided, labels):
+            table.take(states[group], out=out[a:b], mode="clip")
+        states = None  # gone before the next slab's states are made
 
 
 def fuse(input: FusionInput) -> LabelMask:

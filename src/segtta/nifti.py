@@ -16,7 +16,9 @@ is reported as truncated. ``read_header`` alone reads just the header.
 A probability map read from a file is held in a file made as it is
 checked, slab by slab, under ``SEGTTA_TMPDIR`` (else the system's
 temporary directory; :func:`~segtta.core.temp_dir`), so besides the
-file's bytes a read holds a slab at a time and no copy of the map.
+file's bytes a read holds a slab at a time and no copy of the map; a
+scaled map is scaled a slab at a time in that loop. A scaled volume or
+mask is one C-ordered float64 array, scaled in place.
 
 Written files are canonical: vox_offset=352, scl_slope=1, scl_inter=0,
 little-endian (a volume may ask for big-endian), and gzip members carry
@@ -129,6 +131,13 @@ class NiftiHeader:
         """Voxel size in mm: pixdim[1:4]."""
         return Spacing(*self.pixdim[1:4])
 
+    @property
+    def scale(self) -> tuple[float, float] | None:
+        """``(scl_slope, scl_inter)`` when they change the stored values:
+        a nonzero slope, other than slope 1 with intercept 0; else None."""
+        pair = (self.scl_slope, self.scl_inter)
+        return None if self.scl_slope == 0.0 or pair == (1.0, 0.0) else pair
+
 
 def _is_gzip(path) -> bool:
     return str(path).endswith(".gz")
@@ -212,9 +221,8 @@ def read_header(path) -> NiftiHeader:
 
 def _read(path, ndim: int, what: str) -> tuple[NiftiHeader, np.ndarray]:
     """Read the file once; return its header and its data section, checked
-    against the size the header claims, shaped [x, y, z(, c)]: a read-only
-    array view of the bytes read, or, when the header scales its values,
-    those values times scl_slope plus scl_inter in float64."""
+    against the size the header claims, shaped [x, y, z(, c)] as a
+    read-only array view of the bytes read, not yet scaled."""
     raw = _read_bytes(path)
     header = _parse_header(raw, path)
     if header.ndim != ndim:
@@ -228,16 +236,25 @@ def _read(path, ndim: int, what: str) -> tuple[NiftiHeader, np.ndarray]:
             f"{path}: data section truncated ({len(data)} of {nbytes} bytes)"
         )
     # File order is x fastest; reshape with Fortran order to index [x, y, z].
-    arr = np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
-    if header.scl_slope != 0.0 and (header.scl_slope, header.scl_inter) != (1.0, 0.0):
-        # Widened first: float32 times a Python float stays float32.
-        arr = arr.astype(np.float64) * header.scl_slope + header.scl_inter
+    return header, np.frombuffer(data, dtype=dtype).reshape(shape, order="F")
+
+
+def _read_3d(path, what: str) -> tuple[NiftiHeader, np.ndarray]:
+    """:func:`_read` of a 3D file, its values scaled when the header says
+    so: times scl_slope plus scl_inter in float64, in one new array."""
+    header, arr = _read(path, 3, what)
+    if header.scale is not None:
+        # Widened first: float32 times a Python float stays float32. C order
+        # is the layout Volume holds, so it makes no copy of its own.
+        arr = arr.astype(np.float64, order="C")
+        arr *= header.scale[0]
+        arr += header.scale[1]
     return header, arr
 
 
 def read_volume(path) -> Volume:
     """Read a 3D volume as float64."""
-    header, arr = _read(path, 3, "3D volume")
+    header, arr = _read_3d(path, "3D volume")
     return Volume(arr, header.spacing, vol_id=_stem(path))
 
 
@@ -248,7 +265,7 @@ def read_label_mask(path, num_classes: int) -> LabelMask:
 
 def _read_label_mask(path, num_classes: int) -> tuple[NiftiHeader, LabelMask]:
     """:func:`read_label_mask` with the header of the same read."""
-    header, arr = _read(path, 3, "3D mask")
+    header, arr = _read_3d(path, "3D mask")
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(arr)
         if not np.array_equal(rounded, arr):
@@ -268,7 +285,8 @@ def read_probability_map(path) -> ProbabilityMap:
             f"{path}: probability maps must be float32 (datatype=16), "
             f"got {header.datatype}"
         )
-    return ProbabilityMap(arr, _stem(path), directory=temp_dir())
+    return ProbabilityMap(arr, _stem(path), directory=temp_dir(),
+                          scale=header.scale)
 
 
 def _stem(path) -> str:

@@ -333,13 +333,16 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
 
     Memory: a case in flight holds its normalized volume, at most one
     augmented view (after a failure too), its maps and one slab of sums
-    per distinct view set: C + 1 planes of at most ``core.SLAB_VOXELS``
-    voxels. A map is held compactly: a synthetic map as its uint8 labels
-    (1 byte per voxel, none of its own when it reuses the ground truth's
-    or a jitter's), and a map from an external backend, as any map read
-    from a file, as a file of its float32 values under ``SEGTTA_TMPDIR``
-    (else the system's temporary directory), made as the map is checked,
-    which fusion reads a slab at a time. So B external members over V
+    per distinct view set, of at most ``core.SLAB_VOXELS`` voxels: one
+    uint16 plane of interned states when every map is a row-table map,
+    as synthetic members' maps are, else C + 1 float64 planes (see
+    :mod:`segtta.fusion`). A map is held compactly: a synthetic map as
+    its uint8 labels (1 byte per voxel, none of its own when it reuses
+    the ground truth's or a jitter's), and a map from an external
+    backend, as any map read from a file, as a file of its float32
+    values under ``SEGTTA_TMPDIR`` (else the system's temporary
+    directory), made as the map is checked, which fusion reads a slab at
+    a time. So B external members over V
     views take B x V x C x 4 bytes per voxel of disk while the case runs,
     not of memory. Reading a map makes no staging copy of its values: it
     holds the child's file bytes and one slab, once per process slot. A

@@ -326,6 +326,20 @@ class TestRun:
         assert f"backend kind {kind!r} does not use [{field!r}]" in err
         assert "Traceback" not in err
 
+    def test_command_without_output_is_a_config_error(self, dataset_dir, tmp_path,
+                                                      capsys):
+        # Once a run of 3 failed cases, each "produced no output file".
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"backends": [
+            {"kind": "external", "name": "m", "command": "model {input}"}]}))
+        out = tmp_path / "out"
+        code = run_cli("run", "--config", bad,
+                       "--manifest", dataset_dir / "manifest.json", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: external backend 'm' command has no {output}")
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("command, named", [
         ("run --config {missing} --manifest {manifest}", "{missing}"),
         ("run --config {config} --manifest {missing}", "{missing}"),

@@ -137,6 +137,37 @@ class TestRunConfig:
         assert isinstance(info.value, SegTTAError)
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("backend, message", [
+        ({"name": "m", "command": "model {input}"}, "'m' command has no {output}"),
+        ({"name": "m", "command": "model {input} > out.nii"},
+         "'m' command has no {output}"),
+        ({"command": "model {input}"}, "'b0' command has no {output}"),
+        ({"name": "m", "command": "model {input} {output} {classe}"},
+         "'m' command has unknown placeholder {classe}"),
+        ({"name": "m", "command": "model {Input} {output}"},
+         "'m' command has unknown placeholder {Input}"),
+        ({"name": "m", "command": "model {inputs} {outputs}"},
+         "'m' command has unknown placeholder {inputs}"),
+    ], ids=["no-output", "redirect", "unnamed", "misspelt", "case", "batched"])
+    def test_external_command_placeholders_are_checked(self, backend, message):
+        document = {"backends": [{"kind": "oracle"}, {"kind": "external", **backend}]}
+        if "name" not in backend:
+            document["backends"].reverse()
+        with pytest.raises(ConfigError, match=re.escape(f"external backend {message}")):
+            RunConfig.from_dict(document)
+
+    @pytest.mark.parametrize("command", [
+        "model {input} {output} {classes}",
+        "model {output}",  # reads its input from elsewhere
+        "sh -c 'model \"${HOME}\"/m.pt' {input} {output}",
+        "awk '{print $1}' {input} > /dev/null; model {input} {output}",
+        "find {} -name x; model {input} {output}",
+    ], ids=["all", "output-only", "shell-variable", "awk", "empty-braces"])
+    def test_commands_that_fill_their_output_are_accepted(self, command):
+        config = RunConfig.from_dict(
+            {"backends": [{"kind": "external", "name": "m", "command": command}]})
+        assert config.backends[0].command == command
+
 
 class TestBackendDescriptor:
     @pytest.mark.parametrize("backend, d", [

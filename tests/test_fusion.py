@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,10 @@ from segtta import (
     fuse,
 )
 import segtta.core
+import segtta.fusion
+from segtta.core import Memo
 from segtta.errors import ConfigError, InconsistentMaps, InvalidTau
-from segtta.fusion import VOTING_MODES, fuse_groups
+from segtta.fusion import VOTING_MODES, _vote_rows as fusion_votes, fuse_groups
 
 from conftest import brute_force_vote, dense, dyadic_prob_maps, random_dims
 
@@ -258,6 +261,173 @@ class TestSharedProperties:
         want = fuse_groups(mode, *zip(*pairs), decisions)
         got = fuse_groups(mode, *zip(*shuffled), decisions)
         assert [m.labels.tobytes() for m in got] == [m.labels.tobytes() for m in want]
+
+
+def soft_table(num_classes, confidence):
+    """A noisy member's row table: ``confidence`` on the diagonal."""
+    table = np.full((num_classes, num_classes), (1 - confidence) / (num_classes - 1))
+    np.fill_diagonal(table, confidence)
+    return table
+
+
+def row_maps(rng, tables, views, dims):
+    """One row-table map per (table, view), tagged ``b<i>|<view>``, with
+    its view as key, and the same maps held dense."""
+    maps, held, keys = [], [], []
+    for i, table in enumerate(tables):
+        for view in views:
+            labels = rng.integers(0, len(table), size=dims)
+            maps.append(ProbabilityMap.from_rows(table, labels, f"b{i}|{view}"))
+            held.append(ProbabilityMap(np.take(table, labels, axis=0), f"b{i}|{view}"))
+            keys.append(view)
+    return maps, held, keys
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """An empty chain memo for the test, and a list of the calls that took
+    the label-space path."""
+    monkeypatch.setattr(segtta.fusion, "_chains", Memo(segtta.fusion.CHAINS_KEPT))
+    fused, fuse_states = [], segtta.fusion._fuse_states
+
+    def counted(*args):
+        fused.append(args[0])
+        return fuse_states(*args)
+
+    monkeypatch.setattr(segtta.fusion, "_fuse_states", counted)
+    return fused
+
+
+class TestLabelSpace:
+    """Row-table maps fuse through interned states; the masks must be the
+    bytes the value path gives for the same maps held dense."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_row_tables_fuse_as_their_dense_maps(self, data):
+        num_classes = data.draw(st.integers(2, 4))
+        # Confidences that tie, and votes that reach these taus exactly.
+        confidences = st.sampled_from([2 / 3, 0.75, 1.0, 0.9])
+        tables = [soft_table(num_classes, data.draw(confidences))
+                  for _ in range(data.draw(st.integers(1, 4)))]
+        views = [f"v{i}" for i in range(data.draw(st.integers(1, 4)))]
+        mode = data.draw(st.sampled_from(VOTING_MODES))
+        taus = st.sampled_from([1 / 3, 0.5, 1.0, 2 / 3, 0.6, 0.75])
+        view_sets = [frozenset(views)] + [
+            frozenset(data.draw(st.sets(st.sampled_from(views), min_size=1)))
+            for _ in range(data.draw(st.integers(0, 2)))]
+        if len(views) >= 2:
+            view_sets.append(frozenset(views[:2]))
+        decisions = [(group, data.draw(taus)) for group in view_sets]
+        dims = (data.draw(st.integers(5, 9)), data.draw(st.integers(2, 3)), 3)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        maps, held, keys = row_maps(rng, tables, views, dims)
+        bound = data.draw(st.sampled_from([None, None, 1, 3, 40]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segtta.core, "SLAB_VOXELS", 2 * dims[1] * dims[2])
+            patch.setattr(segtta.fusion, "_chains", Memo(segtta.fusion.CHAINS_KEPT))
+            if bound is not None:
+                patch.setattr(segtta.fusion, "CHAIN_PAIRS", bound)
+            fused = []
+            patch.setattr(segtta.fusion, "_fuse_states",
+                          lambda *args, run=segtta.fusion._fuse_states:
+                          fused.append(run(*args)))
+            got = fuse_groups(mode, maps, keys, decisions)
+            if bound is None and len(tables) <= 2:
+                assert fused  # 1225 states at most: within the bounds
+            if bound == 1:  # a first step has C >= 2 (state, row) pairs
+                assert not fused
+        want = fuse_groups(mode, held, keys, decisions)
+        assert [m.labels.tobytes() for m in got] == [m.labels.tobytes() for m in want]
+
+    def test_run_shaped_call_interns_few_states(self, rng, chains):
+        # 5 members at confidence 0.9 over 5 views, as the benchmark runs
+        # them: 102 states after the 25 maps of the full view set.
+        table = soft_table(2, 0.9)
+        views = [f"v{i}" for i in range(5)]
+        maps, held, keys = row_maps(rng, [table] * 5, views, (6, 4, 3))
+        decisions = [(frozenset(views), 0.6)] + [(frozenset({v}), 0.6) for v in views]
+        got = fuse_groups("threshold_weighted", maps, keys, decisions)
+        want = fuse_groups("threshold_weighted", held, keys, decisions)
+        assert [m.labels.tobytes() for m in got] == [m.labels.tobytes() for m in want]
+        assert len(chains) == 1
+        # The five one-view groups vote the same rows: one chain serves them.
+        assert len(segtta.fusion._chains) == 2
+        key = ("threshold_weighted", (((2, 3), fusion_votes("threshold_weighted", table).tobytes()),) * 25)
+        tables, sums = segtta.fusion._chains.get(key, lambda: None)
+        assert sums.shape == (3, 102) and len(tables) == 25
+        assert all(t.dtype == np.uint16 and not t.flags.writeable for t in tables)
+
+    def test_unique_rows_are_numpys(self, rng):
+        for _ in range(50):
+            rows = rng.integers(0, 3, size=(rng.integers(1, 60), rng.integers(1, 5))) / 3
+            want, inverse = np.unique(rows, axis=0, return_inverse=True)
+            got, index = segtta.fusion._unique_rows(rows)
+            assert got.tobytes() == want.tobytes()
+            assert index.tolist() == inverse.reshape(-1).tolist()
+
+    def test_equal_tables_share_one_chain(self, rng, chains, monkeypatch):
+        # Keyed by content: a second, equal table, checked anew into another
+        # array, finds the first one's chain.
+        views = ["a", "b"]
+        first, _, keys = row_maps(rng, [soft_table(3, 0.75)], views, (4, 3, 3))
+        monkeypatch.setattr(segtta.core, "_checked_rows",
+                            Memo(segtta.core.ROW_TABLES_KEPT))
+        second, _, _ = row_maps(rng, [soft_table(3, 0.75)], views, (4, 3, 3))
+        assert first[0].row_table[0] is not second[0].row_table[0]
+        decisions = [(frozenset(views), 0.5)]
+        fuse_groups("majority", first, keys, decisions)
+        fuse_groups("majority", second, keys, decisions)
+        assert len(chains) == 2 and len(segtta.fusion._chains) == 1
+        # Another mode is another chain.
+        fuse_groups("confidence_weighted", second, keys, decisions)
+        assert len(segtta.fusion._chains) == 2
+
+    def test_chains_are_bounded(self, rng, chains):
+        kept = segtta.fusion.CHAINS_KEPT
+        for i in range(kept + 5):
+            maps, _, keys = row_maps(rng, [soft_table(2, 0.6 + i / 100)], ["v"],
+                                     (2, 2, 2))
+            fuse_groups("threshold_weighted", maps, keys, [(frozenset({"v"}), 0.6)])
+            assert len(segtta.fusion._chains) <= kept
+        assert len(chains) == kept + 5
+
+    def test_threads_fuse_identical_masks(self, rng, chains):
+        views = [f"v{i}" for i in range(3)]
+        tables = [soft_table(3, 0.75), soft_table(3, 0.9)]
+        maps, held, keys = row_maps(rng, tables, views, (12, 6, 5))
+        decisions = [(frozenset(views), 0.5), (frozenset(views[:2]), 1 / 3)]
+        want = [m.labels.tobytes() for m in
+                fuse_groups("threshold_weighted", held, keys, decisions)]
+        start, got, errors = threading.Barrier(2), [], []
+
+        def work():
+            try:
+                start.wait()
+                for _ in range(5):
+                    got.append([m.labels.tobytes() for m in fuse_groups(
+                        "threshold_weighted", maps, keys, decisions)])
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(got) == 10 and all(masks == want for masks in got)
+        assert len(chains) == 10
+
+    def test_a_value_held_map_sends_the_call_to_the_value_path(self, rng, chains):
+        views = ["a", "b"]
+        maps, held, keys = row_maps(rng, [soft_table(2, 0.9)], views, (4, 3, 3))
+        mixed = maps[:1] + held[1:]
+        decisions = [(frozenset(views), 0.6)]
+        got = fuse_groups("threshold_weighted", mixed, keys, decisions)
+        want = fuse_groups("threshold_weighted", held, keys, decisions)
+        assert got[0].labels.tobytes() == want[0].labels.tobytes()
+        assert not chains
 
 
 class TestStreamingMemory:

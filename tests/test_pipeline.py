@@ -840,18 +840,34 @@ class TestStreamingVotes:
             assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_sweep_counts_each_map_once(self, dataset, monkeypatch):
-        # Fusion forms each map's slab once, whatever the number of taus:
-        # count the slabs formed by the thread that is fusing.
+        # Fusion reads each map's slab once, whatever the number of taus:
+        # count the slabs of values formed, and of row-table labels read,
+        # by the thread that is fusing. The noisy members' maps are
+        # row-table maps, so fusion reads their labels and forms no values.
         monkeypatch.setattr(segtta.core, "SLAB_VOXELS", 5 * 18 * 14)
         slabs = len(segtta.core.slabs((18, 18, 14)))
         assert slabs == 4
-        formed, fusing = [], set()
+        formed, read, fusing = [], [], set()
         slab, fuse_groups = ProbabilityMap.slab, segtta.pipeline.fuse_groups
+        row_table = ProbabilityMap.row_table
 
         def counted(pmap, a, b):
             if threading.get_ident() in fusing:
                 formed.append((a, b))
             return slab(pmap, a, b)
+
+        class CountedLabels:
+            def __init__(self, labels):
+                self.labels = labels
+
+            def __getitem__(self, rows):
+                if threading.get_ident() in fusing:
+                    read.append((rows.start, rows.stop))
+                return self.labels[rows]
+
+        def counted_rows(pmap):
+            held = row_table.fget(pmap)
+            return held and (held[0], CountedLabels(held[1]))
 
         def traced(*args):
             fusing.add(threading.get_ident())
@@ -861,13 +877,14 @@ class TestStreamingVotes:
                 fusing.discard(threading.get_ident())
 
         monkeypatch.setattr(ProbabilityMap, "slab", counted)
+        monkeypatch.setattr(ProbabilityMap, "row_table", property(counted_rows))
         monkeypatch.setattr(segtta.pipeline, "fuse_groups", traced)
         config = noisy_config()
         result = run_threshold_sweep(config, dataset, [0.3, 0.6, 0.9])
         assert len(result.per_case) == len(dataset.entries)
         views = 1 + len(config.augmentations)
         maps = len(dataset.entries) * len(config.backends) * views
-        assert len(formed) == maps * slabs
+        assert len(read) == maps * slabs and not formed
 
     @pytest.mark.parametrize("experiment", ["run", "ablate", "sweep"])
     def test_case_memory_is_votes_not_maps(self, tmp_path, experiment):
