@@ -175,9 +175,11 @@ class RunConfig:
         """The config of a JSON document. Beyond what the constructor
         checks, each external backend's ``command`` must hold ``{output}``
         and no placeholder ``backends`` does not fill: a ``{name}`` of
-        letters, digits and underscores, not after a ``$``, other than
-        ``{input}``, ``{output}`` and ``{classes}``. Either is a
-        ConfigError naming the backend and the placeholder."""
+        letters, digits and underscores, not after a ``$`` and not inside
+        single quotes, other than ``{input}``, ``{output}`` and
+        ``{classes}``. Either is a ConfigError naming the backend and the
+        placeholder. A config built in Python is not checked so: its
+        command fails at run time, case by case, with no output file."""
         kwargs = dict(_check_known_fields(d, cls, "config"))
         kwargs["backends"] = _objects(d, "backends", BackendDescriptor)
         kwargs["augmentations"] = (
@@ -192,16 +194,19 @@ class RunConfig:
 
 
 #: The placeholders an external command may hold, which ``backends``
-#: fills; a shell's ``${name}`` is not one.
+#: fills; a shell's ``${name}``, and single-quoted text such as an awk,
+#: sed or jq program's ``'{print}'``, is not one.
 _COMMAND_PLACEHOLDERS = ("{input}", "{output}", "{classes}")
 _PLACEHOLDER = re.compile(r"(?<!\$)\{\w+\}")
+_SINGLE_QUOTED = re.compile(r"'[^']*'")
 
 
 def _check_placeholders(backend: BackendDescriptor) -> None:
     """Raise ConfigError naming ``backend`` and the placeholder unless its
     command holds ``{output}`` and no placeholder outside
     _COMMAND_PLACEHOLDERS."""
-    unknown = [p for p in _PLACEHOLDER.findall(backend.command)
+    unquoted = _SINGLE_QUOTED.sub("''", backend.command)
+    unknown = [p for p in _PLACEHOLDER.findall(unquoted)
                if p not in _COMMAND_PLACEHOLDERS]
     if unknown:
         raise ConfigError(f"external backend {backend.name!r} command has "

@@ -161,20 +161,6 @@ def _vote_rows(mode: str, table: np.ndarray) -> np.ndarray:
     return np.column_stack([probs * weight[:, None], weight])
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` of float rows, the
-    inverse 1-D: the distinct rows in lexicographic order, equal by value,
-    and each row's index among them. A lexsort of the columns finds them
-    about 5x faster than ``np.unique``'s structured sort."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), bool)  # where a new distinct row starts
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    index = np.empty(len(rows), np.intp)
-    index[order] = np.cumsum(first) - 1
-    return ordered[first], index
-
-
 def _intern(steps) -> tuple[list[np.ndarray], np.ndarray] | None:
     """The chain of a group whose maps vote the rows ``steps``, in order:
     per step, a uint16 table from (state, row) to the next state, and the
@@ -191,8 +177,8 @@ def _intern(steps) -> tuple[list[np.ndarray], np.ndarray] | None:
             return None
         # The value path's add, sums += votes, for every pair at once.
         sums = (states[:, None, :] + votes[None, :, :]).reshape(pairs, width)
-        states, index = _unique_rows(sums)
-        tables.append(index)
+        states, index = np.unique(sums, axis=0, return_inverse=True)
+        tables.append(index.reshape(-1))
     for k, votes in enumerate(steps[1:]):
         tables[k] = tables[k] * len(votes)
     return [_freeze(table.astype(np.uint16)) for table in tables], _freeze(states.T)

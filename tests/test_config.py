@@ -148,7 +148,12 @@ class TestRunConfig:
          "'m' command has unknown placeholder {Input}"),
         ({"name": "m", "command": "model {inputs} {outputs}"},
          "'m' command has unknown placeholder {inputs}"),
-    ], ids=["no-output", "redirect", "unnamed", "misspelt", "case", "batched"])
+        ({"name": "m", "command": "awk '{print}' {input} > {ouput}"},
+         "'m' command has unknown placeholder {ouput}"),
+        ({"name": "m", "command": "awk '{print}' {input}"},
+         "'m' command has no {output}"),
+    ], ids=["no-output", "redirect", "unnamed", "misspelt", "case", "batched",
+            "misspelt-after-quotes", "quoted-only"])
     def test_external_command_placeholders_are_checked(self, backend, message):
         document = {"backends": [{"kind": "oracle"}, {"kind": "external", **backend}]}
         if "name" not in backend:
@@ -162,7 +167,11 @@ class TestRunConfig:
         "sh -c 'model \"${HOME}\"/m.pt' {input} {output}",
         "awk '{print $1}' {input} > /dev/null; model {input} {output}",
         "find {} -name x; model {input} {output}",
-    ], ids=["all", "output-only", "shell-variable", "awk", "empty-braces"])
+        "model {input} {output} && awk '{print}' {output}.log",
+        "model {input} | jq '{id}' > {output}",
+        "sed -n '/x/{p}' {input} > /dev/null; model {input} {output}",
+    ], ids=["all", "output-only", "shell-variable", "awk", "empty-braces",
+            "awk-word", "jq", "sed"])
     def test_commands_that_fill_their_output_are_accepted(self, command):
         config = RunConfig.from_dict(
             {"backends": [{"kind": "external", "name": "m", "command": command}]})

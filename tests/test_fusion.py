@@ -358,14 +358,6 @@ class TestLabelSpace:
         assert sums.shape == (3, 102) and len(tables) == 25
         assert all(t.dtype == np.uint16 and not t.flags.writeable for t in tables)
 
-    def test_unique_rows_are_numpys(self, rng):
-        for _ in range(50):
-            rows = rng.integers(0, 3, size=(rng.integers(1, 60), rng.integers(1, 5))) / 3
-            want, inverse = np.unique(rows, axis=0, return_inverse=True)
-            got, index = segtta.fusion._unique_rows(rows)
-            assert got.tobytes() == want.tobytes()
-            assert index.tolist() == inverse.reshape(-1).tolist()
-
     def test_equal_tables_share_one_chain(self, rng, chains, monkeypatch):
         # Keyed by content: a second, equal table, checked anew into another
         # array, finds the first one's chain.
