@@ -65,6 +65,8 @@ def _check_field_types(obj) -> None:
     """Raise ConfigError naming the first field of dataclass ``obj`` whose
     value does not match its scalar annotation (``bool``, ``int``,
     ``float`` or ``str``, optionally ``| None``). A bool is not a number.
+    A numpy scalar is accepted and stored as the Python value ``.item()``
+    gives, so labels and JSON see what a config file's number gives.
     Fields of other types are left to their own checks.
     """
     for f in fields(obj):
@@ -80,6 +82,8 @@ def _check_field_types(obj) -> None:
                 f"{type(obj).__name__} field {f.name!r} must be {kind}"
                 f"{' or null' if rest else ''}, got {value!r}"
             )
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, f.name, value.item())
 
 
 #: JSON type names of the Python types ``json.load`` returns; an

@@ -16,11 +16,13 @@ each voxel takes the class of the largest score, ties to the lower class:
   voxel whose largest S_hat falls below the threshold tau is background.
   The normalization keeps a fixed tau meaningful for any ensemble size.
 
-:func:`fuse_groups` fuses slab by slab along the first axis
-(``core.slabs``: at most ``core.SLAB_VOXELS`` voxels each, in whole
-planes), for the pipeline and for :func:`fuse` alike, adding the maps in
-source-tag order, so the masks are independent of input order. Each group
-of maps (in the pipeline, a view set) holds its running sums
+:func:`fuse_groups` is the one gate for fusion input, for the pipeline
+and for :func:`fuse` alike: it checks the mode, that there is a map, every
+tau, that every group holds a map and that the maps agree in dims and
+class count. It fuses slab by slab along the first axis (``core.slabs``:
+at most ``core.SLAB_VOXELS`` voxels each, in whole planes), adding the
+maps in source-tag order, so the masks are independent of input order.
+Each group of maps (in the pipeline, a view set) holds its running sums
 (S_0..S_{C-1}, W) per voxel in one of two ways:
 
 * as values, for any maps: per slab, C + 1 float64 planes per group. Each
@@ -34,18 +36,21 @@ of maps (in the pipeline, a view set) holds its running sums
   map's vote at a voxel is one of its R table rows, so a group's sums
   take few distinct values: 102 after 25 two-class maps of one
   confidence, some thousands after 25 three-class ones. Once per group
-  and set of vote rows (so once per experiment: the chains are kept,
-  keyed by content), each state the sums can reach after k maps is
-  listed, as the states after k - 1 maps plus each row of map k's votes,
-  with the same float64 add, deduplicated by value; step k's uint16 table
-  sends (state, row) to the next state, and each final state is decided
-  once per tau. Per slab, a map moves each of its groups' uint16 states
-  one step (one add of its labels, one table lookup), and a decision is
-  one lookup: one uint16 plane per group and no float64 plane. The states
-  are the value path's sums, formed by the same adds in the same order,
-  so the masks are the same bytes, with no tolerance. A chain that would
-  pass ``CHAIN_PAIRS`` (state, row) pairs at a step, or ``CHAIN_BYTES``,
-  sends its call to the value path.
+  and list of tables (so once per experiment: the chains are kept, keyed
+  by the mode and each step's table), each state the sums can reach
+  after k maps is listed, as the states after k - 1 maps plus each row
+  of map k's votes, with the same float64 add, deduplicated by value;
+  step k's uint16 table sends (state, row) to the next state, and each
+  final state is decided once per tau. Per slab, every group starts at
+  the chain's one initial state 0, the empty sums; a map moves each of
+  its groups' uint16 states one step (one add of its labels, one table
+  lookup), and a decision is one lookup: one uint16 plane per group and
+  no float64 plane. The states are the value path's sums, formed by the
+  same adds in the same order, so the masks are the same bytes, with no
+  tolerance. Tables of different content whose vote rows are equal, such
+  as majority's at two confidences, get separate chains, with the same
+  masks. A chain that would pass ``CHAIN_PAIRS`` (state, row) pairs at a
+  step, or ``CHAIN_BYTES``, sends its call to the value path.
 
 Each decision reads its group's sums without changing them, so several
 thresholds decide from one set of sums, and writes its slab of the mask.
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -65,7 +71,10 @@ VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
 
 
 def _check_tau(tau) -> float:
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0 < tau <= 1):
+    """``tau`` as a float: a real number, not a bool, finite and in (0, 1];
+    else InvalidTau."""
+    if not (isinstance(tau, numbers.Real) and not isinstance(tau, bool)
+            and math.isfinite(tau) and 0 < tau <= 1):
         raise InvalidTau(f"tau={tau!r} must be in (0, 1]")
     return float(tau)
 
@@ -76,35 +85,18 @@ def _check_mode(mode) -> str:
     return mode
 
 
-def _check_consistent(maps) -> None:
-    """Raise InconsistentMaps, naming both maps, unless every map has the
-    dims and class count of the first."""
-    first = maps[0]
-    for m in maps[1:]:
-        if (m.dims, m.num_classes) != (first.dims, first.num_classes):
-            raise InconsistentMaps(
-                f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
-                f"classes; map {first.source_tag!r} has {first.dims} and "
-                f"{first.num_classes}"
-            )
-
-
 @dataclass(frozen=True)
 class FusionInput:
-    """A consistent set of maps to fuse, kept in the order given."""
+    """Maps to fuse, as a tuple in the order given, with the voting mode
+    and tau. It holds them unchecked: :func:`fuse` checks them, through
+    :func:`fuse_groups`."""
 
     maps: tuple[ProbabilityMap, ...]
     mode: str = "threshold_weighted"
     tau: float = 0.6
 
     def __post_init__(self):
-        maps = tuple(self.maps)
-        if not maps:
-            raise InconsistentMaps("fusion input needs at least one probability map")
-        _check_consistent(maps)
-        _check_mode(self.mode)
-        _check_tau(self.tau)
-        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "maps", tuple(self.maps))
 
 
 def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
@@ -133,8 +125,8 @@ def _decide(mode: str, sums, tau: float, out: np.ndarray) -> None:
 CHAIN_PAIRS = 2 ** 16
 CHAIN_BYTES = 2 ** 20
 
-#: Chains of interned sums, keyed by the mode and each step's vote rows, so
-#: the cases of an experiment share them; at most CHAINS_KEPT x CHAIN_BYTES.
+#: Chains of interned sums, keyed by the mode and each step's table, so the
+#: cases of an experiment share them; at most CHAINS_KEPT x CHAIN_BYTES.
 CHAINS_KEPT = 16
 _chains = Memo(CHAINS_KEPT)
 
@@ -190,17 +182,11 @@ def _chains_of(mode: str, maps, held, groups) -> dict | None:
     tables = [m.row_table for m in maps]
     if any(table is None for table in tables):
         return None
-    votes = {}  # per table object of this call, its vote rows and their key
-    for table, _ in tables:
-        if id(table) not in votes:
-            rows = _vote_rows(mode, table)
-            votes[id(table)] = rows, (rows.shape, rows.tobytes())
     chains = {}
     for group in groups:
-        steps = [votes[id(table)] for (table, _), into in zip(tables, held)
-                 if group in into]
-        chain = _chains.get((mode, tuple(key for _, key in steps)),
-                            lambda: _intern([rows for rows, _ in steps]))
+        steps = [table for (table, _), into in zip(tables, held) if group in into]
+        chain = _chains.get((mode, tuple((t.shape, t.tobytes()) for t in steps)),
+                            lambda: _intern([_vote_rows(mode, t) for t in steps]))
         if chain is None:
             return None
         chains[group] = chain
@@ -214,24 +200,35 @@ def fuse_groups(mode: str, maps, keys, decisions) -> list[LabelMask]:
 
     ``keys[i]`` is map i's key (in the pipeline, its view); a decision
     ``(group, tau)`` fuses at ``tau`` the maps whose key is in ``group``,
-    a frozenset of keys (in the pipeline, a view set). The mode, the maps'
-    consistency, the taus and that every group holds a map are checked
-    once, up front. Per slab of :func:`~segtta.core.slabs`, each distinct
-    group gets its sums, each map's slab is read once and its votes added,
-    in order, into the sums of every group that holds its key, and each
-    decision writes its slab of labels. The sums are interned states when
-    every map is a row-table map and values otherwise (see the module);
-    only one slab of them exists at a time.
+    a frozenset of keys (in the pipeline, a view set). This is the one
+    gate for fusion input, checked once, up front: the mode, that there is
+    a map (else InconsistentMaps), every tau in every mode, that every
+    group holds a map, and that every map has the dims and class count of
+    the first (else InconsistentMaps naming both). Per slab of
+    :func:`~segtta.core.slabs`, each distinct group gets its sums, each
+    map's slab is read once and its votes added, in order, into the sums
+    of every group that holds its key, and each decision writes its slab
+    of labels. The sums are interned states when every map is a row-table
+    map and values otherwise (see the module); only one slab of them
+    exists at a time.
     """
     _check_mode(mode)
+    if not maps:
+        raise InconsistentMaps("fusion input needs at least one probability map")
+    decisions = [(group, _check_tau(tau)) for group, tau in decisions]
     groups = list(dict.fromkeys(group for group, _ in decisions))
     for group in groups:
         if not any(key in group for key in keys):
             raise InconsistentMaps(
                 f"group {sorted(group, key=str)} holds no probability map")
-    if mode == "threshold_weighted":
-        decisions = [(group, _check_tau(tau)) for group, tau in decisions]
-    _check_consistent(maps)
+    first = maps[0]
+    for m in maps[1:]:
+        if (m.dims, m.num_classes) != (first.dims, first.num_classes):
+            raise InconsistentMaps(
+                f"map {m.source_tag!r} has dims {m.dims} and {m.num_classes} "
+                f"classes; map {first.source_tag!r} has {first.dims} and "
+                f"{first.num_classes}"
+            )
     maps, keys = zip(*sorted(zip(maps, keys), key=lambda pair: pair[0].source_tag))
     dims, num_classes = maps[0].dims, maps[0].num_classes
     labels = [np.empty(dims, np.uint8) for _ in decisions]
@@ -283,19 +280,16 @@ def _fuse_states(mode: str, maps, held, chains, decisions, labels) -> None:
         _decide(mode, sums, tau, decided[-1])
     # The lookups cannot leave their tables (a label is below its map's
     # row count), so "clip" only spares numpy a buffered copy.
-    for a, b in slabs(maps[0].dims):
-        states = {}
+    dims = maps[0].dims
+    for a, b in slabs(dims):
+        # Every group starts at its chain's initial state 0, the empty sums.
+        states = {group: np.zeros((b - a, *dims[1:]), np.uint16) for group in chains}
         for m, step in zip(maps, steps):
-            if not step:
-                continue
             rows = m.row_table[1][a:b]
             for group, table in step:
-                state = states.get(group)
-                if state is None:
-                    states[group] = table.take(rows)
-                else:
-                    np.add(state, rows, out=state)
-                    table.take(state, out=state, mode="clip")
+                state = states[group]
+                np.add(state, rows, out=state)
+                table.take(state, out=state, mode="clip")
         for (group, _), table, out in zip(decisions, decided, labels):
             table.take(states[group], out=out[a:b], mode="clip")
         states = None  # gone before the next slab's states are made
@@ -303,7 +297,7 @@ def _fuse_states(mode: str, maps, held, chains, decisions, labels) -> None:
 
 def fuse(input: FusionInput) -> LabelMask:
     """Fuse with the voting rule selected by the input's mode: the maps
-    through :func:`fuse_groups` as one group."""
+    through :func:`fuse_groups` as one group, which checks them."""
     return fuse_groups(input.mode, input.maps, [0] * len(input.maps),
                        [(frozenset({0}), input.tau)])[0]
 

@@ -695,6 +695,22 @@ class TestFuseCommand:
         assert not any(spill.iterdir())
         assert not dst.exists()
 
+    def test_bad_tau_is_named_in_every_mode(self, tmp_path, monkeypatch, capsys):
+        # majority decides with no tau, but the tau given must still be one;
+        # the maps read so far leave no file under SEGTTA_TMPDIR.
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setenv("SEGTTA_TMPDIR", str(spill))
+        path = tmp_path / "m.nii"
+        write_probability_map(ProbabilityMap(np.full((4, 4, 2, 2), 0.5)), path,
+                              Spacing(1.0, 1.0, 2.0))
+        dst = tmp_path / "mask.nii.gz"
+        assert run_cli("fuse", "--output", dst, "--mode", "majority",
+                       "--tau", "1.5", path, path) == 1
+        assert capsys.readouterr().err == "error: tau=1.5 must be in (0, 1]\n"
+        assert not dst.exists()
+        assert not any(spill.iterdir())
+
 
 class TestMetricsCommand:
     def test_score_two_masks(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from segtta import (
@@ -176,6 +177,27 @@ class TestRunConfig:
         config = RunConfig.from_dict(
             {"backends": [{"kind": "external", "name": "m", "command": command}]})
         assert config.backends[0].command == command
+
+
+class TestNumpyNumbers:
+    def test_a_numpy_number_is_kept_as_its_python_value(self):
+        member = BackendDescriptor("oracle", confidence=np.float32(0.5))
+        cfg = RunConfig(backends=(member,), seed=np.int64(5), tau=np.float64(0.5),
+                        jobs=np.int32(2))
+        assert (cfg.seed, cfg.tau, cfg.jobs) == (5, 0.5, 2)
+        assert [type(v) for v in (cfg.seed, cfg.tau, cfg.jobs)] == [int, float, int]
+        assert type(cfg.backends[0].confidence) is float
+        json.dumps(cfg.to_dict())
+
+    def test_a_numpy_parameter_labels_its_view_as_the_json_config(self):
+        from_json = AugmentationSpec.from_dict(
+            json.loads('{"kind": "gaussian_blur", "sigma": 1.0}'))
+        spec = AugmentationSpec("gaussian_blur", sigma=np.float64(1.0))
+        assert spec.label() == from_json.label() == "gaussian_blur(sigma=1.0,axis=2)"
+        # A Python int in a float field stays an int, and so does its label.
+        labels = {AugmentationSpec("gamma_correction", gamma=g).label()
+                  for g in (np.int64(2), 2)}
+        assert labels == {"gamma_correction(gamma=2)"}
 
 
 class TestBackendDescriptor:

@@ -17,9 +17,10 @@ from segtta import (
 )
 import segtta.core
 import segtta.fusion
+import segtta.pipeline
 from segtta.core import Memo
 from segtta.errors import ConfigError, InconsistentMaps, InvalidTau
-from segtta.fusion import VOTING_MODES, _vote_rows as fusion_votes, fuse_groups
+from segtta.fusion import VOTING_MODES, fuse_groups
 
 from conftest import brute_force_vote, dense, dyadic_prob_maps, random_dims
 
@@ -353,7 +354,8 @@ class TestLabelSpace:
         assert len(chains) == 1
         # The five one-view groups vote the same rows: one chain serves them.
         assert len(segtta.fusion._chains) == 2
-        key = ("threshold_weighted", (((2, 3), fusion_votes("threshold_weighted", table).tobytes()),) * 25)
+        checked = maps[0].row_table[0]
+        key = ("threshold_weighted", ((checked.shape, checked.tobytes()),) * 25)
         tables, sums = segtta.fusion._chains.get(key, lambda: None)
         assert sums.shape == (3, 102) and len(tables) == 25
         assert all(t.dtype == np.uint16 and not t.flags.writeable for t in tables)
@@ -440,38 +442,88 @@ class TestStreamingMemory:
 
 
 class TestValidation:
+    # FusionInput only holds its fields: fuse_groups checks them, so these
+    # fail in fuse, as they would in any other call.
     def test_empty_maps(self):
-        with pytest.raises(InconsistentMaps):
-            FusionInput(())
+        with pytest.raises(InconsistentMaps,
+                           match="^fusion input needs at least one probability map$"):
+            fuse(FusionInput(()))
 
     def test_dims_mismatch(self, rng):
         a = dyadic_prob_maps(rng, 1, (2, 2, 2), 2)[0]
-        b = dyadic_prob_maps(rng, 1, (2, 2, 3), 2)[0]
-        with pytest.raises(InconsistentMaps):
-            FusionInput((a, b))
+        b = dyadic_prob_maps(rng, 1, (2, 2, 3), 2)[0].retagged("m1")
+        with pytest.raises(InconsistentMaps, match=r"map 'm1' has dims \(2, 2, 3\)"):
+            fuse(FusionInput((a, b)))
 
     def test_class_mismatch(self, rng):
         a = dyadic_prob_maps(rng, 1, (2, 2, 2), 2)[0]
-        b = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0]
-        with pytest.raises(InconsistentMaps):
-            FusionInput((a, b))
+        b = dyadic_prob_maps(rng, 1, (2, 2, 2), 3)[0].retagged("m1")
+        with pytest.raises(InconsistentMaps, match="map 'm1' has .* and 3 classes"):
+            fuse(FusionInput((a, b)))
 
     def test_invalid_tau(self, rng):
         maps = tuple(dyadic_prob_maps(rng, 1, (2, 2, 2), 2))
         for tau in (0.0, -0.5, 1.5):
-            with pytest.raises(InvalidTau):
-                FusionInput(maps, tau=tau)
+            with pytest.raises(InvalidTau, match=rf"^tau={tau!r} must be in \(0, 1\]$"):
+                fuse(FusionInput(maps, tau=tau))
+
+    def test_fusion_input_only_holds_its_fields(self):
+        held = FusionInput([], mode="plurality", tau=2.0)
+        assert (held.maps, held.mode, held.tau) == ((), "plurality", 2.0)
 
     @pytest.mark.parametrize("build", [
         lambda mode, maps: RunConfig(backends=(BackendDescriptor("oracle"),),
                                      voting=mode),
-        lambda mode, maps: FusionInput(maps, mode=mode),
+        lambda mode, maps: fuse(FusionInput(maps, mode=mode)),
         lambda mode, maps: fuse_groups(mode, maps, [0], [(frozenset({0}), 0.6)]),
     ], ids=["RunConfig", "FusionInput", "fuse_groups"])
     def test_unknown_mode_names_it(self, rng, build):
         maps = tuple(dyadic_prob_maps(rng, 1, (2, 2, 2), 2))
         with pytest.raises(ConfigError, match="'plurality'"):
             build("plurality", maps)
+
+    def test_fuse_groups_rejects_no_maps(self):
+        with pytest.raises(InconsistentMaps, match="needs at least one probability map"):
+            fuse_groups("majority", [], [], [])
+
+    @pytest.mark.parametrize("mode", VOTING_MODES)
+    @pytest.mark.parametrize("tau", [0.0, 1.5, True, float("inf"), "0.6"])
+    def test_every_mode_rejects_a_bad_tau(self, rng, mode, tau):
+        maps = dyadic_prob_maps(rng, 2, (2, 2, 2), 2)
+        with pytest.raises(InvalidTau, match=f"^tau={tau!r} must be"):
+            fuse(FusionInput(tuple(maps), mode=mode, tau=tau))
+        with pytest.raises(InvalidTau, match=f"^tau={tau!r} must be"):
+            fuse_groups(mode, maps, [0, 1], [(frozenset({0, 1}), tau)])
+
+    @pytest.mark.parametrize("entry", ["fuse", "fuse_groups", "sweep", "RunConfig"])
+    def test_tau_is_any_real_number_but_a_bool(self, rng, entry, monkeypatch):
+        # numpy numbers are taus as their values; True is not tau = 1.
+        maps = dyadic_prob_maps(rng, 2, (2, 2, 2), 2)
+        swept = []
+        monkeypatch.setattr(segtta.pipeline, "_run_variants",
+                            lambda config, manifest, variants, **kw: swept.extend(variants))
+        calls = {
+            "fuse": lambda tau: fuse(FusionInput(tuple(maps), tau=tau)),
+            "fuse_groups": lambda tau: fuse_groups(
+                "threshold_weighted", maps, [0, 0], [(frozenset({0}), tau)]),
+            "sweep": lambda tau: segtta.pipeline.run_threshold_sweep(
+                RunConfig(backends=(BackendDescriptor("oracle"),)), None, [tau]),
+            "RunConfig": lambda tau: RunConfig(
+                backends=(BackendDescriptor("oracle"),), tau=tau),
+        }
+        taken = [calls[entry](tau) for tau in (np.float32(0.5), np.int64(1))]
+        if entry == "sweep":
+            assert [(name, tau) for name, _, tau in swept] == [
+                ("tau=0.5", 0.5), ("tau=1", 1.0)]
+            assert all(type(tau) is float for _, _, tau in swept)
+        if entry == "RunConfig":
+            assert [config.tau for config in taken] == [0.5, 1]
+            assert [type(config.tau) for config in taken] == [float, int]
+        for tau in (True, 1.5):
+            # A config's fields are typed first: a bool is not a float.
+            error = ConfigError if (entry, tau) == ("RunConfig", True) else InvalidTau
+            with pytest.raises(error, match=f"tau.*{tau!r}"):
+                calls[entry](tau)
 
     def test_fuse_groups_rejects_inconsistent_maps(self, rng):
         a = dyadic_prob_maps(rng, 1, (2, 2, 2), 2)[0]

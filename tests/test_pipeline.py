@@ -583,6 +583,19 @@ class TestRunSegtta:
             for variant, report in row.items():
                 assert again.per_case[case_id][variant] == report
 
+    def test_numpy_seed_saves_as_the_plain_seeds_result(self, dataset, tmp_path):
+        # The config keeps np.int64(5) as the int 5: the run is seed 5's and
+        # its result is JSON.
+        one = replace(dataset, entries=dataset.entries[:1])
+        docs = []
+        for seed in (np.int64(5), 5):
+            path = tmp_path / f"{type(seed).__name__}.json"
+            run_segtta(noisy_config(1, seed=seed), one).save(path)
+            again = RunResult.load(path)
+            assert again.config["seed"] == 5
+            docs.append({k: v for k, v in again.to_dict().items() if k != "timings"})
+        assert docs[0] == docs[1]
+
     def test_traced_scoring_spans_per_row(self, tmp_path, monkeypatch):
         # The benchmark tracer wraps these names where the program looks
         # them up. One case's rows share one ground-truth transform, and
