@@ -182,10 +182,14 @@ def _chains_of(mode: str, maps, held, groups) -> dict | None:
     tables = [m.row_table for m in maps]
     if any(table is None for table in tables):
         return None
+    # One key part per distinct table object, so a kept key holds one
+    # bytes copy of each table however many maps share it.
+    distinct = {id(t): t for t, _ in tables}
+    parts = {i: (t.shape, t.tobytes()) for i, t in distinct.items()}
     chains = {}
     for group in groups:
         steps = [table for (table, _), into in zip(tables, held) if group in into]
-        chain = _chains.get((mode, tuple((t.shape, t.tobytes()) for t in steps)),
+        chain = _chains.get((mode, tuple(parts[id(t)] for t in steps)),
                             lambda: _intern([_vote_rows(mode, t) for t in steps]))
         if chain is None:
             return None

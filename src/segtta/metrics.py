@@ -29,19 +29,27 @@ and either one copy of it, while an axis's lines are laid out, or the
 scratch of one block. A voxel with no seed in the volume is at distance inf.
 
 Every row of a case is scored against the same ground truth, so a
-``CaseScorer`` prepares that side once: the ground-truth surface, its
-bounding box, and the transform to it over the whole volume, computed the
-first time a row needs it. A row then reads that transform at its own
-surface voxels and runs one transform of its own surface, on the
-ground-truth box grown by a margin. The margin doubles until every
-ground-truth surface voxel's distance is certified, that is at most its
-distance to the outside of the crop minus one voxel, or the crop is the
-whole volume. Both shortcuts give the bits of the full-volume transforms:
-rounding is monotone, so each transform value is the minimum over seeds
-of a per-seed value that depends only on the offset, not on the crop; a
-certified voxel's nearest seed lies inside the crop, since any seed
-outside is farther by at least the slack. The quadratic all-pairs
-computation lives in the test suite as its oracle.
+``CaseScorer`` prepares that side once, the first time a row needs it:
+the ground-truth surface, its bounding box, the transform of that surface
+cropped to the box, and the first axis's sweep of the box's (y, z)
+columns over the whole x range, squared. A row's surface voxels inside
+the box read the box's transform. A voxel outside it takes the minimum,
+over those columns, of the swept value plus the second axis's cost and
+then the third's: the adds the transform's two passes make, in their
+order. That minimum is the whole transform's, bit for bit: a column
+outside the box holds no seed, so it sweeps to inf, and so after the
+second pass does every line off the box's z range; a pass stops early
+only where no later term can win; and rounding commutes with the minimum.
+The row then runs one transform of its own surface, on the ground-truth
+box grown by a margin. The margin doubles until every ground-truth
+surface voxel's distance is certified, that is at most its distance to
+the outside of the crop minus one voxel, or the crop is the whole volume.
+Crops give the bits of the full-volume transforms: rounding is monotone,
+so each transform value is the minimum over seeds of a per-seed value
+that depends only on the offset, not on the crop; every ground-truth seed
+lies in its box, and a certified voxel's nearest seed lies inside the
+crop, since any seed outside is farther by at least the slack. The
+quadratic all-pairs computation lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -177,16 +185,42 @@ def _surface(fg: np.ndarray) -> np.ndarray:
     return fg & ~interior
 
 
+def _voxels(a: np.ndarray) -> np.ndarray:
+    """Coordinates (K, 3) of the nonzero voxels of ``a``, in row-major
+    order: ``np.argwhere``'s, several times faster."""
+    return np.transpose(np.unravel_index(np.flatnonzero(a), a.shape))
+
+
 def surface_voxels(mask: LabelMask) -> np.ndarray:
     """Coordinates (K, 3) of the surface of the foreground (every class but
     background), in row-major order."""
-    return np.argwhere(_surface(mask.labels > 0))
+    return _voxels(_surface(mask.labels > 0))
 
 
-#: Voxels per block of lines in a min-plus pass, whose scratch is a few
+#: Voxels per block of lines in a min-plus pass, or of a scorer's columns
+#: gathered for voxels outside the ground-truth box, whose scratch is a few
 #: blocks whatever the volume. Smaller blocks spend more interpreter time
 #: per voxel, which worker threads cannot overlap.
 _PASS_VOXELS = 2 ** 16
+
+
+def _cost(delta: float, k):
+    """The min-plus cost ``(delta*k)^2`` of offset ``k`` (an int or an int
+    array) along an axis of spacing ``delta``, formed as every pass forms
+    it."""
+    return delta * delta * k * k
+
+
+def _sweep(seeds: np.ndarray, delta: float) -> np.ndarray:
+    """Squared distance along axis 0 from each voxel to the nearest seed of
+    its line, inf on a line with none: a forward and a backward linear
+    sweep, then the square, in a new float64 array."""
+    d2 = np.where(seeds, 0.0, np.inf)
+    for i in range(1, len(d2)):
+        np.minimum(d2[i], d2[i - 1] + delta, out=d2[i])
+    for i in range(len(d2) - 2, -1, -1):
+        np.minimum(d2[i], d2[i + 1] + delta, out=d2[i])
+    return np.multiply(d2, d2, out=d2)
 
 
 def _min_plus_pass(f2: np.ndarray, delta: float) -> None:
@@ -209,7 +243,7 @@ def _min_plus_pass(f2: np.ndarray, delta: float) -> None:
         out = f.copy()
         term = np.empty_like(f)
         for k in range(1, n):
-            cost = delta * delta * k * k
+            cost = _cost(delta, k)
             if cost >= out.max(initial=0.0):
                 break
             shifted = term[k:]
@@ -234,16 +268,7 @@ def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     if seeds.ndim != 3:
         raise DimensionMismatch(f"seed mask must be 3D, got shape {seeds.shape}")
     deltas = spacing.as_tuple()
-
-    # Axis 0: distance along x by forward/backward sweeps, then square.
-    d2 = np.where(seeds, 0.0, np.inf)
-    nx = seeds.shape[0]
-    for i in range(1, nx):
-        np.minimum(d2[i], d2[i - 1] + deltas[0], out=d2[i])
-    for i in range(nx - 2, -1, -1):
-        np.minimum(d2[i], d2[i + 1] + deltas[0], out=d2[i])
-    np.multiply(d2, d2, out=d2)
-
+    d2 = _sweep(seeds, deltas[0])
     for axis in (1, 2):
         lines = np.ascontiguousarray(np.moveaxis(d2, axis, 0))
         d2 = None  # the pass needs only the copy
@@ -261,23 +286,57 @@ class CaseScorer:
     """One case's ground truth, prepared once to score many predictions.
 
     Pass it as ``gt`` to :func:`evaluate` or :func:`hd95`, with the same
-    spacing; a plain ``LabelMask`` there scores one row. The transform to
-    the ground-truth surface is kept once computed, so a scorer holds one
-    float64 volume and should die with its case.
+    spacing; a plain ``LabelMask`` there scores one row. Once a row has
+    needed it, a scorer keeps the transform of the ground-truth surface on
+    that surface's box and the squared first-axis sweep of the box's (y, z)
+    columns, nx x box_y x box_z float64, and should die with its case.
     """
 
     def __init__(self, gt: LabelMask, spacing: Spacing):
         self.gt = gt
         self.spacing = spacing
         self.surface = _surface(gt.labels > 0)
-        self.points = np.argwhere(self.surface)  # row-major, as surface[...]
-        self._to_gt = None
+        self.points = _voxels(self.surface)  # row-major, as surface[...]
+        self._near = None
 
-    def to_gt(self) -> np.ndarray:
-        """Distance (mm) from every voxel to the ground-truth surface."""
-        if self._to_gt is None:
-            self._to_gt = distance_transform(self.surface, self.spacing)
-        return self._to_gt
+    def _prepare(self) -> None:
+        """Keep the ground-truth side of :meth:`to_gt` (see the module)."""
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0) + 1
+        self._crop = tuple(slice(a, b) for a, b in zip(lo, hi))
+        dx, dy, dz = self.spacing.as_tuple()
+        _, ny, nz = self.surface.shape
+        self._columns = _sweep(self.surface[:, self._crop[1], self._crop[2]], dx)
+        # The cost from each y (z) of the volume to each y (z) of the box.
+        self._to_y = _cost(dy, abs(np.arange(ny)[:, None] - np.arange(lo[1], hi[1])))
+        self._to_z = _cost(dz, abs(np.arange(nz)[:, None] - np.arange(lo[2], hi[2])))
+        self._near = distance_transform(self.surface[self._crop], self.spacing)
+
+    def to_gt(self, surface: np.ndarray) -> np.ndarray:
+        """Distance (mm) from each voxel of ``surface``, in no set order, to
+        the ground-truth surface, which is not empty.
+
+        A voxel inside the ground-truth box reads the box's transform; one
+        outside takes the minimum over the box's columns of the swept
+        value plus the second axis's cost, and of that plus the third's.
+        """
+        if self._near is None:
+            self._prepare()
+        near = self._near[surface[self._crop]]
+        outside = surface.copy()
+        outside[self._crop] = False
+        x, y, z = np.unravel_index(np.flatnonzero(outside), outside.shape)
+        if not len(x):
+            return near
+        far = np.empty(len(x))
+        step = max(1, _PASS_VOXELS // self._columns[0].size)
+        for start in range(0, len(x), step):
+            part = slice(start, start + step)
+            sums = self._columns[x[part]]
+            sums += self._to_y[y[part], :, None]  # the pass along the second axis
+            lines = sums.min(axis=1)
+            lines += self._to_z[z[part]]  # the pass along the third axis
+            far[part] = lines.min(axis=1)
+        return np.concatenate([near, np.sqrt(far, out=far)])
 
     def to_surface(self, surface: np.ndarray) -> np.ndarray:
         """Distance (mm) from each ground-truth surface voxel, in row-major
@@ -335,7 +394,7 @@ def hd95(pred: LabelMask, gt: LabelMask | CaseScorer,
     if not pred_any or not gt_any:
         return None
     pooled = np.concatenate([
-        scorer.to_gt()[pred_surface], scorer.to_surface(pred_surface)
+        scorer.to_gt(pred_surface), scorer.to_surface(pred_surface)
     ])
     return float(np.percentile(pooled, 95))
 

@@ -377,6 +377,23 @@ class TestLabelSpace:
         fuse_groups("confidence_weighted", second, keys, decisions)
         assert len(segtta.fusion._chains) == 2
 
+    def test_kept_keys_hold_each_table_once(self, rng, chains):
+        # 25 maps share 5 tables of 256 classes. The full view set's chain
+        # is out of bounds, so the value path fuses, but its key is kept: it
+        # must reach one bytes copy of each table, not one per map.
+        tables = [soft_table(256, 0.5 + i / 10) for i in range(5)]
+        views = [f"v{i}" for i in range(5)]
+        maps, held, keys = row_maps(rng, tables, views, (4, 4, 4))
+        decisions = [(frozenset(views), 0.6)] + [(frozenset({v}), 0.6) for v in views]
+        got = fuse_groups("threshold_weighted", maps, keys, decisions)
+        fuse_groups("threshold_weighted", maps, keys, decisions)
+        parts = {id(part): part for _, key in segtta.fusion._chains._entries
+                 for _, part in key}
+        assert len(segtta.fusion._chains) == 1 and not chains
+        assert sum(len(part) for part in parts.values()) <= sum(t.nbytes for t in tables)
+        want = fuse_groups("threshold_weighted", held, keys, decisions)
+        assert [m.labels.tobytes() for m in got] == [m.labels.tobytes() for m in want]
+
     def test_chains_are_bounded(self, rng, chains):
         kept = segtta.fusion.CHAINS_KEPT
         for i in range(kept + 5):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -367,11 +368,10 @@ class TestCaseScorer:
         self.check_rows(gt, [near, beside, far], spacing)
         shapes = self.edt_shapes(monkeypatch)
         scorer = CaseScorer(gt, spacing)
-        scorer.to_gt()
         crops = {}
         for name, pred in (("near", near), ("beside", beside), ("far", far)):
             shapes.clear()
-            hd95(pred, scorer, spacing)
+            scorer.to_surface(segtta.metrics._surface(pred.labels > 0))
             sizes = [int(np.prod(shape)) for shape in shapes]
             assert sizes == sorted(set(sizes))  # each crop strictly larger
             crops[name] = shapes[:]
@@ -380,6 +380,8 @@ class TestCaseScorer:
         assert len(crops["far"]) > 1 and crops["far"][-1] == dims
 
     def test_ground_truth_transform_runs_once(self, rng, monkeypatch):
+        # Once per scorer, on the ground truth's box; and no transform of
+        # the whole volume, although the speckle lies all over it.
         dims = (16, 14, 12)
         spacing = Spacing(1.0, 1.2, 0.8)
         gt = box_mask(dims, (4, 4, 3), (11, 10, 9))
@@ -390,8 +392,68 @@ class TestCaseScorer:
             labels = np.array(gt.labels)
             labels ^= rng.random(dims) < 0.01
             hd95(mask(labels), scorer, spacing)
-        assert shapes.count(dims) == 1
+        box = (7, 6, 6)
+        assert shapes[0] == box and shapes.count(box) == 1
         assert len(shapes) == 1 + rows
+        assert dims not in shapes
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_distances_to_gt_are_the_transforms(self, data):
+        # The ground truth's box may touch the border or span a 1-voxel
+        # axis; the query surface lies anywhere. Pass blocks of a few
+        # voxels make the columns outside the box go in several parts.
+        dims = tuple(data.draw(st.integers(1, 20)) for _ in range(3))
+        lo = [data.draw(st.integers(0, n - 1)) for n in dims]
+        hi = [data.draw(st.integers(a + 1, n)) for a, n in zip(lo, dims)]
+        spacing = Spacing(*(data.draw(st.floats(0.3, 3.0)) for _ in range(3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = np.zeros(dims, dtype=np.uint8)
+        inside = labels[tuple(slice(a, b) for a, b in zip(lo, hi))]
+        inside[...] = rng.random(inside.shape) < data.draw(st.floats(0.05, 1.0))
+        inside.flat[0] = 1
+        query = segtta.metrics._surface(rng.random(dims) < data.draw(st.floats(0.0, 0.6)))
+        scorer = CaseScorer(mask(labels), spacing)
+        want = np.sort(distance_transform(scorer.surface, spacing)[query])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segtta.metrics, "_PASS_VOXELS",
+                          data.draw(st.sampled_from([1, 7, 40, 2 ** 16])))
+            got = np.sort(scorer.to_gt(query))
+        assert np.array_equal(got, want)
+
+    def test_speckle_outside_a_small_box(self, rng):
+        # Flip speckle on every x-plane, far outside a 4x3x3 ground truth.
+        dims = (30, 14, 11)
+        spacing = Spacing(0.8, 1.3, 2.1)
+        gt = box_mask(dims, (13, 5, 4), (17, 8, 7))
+        labels = np.array(gt.labels)
+        labels ^= rng.random(dims) < 0.02
+        labels[np.arange(dims[0]), rng.integers(0, 5, dims[0]), 0] = 1
+        pred = mask(labels)
+        outside = np.array(labels, dtype=bool)
+        outside[13:17, 5:8, 4:7] = False
+        assert np.all(outside.any(axis=(1, 2)))
+        scorer = CaseScorer(gt, spacing)
+        got = hd95(pred, scorer, spacing)
+        assert got == evaluate(pred, gt, spacing).hd95_mm
+        assert abs(got - brute_force_hd95(pred, gt, spacing)) < 1e-9
+
+    def test_scorer_holds_less_than_a_volume(self, rng):
+        dims = (64, 64, 48)
+        spacing = Spacing(0.9, 0.9, 1.5)
+        gt = box_mask(dims, (27, 27, 19), (37, 37, 29))
+        labels = np.array(gt.labels)
+        labels ^= rng.random(dims) < 0.001
+        pred = mask(labels)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scorer = CaseScorer(gt, spacing)
+            hd95(pred, scorer, spacing)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < np.prod(dims) * 8
 
     def test_spacing_must_match_the_scorer(self):
         m = box_mask((4, 4, 4), (1, 1, 1), (3, 3, 3))
