@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 import json
-import math
 import re
 from pathlib import Path
 
@@ -32,6 +31,11 @@ BACKEND_KINDS = tuple(_KIND_FIELDS)
 DEFAULT_SEED = 2024
 DEFAULT_TAU = 0.6
 
+#: The largest external ``timeout``, in seconds (about 24.8 days): the
+#: child's pipes are waited on by ``poll``, which takes whole milliseconds
+#: in a C int.
+MAX_TIMEOUT = (2 ** 31 - 1) / 1000
+
 #: The view label of the un-augmented volume.
 BASELINE_VIEW = "baseline"
 
@@ -53,8 +57,9 @@ class BackendDescriptor:
       ``{classes}`` substituted, exchanging float32 NIfTI files.
 
     ``name`` identifies the backend in source tags and RNG stream keys and
-    must be unique within a run config. A field the kind does not use must
-    keep its default; any other value is rejected.
+    must be unique within a run config. ``timeout`` is in seconds, in
+    ``(0, MAX_TIMEOUT]``. A field the kind does not use must keep its
+    default; any other value is rejected.
     """
 
     kind: str
@@ -79,8 +84,9 @@ class BackendDescriptor:
             raise ConfigError(f"jitter={self.jitter!r} must be >= 0")
         if self.constant_class < 0:
             raise ConfigError(f"constant_class={self.constant_class!r} must be >= 0")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ConfigError(f"timeout={self.timeout!r} must be finite and > 0")
+        if not 0 < self.timeout <= MAX_TIMEOUT:
+            raise ConfigError(
+                f"timeout={self.timeout!r} must be in (0, {MAX_TIMEOUT}] seconds")
         if self.kind == "external" and not self.command:
             raise ConfigError("external backend needs a command template")
 
@@ -102,7 +108,9 @@ class RunConfig:
     one of :attr:`views`; augmentation labels must be unique. ``jobs`` is
     the number of cases in flight: each worker loads, predicts, fuses and
     scores one case at a time. ``process_jobs`` bounds the external model processes running at
-    once across those workers. Neither affects results.
+    once across those workers. Neither affects results. A config must
+    predict something: it needs a view (the baseline or an augmentation),
+    and a ``subset``, when given, at least one pair.
     """
 
     backends: tuple[BackendDescriptor, ...]
@@ -131,6 +139,9 @@ class RunConfig:
         labels = [spec.label() for spec in self.augmentations]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"augmentation labels must be unique, got {labels}")
+        if not self.views:
+            raise ConfigError("config has no view: 'include_baseline' is false "
+                              "and 'augmentations' is empty")
         _check_mode(self.voting)
         _check_tau(self.tau)
         if self.seed < 0:
@@ -149,6 +160,9 @@ class RunConfig:
             object.__setattr__(
                 self, "subset", tuple((str(b), str(v)) for b, v in self.subset)
             )
+            if not self.subset:
+                raise ConfigError("config field 'subset' holds no pair; leave it "
+                                  "out to predict every backend on every view")
             unknown = [[b, v] for b, v in self.subset
                        if b not in names or v not in self.views]
             if unknown:

@@ -166,6 +166,16 @@ def _plane_sum(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def scaled(arr: np.ndarray, scale: tuple[float, float]) -> np.ndarray:
+    """``arr`` times ``scale[0]`` plus ``scale[1]`` in a new C-ordered
+    float64 array: how a NIfTI file's scl_slope and scl_inter apply."""
+    # Widened first: float32 times a Python float stays float32.
+    out = arr.astype(np.float64, order="C")
+    out *= scale[0]
+    out += scale[1]
+    return out
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -388,10 +398,7 @@ class ProbabilityMap:
             in ``dtype``."""
             if scale is None:
                 return np.ascontiguousarray(rows, dtype)
-            out = rows.astype(np.float64, order="C")
-            out *= scale[0]
-            out += scale[1]
-            return out
+            return scaled(rows, scale)
 
         if directory is None:
             held = _freeze(values(src) if scale is not None

@@ -297,11 +297,13 @@ class CaseScorer:
         self.spacing = spacing
         self.surface = _surface(gt.labels > 0)
         self.points = _voxels(self.surface)  # row-major, as surface[...]
+        if len(self.points):  # the surface's box, [lo, hi) per axis
+            self._lo, self._hi = self.points.min(axis=0), self.points.max(axis=0) + 1
         self._near = None
 
     def _prepare(self) -> None:
         """Keep the ground-truth side of :meth:`to_gt` (see the module)."""
-        lo, hi = self.points.min(axis=0), self.points.max(axis=0) + 1
+        lo, hi = self._lo, self._hi
         self._crop = tuple(slice(a, b) for a, b in zip(lo, hi))
         dx, dy, dz = self.spacing.as_tuple()
         _, ny, nz = self.surface.shape
@@ -348,11 +350,10 @@ class CaseScorer:
         """
         dims = np.array(surface.shape)
         steps = np.array(self.spacing.as_tuple())
-        first, last = self.points.min(axis=0), self.points.max(axis=0) + 1
         margin = _MARGIN
         while True:
-            lo = np.maximum(first - margin, 0)
-            hi = np.minimum(last + margin, dims)
+            lo = np.maximum(self._lo - margin, 0)
+            hi = np.minimum(self._hi + margin, dims)
             crop = tuple(slice(a, b) for a, b in zip(lo, hi))
             dist = distance_transform(surface[crop], self.spacing)
             dist = dist[tuple((self.points - lo).T)]

@@ -35,7 +35,9 @@ import zlib
 
 import numpy as np
 
-from .core import LabelMask, ProbabilityMap, Spacing, Volume, slabs, temp_dir
+from .core import (
+    LabelMask, ProbabilityMap, Spacing, Volume, scaled, slabs, temp_dir,
+)
 from .errors import (
     CorruptHeader,
     DimensionMismatch,
@@ -243,13 +245,8 @@ def _read_3d(path, what: str) -> tuple[NiftiHeader, np.ndarray]:
     """:func:`_read` of a 3D file, its values scaled when the header says
     so: times scl_slope plus scl_inter in float64, in one new array."""
     header, arr = _read(path, 3, what)
-    if header.scale is not None:
-        # Widened first: float32 times a Python float stays float32. C order
-        # is the layout Volume holds, so it makes no copy of its own.
-        arr = arr.astype(np.float64, order="C")
-        arr *= header.scale[0]
-        arr += header.scale[1]
-    return header, arr
+    # scaled() gives C order, the layout Volume holds: it copies no further.
+    return header, arr if header.scale is None else scaled(arr, header.scale)
 
 
 def read_volume(path) -> Volume:

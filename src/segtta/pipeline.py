@@ -44,7 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from . import augment, backends, nifti
-from .config import BASELINE_VIEW, DatasetManifest, RunConfig, _read_json
+from .config import (
+    BASELINE_VIEW, DEFAULT_TAU, DatasetManifest, RunConfig, _read_json,
+)
 from .core import (
     ProbabilityMap, Spacing, Volume, _check_fields, _check_json,
     normalize_intensity,
@@ -367,39 +369,43 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
                  error_type=type(e).__name__)
         return None, None, seconds, f"{stage}: {e}"
 
-    t0 = time.monotonic()
+    @contextlib.contextmanager
+    def clock(stage: str):
+        """Add the block's seconds to ``seconds[stage]``, however it ends."""
+        t = time.monotonic()
+        try:
+            yield
+        finally:
+            seconds[stage] += time.monotonic() - t
+
     try:
-        volume = nifti.read_volume(entry.image)
-        volume = Volume(volume.data, volume.spacing, vol_id=case_id)
-        gt = None
-        if entry.label:
-            header, gt = nifti._read_label_mask(entry.label, entry.num_classes)
-            if gt.dims != volume.dims:
-                raise DimensionMismatch(
-                    f"label dims {gt.dims} != image dims {volume.dims}")
-            _check_spacing(header.spacing, volume.spacing, "label", "image")
-        volume = normalize_intensity(volume)
+        with clock("load_s"):
+            volume = nifti.read_volume(entry.image)
+            volume = Volume(volume.data, volume.spacing, vol_id=case_id)
+            gt = None
+            if entry.label:
+                header, gt = nifti._read_label_mask(entry.label, entry.num_classes)
+                if gt.dims != volume.dims:
+                    raise DimensionMismatch(
+                        f"label dims {gt.dims} != image dims {volume.dims}")
+                _check_spacing(header.spacing, volume.spacing, "label", "image")
+            volume = normalize_intensity(volume)
     except SegTTAError as e:
         return failure("load", e)
-    finally:
-        seconds["load_s"] = time.monotonic() - t0
     log.emit("case_loaded", case=case_id, views=list(pairs))
     specs = {spec.label(): spec for spec in config.augmentations}
 
     def build(view: str) -> tuple[Volume, str | None]:
         """The view and, with a cache, its digest."""
-        t = time.monotonic()
-        try:
+        with clock("load_s"):
             image = volume if view == BASELINE_VIEW else augment.apply(
                 specs[view], volume, augmentation_rng(config.seed, case_id, view))
             return image, cache._volume_hash(image) if cache is not None else None
-        finally:
-            seconds["load_s"] += time.monotonic() - t
 
     def predict(tag: str, backend, view: str, image: Volume,
                 digest: str | None) -> ProbabilityMap:
         t = time.monotonic()
-        try:
+        with clock("predict_s"):
             if cache is not None:
                 key = cache.key(backend.to_dict(), view, digest, config.seed,
                                 num_classes)
@@ -421,8 +427,6 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
                      view=view, cached=False,
                      elapsed_s=round(time.monotonic() - t, 4))
             return pmap
-        finally:
-            seconds["predict_s"] += time.monotonic() - t
 
     maps, views = [], []  # in prediction order, each map beside its view
     failed = None  # (tag, backend, view, error) of the smallest failing tag
@@ -448,36 +452,27 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     spacing = volume.spacing
     volume = None  # only prediction reads the views
 
-    t0 = time.monotonic()
     try:
-        masks = fuse_groups(
-            config.voting, maps, views,
-            [(view_set, tau) for _, view_set, tau in variants],
-        ) if variants else []
+        with clock("fuse_s"):
+            masks = fuse_groups(
+                config.voting, maps, views,
+                [(view_set, tau) for _, view_set, tau in variants],
+            ) if variants else []
+            maps = None  # the case holds its masks, not its maps, while it is scored
     except SegTTAError as e:  # a map file that cannot be read
         return failure("fuse", e)
-    finally:
-        maps = None  # the case holds its masks, not its maps, while it is scored
-        seconds["fuse_s"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    truth = CaseScorer(gt, spacing) if gt is not None else None
-    seconds["score_s"] = time.monotonic() - t0
-    reports: dict = {}
-    fg: dict = {}
-    for (name, _, _), mask in zip(variants, masks):
-        t1 = time.monotonic()
-        fg[name] = foreground_volume(mask, spacing)
-        reports[name] = (
-            evaluate(mask, truth, spacing) if truth is not None else None
-        )
-        t2 = time.monotonic()
-        if name in mask_dirs:
-            nifti.write_label_mask(
-                mask, spacing, mask_dirs[name] / f"{case_id}.nii.gz"
-            )
-        seconds["score_s"] += t2 - t1
-        seconds["write_s"] += time.monotonic() - t2
+    with clock("score_s"):
+        truth = CaseScorer(gt, spacing) if gt is not None else None
+        fg, reports = {}, {}
+        for (name, _, _), mask in zip(variants, masks):
+            fg[name] = foreground_volume(mask, spacing)
+            reports[name] = evaluate(mask, truth, spacing) if truth is not None else None
+    with clock("write_s"):
+        for (name, _, _), mask in zip(variants, masks):
+            if name in mask_dirs:
+                nifti.write_label_mask(
+                    mask, spacing, mask_dirs[name] / f"{case_id}.nii.gz")
     log.emit("case_done", case=case_id,
              **{stage: round(s, 6) for stage, s in seconds.items()})
     return reports, fg, seconds, None
@@ -624,7 +619,7 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
 
     Reports metrics and fused foreground volume per threshold, and writes
     each threshold's masks under ``out_dir/masks/tau=<t>``; the reference
-    row for deltas is tau=0.6 when present, else the first. Thresholds
+    row for deltas is tau=DEFAULT_TAU (0.6) when present, else the first. Thresholds
     whose ``tau=<t>`` row names coincide raise ConfigError.
     """
     taus = [_check_tau(t) for t in taus]
@@ -635,7 +630,7 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
     if len(set(names)) != len(names):
         raise ConfigError(f"sweep taus {taus} must name distinct rows, got {names}")
     reference = next(
-        (name for name, _, t in variants if abs(t - 0.6) < 1e-12),
+        (name for name, _, t in variants if abs(t - DEFAULT_TAU) < 1e-12),
         variants[0][0],
     )
     return _run_variants(

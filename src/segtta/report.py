@@ -32,20 +32,12 @@ def _metric_columns(num_classes: int):
     ]
 
 
-def _fmt(field: str, value) -> str:
+def _fmt(field: str, value, sign: str = "") -> str:
+    """One metric cell: blank for None, HD95 in mm, an overlap metric in
+    percent; a delta passes ``sign="+"``."""
     if value is None:
         return ""
-    if field == "hd95":
-        return f"{value:.2f}"
-    return f"{value * 100:.2f}"
-
-
-def _fmt_delta(field: str, value, ref) -> str:
-    if value is None or ref is None:
-        return ""
-    if field == "hd95":
-        return f"{value - ref:+.2f}"
-    return f"{(value - ref) * 100:+.2f}"
+    return f"{value if field == 'hd95' else value * 100:{sign}.2f}"
 
 
 def _row(columns, scope: str, case: str, variant: str, values: dict,
@@ -55,8 +47,10 @@ def _row(columns, scope: str, case: str, variant: str, values: dict,
     and so is a delta without a reference value."""
     row = {"scope": scope, "case": case, "variant": variant}
     for header, field in columns:
-        row[header] = _fmt(field, values.get(field))
-        row[f"d{header}"] = _fmt_delta(field, values.get(field), reference.get(field))
+        value, ref = values.get(field), reference.get(field)
+        row[header] = _fmt(field, value)
+        row[f"d{header}"] = _fmt(
+            field, None if value is None or ref is None else value - ref, "+")
     row["HD95_undefined"] = undefined
     row["FG_mm3"] = f"{fg:.1f}" if fg is not None else ""
     return row
@@ -88,13 +82,9 @@ def _rows(result: RunResult):
 
 
 def _headers(result: RunResult):
-    headers = ["scope", "case", "variant"]
-    for header, _ in _metric_columns(result.num_classes):
-        headers.append(header)
-    for header, _ in _metric_columns(result.num_classes):
-        headers.append(f"d{header}")
-    headers += ["HD95_undefined", "FG_mm3"]
-    return headers
+    names = [header for header, _ in _metric_columns(result.num_classes)]
+    return ["scope", "case", "variant", *names, *(f"d{name}" for name in names),
+            "HD95_undefined", "FG_mm3"]
 
 
 def render_csv(result: RunResult) -> str:

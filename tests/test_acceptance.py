@@ -6,6 +6,7 @@ exercise oracle equivalence, the qualitative ensemble trends, determinism,
 and the file-format round trips at their stated tolerances.
 """
 
+from collections import Counter
 import gzip
 import json
 import struct
@@ -285,6 +286,49 @@ def test_criterion_7_run_determinism(tmp_path):
 
         assert artifacts[0][0] == artifacts[1][0], "fused masks differ"
         assert artifacts[0][1] == artifacts[1][1], "reports differ"
+
+
+def test_run_log_content_is_the_same_across_jobs(tmp_path):
+    """The jobs setting changes the order of a run's events, not what they
+    say: their multiset, without clock readings and the jobs setting, is
+    the same with 1 and 3 workers."""
+
+    def content(path):
+        events = Counter()
+        for line in path.read_text().splitlines():
+            event = {key: value for key, value in json.loads(line).items()
+                     if key not in ("t", "seconds", "peak_rss_mb")
+                     and not key.endswith("_s")}
+            if event["event"] == "run_start":
+                del event["config"]["jobs"]
+            events[json.dumps(event, sort_keys=True)] += 1
+        return events
+
+    with criterion(7, "same run log content across --jobs"):
+        manifest_path = write_phantom_dataset(
+            tmp_path / "data", n_cases=4, dims=(10, 10, 8), seed=5)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"backends": [
+            {"kind": "noisy_oracle", "name": f"nb{i}", "confidence": 0.9,
+             "jitter": 1, "flip_prob": 0.1}
+            for i in range(3)
+        ]}))
+        for command in ("run", "ablate", "sweep"):
+            logs = []
+            for jobs in (1, 3):
+                out = tmp_path / f"{command}-jobs{jobs}"
+                code = cli_main([
+                    command, "--config", str(config_path),
+                    "--manifest", str(manifest_path), "--out", str(out),
+                    "--jobs", str(jobs),
+                    *(["--taus", "0.3,0.6,0.9"] if command == "sweep" else []),
+                ])
+                assert code == 0
+                logs.append(content(out / "run.log.jsonl"))
+            # Per case: case_loaded, 3 backends x 5 views of predictions
+            # and case_done; then run_start, 5 stage totals and run_done.
+            assert sum(logs[0].values()) == 4 * (1 + 15 + 1) + 7, command
+            assert logs[0] == logs[1], f"{command} logs differ"
 
 
 def test_criterion_8_nifti_round_trip(tmp_path, rng):

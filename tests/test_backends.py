@@ -392,6 +392,19 @@ class TestExternalProcess:
         del out
         assert not spill.exists()
 
+    def test_largest_timeout_still_runs_the_child(self, case, tmp_path):
+        # communicate waits through poll(), whose C int of milliseconds
+        # holds this timeout and overflows one millisecond past it.
+        volume, _ = case
+        backend = BackendDescriptor(
+            "external", name="x", command=script_command(tmp_path, ECHO_BACKEND),
+            timeout=2147483.647,
+        )
+        out = predict(backend, volume, 2, stream())
+        np.testing.assert_array_equal(
+            np.argmax(dense(out), axis=-1) == 1, volume.data > 0.5
+        )
+
     def test_nonzero_exit(self, case, tmp_path):
         volume, _ = case
         cmd = script_command(tmp_path, "import sys; sys.exit(3)")

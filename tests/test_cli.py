@@ -233,6 +233,33 @@ class TestRun:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    @pytest.mark.parametrize("override, named", [
+        ({"include_baseline": False, "augmentations": []},
+         "config has no view: 'include_baseline' is false"),
+        ({"subset": []}, "config field 'subset' holds no pair"),
+        ({"backends": [{"kind": "external", "name": "m", "command": "m {output}",
+                        "timeout": 1e9}]},
+         "timeout=1000000000.0 must be in (0, 2147483.647] seconds"),
+    ], ids=["no-view", "empty-subset", "huge-timeout"])
+    def test_config_rejected_at_load_writes_nothing(
+            self, dataset_dir, config_path, tmp_path, capsys, command, override,
+            named):
+        config = {**json.loads(config_path.read_text()), **override}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--config", bad, "--manifest", dataset_dir / "manifest.json",
+            "--out", out, *(["--taus", "0.3,0.6"] if command == "sweep" else []),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("taus, named", [
         ("0.3,0.3000001,0.9", "got ['tau=0.3', 'tau=0.3', 'tau=0.9']"),
         ("0.6,0.6", "got ['tau=0.6', 'tau=0.6']"),

@@ -12,7 +12,7 @@ from segtta import (
     load_config,
     load_manifest,
 )
-from segtta.config import DatasetManifest, ManifestEntry
+from segtta.config import MAX_TIMEOUT, DatasetManifest, ManifestEntry
 from segtta.errors import ConfigError, InvalidTau, SegTTAError
 
 from conftest import IGNORED_FIELD_CASES
@@ -71,6 +71,31 @@ class TestRunConfig:
                 "augmentation labels must be unique, got ['gamma_correction(gamma=0.8)', "
                 "'gaussian_blur(sigma=1.0,axis=2)', 'gamma_correction(gamma=0.8)']")):
             RunConfig(backends=(oracle(),), augmentations=(gamma, blur, gamma))
+
+    def test_config_without_a_view_is_rejected(self, tmp_path):
+        named = ("config has no view: 'include_baseline' is false and "
+                 "'augmentations' is empty")
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig(backends=(oracle(),), include_baseline=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backends": [{"kind": "oracle"}],
+                                    "include_baseline": False, "augmentations": []}))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(path)
+        # One view is enough, the baseline or an augmentation.
+        assert RunConfig(backends=(oracle(),), augmentations=()).views == ("baseline",)
+        gamma = AugmentationSpec("gamma_correction", gamma=0.8)
+        assert RunConfig(backends=(oracle(),), augmentations=(gamma,),
+                         include_baseline=False).views == (gamma.label(),)
+
+    def test_empty_subset_is_rejected(self, tmp_path):
+        named = "config field 'subset' holds no pair"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig(backends=(oracle(),), subset=())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backends": [{"kind": "oracle"}], "subset": []}))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(path)
 
     def test_tau_validated(self):
         with pytest.raises(InvalidTau):
@@ -226,6 +251,26 @@ class TestBackendDescriptor:
                            match=re.escape(f"backend kind {kind!r} does not use "
                                            f"[{field!r}]")):
             BackendDescriptor.from_dict(document)
+
+    def test_timeout_up_to_the_poll_bound_is_accepted(self, tmp_path):
+        assert MAX_TIMEOUT == 2147483.647
+        backend = BackendDescriptor("external", command="m {output}",
+                                    timeout=2147483.647)
+        assert backend.timeout == MAX_TIMEOUT
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backends": [backend.to_dict()]}))
+        assert load_config(path).backends[0].timeout == MAX_TIMEOUT
+
+    @pytest.mark.parametrize("timeout", [2147484, 1e9])
+    def test_timeout_past_the_poll_bound_is_rejected(self, tmp_path, timeout):
+        named = f"timeout={timeout!r} must be in (0, 2147483.647] seconds"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            BackendDescriptor("external", command="m {output}", timeout=timeout)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backends": [
+            {"kind": "external", "command": "m {output}", "timeout": timeout}]}))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(path)
 
     def test_every_ignored_field_is_named(self):
         with pytest.raises(ConfigError,
