@@ -22,6 +22,10 @@ its cost, not its bytes:
   row is looked up a slab at a time when the map is fused; no dense
   float64 map is built.
 
+A synthetic kind never reads a voxel: it takes only the volume's dims
+and id, which every view of a case shares, so the pipeline builds an
+augmented view only for a member that :func:`reads_voxels`.
+
 The external kind shells out to a real
 model wrapper via float32 NIfTI file exchange, so hooking up an actual
 segmenter is one small script. Its map, like any map read from a file,
@@ -256,6 +260,15 @@ def _predict_external(
         return pmap
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+def reads_voxels(backend: BackendDescriptor) -> bool:
+    """Whether :func:`predict` reads the voxels of the volume it is given:
+    only an ``external`` backend does. A synthetic kind takes only the
+    volume's ``dims`` and ``vol_id`` (through :func:`_resolve_ground_truth`,
+    or ``dims`` alone for ``constant``), and every view of a case has the
+    case's dims and id, so it predicts the same map from any of them."""
+    return backend.kind == "external"
 
 
 def predict(

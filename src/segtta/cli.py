@@ -25,7 +25,7 @@ from .core import (
     normalize_intensity,
 )
 from .errors import ConfigError, IoFailure, SegTTAError
-from .fusion import VOTING_MODES, FusionInput, fuse
+from .fusion import DEFAULT_TAU, VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
 from .pipeline import (
     EventLog,
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fz.add_argument("maps", nargs="+", help="4D float32 NIfTI probability maps")
     fz.add_argument("--output", required=True, help="fused mask (uint8 NIfTI)")
     fz.add_argument("--mode", default="threshold_weighted", choices=VOTING_MODES)
-    fz.add_argument("--tau", type=float, default=0.6)
+    fz.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
     met = sub.add_parser("metrics", help="score a mask against ground truth")
     met.add_argument("--pred", required=True)

@@ -17,7 +17,7 @@ from .core import (
     _check_json, _check_kind_fields, _check_known_fields, default_augmentations,
 )
 from .errors import ConfigError, IoFailure
-from .fusion import _check_mode, _check_tau
+from .fusion import DEFAULT_TAU, _check_mode, _check_tau
 
 #: The fields each backend kind uses besides ``kind`` and ``name``.
 _KIND_FIELDS = {
@@ -29,7 +29,6 @@ _KIND_FIELDS = {
 BACKEND_KINDS = tuple(_KIND_FIELDS)
 
 DEFAULT_SEED = 2024
-DEFAULT_TAU = 0.6
 
 #: The largest external ``timeout``, in seconds (about 24.8 days): the
 #: child's pipes are waited on by ``poll``, which takes whole milliseconds

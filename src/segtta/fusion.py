@@ -69,6 +69,9 @@ from .errors import ConfigError, InconsistentMaps, InvalidTau
 
 VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
 
+#: The threshold of threshold_weighted voting when none is given.
+DEFAULT_TAU = 0.6
+
 
 def _check_tau(tau) -> float:
     """``tau`` as a float: a real number, not a bool, finite and in (0, 1];
@@ -93,7 +96,7 @@ class FusionInput:
 
     maps: tuple[ProbabilityMap, ...]
     mode: str = "threshold_weighted"
-    tau: float = 0.6
+    tau: float = DEFAULT_TAU
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))

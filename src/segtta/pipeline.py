@@ -19,7 +19,9 @@ exception is a bug and propagates out of the run. All randomness is
 stream-keyed by content (seed, case id, augmentation label, backend
 name), so a row equals the fused row of a from-scratch run of the same
 views, whatever the worker count. A ``PredictionCache`` passed in reuses
-predictions across calls; without one nothing is hashed or kept.
+predictions across calls: it keys each by its case's normalized volume,
+hashed once per case, and the view's label, so no view is built for the
+cache's sake. Without one nothing is hashed or kept.
 
 The ``EventLog`` passed in is the run's one event channel: the pass logs
 each load, prediction and failure, each finished case with its stage
@@ -44,9 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment, backends, nifti
-from .config import (
-    BASELINE_VIEW, DEFAULT_TAU, DatasetManifest, RunConfig, _read_json,
-)
+from .config import BASELINE_VIEW, DatasetManifest, RunConfig, _read_json
 from .core import (
     ProbabilityMap, Spacing, Volume, _check_fields, _check_json,
     normalize_intensity,
@@ -55,7 +55,7 @@ from .errors import (
     ConfigError, DimensionMismatch, InsufficientAugmentations, IoFailure,
     SegTTAError,
 )
-from .fusion import foreground_volume, fuse_groups, _check_tau
+from .fusion import DEFAULT_TAU, foreground_volume, fuse_groups, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these two names here;
 # the pipeline itself fuses through fuse_groups.
 from .fusion import FusionInput, fuse  # noqa: F401
@@ -135,9 +135,12 @@ class PredictionCache:
     """Thread-safe map from prediction identity to probability map.
 
     The key covers everything a prediction depends on: backend descriptor,
-    view (augmentation content label), volume content, seed, and class
-    count. One experiment predicts each (case, backend, view) once anyway;
-    experiments that share a cache reuse each other's predictions exactly.
+    view (augmentation content label), the case's normalized volume, seed,
+    and class count. A view is a function of its spec, that volume, the
+    seed and the case id, so equal keys mean equal predictions without the
+    view's own voxels being hashed, or the view built. One experiment
+    predicts each (case, backend, view) once anyway; experiments that share
+    a cache reuse each other's predictions exactly.
     """
 
     def __init__(self):
@@ -148,12 +151,13 @@ class PredictionCache:
 
     @staticmethod
     def _volume_hash(v: Volume) -> str:
-        """The digest of a view that :meth:`key` takes: id, geometry and
-        voxels; worked out once per view, whatever its backends."""
+        """The digest of a case's normalized volume that :meth:`key` takes:
+        id, geometry and voxels, read in place (``v.data`` is C-ordered);
+        worked out once per case, whatever its views and backends."""
         h = hashlib.sha256()
         h.update(v.vol_id.encode())
         h.update(repr((v.dims, v.spacing.as_tuple())).encode())
-        h.update(v.data.tobytes())
+        h.update(memoryview(v.data))
         return h.hexdigest()
 
     def key(self, backend_dict: dict, view: str, volume_hash: str, seed: int,
@@ -304,20 +308,24 @@ def _aggregate(per_case: dict, fg_volume: dict, variants) -> dict:
 _STAGES = ("load_s", "predict_s", "fuse_s", "score_s", "write_s")
 
 
-def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
-              num_classes: int, mask_dirs: dict, cache: PredictionCache | None,
-              log: EventLog, process_slots: threading.Semaphore):
+def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
+              variants, num_classes: int, mask_dirs: dict,
+              cache: PredictionCache | None, log: EventLog,
+              process_slots: threading.Semaphore):
     """Load, predict, fuse, score and write one case.
 
     ``pairs`` maps each view, in config order, to its ``(source tag,
-    backend)`` pairs in tag order, and ``variants`` lists the ``(name,
-    view set, tau)`` of the variants that have a prediction, as
-    :func:`_run_variants` plans them.
+    backend)`` pairs in tag order, ``read_views`` holds the views that a
+    member among their pairs reads the voxels of, and ``variants`` lists
+    the ``(name, view set, tau)`` of the variants that have a prediction,
+    as :func:`_run_variants` plans them.
 
     The case is loaded (each file read once), its label checked against
     the image's dims and spacing, and normalized. Each view is built in
     turn, predicted by its backends and dropped before the next is built;
-    the case keeps each map and its view in prediction order. Then
+    a view outside ``read_views`` is not built: its members read only its
+    dims and id, which the normalized volume shares, so they predict from
+    that. The case keeps each map and its view in prediction order. Then
     :func:`fuse_groups` sorts the maps by source tag and fuses them slab by
     slab into one set of sums per distinct view set, and each variant
     decides at its own tau; the masks equal ``fuse`` of the same maps, so
@@ -327,14 +335,16 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
 
     Failure rule: a case fails with the reason it would have if every view
     were built first and the pairs then predicted in source-tag order. A
-    view that cannot be built is a ``load:`` failure; otherwise the failing
+    view that a member reads and that cannot be built is a ``load:``
+    failure; otherwise the failing
     pair with the smallest tag is reported. So after a failure every later
     view is still built, and only its pairs whose tag is smaller than the
     failing one are predicted. A map file that cannot be read back while
     the maps are fused is a ``fuse:`` failure.
 
     Memory: a case in flight holds its normalized volume, at most one
-    augmented view (after a failure too), its maps and one slab of sums
+    augmented view, and that only of a view in ``read_views`` (after a
+    failure too), its maps and one slab of sums
     per distinct view set, of at most ``core.SLAB_VOXELS`` voxels: one
     uint16 plane of interned states when every map is a row-table map,
     as synthetic members' maps are, else C + 1 float64 planes (see
@@ -357,8 +367,10 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     Returns ``(reports, fg, seconds, None)``: per variant of ``variants``
     the metric report (None without ground truth) and the fused foreground
     volume, and the case's seconds per stage (building the views, and
-    hashing them for ``cache``, counts as loading), which its ``case_done``
-    event also carries. A case that fails with a SegTTAError returns
+    hashing the normalized volume for ``cache``, counts as loading), which
+    its ``case_done`` event also carries, beside ``views_built``: the
+    augmented views the case built, in config order. A case that fails
+    with a SegTTAError returns
     ``(None, None, seconds, reason)``.
     """
     case_id = entry.case_id
@@ -390,20 +402,22 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
                         f"label dims {gt.dims} != image dims {volume.dims}")
                 _check_spacing(header.spacing, volume.spacing, "label", "image")
             volume = normalize_intensity(volume)
+            digest = cache._volume_hash(volume) if cache is not None else None
     except SegTTAError as e:
         return failure("load", e)
     log.emit("case_loaded", case=case_id, views=list(pairs))
     specs = {spec.label(): spec for spec in config.augmentations}
+    views_built = []
 
-    def build(view: str) -> tuple[Volume, str | None]:
-        """The view and, with a cache, its digest."""
+    def build(view: str) -> Volume:
+        if view == BASELINE_VIEW or view not in read_views:
+            return volume
+        views_built.append(view)
         with clock("load_s"):
-            image = volume if view == BASELINE_VIEW else augment.apply(
+            return augment.apply(
                 specs[view], volume, augmentation_rng(config.seed, case_id, view))
-            return image, cache._volume_hash(image) if cache is not None else None
 
-    def predict(tag: str, backend, view: str, image: Volume,
-                digest: str | None) -> ProbabilityMap:
+    def predict(tag: str, backend, view: str, image: Volume) -> ProbabilityMap:
         t = time.monotonic()
         with clock("predict_s"):
             if cache is not None:
@@ -432,12 +446,12 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
     failed = None  # (tag, backend, view, error) of the smallest failing tag
     try:
         for view, view_pairs in pairs.items():
-            image, digest = build(view)
+            image = build(view)
             for tag, backend in view_pairs:
                 if failed is not None and tag > failed[0]:
                     break
                 try:
-                    maps.append(predict(tag, backend, view, image, digest))
+                    maps.append(predict(tag, backend, view, image))
                     views.append(view)
                 except SegTTAError as e:
                     # Without its traceback, which holds this frame, the
@@ -473,7 +487,7 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, variants,
             if name in mask_dirs:
                 nifti.write_label_mask(
                     mask, spacing, mask_dirs[name] / f"{case_id}.nii.gz")
-    log.emit("case_done", case=case_id,
+    log.emit("case_done", case=case_id, views_built=views_built,
              **{stage: round(s, 6) for stage, s in seconds.items()})
     return reports, fg, seconds, None
 
@@ -518,8 +532,11 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
                      key=lambda pair: pair[0])
         for view in config.views
     }
+    read_views = frozenset(
+        view for view, view_pairs in pairs.items()
+        if any(backends.reads_voxels(backend) for _, backend in view_pairs))
     run_case = functools.partial(
-        _run_case, config=config, pairs=pairs,
+        _run_case, config=config, pairs=pairs, read_views=read_views,
         variants=[(name, frozenset(views), tau) for name, views, tau in variants
                   if any(pairs[view] for view in views)],
         num_classes=manifest.num_classes, mask_dirs=mask_dirs, cache=cache,
@@ -619,7 +636,7 @@ def run_threshold_sweep(config: RunConfig, manifest: DatasetManifest, taus,
 
     Reports metrics and fused foreground volume per threshold, and writes
     each threshold's masks under ``out_dir/masks/tau=<t>``; the reference
-    row for deltas is tau=DEFAULT_TAU (0.6) when present, else the first. Thresholds
+    row for deltas is tau=DEFAULT_TAU when present, else the first. Thresholds
     whose ``tau=<t>`` row names coincide raise ConfigError.
     """
     taus = [_check_tau(t) for t in taus]

@@ -33,7 +33,9 @@ def test_demo_runs(path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if path.name == "05_full_pipeline.py":
         # The only caller that shares a PredictionCache across calls: the
-        # sweep and the ablation must reuse the first run's predictions.
-        hits = re.search(r"cache: (\d+) hits", proc.stdout)
-        assert hits is not None, proc.stdout
-        assert int(hits.group(1)) > 0
+        # sweep and the ablation must reuse every prediction of the first
+        # run, 10 cases x 5 members x 5 views.
+        counts = re.search(r"cache: (\d+) hits, (\d+) predictions computed",
+                           proc.stdout)
+        assert counts is not None, proc.stdout
+        assert counts.groups() == ("500", "250")

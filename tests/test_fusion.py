@@ -15,6 +15,8 @@ from segtta import (
     foreground_volume,
     fuse,
 )
+import segtta.cli
+import segtta.config
 import segtta.core
 import segtta.fusion
 import segtta.pipeline
@@ -72,6 +74,17 @@ class TestConfidenceWeighted:
 
 
 class TestThresholdWeighted:
+    def test_default_tau_has_one_home(self):
+        # The run config, the fusion input and ``segtta fuse --tau`` all
+        # default to fusion's DEFAULT_TAU.
+        assert segtta.config.DEFAULT_TAU is segtta.fusion.DEFAULT_TAU
+        assert FusionInput(()).tau == segtta.fusion.DEFAULT_TAU
+        args = segtta.cli._build_parser().parse_args(
+            ["fuse", "--output", "fused.nii.gz", "map.nii"])
+        assert args.tau == segtta.fusion.DEFAULT_TAU
+        assert RunConfig(backends=(BackendDescriptor("oracle", name="o"),)).tau == (
+            segtta.fusion.DEFAULT_TAU)
+
     def test_single_map_threshold_boundary(self):
         maps = (pmap([[0.3, 0.7]], "a"),)
         out = fuse(FusionInput(maps, tau=0.6))

@@ -1,4 +1,6 @@
 from dataclasses import fields, replace
+import functools
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -38,6 +40,8 @@ from segtta import (
 )
 import segtta.augment
 import segtta.backends
+import segtta.cli
+import segtta.core
 import segtta.fusion
 import segtta.metrics
 import segtta.nifti
@@ -324,7 +328,8 @@ class TestRunSegtta:
         # A case builds each view just before its predictions and drops it
         # before building the next, also once a backend has refused its
         # baseline view and the later views are built only to settle the
-        # failure's reason.
+        # failure's reason. Members that read voxels make every view built.
+        monkeypatch.setattr(segtta.backends, "reads_voxels", lambda backend: True)
         config = noisy_config(jobs=jobs)
         failing = dataset.entries[1].case_id if refused else None
         views = {}  # case id -> weak references to its augmented views
@@ -366,7 +371,9 @@ class TestRunSegtta:
         # Backend "b" comes first in the config and "a" sorts first in tag
         # order, so the first prediction to fail is often not the one with
         # the smallest tag. Every view is built before a prediction counts:
-        # a view that cannot be built fails the case as a load.
+        # a view that a member reads and that cannot be built fails the case
+        # as a load. Members that read voxels make every view built.
+        monkeypatch.setattr(segtta.backends, "reads_voxels", lambda backend: True)
         gamma, contrast, blur, noise = (
             spec.label() for spec in default_augmentations())
         failing = {  # case -> (failing (backend, view) pairs, unbuildable view)
@@ -623,6 +630,154 @@ class TestRunSegtta:
                          "distance_transform": 1 + rows}
 
 
+class TestViewsBuilt:
+    """A view is built only when a member among its pairs reads voxels."""
+
+    @staticmethod
+    def counted_apply(monkeypatch):
+        """Patch ``augment.apply`` to record each (case, view) it builds."""
+        built, lock = [], threading.Lock()
+        apply = segtta.augment.apply
+
+        def counted(spec, volume, rng):
+            with lock:
+                built.append((volume.vol_id, spec.label()))
+            return apply(spec, volume, rng)
+
+        monkeypatch.setattr(segtta.augment, "apply", counted)
+        return built
+
+    @pytest.mark.parametrize("name", ["run", "ablate", "sweep"])
+    def test_synthetic_members_build_no_view(self, dataset, monkeypatch, tmp_path,
+                                             name):
+        built = self.counted_apply(monkeypatch)
+        run = {"run": run_segtta, "ablate": run_ablation,
+               "sweep": functools.partial(run_threshold_sweep, taus=[0.3, 0.6, 0.9])}
+        log = EventLog(tmp_path / "run.log.jsonl")
+        result = run[name](noisy_config(), dataset, log=log)
+        log.close()
+        assert len(result.per_case) == len(dataset.entries)
+        assert built == []
+        events = [json.loads(line)
+                  for line in (tmp_path / "run.log.jsonl").read_text().splitlines()]
+        done = [e for e in events if e["event"] == "case_done"]
+        assert len(done) == len(dataset.entries)
+        assert all(e["views_built"] == [] for e in done)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("name", ["run", "ablate", "sweep"])
+    def test_outputs_equal_every_view_built(self, tmp_path, monkeypatch, name, jobs):
+        # Masks, report.csv and result.json without its timings are the
+        # bytes of the same run with every view built.
+        manifest_path = write_phantom_dataset(
+            tmp_path / "data", n_cases=3, dims=(12, 12, 10), seed=8)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(noisy_config(jobs=jobs).to_dict()))
+
+        def outputs(out):
+            code = segtta.cli.main([
+                name, "--config", str(config_path), "--manifest", str(manifest_path),
+                "--out", str(out), "--format", "csv",
+                *(["--taus", "0.3,0.6,0.9"] if name == "sweep" else []),
+            ])
+            assert code == 0
+            files = {str(path.relative_to(out)): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()
+                     and path.name != "run.log.jsonl"}
+            result = json.loads(files.pop("result.json"))
+            del result["timings"]
+            return files, result
+
+        skipped = outputs(tmp_path / "skipped")
+        monkeypatch.setattr(segtta.backends, "reads_voxels", lambda backend: True)
+        built = outputs(tmp_path / "built")
+        assert "report.csv" in skipped[0]
+        assert any(path.endswith(".nii.gz") for path in skipped[0])
+        assert skipped == built
+
+    def test_only_a_view_an_external_member_reads_is_built(
+            self, dataset, monkeypatch, tmp_path, talking_model):
+        views = noisy_config().views
+        noise = views[-1]
+        config = RunConfig(
+            backends=(
+                BackendDescriptor("noisy_oracle", name="nb", confidence=0.9,
+                                  jitter=1, flip_prob=0.1),
+                BackendDescriptor("external", name="m", command=talking_model),
+            ),
+            augmentations=default_augmentations(),
+            subset=tuple(("nb", view) for view in views) + (("m", noise),),
+            jobs=2,
+        )
+        manifest = replace(dataset, entries=dataset.entries[:2])
+        built = self.counted_apply(monkeypatch)
+        log = EventLog(tmp_path / "run.log.jsonl")
+        result = run_segtta(config, manifest, log=log)
+        log.close()
+        assert not result.failures
+        cases = [entry.case_id for entry in manifest.entries]
+        assert sorted(built) == [(case_id, noise) for case_id in cases]
+        events = [json.loads(line)
+                  for line in (tmp_path / "run.log.jsonl").read_text().splitlines()]
+        done = {e["case"]: e["views_built"] for e in events if e["event"] == "case_done"}
+        assert done == {case_id: [noise] for case_id in cases}
+
+    @pytest.mark.parametrize("reader", [None, "external"])
+    def test_unbuildable_view_fails_a_case_only_when_read(
+            self, dataset, monkeypatch, talking_model, reader):
+        views = noisy_config().views
+        blur = views[3]
+        config = noisy_config(n_members=1, jobs=1)
+        if reader is not None:
+            config = replace(
+                config,
+                backends=config.backends + (
+                    BackendDescriptor("external", name="m", command=talking_model),),
+                subset=tuple(("nb0", view) for view in views) + (("m", blur),),
+            )
+        failing = dataset.entries[1].case_id
+        apply = segtta.augment.apply
+
+        def unbuildable(spec, volume, rng):
+            if volume.vol_id == failing and spec.label() == blur:
+                raise InvalidVolume(f"cannot build {spec.label()}")
+            return apply(spec, volume, rng)
+
+        monkeypatch.setattr(segtta.augment, "apply", unbuildable)
+        manifest = replace(dataset, entries=dataset.entries[:2])
+        result = run_segtta(config, manifest)
+        if reader is None:
+            assert result.failures == ()
+            assert len(result.per_case) == 2
+        else:
+            assert list(result.failures) == [(failing, f"load: cannot build {blur}")]
+            assert list(result.per_case) == [dataset.entries[0].case_id]
+
+    def test_shared_cache_counts_as_with_every_view_built(self, dataset, monkeypatch):
+        # The first experiment computes every (case, backend, view) once;
+        # the sweep and the ablation after it reuse all of them.
+        def counts():
+            cache = PredictionCache()
+            config = noisy_config()
+            run_segtta(config, dataset, cache=cache)
+            run_threshold_sweep(config, dataset, [0.3, 0.6, 0.9], cache=cache)
+            run_ablation(config, dataset, cache=cache)
+            return cache.hits, cache.misses
+
+        predictions = len(dataset.entries) * 3 * len(noisy_config().views)
+        assert counts() == (2 * predictions, predictions)
+        monkeypatch.setattr(segtta.backends, "reads_voxels", lambda backend: True)
+        assert counts() == (2 * predictions, predictions)
+
+    def test_volume_hash_reads_the_voxels_in_place(self, rng):
+        volume = segtta.core.Volume(rng.random((5, 6, 7)), Spacing(0.5, 1.0, 2.0), "v")
+        h = hashlib.sha256()
+        h.update(b"v")
+        h.update(repr(((5, 6, 7), (0.5, 1.0, 2.0))).encode())
+        h.update(volume.data.tobytes())
+        assert PredictionCache._volume_hash(volume) == h.hexdigest()
+
+
 class TestDeterminism:
     def test_jobs_do_not_change_results(self, dataset, tmp_path):
         outputs = []
@@ -681,8 +836,9 @@ class TestAblation:
                     == scratch.per_case[case_id]["fused"]
                 )
 
-    def test_each_view_hashed_once(self, dataset, monkeypatch):
-        # A view is hashed once for the cache, not once per backend.
+    def test_each_case_hashed_once(self, dataset, monkeypatch):
+        # A case's normalized volume is hashed once for the cache, not once
+        # per view or backend.
         config = noisy_config(n_members=5)
         views = 1 + len(config.augmentations)
         hashed = []
@@ -695,10 +851,12 @@ class TestAblation:
         monkeypatch.setattr(PredictionCache, "_volume_hash", staticmethod(counted))
         cache = PredictionCache()
         run_ablation(config, dataset, cache=cache)
-        assert len(hashed) == len(dataset.entries) * views
+        assert sorted(hashed) == [entry.case_id for entry in dataset.entries]
         assert cache.misses == len(dataset.entries) * views * len(config.backends)
 
     def test_each_case_prepared_and_row_scored_once(self, dataset, monkeypatch):
+        # Members that read voxels make every view built.
+        monkeypatch.setattr(segtta.backends, "reads_voxels", lambda backend: True)
         calls = {"evaluate": 0, "apply": 0}
 
         def counted(name, fn):
