@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import AugmentationSpec, Volume
+from .core import AugmentationSpec, Volume, _freeze
 from .errors import InvalidVolume
 from .rng import SeededRng
 
@@ -77,8 +77,7 @@ def gaussian_blur(v: Volume, sigma: float, slice_axis: int | None = 2) -> Volume
     out = v.data
     for axis in axes:
         out = _correlate1d(out, kernel.weights, axis)
-    out = np.clip(out, v.data.min(), v.data.max())
-    return v.with_data(out)
+    return v.with_data(_freeze(np.clip(out, v.data.min(), v.data.max())))
 
 
 def gaussian_noise(v: Volume, sigma: float, rng: SeededRng) -> Volume:
@@ -93,7 +92,7 @@ def gaussian_noise(v: Volume, sigma: float, rng: SeededRng) -> Volume:
     if sigma == 0:
         return v
     noise = rng.generator().normal(0.0, sigma, size=v.dims)
-    return v.with_data(np.clip(v.data + noise, 0.0, 1.0))
+    return v.with_data(_freeze(np.clip(v.data + noise, 0.0, 1.0)))
 
 
 def gamma_correction(v: Volume, gamma: float) -> Volume:
@@ -111,7 +110,7 @@ def gamma_correction(v: Volume, gamma: float) -> Volume:
     imax = float(v.data.max())
     if imax == 0.0:
         return v
-    return v.with_data((v.data / imax) ** gamma * imax)
+    return v.with_data(_freeze((v.data / imax) ** gamma * imax))
 
 
 def contrast_enhancement(v: Volume, alpha: float, beta: float = 0.0) -> Volume:
@@ -120,7 +119,7 @@ def contrast_enhancement(v: Volume, alpha: float, beta: float = 0.0) -> Volume:
     if alpha == 1.0 and beta == 0.0:
         return v
     imax = max(float(v.data.max()), 0.0)
-    return v.with_data(np.clip(alpha * v.data + beta, 0.0, imax))
+    return v.with_data(_freeze(np.clip(alpha * v.data + beta, 0.0, imax)))
 
 
 def apply(spec: AugmentationSpec, v: Volume, rng: SeededRng) -> Volume:

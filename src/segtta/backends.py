@@ -53,7 +53,7 @@ import weakref
 import numpy as np
 
 from .config import BackendDescriptor
-from .core import LabelMask, ProbabilityMap, Volume, temp_dir
+from .core import LabelMask, ProbabilityMap, Volume, _freeze, temp_dir
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -174,9 +174,9 @@ def _predict_noisy(
             # Offset by 1..C-1 modulo C, so a flipped voxel always changes
             # class. The sum is int64: uint8 would wrap once C > 128.
             offsets = gen.integers(1, num_classes, size=labels.shape).ravel()[flipped]
-            flat = labels.flatten()
+            labels = labels.copy()
+            flat = labels.reshape(-1)  # a view: its writes change labels
             flat[flipped] = (flat[flipped] + offsets) % num_classes
-            labels = flat.reshape(labels.shape)
         labels.setflags(write=False)  # the map holds it without a copy
     return labels
 
@@ -305,7 +305,7 @@ def predict(
             raise ConfigError(
                 f"constant_class={backend.constant_class} >= num_classes={num_classes}"
             )
-        labels = np.full(volume.dims, backend.constant_class, dtype=np.uint8)
+        labels = _freeze(np.full(volume.dims, backend.constant_class, dtype=np.uint8))
         confidence = 1.0
     elif backend.kind == "external":
         return _predict_external(backend, volume, num_classes, log).retagged(tag)

@@ -19,18 +19,17 @@ from pathlib import Path
 import sys
 
 from . import augment, nifti
-from .config import load_config, load_manifest
+from .config import DEFAULT_SEED, load_config, load_manifest
 from .core import (
     AUGMENTATION_KINDS, MAX_CLASSES, AugmentationSpec, LabelMask,
-    normalize_intensity,
+    _check_spacing, normalize_intensity,
 )
 from .errors import ConfigError, IoFailure, SegTTAError
-from .fusion import DEFAULT_TAU, VOTING_MODES, FusionInput, fuse
+from .fusion import DEFAULT_TAU, DEFAULT_VOTING, VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
 from .pipeline import (
     EventLog,
     RunResult,
-    _check_spacing,
     augmentation_rng,
     run_ablation,
     run_segtta,
@@ -76,14 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
     aug.add_argument("--beta", type=float)
     aug.add_argument("--slice-axis", default="2",
                      help="0, 1, 2, or 'none' for full 3D blur")
-    aug.add_argument("--seed", type=int, default=2024)
+    aug.add_argument("--seed", type=int, default=DEFAULT_SEED)
     aug.add_argument("--normalize", action="store_true",
                      help="normalize intensities to [0, 1] first")
 
     fz = sub.add_parser("fuse", help="fuse precomputed probability maps")
     fz.add_argument("maps", nargs="+", help="4D float32 NIfTI probability maps")
     fz.add_argument("--output", required=True, help="fused mask (uint8 NIfTI)")
-    fz.add_argument("--mode", default="threshold_weighted", choices=VOTING_MODES)
+    fz.add_argument("--mode", default=DEFAULT_VOTING, choices=VOTING_MODES)
     fz.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
     met = sub.add_parser("metrics", help="score a mask against ground truth")
@@ -111,27 +110,52 @@ def _apply_overrides(config, args):
     return replace(config, **overrides) if overrides else config
 
 
-def _outputs(args) -> tuple[Path, Path]:
-    """The result and report files a run writes into ``--out``."""
+def _check_writable(path) -> None:
+    """Raise IoFailure naming ``path`` when no file can be written there:
+    it is a directory, or its nearest existing ancestor is not one. Every
+    command checks each file it writes so before it runs a case or reads a
+    volume, map or result."""
+    path = Path(path)
+    if path.is_dir():
+        raise IoFailure(f"cannot write {path}: is a directory")
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise IoFailure(f"cannot write {path}: {parent} is not a directory")
+
+
+def _outputs(args) -> tuple[Path, Path, Path]:
+    """The log, result and report files a run writes into ``--out``, in the
+    order it writes them."""
     out = Path(args.out)
-    return out / "result.json", out / f"report.{'csv' if args.format == 'csv' else 'md'}"
+    return (out / "run.log.jsonl", out / "result.json",
+            out / f"report.{'csv' if args.format == 'csv' else 'md'}")
 
 
-def _check_out(args):
-    """Raise IoFailure naming the path, before anything runs or is written,
-    when ``--out`` is a file or its result or report path is a directory."""
-    out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise IoFailure(f"cannot write into {out}: not a directory")
-    for path in _outputs(args):
-        if path.is_dir():
-            raise IoFailure(f"cannot write {path}: is a directory")
-
-
-def _finish_run(result: RunResult, args) -> int:
-    if args.out:
-        result_path, report_path = _outputs(args)
-        result_path.parent.mkdir(parents=True, exist_ok=True)
+def _cmd_run(args) -> int:
+    if args.command == "sweep":
+        try:
+            taus = [float(t) for t in args.taus.split(",") if t.strip()]
+        except ValueError as e:
+            raise ConfigError(f"--taus: {e}") from e
+    config = _apply_overrides(load_config(args.config), args)
+    manifest = load_manifest(args.manifest)
+    outputs = _outputs(args) if args.out else ()
+    for path in outputs:
+        _check_writable(path)
+    log = EventLog(outputs[0] if outputs else None)
+    try:
+        if args.command == "run":
+            result = run_segtta(config, manifest, out_dir=args.out, log=log)
+        elif args.command == "ablate":
+            result = run_ablation(config, manifest, out_dir=args.out, log=log)
+        else:
+            result = run_threshold_sweep(
+                config, manifest, taus, out_dir=args.out, log=log
+            )
+    finally:
+        log.close()
+    if outputs:
+        _, result_path, report_path = outputs
         result.save(result_path)
         emit_report(result, args.format, report_path)
         print(f"wrote {result_path} and {report_path.name}")
@@ -145,31 +169,6 @@ def _finish_run(result: RunResult, args) -> int:
     return 1
 
 
-def _cmd_run(args) -> int:
-    if args.command == "sweep":
-        try:
-            taus = [float(t) for t in args.taus.split(",") if t.strip()]
-        except ValueError as e:
-            raise ConfigError(f"--taus: {e}") from e
-    config = _apply_overrides(load_config(args.config), args)
-    manifest = load_manifest(args.manifest)
-    if args.out:
-        _check_out(args)
-    log = EventLog(Path(args.out) / "run.log.jsonl" if args.out else None)
-    try:
-        if args.command == "run":
-            result = run_segtta(config, manifest, out_dir=args.out, log=log)
-        elif args.command == "ablate":
-            result = run_ablation(config, manifest, out_dir=args.out, log=log)
-        else:
-            result = run_threshold_sweep(
-                config, manifest, taus, out_dir=args.out, log=log
-            )
-    finally:
-        log.close()
-    return _finish_run(result, args)
-
-
 def _cmd_augment(args) -> int:
     try:
         axis = None if args.slice_axis.lower() == "none" else int(args.slice_axis)
@@ -179,6 +178,7 @@ def _cmd_augment(args) -> int:
         kind=args.kind, sigma=args.sigma, gamma=args.gamma,
         alpha=args.alpha, beta=args.beta, slice_axis=axis,
     )
+    _check_writable(args.output)
     volume = nifti.read_volume(args.input)
     if args.normalize:
         volume = normalize_intensity(volume)
@@ -190,15 +190,9 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    # Checked before any map is read: a bad --output would waste the fusion.
-    output = Path(args.output)
-    if output.is_dir():
-        raise IoFailure(f"cannot write {output}: is a directory")
-    parent = next(p for p in output.parents if p.exists())
-    if not parent.is_dir():
-        raise IoFailure(f"cannot write {output}: {parent} is not a directory")
-    # So are the spacings, from the headers alone: a mismatch reads no map
-    # data and writes no map file.
+    _check_writable(args.output)
+    # The spacings are checked from the headers alone: a mismatch reads no
+    # map data and writes no map file.
     headers = [nifti.read_header(p) for p in args.maps]
     for path, header in zip(args.maps[1:], headers[1:]):
         _check_spacing(header.spacing, headers[0].spacing,
@@ -235,12 +229,12 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    result = RunResult.load(args.result)
-    if args.out:
-        emit_report(result, args.format, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(render(result, args.format))
+    if not args.out:
+        print(render(RunResult.load(args.result), args.format))
+        return 0
+    _check_writable(args.out)
+    emit_report(RunResult.load(args.result), args.format, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -17,7 +17,7 @@ from .core import (
     _check_json, _check_kind_fields, _check_known_fields, default_augmentations,
 )
 from .errors import ConfigError, IoFailure
-from .fusion import DEFAULT_TAU, _check_mode, _check_tau
+from .fusion import DEFAULT_TAU, DEFAULT_VOTING, _check_mode, _check_tau
 
 #: The fields each backend kind uses besides ``kind`` and ``name``.
 _KIND_FIELDS = {
@@ -114,7 +114,7 @@ class RunConfig:
 
     backends: tuple[BackendDescriptor, ...]
     augmentations: tuple[AugmentationSpec, ...] = ()
-    voting: str = "threshold_weighted"
+    voting: str = DEFAULT_VOTING
     tau: float = DEFAULT_TAU
     seed: int = DEFAULT_SEED
     include_baseline: bool = True

@@ -2,12 +2,18 @@
 
 All types are immutable after construction (frozen dataclasses over
 read-only numpy arrays), so they are safe to share across worker threads.
-The array-holding types compare and hash by identity. A probability map
-is held in a compact form: a table of class rows and uint8 labels, its
-values in its own float width, or those values in a file on disk, which
-is how a map read from a file is held: in a file made as it is checked.
-It yields float64 values a slab of first-axis rows at a time
-(:func:`slabs`), so no float64 copy of a whole map need exist.
+One rule decides what an array-holding type holds (:func:`_held`): the
+array it is handed when that array is read-only, owns its memory, is
+C-ordered and has the type's dtype, else one read-only C-ordered copy,
+so no view of a caller's writable memory is ever held. Code in this
+package hands over the arrays it makes frozen (:func:`_freeze`), so they
+are not copied. The array-holding types compare and hash by identity.
+A probability map is held in a compact form: a table of class rows and
+uint8 labels, its values in its own float width, or those values in a
+file on disk, which is how a map read from a file is held: in a file
+made as it is checked. It yields float64 values a slab of first-axis
+rows at a time (:func:`slabs`), so no float64 copy of a whole map need
+exist.
 Arrays are indexed ``[x, y, z]`` throughout; file readers convert whatever
 layout is on disk into this convention.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import KW_ONLY, MISSING, InitVar, dataclass, fields
 import math
 import numbers
 import os
@@ -177,7 +183,23 @@ def scaled(arr: np.ndarray, scale: tuple[float, float]) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr``, an array the caller made and gives up, read-only and
+    C-ordered: itself, made read-only in place, when it is C-ordered, else
+    a copy."""
     out = np.ascontiguousarray(arr)
+    out.setflags(write=False)
+    return out
+
+
+def _held(data, dtype) -> np.ndarray:
+    """``data`` as a core type holds it: itself when it is a read-only
+    array that owns its memory, is C-ordered and has ``dtype``; else one
+    read-only C-ordered copy of it in ``dtype``."""
+    if (isinstance(data, np.ndarray) and data.dtype == dtype
+            and not data.flags.writeable and data.flags.owndata
+            and data.flags.c_contiguous):
+        return data
+    out = np.array(data, dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -185,8 +207,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _label_volume(labels, bound: int, what: str, rows: str = "") -> np.ndarray:
     """``labels``, a 3D volume (else DimensionMismatch naming ``what``) of
     integers in ``[0, bound)`` (else InvalidLabels; ``rows`` names that
-    range), as a read-only C-ordered uint8 array: itself if it is one, else
-    a copy. ``bound`` is at most MAX_CLASSES."""
+    range), held as uint8 by :func:`_held`. ``bound`` is at most
+    MAX_CLASSES."""
     arr = np.asarray(labels)
     if arr.ndim != 3:
         raise DimensionMismatch(f"{what} must be 3D, got shape {arr.shape}")
@@ -195,9 +217,7 @@ def _label_volume(labels, bound: int, what: str, rows: str = "") -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise InvalidLabels(f"labels range [{arr.min()}, {arr.max()}] outside "
                             f"{rows}[0, {bound})")
-    if arr.dtype != np.uint8 or arr.flags.writeable or not arr.flags.c_contiguous:
-        arr = _freeze(arr.astype(np.uint8))
-    return arr
+    return _held(arr, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -223,14 +243,29 @@ class Spacing:
         return (self.dx, self.dy, self.dz)
 
 
+#: Relative tolerance between two spacings that must agree, such as a
+#: label's and its image's; both come from float32 pixdim fields.
+SPACING_RTOL = 1e-5
+
+
+def _check_spacing(spacing: Spacing, reference: Spacing, what: str, against: str):
+    """Raise DimensionMismatch naming both spacings unless ``spacing`` (of
+    ``what``) equals ``reference`` (of ``against``) within SPACING_RTOL."""
+    a, b = spacing.as_tuple(), reference.as_tuple()
+    if not all(math.isclose(x, y, rel_tol=SPACING_RTOL) for x, y in zip(a, b)):
+        raise DimensionMismatch(f"{what} spacing {a} != {against} spacing {b}")
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """A 3D scalar intensity grid with physical voxel spacing.
 
     ``data`` has shape ``(nx, ny, nz)`` and dtype float64; every element
-    must be finite. ``vol_id`` identifies the volume in RNG stream keys and
-    run logs, so two volumes with equal data but different ids are distinct
-    for reproducibility purposes.
+    must be finite. It is held by :func:`_held`: a read-only C-ordered
+    float64 array that owns its memory as is, anything else as a copy.
+    ``vol_id`` identifies the volume in RNG stream keys and run logs, so
+    two volumes with equal data but different ids are distinct for
+    reproducibility purposes.
     """
 
     data: np.ndarray
@@ -238,21 +273,23 @@ class Volume:
     vol_id: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = _held(self.data, np.float64)
         if arr.ndim != 3:
             raise DimensionMismatch(f"volume data must be 3D, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise DimensionMismatch(f"volume dims must be >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidVolume(f"volume {self.vol_id!r} contains NaN or Inf values")
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", arr)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
     def with_data(self, data: np.ndarray) -> "Volume":
-        """New volume with the same spacing and id but different voxels."""
+        """New volume with the same spacing and id but different voxels:
+        ``data`` is held as the constructor holds it, so it is copied unless
+        the caller handed it over frozen (:func:`_freeze`)."""
         return Volume(data, self.spacing, self.vol_id)
 
 
@@ -261,6 +298,20 @@ def temp_dir() -> str:
     read from NIfTI files, external models' exchange directories):
     ``SEGTTA_TMPDIR`` when set, else the system's temporary directory."""
     return os.environ.get("SEGTTA_TMPDIR") or tempfile.gettempdir()
+
+
+@contextlib.contextmanager
+def writing(path):
+    """The one way the package writes a file: ``path`` opened for writing
+    bytes, its directory made first. An OSError while it is made, opened
+    or written raises IoFailure naming the path. Callers write text as
+    UTF-8."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "wb") as f:
+            yield f
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
 
 
 def _remove_file(path: str) -> None:
@@ -334,7 +385,7 @@ ROW_TABLES_KEPT = 16
 _checked_rows = Memo(ROW_TABLES_KEPT)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMap:
     """Per-voxel class probabilities produced by one backend on one view.
 
@@ -353,10 +404,12 @@ class ProbabilityMap:
     A map is held in one of three compact forms, and its float64 values
     are formed a slab of rows at a time by :meth:`slab`:
 
-    * the constructor holds a read-only C-ordered copy of the array it is
-      handed, little-endian in the array's own float width, with the
-      decision whether to renormalize; it never shares memory with its
-      caller;
+    * the constructor holds the array it is handed, little-endian in the
+      array's own float width, by :func:`_held`: as is when it is a
+      read-only C-ordered array that owns its memory, else as one
+      read-only C-ordered copy, so a writable caller's array is always
+      copied. A scaled map holds its new float64 values. It holds too the
+      decision whether to renormalize;
     * with ``directory``, it writes those values to a new file there
       instead, a slab at a time as it checks them, so no whole-map copy is
       made, and holds the file: a few hundred bytes of memory whatever the
@@ -376,11 +429,16 @@ class ProbabilityMap:
     scl_slope and scl_inter apply, without a whole scaled copy.
     """
 
+    probs: InitVar[np.ndarray]
     source_tag: str = ""
+    _: KW_ONLY
+    directory: InitVar[str | None] = None
+    scale: InitVar[tuple[float, float] | None] = None
 
-    def __init__(self, probs, source_tag: str = "", *, directory=None, scale=None):
-        object.__setattr__(self, "source_tag", source_tag)
-        self.__post_init__(probs, directory, scale)
+    # The held form: ``_values`` (a checked array, or the ``_MapFile`` of
+    # one) and ``_renorm``, or ``_table`` and ``_labels`` (a from_rows map).
+    _values = _table = _labels = None
+    _renorm = False
 
     def __post_init__(self, probs, directory, scale):
         src = np.asarray(probs)
@@ -401,8 +459,7 @@ class ProbabilityMap:
             return scaled(rows, scale)
 
         if directory is None:
-            held = _freeze(values(src) if scale is not None
-                           else np.array(src, dtype, order="C"))
+            held = _freeze(values(src)) if scale is not None else _held(src, dtype)
             sink = contextlib.nullcontext()
         else:
             try:
@@ -441,18 +498,12 @@ class ProbabilityMap:
         elif dev > PROB_TOL:
             problem = f"per-voxel sum deviates from 1 by {dev:g} > {PROB_TOL:g}"
         else:
-            self._hold(values=held, renorm=dev > RENORM_TOL)
+            object.__setattr__(self, "_values", held)
+            object.__setattr__(self, "_renorm", dev > RENORM_TOL)
             return
         if directory is not None:
             held.remove()
         raise NotProbabilistic(f"map {self.source_tag!r}: {problem}")
-
-    def _hold(self, values=None, renorm=False, table=None, labels=None):
-        """Set the held form: ``values`` (a checked array, or the
-        ``_MapFile`` of one) or ``table`` and ``labels`` (a from_rows map)."""
-        for name, value in (("_values", values), ("_renorm", renorm),
-                            ("_table", table), ("_labels", labels)):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def from_rows(cls, table: np.ndarray, labels: np.ndarray,
@@ -499,8 +550,9 @@ class ProbabilityMap:
             lambda: _freeze(cls(rows[:, None, None, :], source_tag)
                             .slab(0, len(rows))[:, 0, 0, :]))
         m = object.__new__(cls)
-        object.__setattr__(m, "source_tag", source_tag)
-        m._hold(table=checked, labels=labels)
+        for name, value in (("source_tag", source_tag), ("_table", checked),
+                            ("_labels", labels)):
+            object.__setattr__(m, name, value)
         return m
 
     @property
@@ -659,5 +711,5 @@ def normalize_intensity(v: Volume) -> Volume:
     mn = float(v.data.min())
     mx = float(v.data.max())
     if mx == mn:
-        return v.with_data(np.zeros_like(v.data))
-    return v.with_data((v.data - mn) / (mx - mn))
+        return v.with_data(_freeze(np.zeros_like(v.data)))
+    return v.with_data(_freeze((v.data - mn) / (mx - mn)))

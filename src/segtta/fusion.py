@@ -69,6 +69,9 @@ from .errors import ConfigError, InconsistentMaps, InvalidTau
 
 VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
 
+#: The voting mode when none is given.
+DEFAULT_VOTING = "threshold_weighted"
+
 #: The threshold of threshold_weighted voting when none is given.
 DEFAULT_TAU = 0.6
 
@@ -95,7 +98,7 @@ class FusionInput:
     :func:`fuse_groups`."""
 
     maps: tuple[ProbabilityMap, ...]
-    mode: str = "threshold_weighted"
+    mode: str = DEFAULT_VOTING
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):

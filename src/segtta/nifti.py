@@ -36,7 +36,8 @@ import zlib
 import numpy as np
 
 from .core import (
-    LabelMask, ProbabilityMap, Spacing, Volume, scaled, slabs, temp_dir,
+    LabelMask, ProbabilityMap, Spacing, Volume, _freeze, scaled, slabs, temp_dir,
+    writing,
 )
 from .errors import (
     CorruptHeader,
@@ -245,8 +246,8 @@ def _read_3d(path, what: str) -> tuple[NiftiHeader, np.ndarray]:
     """:func:`_read` of a 3D file, its values scaled when the header says
     so: times scl_slope plus scl_inter in float64, in one new array."""
     header, arr = _read(path, 3, what)
-    # scaled() gives C order, the layout Volume holds: it copies no further.
-    return header, arr if header.scale is None else scaled(arr, header.scale)
+    # scaled() gives a new C-ordered array; frozen, Volume holds it as is.
+    return header, arr if header.scale is None else _freeze(scaled(arr, header.scale))
 
 
 def read_volume(path) -> Volume:
@@ -322,30 +323,25 @@ _WRITE_CHUNK = 2 ** 18
 
 
 def _write_file(path, header: bytes, data: np.ndarray):
-    """Write one file, creating its directory; an OSError is an IoFailure.
+    """Write one file through :func:`~segtta.core.writing`.
 
     The voxels go out in Fortran order straight from ``data`` when it is
     Fortran-contiguous, else from one reordered copy of it.
     """
     pad = b"\x00" * (MIN_VOX_OFFSET - HEADER_SIZE)  # no extensions
     voxels = data.reshape(-1, order="F").view(np.uint8)
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with writing(path) as raw:
         if _is_gzip(path):
-            with open(path, "wb") as raw:
-                # mtime=0 keeps the compressed bytes identical across runs.
-                with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as f:
-                    f.write(header + pad)
-                    # Chunks keep each compressed piece small; deflate's
-                    # output does not depend on how its input is cut.
-                    for start in range(0, len(voxels), _WRITE_CHUNK):
-                        f.write(voxels[start:start + _WRITE_CHUNK])
-        else:
-            with open(path, "wb") as f:
+            # mtime=0 keeps the compressed bytes identical across runs.
+            with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as f:
                 f.write(header + pad)
-                f.write(voxels)
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+                # Chunks keep each compressed piece small; deflate's
+                # output does not depend on how its input is cut.
+                for start in range(0, len(voxels), _WRITE_CHUNK):
+                    f.write(voxels[start:start + _WRITE_CHUNK])
+        else:
+            raw.write(header + pad)
+            raw.write(voxels)
 
 
 def write_volume(v: Volume, path, datatype: int = 16, byteorder: str = "<"):

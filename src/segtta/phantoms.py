@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelMask, Spacing, Volume
+from .core import LabelMask, Spacing, Volume, _freeze
 from . import nifti
 
 
@@ -43,9 +43,9 @@ def make_phantom(
     for c in range(1, num_classes):
         plateau = 0.3 + 0.6 * c / max(num_classes - 1, 1)
         intensity[labels == c] = plateau + 0.05 * (rng.random(dims) - 0.5)[labels == c]
-    intensity = np.clip(intensity, 0.0, 1.0)
+    intensity = _freeze(np.clip(intensity, 0.0, 1.0))
     volume = Volume(intensity, Spacing(*spacing), vol_id=vol_id)
-    return volume, LabelMask(labels, num_classes)
+    return volume, LabelMask(_freeze(labels), num_classes)
 
 
 def make_blob_mask(dims=(24, 24, 24), seed: int = 0, threshold: float = 0.62,
@@ -63,8 +63,7 @@ def make_blob_mask(dims=(24, 24, 24), seed: int = 0, threshold: float = 0.62,
         for axis in range(3):
             acc += np.roll(field, 1, axis=axis) + np.roll(field, -1, axis=axis)
         field = acc / 7.0
-    labels = (field > threshold).astype(np.uint8)
-    return LabelMask(labels, num_classes)
+    return LabelMask(_freeze((field > threshold).astype(np.uint8)), num_classes)
 
 
 def write_phantom_dataset(

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import functools
 import hashlib
 import json
-import math
 import resource
 import threading
 import time
@@ -48,12 +47,11 @@ import numpy as np
 from . import augment, backends, nifti
 from .config import BASELINE_VIEW, DatasetManifest, RunConfig, _read_json
 from .core import (
-    ProbabilityMap, Spacing, Volume, _check_fields, _check_json,
-    normalize_intensity,
+    ProbabilityMap, Volume, _check_fields, _check_json, _check_spacing,
+    normalize_intensity, writing,
 )
 from .errors import (
-    ConfigError, DimensionMismatch, InsufficientAugmentations, IoFailure,
-    SegTTAError,
+    ConfigError, DimensionMismatch, InsufficientAugmentations, SegTTAError,
 )
 from .fusion import DEFAULT_TAU, foreground_volume, fuse_groups, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these two names here;
@@ -63,19 +61,6 @@ from .metrics import CaseScorer, MetricReport, evaluate
 from .rng import SeededRng
 
 FUSED_VARIANT = "fused"
-
-#: Relative tolerance between a label's and its image's voxel spacing;
-#: both come from float32 pixdim fields.
-SPACING_RTOL = 1e-5
-
-
-def _check_spacing(spacing: Spacing, reference: Spacing, what: str, against: str):
-    """Raise DimensionMismatch naming both spacings unless ``spacing`` (of
-    ``what``) equals ``reference`` (of ``against``) within SPACING_RTOL."""
-    a, b = spacing.as_tuple(), reference.as_tuple()
-    if not all(math.isclose(x, y, rel_tol=SPACING_RTOL) for x, y in zip(a, b)):
-        raise DimensionMismatch(f"{what} spacing {a} != {against} spacing {b}")
-
 
 def augmentation_rng(seed: int, case_id: str, aug_label: str) -> SeededRng:
     """Stream for generating one augmented view of one volume."""
@@ -94,16 +79,18 @@ def source_tag(backend_name: str, view: str) -> str:
 class EventLog:
     """Append-only line-delimited JSON event log, safe across threads.
 
-    The file (and its directory) is created at the first event, so an
-    experiment that rejects its arguments before it starts leaves the
-    directory as it was. The file then stays open; every line is flushed
-    as it is written, so the log is readable up to the last event even if
-    the process dies.
+    The file (and its directory) is created at the first event, through
+    :func:`~segtta.core.writing`, so an experiment that rejects its
+    arguments before it starts leaves the directory as it was. The file
+    then stays open until :meth:`close`; every line is flushed as it is
+    written, so the log is readable up to the last event even if the
+    process dies.
     """
 
     def __init__(self, path=None):
         self._path = path or None
         self._file = None
+        self._files = contextlib.ExitStack()
         self._lock = threading.Lock()
 
     def emit(self, event: str, **fields):
@@ -115,19 +102,14 @@ class EventLog:
             if self._path is None:
                 return
             if self._file is None:
-                try:
-                    Path(self._path).parent.mkdir(parents=True, exist_ok=True)
-                    self._file = open(self._path, "w")
-                except OSError as e:
-                    raise IoFailure(f"cannot write {self._path}: {e}") from e
-            self._file.write(line + "\n")
+                self._file = self._files.enter_context(writing(self._path))
+            self._file.write((line + "\n").encode())
             self._file.flush()
 
     def close(self):
         """Close the file; later events are dropped."""
         with self._lock:
-            if self._file is not None:
-                self._file.close()
+            self._files.close()
             self._path = self._file = None
 
 
@@ -201,8 +183,15 @@ class RunResult:
     values; undefined HD95 entries are excluded and counted. ``failures``
     lists ``(case, reason)`` in manifest order. ``timings`` holds the
     seconds of each stage summed over cases, so with several workers it
-    counts worker time, not wall time; ``fuse_s`` counts both adding the
-    maps' votes into the sums and deciding. It also holds ``wall_s``, the
+    counts worker time, not wall time. ``load_s`` counts reading the
+    image and label, checking and normalizing them, building the views a
+    member reads and hashing the normalized volume for a cache;
+    ``predict_s`` counts each prediction whole, cache lookups included:
+    for an external member that is waiting for a process slot, the
+    child's run, and reading and checking the map it writes; ``fuse_s``
+    counts both adding the maps' votes into the sums and deciding;
+    ``score_s`` the metrics and foreground volumes of every row;
+    ``write_s`` writing the masks. It also holds ``wall_s``, the
     experiment's wall seconds, and ``peak_rss_mb``, the peak resident
     memory in MB of the whole process so far at its end (``VmHWM`` where
     the system has it, else ``ru_maxrss``), not of this experiment alone.
@@ -263,13 +252,9 @@ class RunResult:
         })
 
     def save(self, path):
-        """Write the result as JSON; an OSError is an IoFailure naming it."""
-        try:
-            with open(path, "w") as f:
-                json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-                f.write("\n")
-        except OSError as e:
-            raise IoFailure(f"cannot write {path}: {e}") from e
+        """Write the result as JSON, through :func:`~segtta.core.writing`."""
+        with writing(path) as f:
+            f.write((json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "RunResult":

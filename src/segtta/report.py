@@ -13,7 +13,8 @@ import csv
 import io
 from pathlib import Path
 
-from .errors import ConfigError, IoFailure
+from .core import writing
+from .errors import ConfigError
 from .pipeline import RunResult
 
 FORMATS = ("csv", "markdown")
@@ -132,12 +133,8 @@ def render(result: RunResult, format: str = "markdown") -> str:
 
 
 def emit_report(result: RunResult, format: str, path) -> Path:
-    """Render and write a report file; returns the path written."""
-    text = render(result, format)
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as e:
-        raise IoFailure(f"cannot write report {path}: {e}") from e
-    return path
+    """Render and write a report file, through
+    :func:`~segtta.core.writing`; returns the path written."""
+    with writing(path) as f:
+        f.write(render(result, format).encode())
+    return Path(path)

@@ -24,10 +24,11 @@ from segtta import (
     write_probability_map,
     write_volume,
 )
-from segtta import nifti
-from segtta.cli import main
+from segtta import BackendDescriptor, RunConfig, nifti
+from segtta.cli import _build_parser, main
+from segtta.config import DEFAULT_SEED
 from segtta.errors import IoFailure
-from segtta.fusion import FusionInput, fuse
+from segtta.fusion import DEFAULT_TAU, DEFAULT_VOTING, FusionInput, fuse
 from segtta.pipeline import EventLog
 
 from conftest import IGNORED_FIELD_CASES
@@ -81,6 +82,18 @@ def written_run(out, dataset_dir, config_path):
         str(path) for path in digests}
     assert (out / "run.log.jsonl").stat().st_size > 0
     return digests
+
+
+def test_every_default_is_its_constant():
+    parser = _build_parser()
+    augment = parser.parse_args(["augment", "--input", "i", "--output", "o",
+                                 "--kind", "identity"])
+    fused = parser.parse_args(["fuse", "--output", "o", "m"])
+    config = RunConfig((BackendDescriptor("constant"),))
+    fusion = FusionInput(())
+    assert augment.seed == config.seed == DEFAULT_SEED
+    assert fused.mode == config.voting == fusion.mode == DEFAULT_VOTING
+    assert fused.tau == config.tau == fusion.tau == DEFAULT_TAU
 
 
 class TestRun:
@@ -312,7 +325,7 @@ class TestRun:
         out = tmp_path / "out"
         if blocker == "out":
             out.write_text("")
-            named = f"cannot write into {out}: "
+            named = f"cannot write {out / 'run.log.jsonl'}: {out} is not a directory"
         else:
             name = "report.csv" if "csv" in command else "report.md"
             blocked = out / (name if blocker == "report" else blocker)
@@ -842,3 +855,52 @@ class TestReportCommand:
         assert err.startswith("error: ")
         assert named in err
         assert "Traceback" not in err
+
+
+class TestOutputsAreCheckedFirst:
+    """Every command that writes checks each file it writes by one rule
+    before it runs a case or reads a volume, map or result."""
+
+    @pytest.mark.parametrize("blocker", ["below-a-file", "directory"])
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep", "augment",
+                                         "fuse", "report"])
+    def test_unwritable_output_is_named_before_anything_is_read(
+            self, dataset_dir, config_path, tmp_path, monkeypatch, capsys,
+            command, blocker):
+        map_path = tmp_path / "m.nii"
+        write_probability_map(ProbabilityMap(np.full((4, 4, 2, 2), 0.5)),
+                              map_path, Spacing(1.0, 1.0, 2.0))
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps(TestReportCommand.saved_result()))
+        # config_path is a regular file. A run checks its log first; the
+        # other commands write one file.
+        output = (tmp_path if blocker == "directory" else config_path) / "o"
+        first = output / "run.log.jsonl" if command in ("run", "ablate", "sweep") \
+            else output
+        if blocker == "directory":
+            first.mkdir(parents=True)
+            named = f"cannot write {first}: is a directory"
+        else:
+            named = f"cannot write {first}: {config_path} is not a directory"
+        reads = []
+        read_bytes = nifti._read_bytes
+        monkeypatch.setattr(nifti, "_read_bytes", lambda path, size=-1: (
+            reads.append(path) or read_bytes(path, size)))
+        load = RunResult.load
+        monkeypatch.setattr(RunResult, "load", lambda path: reads.append(path) or load(path))
+        run = ["--config", config_path, "--manifest", dataset_dir / "manifest.json",
+               "--out", output]
+        argv = {
+            "run": ["run", *run],
+            "ablate": ["ablate", *run],
+            "sweep": ["sweep", *run, "--taus", "0.3,0.6"],
+            "augment": ["augment", "--input", dataset_dir / "case000.nii.gz",
+                        "--output", output, "--kind", "identity"],
+            "fuse": ["fuse", "--output", output, map_path],
+            "report": ["report", "--result", result_path, "--out", output],
+        }[command]
+        before = tree_digests(tmp_path)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not reads
+        assert tree_digests(tmp_path) == before

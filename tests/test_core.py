@@ -548,6 +548,67 @@ class TestLabelMask:
             LabelMask(np.zeros((2, 2, 2)), 2)
 
 
+class TestHoldingRule:
+    """A type holds the array it is handed only when that array is
+    read-only, owns its memory, is C-ordered and has the type's dtype;
+    anything else is copied, so no later write reaches the held values."""
+
+    # name: (an array the type holds as is once frozen, another dtype, hold)
+    HOLDERS = {
+        "volume": (lambda: np.zeros((4, 3, 2)), np.float32,
+                   lambda a: Volume(a, Spacing(1, 1, 1)).data),
+        "mask": (lambda: np.ones((4, 3, 2), np.uint8), np.int64,
+                 lambda a: LabelMask(a, 2).labels),
+        "map": (lambda: np.full((4, 3, 2, 2), 0.5), ">f8",
+                lambda a: ProbabilityMap(a)._values),
+    }
+
+    def test_volume_holds_no_view_of_a_writable_array(self):
+        big = np.zeros((8, 8, 8))
+        v = Volume(big[:4], Spacing(1, 1, 1))
+        big[0, 0, 0] = 5
+        assert v.data[0, 0, 0] == 0.0
+
+    def test_mask_holds_no_read_only_view_of_writable_memory(self):
+        base = np.zeros((4, 4, 4), np.uint8)
+        view = base[:]
+        view.setflags(write=False)
+        m = LabelMask(view, 2)
+        base[0, 0, 0] = 1
+        assert m.labels[0, 0, 0] == 0
+
+    def test_map_holds_no_read_only_view_of_writable_memory(self):
+        base = np.full((4, 4, 2, 2), 0.5)
+        view = base[:]
+        view.setflags(write=False)
+        m = ProbabilityMap(view)
+        base[0, 0, 0] = (1.0, 0.0)
+        assert dense(m)[0, 0, 0].tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_writable_array_is_copied_and_stays_writable(self, holder):
+        make, _, hold = self.HOLDERS[holder]
+        given = make()
+        held = hold(given)
+        assert not np.shares_memory(held, given) and given.flags.writeable
+        assert held.flags.c_contiguous and not held.flags.writeable
+        given[...] = 0
+        assert held.tobytes() == make().tobytes()
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_only_a_frozen_owning_c_ordered_array_is_held_as_is(self, holder):
+        make, other_dtype, hold = self.HOLDERS[holder]
+        frozen = make()
+        frozen.setflags(write=False)
+        assert hold(frozen) is frozen
+        for other in (np.asfortranarray(frozen), frozen[:], frozen[::-1],
+                      frozen.astype(other_dtype)):
+            other.setflags(write=False)
+            held = hold(other)
+            assert held is not other and not np.shares_memory(held, other)
+            assert held.flags.c_contiguous and not held.flags.writeable
+
+
 class TestAugmentationSpec:
     def test_blur_requires_positive_sigma(self):
         with pytest.raises(InvalidSigma):

@@ -1,10 +1,12 @@
 import csv
 import io
 from pathlib import Path
+import re
 
 import pytest
 
 from segtta import MetricReport, RunResult, emit_report, render
+from segtta.errors import IoFailure
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -120,6 +122,19 @@ class TestRendering:
     def test_emit_writes_file(self, fixture_result, tmp_path):
         path = emit_report(fixture_result, "markdown", tmp_path / "r.md")
         assert path.read_text() == render(fixture_result, "markdown")
+
+    def test_report_and_result_share_one_writer(self, fixture_result, tmp_path):
+        # Each makes its directory, and names the path it cannot write.
+        emit_report(fixture_result, "csv", tmp_path / "a" / "r.csv")
+        fixture_result.save(tmp_path / "b" / "r.json")
+        assert RunResult.load(tmp_path / "b" / "r.json") == fixture_result
+        assert (tmp_path / "a" / "r.csv").read_text() == render(fixture_result, "csv")
+        blocker = tmp_path / "a" / "r.csv"
+        for write in (lambda path: emit_report(fixture_result, "csv", path),
+                      fixture_result.save):
+            with pytest.raises(IoFailure, match=re.escape(
+                    f"cannot write {blocker / 'r'}: ")):
+                write(blocker / "r")
 
     def test_unknown_format(self, fixture_result):
         with pytest.raises(ValueError):
