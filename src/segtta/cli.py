@@ -22,9 +22,9 @@ from . import augment, nifti
 from .config import DEFAULT_SEED, load_config, load_manifest
 from .core import (
     AUGMENTATION_KINDS, MAX_CLASSES, AugmentationSpec, LabelMask,
-    _check_spacing, normalize_intensity,
+    _check_spacing, _check_writable, normalize_intensity,
 )
-from .errors import ConfigError, IoFailure, SegTTAError
+from .errors import ConfigError, SegTTAError
 from .fusion import DEFAULT_TAU, DEFAULT_VOTING, VOTING_MODES, FusionInput, fuse
 from .metrics import evaluate
 from .pipeline import (
@@ -108,19 +108,6 @@ def _apply_overrides(config, args):
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     return replace(config, **overrides) if overrides else config
-
-
-def _check_writable(path) -> None:
-    """Raise IoFailure naming ``path`` when no file can be written there:
-    it is a directory, or its nearest existing ancestor is not one. Every
-    command checks each file it writes so before it runs a case or reads a
-    volume, map or result."""
-    path = Path(path)
-    if path.is_dir():
-        raise IoFailure(f"cannot write {path}: is a directory")
-    parent = next(p for p in path.parents if p.exists())
-    if not parent.is_dir():
-        raise IoFailure(f"cannot write {path}: {parent} is not a directory")
 
 
 def _outputs(args) -> tuple[Path, Path, Path]:

@@ -26,6 +26,7 @@ from dataclasses import KW_ONLY, MISSING, InitVar, dataclass, fields
 import math
 import numbers
 import os
+from pathlib import Path
 import tempfile
 import threading
 import weakref
@@ -312,6 +313,21 @@ def writing(path):
             yield f
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
+
+
+def _check_writable(path) -> None:
+    """Raise IoFailure naming ``path`` when :func:`writing` could not write
+    it: it is a directory, or its nearest existing ancestor is not one.
+    Each command checks every file it will write this way before it runs
+    a case or reads a volume, map or result: the CLI its log, result and
+    report, or its one output, and each experiment every case's mask in
+    each of its mask directories."""
+    path = Path(path)
+    if path.is_dir():
+        raise IoFailure(f"cannot write {path}: is a directory")
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise IoFailure(f"cannot write {path}: {parent} is not a directory")
 
 
 def _remove_file(path: str) -> None:

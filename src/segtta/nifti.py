@@ -20,6 +20,11 @@ file's bytes a read holds a slab at a time and no copy of the map; a
 scaled map is scaled a slab at a time in that loop. A scaled volume or
 mask is one C-ordered float64 array, scaled in place.
 
+The header is read and written by ten fields: sizeof_hdr, regular, dim,
+datatype, bitpix, pixdim, vox_offset, scl_slope, scl_inter and magic, each
+at its NIfTI-1 byte offset. No other header byte is read, and every
+other header byte is written as zero.
+
 Written files are canonical: vox_offset=352, scl_slope=1, scl_inter=0,
 little-endian (a volume may ask for big-endian), and gzip members carry
 mtime=0 so identical volumes produce identical bytes.
@@ -54,60 +59,22 @@ VOX_OFFSET_LIMIT = 2**31
 MAGIC_SINGLE = b"n+1\x00"
 
 DTYPE_FOR_CODE = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
-BITPIX_FOR_CODE = {2: 8, 4: 16, 16: 32, 64: 64}
+BITPIX_FOR_CODE = {code: 8 * np.dtype(t).itemsize for code, t in DTYPE_FOR_CODE.items()}
 
-_FIELDS = [
-    ("sizeof_hdr", "i4"),
-    ("data_type", "S10"),
-    ("db_name", "S18"),
-    ("extents", "i4"),
-    ("session_error", "i2"),
-    ("regular", "S1"),
-    ("dim_info", "u1"),
-    ("dim", "i2", (8,)),
-    ("intent_p1", "f4"),
-    ("intent_p2", "f4"),
-    ("intent_p3", "f4"),
-    ("intent_code", "i2"),
-    ("datatype", "i2"),
-    ("bitpix", "i2"),
-    ("slice_start", "i2"),
-    ("pixdim", "f4", (8,)),
-    ("vox_offset", "f4"),
-    ("scl_slope", "f4"),
-    ("scl_inter", "f4"),
-    ("slice_end", "i2"),
-    ("slice_code", "u1"),
-    ("xyzt_units", "u1"),
-    ("cal_max", "f4"),
-    ("cal_min", "f4"),
-    ("slice_duration", "f4"),
-    ("toffset", "f4"),
-    ("glmax", "i4"),
-    ("glmin", "i4"),
-    ("descrip", "S80"),
-    ("aux_file", "S24"),
-    ("qform_code", "i2"),
-    ("sform_code", "i2"),
-    ("quatern_b", "f4"),
-    ("quatern_c", "f4"),
-    ("quatern_d", "f4"),
-    ("qoffset_x", "f4"),
-    ("qoffset_y", "f4"),
-    ("qoffset_z", "f4"),
-    ("srow_x", "f4", (4,)),
-    ("srow_y", "f4", (4,)),
-    ("srow_z", "f4", (4,)),
-    ("intent_name", "S16"),
-    ("magic", "S4"),
-]
+#: ``(name, format, byte offset)`` of each header field the package reads
+#: or writes; every other header byte is written as zero and never read.
+_FIELDS = (
+    ("sizeof_hdr", "i4", 0), ("regular", "S1", 38), ("dim", "(8,)i2", 40),
+    ("datatype", "i2", 70), ("bitpix", "i2", 72), ("pixdim", "(8,)f4", 76),
+    ("vox_offset", "f4", 108), ("scl_slope", "f4", 112), ("scl_inter", "f4", 116),
+    ("magic", "S4", 344),
+)
 
 
 def _header_dtype(byteorder: str) -> np.dtype:
-    return np.dtype(_FIELDS).newbyteorder(byteorder)
-
-
-assert _header_dtype("<").itemsize == HEADER_SIZE
+    names, formats, offsets = zip(*_FIELDS)
+    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
+                     "itemsize": HEADER_SIZE}).newbyteorder(byteorder)
 
 
 @dataclass(frozen=True)

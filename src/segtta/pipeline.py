@@ -26,7 +26,8 @@ cache's sake. Without one nothing is hashed or kept.
 The ``EventLog`` passed in is the run's one event channel: the pass logs
 each load, prediction and failure, each finished case with its stage
 seconds, and each stage total there, and an external backend logs its
-child's exit status, stdout and stderr there too.
+child's exit status, stdout and stderr there too. A case collects its
+own events and the run writes them case by case in manifest order.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from . import augment, backends, nifti
 from .config import BASELINE_VIEW, DatasetManifest, RunConfig, _read_json
 from .core import (
     ProbabilityMap, Volume, _check_fields, _check_json, _check_spacing,
-    normalize_intensity, writing,
+    _check_writable, normalize_intensity, writing,
 )
 from .errors import (
     ConfigError, DimensionMismatch, InsufficientAugmentations, SegTTAError,
@@ -79,6 +80,31 @@ def source_tag(backend_name: str, view: str) -> str:
 class EventLog:
     """Append-only line-delimited JSON event log, safe across threads.
 
+    Each line is one event: ``t``, its time in seconds since the epoch,
+    ``event``, its name, and its fields. An experiment writes these:
+
+    * ``run_start``: ``dataset``, ``config`` (as result.json holds it);
+    * ``case_loaded``: ``case``, ``views`` (in config order);
+    * ``prediction``: ``case``, ``backend``, ``view``, ``cached``, and
+      ``elapsed_s`` when not cached;
+    * ``log``: ``logger``, ``message`` (an external backend's exit
+      status and seconds), ``child_stdout`` and ``child_stderr`` (the
+      tails of its child's output);
+    * ``case_failed``: ``case``, ``error``, ``error_type``, and for a
+      failing prediction its ``backend`` and ``view``;
+    * ``case_done``: ``case``, ``views_built`` and each stage's seconds
+      (``load_s``, ``predict_s``, ``fuse_s``, ``score_s``, ``write_s``);
+    * ``stage``: ``stage``, ``seconds``, one per stage, summed over cases;
+    * ``run_done``: ``dataset``, ``cases``, ``failures``, ``wall_s``,
+      ``peak_rss_mb``.
+
+    The log is in manifest order: ``run_start``, then each case's events
+    in the order they happened, written together once that case and every
+    case before it are done, then the stage totals and ``run_done``. So
+    the lines are the same, but for clock readings, whatever the worker
+    count, and a log cut short holds every event of each case up to the
+    last finished one.
+
     The file (and its directory) is created at the first event, through
     :func:`~segtta.core.writing`, so an experiment that rejects its
     arguments before it starts leaves the directory as it was. The file
@@ -93,10 +119,11 @@ class EventLog:
         self._files = contextlib.ExitStack()
         self._lock = threading.Lock()
 
-    def emit(self, event: str, **fields):
+    def emit(self, event: str, t: float | None = None, **fields):
+        """Write one event, at time ``t`` (by default, now)."""
         if self._path is None:
             return
-        record = {"t": time.time(), "event": event, **fields}
+        record = {"t": time.time() if t is None else t, "event": event, **fields}
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
             if self._path is None:
@@ -111,6 +138,16 @@ class EventLog:
         with self._lock:
             self._files.close()
             self._path = self._file = None
+
+
+class _CaseEvents(list):
+    """One case's events, as ``(t, event, fields)`` in the order they
+    happen, for :func:`_run_variants` to write to the run's log in
+    manifest order. It takes events as :meth:`EventLog.emit` does, so an
+    external backend logs its child into it too."""
+
+    def emit(self, event: str, **fields):
+        self.append((time.time(), event, fields))
 
 
 class PredictionCache:
@@ -295,8 +332,7 @@ _STAGES = ("load_s", "predict_s", "fuse_s", "score_s", "write_s")
 
 def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
               variants, num_classes: int, mask_dirs: dict,
-              cache: PredictionCache | None, log: EventLog,
-              process_slots: threading.Semaphore):
+              cache: PredictionCache | None, process_slots: threading.Semaphore):
     """Load, predict, fuse, score and write one case.
 
     ``pairs`` maps each view, in config order, to its ``(source tag,
@@ -349,22 +385,26 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
     outlives its case only if ``cache`` keeps it: a failed case drops its
     maps as it returns.
 
-    Returns ``(reports, fg, seconds, None)``: per variant of ``variants``
-    the metric report (None without ground truth) and the fused foreground
-    volume, and the case's seconds per stage (building the views, and
-    hashing the normalized volume for ``cache``, counts as loading), which
-    its ``case_done`` event also carries, beside ``views_built``: the
-    augmented views the case built, in config order. A case that fails
-    with a SegTTAError returns
-    ``(None, None, seconds, reason)``.
+    Returns ``(reports, fg, seconds, None, events)``: per variant of
+    ``variants`` the metric report (None without ground truth) and the
+    fused foreground volume, the case's seconds per stage (building the
+    views, and hashing the normalized volume for ``cache``, counts as
+    loading), and the case's events, in the order they happened, each
+    stamped with its time (see :class:`EventLog`), an external child's
+    ``log`` events among them; the last is ``case_done``, which carries
+    the stage seconds and ``views_built``: the augmented views the case
+    built, in config order. A case that fails with a SegTTAError returns
+    ``(None, None, seconds, reason, events)``, its events ending in
+    ``case_failed``. The case writes nothing to the run's log itself.
     """
     case_id = entry.case_id
     seconds = dict.fromkeys(_STAGES, 0.0)
+    events = _CaseEvents()
 
     def failure(stage: str, e: SegTTAError, **where):
-        log.emit("case_failed", case=case_id, **where, error=str(e),
-                 error_type=type(e).__name__)
-        return None, None, seconds, f"{stage}: {e}"
+        events.emit("case_failed", case=case_id, **where, error=str(e),
+                    error_type=type(e).__name__)
+        return None, None, seconds, f"{stage}: {e}", events
 
     @contextlib.contextmanager
     def clock(stage: str):
@@ -390,7 +430,7 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
             digest = cache._volume_hash(volume) if cache is not None else None
     except SegTTAError as e:
         return failure("load", e)
-    log.emit("case_loaded", case=case_id, views=list(pairs))
+    events.emit("case_loaded", case=case_id, views=list(pairs))
     specs = {spec.label(): spec for spec in config.augmentations}
     views_built = []
 
@@ -410,21 +450,21 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
                                 num_classes)
                 cached = cache.get(key)
                 if cached is not None:
-                    log.emit("prediction", case=case_id, backend=backend.name,
-                             view=view, cached=True)
+                    events.emit("prediction", case=case_id, backend=backend.name,
+                                view=view, cached=True)
                     return cached.retagged(tag)
             rng = prediction_rng(config.seed, case_id, backend.name, view)
             with (process_slots if backend.kind == "external"
                   else contextlib.nullcontext()):
                 pmap = backends.predict(
                     backend, image, num_classes, rng,
-                    ground_truth=gt, source_tag=tag, log=log,
+                    ground_truth=gt, source_tag=tag, log=events,
                 )
             if cache is not None:
                 cache.put(key, pmap)
-            log.emit("prediction", case=case_id, backend=backend.name,
-                     view=view, cached=False,
-                     elapsed_s=round(time.monotonic() - t, 4))
+            events.emit("prediction", case=case_id, backend=backend.name,
+                        view=view, cached=False,
+                        elapsed_s=round(time.monotonic() - t, 4))
             return pmap
 
     maps, views = [], []  # in prediction order, each map beside its view
@@ -472,9 +512,9 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
             if name in mask_dirs:
                 nifti.write_label_mask(
                     mask, spacing, mask_dirs[name] / f"{case_id}.nii.gz")
-    log.emit("case_done", case=case_id, views_built=views_built,
-             **{stage: round(s, 6) for stage, s in seconds.items()})
-    return reports, fg, seconds, None
+    events.emit("case_done", case=case_id, views_built=views_built,
+                **{stage: round(s, 6) for stage, s in seconds.items()})
+    return reports, fg, seconds, None, events
 
 
 def _peak_rss_mb() -> float:
@@ -501,12 +541,18 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
 
     ``masks`` maps a variant name to the directory under ``out_dir`` that
     receives its masks; nothing is written without an output directory.
+    Every case's mask path in every such directory is checked writable
+    before anything is logged or read. Each case's events go to ``log``
+    as the pool hands back that case, so the log is in manifest order.
     Without a cache nothing is hashed or kept across cases.
     """
     mask_dirs = (
         {name: Path(out_dir) / sub for name, sub in masks.items()}
         if out_dir is not None else {}
     )
+    for mask_dir in mask_dirs.values():
+        for entry in manifest.entries:
+            _check_writable(mask_dir / f"{entry.case_id}.nii.gz")
     started = time.monotonic()
     log = log if log is not None else EventLog(None)
     log.emit("run_start", dataset=manifest.name, config=result_config)
@@ -525,23 +571,25 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
         variants=[(name, frozenset(views), tau) for name, views, tau in variants
                   if any(pairs[view] for view in views)],
         num_classes=manifest.num_classes, mask_dirs=mask_dirs, cache=cache,
-        log=log, process_slots=threading.Semaphore(config.process_jobs),
+        process_slots=threading.Semaphore(config.process_jobs),
     )
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        outcomes = list(pool.map(run_case, manifest.entries))
-
     per_case: dict = {}
     fg_volume: dict = {}
     failures = []
     timings = dict.fromkeys(_STAGES, 0.0)
-    for entry, (reports, fg, seconds, failure) in zip(manifest.entries, outcomes):
-        for stage in _STAGES:
-            timings[stage] += seconds[stage]
-        if failure is not None:
-            failures.append((entry.case_id, failure))
-        else:
-            per_case[entry.case_id] = reports
-            fg_volume[entry.case_id] = fg
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        outcomes = pool.map(run_case, manifest.entries)
+        for entry, (reports, fg, seconds, failure, events) in zip(
+                manifest.entries, outcomes):
+            for t, event, fields in events:
+                log.emit(event, t=t, **fields)
+            for stage in _STAGES:
+                timings[stage] += seconds[stage]
+            if failure is not None:
+                failures.append((entry.case_id, failure))
+            else:
+                per_case[entry.case_id] = reports
+                fg_volume[entry.case_id] = fg
     for stage, total in timings.items():
         log.emit("stage", stage=stage, seconds=round(total, 6))
     names = [name for name, _, _ in variants]

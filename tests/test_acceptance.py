@@ -331,6 +331,50 @@ def test_run_log_content_is_the_same_across_jobs(tmp_path):
             assert logs[0] == logs[1], f"{command} logs differ"
 
 
+def test_run_log_is_in_manifest_order_across_jobs(tmp_path):
+    """A run's log lines, without clock readings and the jobs setting, are
+    the same sequence with 1 and 3 workers: each case's events together,
+    in manifest order."""
+
+    def lines(path):
+        out = []
+        for line in path.read_text().splitlines():
+            event = {key: value for key, value in json.loads(line).items()
+                     if key not in ("t", "seconds", "peak_rss_mb")
+                     and not key.endswith("_s")}
+            if event["event"] == "run_start":
+                del event["config"]["jobs"]
+            out.append(json.dumps(event, sort_keys=True))
+        return out
+
+    with criterion(7, "same run log lines in manifest order across --jobs"):
+        manifest_path = write_phantom_dataset(
+            tmp_path / "data", n_cases=4, dims=(10, 10, 8), seed=5)
+        cases = [entry.case_id for entry in load_manifest(manifest_path).entries]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"backends": [
+            {"kind": "noisy_oracle", "name": f"nb{i}", "confidence": 0.9,
+             "jitter": 1, "flip_prob": 0.1}
+            for i in range(3)
+        ]}))
+        for command in ("run", "ablate", "sweep"):
+            logs = []
+            for jobs in (1, 3):
+                out = tmp_path / f"{command}-jobs{jobs}"
+                code = cli_main([
+                    command, "--config", str(config_path),
+                    "--manifest", str(manifest_path), "--out", str(out),
+                    "--jobs", str(jobs),
+                    *(["--taus", "0.3,0.6,0.9"] if command == "sweep" else []),
+                ])
+                assert code == 0
+                logs.append(lines(out / "run.log.jsonl"))
+            order = [json.loads(line).get("case") for line in logs[0]]
+            assert [case for case in order if case is not None] == [
+                case for case in cases for _ in range(1 + 15 + 1)], command
+            assert logs[0] == logs[1], f"{command} log lines differ"
+
+
 def test_criterion_8_nifti_round_trip(tmp_path, rng):
     with criterion(8, "nifti round trips and named header errors"):
         for datatype, dtype in ((16, np.float32), (64, np.float64)):

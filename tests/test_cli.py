@@ -24,7 +24,7 @@ from segtta import (
     write_probability_map,
     write_volume,
 )
-from segtta import BackendDescriptor, RunConfig, nifti
+from segtta import BackendDescriptor, RunConfig, backends, nifti
 from segtta.cli import _build_parser, main
 from segtta.config import DEFAULT_SEED
 from segtta.errors import IoFailure
@@ -336,6 +336,40 @@ class TestRun:
                        "--manifest", dataset_dir / "manifest.json", "--out", out)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert tree_digests(tmp_path) == before
+
+    @pytest.mark.parametrize("command, blocked, path", [
+        (["run"], "masks", "masks/case000.nii.gz"),
+        (["ablate"], "masks", "masks/case000.nii.gz"),
+        (["sweep", "--taus", "0.3,0.6"], "masks", "masks/tau=0.3/case000.nii.gz"),
+        (["sweep", "--taus", "0.3,0.6"], "masks/tau=0.6",
+         "masks/tau=0.6/case000.nii.gz"),
+        (["run"], "masks/case002.nii.gz", "masks/case002.nii.gz"),
+    ], ids=["run", "ablate", "sweep", "sweep-tau", "run-mask-dir"])
+    def test_unwritable_mask_is_named_before_any_case_runs(
+            self, dataset_dir, tmp_path, config_path, capsys, monkeypatch,
+            command, blocked, path):
+        # A mask directory that is a regular file, or a mask path that is a
+        # directory: no prediction is made and no log is written.
+        out = tmp_path / "out"
+        blocked, path = out / blocked, out / path
+        if blocked == path:
+            blocked.mkdir(parents=True)
+            named = f"cannot write {path}: is a directory"
+        else:
+            blocked.parent.mkdir(parents=True, exist_ok=True)
+            blocked.write_text("")
+            named = f"cannot write {path}: {blocked} is not a directory"
+        predicted, predict = [], backends.predict
+        monkeypatch.setattr(backends, "predict", lambda *args, **kwargs: (
+            predicted.append(args) or predict(*args, **kwargs)))
+        before = tree_digests(tmp_path)
+        code = run_cli(*command, "--config", config_path,
+                       "--manifest", dataset_dir / "manifest.json", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert predicted == []
+        assert not (out / "run.log.jsonl").exists()
         assert tree_digests(tmp_path) == before
 
     def test_out_below_a_file_is_an_io_failure(self, dataset_dir, config_path,

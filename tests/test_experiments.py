@@ -9,7 +9,11 @@ For ``run``, ``ablate`` and ``sweep`` through the command line:
   order predictions run in differs from the experiment's: its report and
   foreground volume, and its masks where the experiment writes them;
 * ``backends.predict`` runs at most once per (case, member, view), and
-  exactly once per such pair of a case that does not fail.
+  exactly once per such pair of a case that does not fail;
+* a case fails exactly when one of its pairs fails, and its reason starts
+  with the smallest failing source tag. A pair fails when a patched
+  ``backends.predict`` refuses it, as drawn, or when its member is an
+  oracle kind and the case has no label.
 
 Half the examples send every fusion down the value path, by allowing no
 interned chain.
@@ -37,6 +41,7 @@ from segtta import (
 from segtta.cli import main
 from segtta.config import BASELINE_VIEW
 from segtta.core import Memo
+from segtta.errors import InvalidVolume
 from segtta.fusion import VOTING_MODES
 from segtta.pipeline import FUSED_VARIANT, source_tag
 
@@ -168,6 +173,15 @@ def test_experiments_keep_their_contracts(data):
         root = Path(tmp)
         manifest_path = write_manifest(root / "data", data, num_classes)
         manifest = load_manifest(manifest_path)
+        refused = set(data.draw(st.lists(
+            st.tuples(st.sampled_from([e.case_id for e in manifest.entries]),
+                      st.sampled_from(sorted(pairs))),
+            max_size=3, unique=True), label="refused"))
+        oracle_tags = {source_tag(b.name, view) for view in config.views
+                       for b in config.backends if b.kind != "constant"} & pairs
+        failing = {entry.case_id: {tag for case, tag in refused if case == entry.case_id}
+                   | (set() if entry.label else oracle_tags)
+                   for entry in manifest.entries}
         config_path = root / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         if value_path:
@@ -175,9 +189,14 @@ def test_experiments_keep_their_contracts(data):
             patch.setattr(fusion, "_chains", Memo(fusion.CHAINS_KEPT))
         predicted = []
         predict = backends.predict
-        patch.setattr(backends, "predict", lambda backend, image, *args, **kwargs: (
+
+        def refusing(backend, image, *args, **kwargs):
             predicted.append((image.vol_id, kwargs["source_tag"]))
-            or predict(backend, image, *args, **kwargs)))
+            if predicted[-1] in refused:
+                raise InvalidVolume(f"refused {kwargs['source_tag']}")
+            return predict(backend, image, *args, **kwargs)
+
+        patch.setattr(backends, "predict", refusing)
         references = {}
         for command in commands:
             written = []
@@ -190,7 +209,11 @@ def test_experiments_keep_their_contracts(data):
                              *(["--taus", ",".join(map(str, taus))]
                                if command == "sweep" else [])])
                 written.append((code, artifacts(out)))
-                failed = {case for case, _ in written[-1][1]["result"]["failures"]}
+                reasons = dict(written[-1][1]["result"]["failures"])
+                failed = set(reasons)
+                assert failed == {case for case, tags in failing.items() if tags}, command
+                for case, reason in reasons.items():
+                    assert reason.startswith(f"{min(failing[case])}: "), (command, reason)
                 counts = Counter(predicted)
                 assert max(counts.values(), default=1) == 1, command
                 for entry in manifest.entries:

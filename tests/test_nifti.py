@@ -12,6 +12,7 @@ from segtta import (
     ProbabilityMap,
     Spacing,
     Volume,
+    nifti,
     read_header,
     read_label_mask,
     read_probability_map,
@@ -548,6 +549,27 @@ HEADER_FIELDS = {
     "scl_slope": (112, "f", 1),
     "scl_inter": (116, "f", 1),
 }
+
+
+def test_header_bytes_outside_the_read_fields_are_zero_and_ignored(tmp_path):
+    # The ten fields: HEADER_FIELDS plus sizeof_hdr, regular and magic.
+    fields = {**HEADER_FIELDS, "sizeof_hdr": (0, "i", 1), "regular": (38, "c", 1),
+              "magic": (344, "4s", 1)}
+    assert set(nifti._header_dtype("<").names) == set(fields)
+    used = set()
+    for offset, fmt, count in fields.values():
+        used.update(range(offset, offset + count * struct.calcsize(fmt)))
+    labels = LabelMask(np.arange(60, dtype=np.uint8).reshape(5, 4, 3) % 3, 3)
+    write_label_mask(labels, Spacing(0.5, 1.0, 2.0), tmp_path / "m.nii")
+    raw = bytearray((tmp_path / "m.nii").read_bytes())
+    unused = [i for i in range(352) if i not in used]
+    assert not any(raw[i] for i in unused)
+    for i in unused:
+        raw[i] = 0xFF
+    (tmp_path / "filled.nii").write_bytes(bytes(raw))
+    assert read_header(tmp_path / "filled.nii") == read_header(tmp_path / "m.nii")
+    filled = read_label_mask(tmp_path / "filled.nii", 3)
+    assert np.array_equal(filled.labels, labels.labels)
 
 
 @st.composite
