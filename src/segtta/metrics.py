@@ -40,7 +40,7 @@ order. That minimum is the whole transform's, bit for bit: a column
 outside the box holds no seed, so it sweeps to inf, and so after the
 second pass does every line off the box's z range; a pass stops early
 only where no later term can win; and rounding commutes with the minimum.
-The row then runs one transform of its own surface, on the ground-truth
+Each row then needs a transform of its own surface, on the ground-truth
 box grown by a margin. The margin doubles until every ground-truth
 surface voxel's distance is certified, that is at most its distance to
 the outside of the crop minus one voxel, or the crop is the whole volume.
@@ -48,8 +48,19 @@ Crops give the bits of the full-volume transforms: rounding is monotone,
 so each transform value is the minimum over seeds of a per-seed value
 that depends only on the offset, not on the crop; every ground-truth seed
 lies in its box, and a certified voxel's nearest seed lies inside the
-crop, since any seed outside is farther by at least the slack. The
-quadratic all-pairs computation lives in the test suite as its oracle.
+crop, since any seed outside is farther by at least the slack.
+
+At one margin every row's crop is the same box, so the rows of a case
+share transforms: their crops are stacked on a trailing axis, as many as
+hold at most ``_PASS_VOXELS`` voxels (one when a crop alone is larger),
+and go through one ``distance_transform``, whose sweeps and passes treat
+everything after the swept axis as independent lines. So each row gets
+the bits of its own transform: a line's values never meet another
+line's, a pass's early stop skips only terms that cannot win, and
+``min`` is exact. Each row is certified on its own; the rows that fail
+go on together to the next margin. The 95th percentile is numpy's
+linear rule, done directly on two order statistics. The quadratic
+all-pairs computation lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -197,10 +208,13 @@ def surface_voxels(mask: LabelMask) -> np.ndarray:
     return _voxels(_surface(mask.labels > 0))
 
 
-#: Voxels per block of lines in a min-plus pass, or of a scorer's columns
-#: gathered for voxels outside the ground-truth box, whose scratch is a few
-#: blocks whatever the volume. Smaller blocks spend more interpreter time
-#: per voxel, which worker threads cannot overlap.
+#: Voxels per block of lines in a min-plus pass, of a scorer's columns
+#: gathered for voxels outside the ground-truth box, or of a stack of rows'
+#: crops transformed together (at least one row), whose scratch is a few
+#: blocks whatever the volume. Stacked rows give each row's own bits, as
+#: blocks of lines do, since lines are independent and ``min`` is exact.
+#: Smaller blocks spend more interpreter time per voxel, which worker
+#: threads cannot overlap.
 _PASS_VOXELS = 2 ** 16
 
 
@@ -257,16 +271,19 @@ def _min_plus_pass(f2: np.ndarray, delta: float) -> None:
 def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     """Exact Euclidean distance (mm) from every voxel to the nearest seed.
 
-    Separable: the first axis is resolved with two linear sweeps on the
-    binary input, then each remaining axis applies one min-plus pass over
-    the squared distances (see ``_min_plus_pass``). A voxel with no seed
-    anywhere in the volume, so every voxel of a seedless input, gets inf.
-    The work is in place: besides the result, either one more volume (the
-    copy that lays out an axis's lines) or the scratch of one block of a
-    pass exists at a time.
+    ``seeds`` has 3 axes, or 3 and a trailing batch axis whose entries are
+    independent volumes of the same shape: every pass already treats all
+    that follows its axis as independent lines. Separable: the first axis
+    is resolved with two linear sweeps on the binary input, then each
+    remaining axis applies one min-plus pass over the squared distances
+    (see ``_min_plus_pass``). A voxel with no seed anywhere in its volume,
+    so every voxel of a seedless one, gets inf. The work is in place:
+    besides the result, either one more copy of it (the copy that lays out
+    an axis's lines) or the scratch of one block of a pass exists at a time.
     """
-    if seeds.ndim != 3:
-        raise DimensionMismatch(f"seed mask must be 3D, got shape {seeds.shape}")
+    if seeds.ndim not in (3, 4):
+        raise DimensionMismatch(f"seed mask must be 3D, got shape {seeds.shape}"
+                                " (a fourth, trailing axis may batch 3D masks)")
     deltas = spacing.as_tuple()
     d2 = _sweep(seeds, deltas[0])
     for axis in (1, 2):
@@ -277,6 +294,22 @@ def distance_transform(seeds: np.ndarray, spacing: Spacing) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
+def _percentile95(values: np.ndarray) -> float:
+    """``np.percentile(values, 95)``, bit for bit, partitioning ``values``
+    in place: numpy's linear rule, the virtual index ``(n-1)*0.95`` between
+    its two order statistics and ``_lerp``'s two-sided formula, without the
+    general function's set-up."""
+    n = len(values)
+    if n == 1:
+        return float(values[0])
+    at = (n - 1) * 0.95
+    i = int(at)
+    values.partition((i, i + 1))
+    a, b, t = float(values[i]), float(values[i + 1]), at - i
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 #: First margin, in voxels, by which a row's transform grows the
 #: ground-truth surface box; it doubles until the crop is certified.
 _MARGIN = 2
@@ -285,11 +318,20 @@ _MARGIN = 2
 class CaseScorer:
     """One case's ground truth, prepared once to score many predictions.
 
-    Pass it as ``gt`` to :func:`evaluate` or :func:`hd95`, with the same
-    spacing; a plain ``LabelMask`` there scores one row. Once a row has
-    needed it, a scorer keeps the transform of the ground-truth surface on
-    that surface's box and the squared first-axis sweep of the box's (y, z)
-    columns, nx x box_y x box_z float64, and should die with its case.
+    :meth:`evaluate` scores a list of rows, the masks of one case, and
+    returns their reports in order. Pass a scorer as ``gt`` to the one-row
+    :func:`evaluate` or :func:`hd95`, with the same spacing; a plain
+    ``LabelMask`` there scores one row. All go through the same code. Once
+    a row has needed it, a scorer keeps the transform of the ground-truth
+    surface on that surface's box and the squared first-axis sweep of the
+    box's (y, z) columns, nx x box_y x box_z float64, and should die with
+    its case.
+
+    Rows whose crops are transformed together form a stack: as many rows'
+    crops, stacked on a trailing axis, as hold at most ``_PASS_VOXELS``
+    voxels, and one row when a single crop is larger. While a stack is
+    scored it holds the whole surface of each of its rows, besides its
+    transform; the rows' masks are held by the caller.
     """
 
     def __init__(self, gt: LabelMask, spacing: Spacing):
@@ -340,31 +382,93 @@ class CaseScorer:
             far[part] = lines.min(axis=1)
         return np.concatenate([near, np.sqrt(far, out=far)])
 
-    def to_surface(self, surface: np.ndarray) -> np.ndarray:
-        """Distance (mm) from each ground-truth surface voxel, in row-major
-        order, to the nearest voxel of ``surface``, which is not empty.
+    def _grown(self, margin: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` of the ground-truth box grown by ``margin`` voxels
+        and clipped to the volume."""
+        dims = np.array(self.surface.shape)
+        return np.maximum(self._lo - margin, 0), np.minimum(self._hi + margin, dims)
 
-        The transform runs on the ground-truth box grown by a margin that
-        doubles until each distance is at most the voxel's distance to the
-        outside of the crop minus one voxel, or the crop is the volume.
+    def _stack_rows(self, margin: int) -> int:
+        """Rows per stack at ``margin``: at most _PASS_VOXELS voxels, at
+        least one row."""
+        lo, hi = self._grown(margin)
+        return max(1, _PASS_VOXELS // int(np.prod(hi - lo)))
+
+    def to_surfaces(self, surfaces: list[np.ndarray]) -> list[np.ndarray]:
+        """Per surface of ``surfaces``, none empty, the distance (mm) from
+        each ground-truth surface voxel, in row-major order, to the
+        nearest voxel of that surface.
+
+        A row's transform runs on the ground-truth box grown by a margin
+        that doubles until each distance is at most the voxel's distance
+        to the outside of the crop minus one voxel, or the crop is the
+        volume. The rows at one margin go through ``distance_transform`` in
+        stacks (see the class), a single row without the batch axis; each
+        row is certified on its own, and those that fail go on together to
+        the next margin.
         """
-        dims = np.array(surface.shape)
+        dims = np.array(self.surface.shape)
         steps = np.array(self.spacing.as_tuple())
+        dists = [None] * len(surfaces)
+        todo = list(range(len(surfaces)))
         margin = _MARGIN
-        while True:
-            lo = np.maximum(self._lo - margin, 0)
-            hi = np.minimum(self._hi + margin, dims)
+        while todo:
+            lo, hi = self._grown(margin)
             crop = tuple(slice(a, b) for a, b in zip(lo, hi))
-            dist = distance_transform(surface[crop], self.spacing)
-            dist = dist[tuple((self.points - lo).T)]
-            if (lo == 0).all() and (hi == dims).all():
-                return dist
+            at = tuple((self.points - lo).T)
+            # Off the volume's edges there is no outside: inf room, so the
+            # whole volume certifies every row.
             below = np.where(lo > 0, (self.points - lo + 1) * steps, np.inf)
             above = np.where(hi < dims, (hi - self.points) * steps, np.inf)
-            room = np.minimum(below, above).min(axis=1)
-            if (dist <= room - steps.min()).all():
-                return dist
+            bound = np.minimum(below, above).min(axis=1) - steps.min()
+            per, failed = self._stack_rows(margin), []
+            for start in range(0, len(todo), per):
+                rows = todo[start:start + per]
+                crops = [surfaces[i][crop] for i in rows]
+                seeds = crops[0] if len(rows) == 1 else np.stack(crops, axis=-1)
+                dist = distance_transform(seeds, self.spacing)[at]
+                for i, d in zip(rows, dist.reshape(len(self.points), -1).T):
+                    if (d <= bound).all():
+                        dists[i] = d
+                    else:
+                        failed.append(i)
+            todo = failed
             margin *= 2
+        return dists
+
+    def to_surface(self, surface: np.ndarray) -> np.ndarray:
+        """:meth:`to_surfaces` of one surface."""
+        return self.to_surfaces([surface])[0]
+
+    def _hd95s(self, masks: list[LabelMask]) -> list[float | None]:
+        """:func:`hd95` of each of ``masks`` against the ground truth, in
+        order, one stack of rows at a time."""
+        for pred in masks:
+            _check_dims(pred, self.gt)
+        if not len(self.points):  # no ground-truth surface to measure from
+            return [None if pred.labels.any() else 0.0 for pred in masks]
+        out = []
+        per = self._stack_rows(_MARGIN)
+        for start in range(0, len(masks), per):
+            surfaces = [_surface(pred.labels > 0) for pred in masks[start:start + per]]
+            live = [s for s in surfaces if s.any()]
+            pooled = iter(zip([self.to_gt(s) for s in live], self.to_surfaces(live)))
+            out += [_percentile95(np.concatenate(next(pooled))) if s.any() else None
+                    for s in surfaces]
+        return out
+
+    def evaluate(self, masks: list[LabelMask]) -> list[MetricReport]:
+        """The full metric suite, overlap metrics plus HD95, of each of
+        ``masks`` against the ground truth, in order."""
+        reports = []
+        for pred, distance in zip(masks, self._hd95s(masks)):
+            reason = None
+            if distance is None:
+                empty = "prediction" if not pred.labels.any() else "ground truth"
+                reason = f"{empty} has empty foreground"
+            reports.append(replace(overlap_metrics(pred, self.gt),
+                                   hd95_mm=distance, undefined_reason=reason))
+        return reports
 
 
 def _scorer(gt: LabelMask | CaseScorer, spacing: Spacing) -> CaseScorer:
@@ -383,21 +487,10 @@ def hd95(pred: LabelMask, gt: LabelMask | CaseScorer,
     Both surfaces empty gives 0 (nothing disagrees); exactly one empty is
     undefined and returns None so aggregation can exclude and count it.
     ``gt`` may be a :class:`CaseScorer`, which keeps the ground-truth side
-    across the rows of a case.
+    across the rows of a case; the row goes through the code that
+    :meth:`CaseScorer.evaluate` runs on many.
     """
-    scorer = _scorer(gt, spacing)
-    _check_dims(pred, scorer.gt)
-    pred_surface = _surface(pred.labels > 0)
-    pred_any = bool(pred_surface.any())
-    gt_any = len(scorer.points) > 0
-    if not pred_any and not gt_any:
-        return 0.0
-    if not pred_any or not gt_any:
-        return None
-    pooled = np.concatenate([
-        scorer.to_gt(pred_surface), scorer.to_surface(pred_surface)
-    ])
-    return float(np.percentile(pooled, 95))
+    return _scorer(gt, spacing)._hd95s([pred])[0]
 
 
 def evaluate(pred: LabelMask, gt: LabelMask | CaseScorer,
@@ -405,13 +498,7 @@ def evaluate(pred: LabelMask, gt: LabelMask | CaseScorer,
     """Full metric suite for one row: overlap metrics plus HD95.
 
     ``gt`` is the ground-truth mask, or a :class:`CaseScorer` built from it
-    once to score every row of a case.
+    once to score every row of a case; this is its
+    :meth:`CaseScorer.evaluate` of one row.
     """
-    scorer = _scorer(gt, spacing)
-    report = overlap_metrics(pred, scorer.gt)
-    distance = hd95(pred, scorer, spacing)
-    reason = None
-    if distance is None:
-        empty = "prediction" if not pred.labels.any() else "ground truth"
-        reason = f"{empty} has empty foreground"
-    return replace(report, hd95_mm=distance, undefined_reason=reason)
+    return _scorer(gt, spacing).evaluate([pred])[0]

@@ -33,6 +33,7 @@ mtime=0 so identical volumes produce identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import gzip
 import math
 from pathlib import Path
@@ -71,7 +72,10 @@ _FIELDS = (
 )
 
 
+@functools.cache
 def _header_dtype(byteorder: str) -> np.dtype:
+    """The header's structured dtype in byte order ``byteorder``, built
+    once per order: every header read and write looks it up."""
     names, formats, offsets = zip(*_FIELDS)
     return np.dtype({"names": names, "formats": formats, "offsets": offsets,
                      "itemsize": HEADER_SIZE}).newbyteorder(byteorder)

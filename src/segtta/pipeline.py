@@ -55,10 +55,12 @@ from .errors import (
     ConfigError, DimensionMismatch, InsufficientAugmentations, SegTTAError,
 )
 from .fusion import DEFAULT_TAU, foreground_volume, fuse_groups, _check_tau
-# The benchmark's span tracer (bench/tracer.py) wraps these two names here;
-# the pipeline itself fuses through fuse_groups.
+# The benchmark's span tracer (bench/tracer.py) wraps these three names
+# here; the pipeline itself fuses through fuse_groups and scores a case's
+# rows together through CaseScorer.evaluate.
 from .fusion import FusionInput, fuse  # noqa: F401
-from .metrics import CaseScorer, MetricReport, evaluate
+from .metrics import evaluate  # noqa: F401
+from .metrics import CaseScorer, MetricReport
 from .rng import SeededRng
 
 FUSED_VARIANT = "fused"
@@ -351,7 +353,8 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
     slab into one set of sums per distinct view set, and each variant
     decides at its own tau; the masks equal ``fuse`` of the same maps, so
     the order predictions run in changes no sum. The maps are dropped
-    before the rows are scored, and the masks of the variants in
+    before the rows are scored, all in one call of
+    :meth:`CaseScorer.evaluate`, and the masks of the variants in
     ``mask_dirs`` are written.
 
     Failure rule: a case fails with the reason it would have if every view
@@ -383,7 +386,12 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
     volume of uint8 per jitter direction). Once the last prediction is
     done the case keeps only the volume's spacing; a map, and its file,
     outlives its case only if ``cache`` keeps it: a failed case drops its
-    maps as it returns.
+    maps as it returns. While its rows are scored, a case holds its masks,
+    the ground-truth side of its :class:`~segtta.metrics.CaseScorer`, and
+    one stack of rows at a time: each row's surface (1 byte per voxel of
+    the volume) and the transform of their stacked crops, at most
+    ``metrics._PASS_VOXELS`` voxels of float64 unless a single row's crop
+    is larger, as on large volumes, where each row is a stack of its own.
 
     Returns ``(reports, fg, seconds, None, events)``: per variant of
     ``variants`` the metric report (None without ground truth) and the
@@ -502,11 +510,11 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
         return failure("fuse", e)
 
     with clock("score_s"):
-        truth = CaseScorer(gt, spacing) if gt is not None else None
-        fg, reports = {}, {}
-        for (name, _, _), mask in zip(variants, masks):
-            fg[name] = foreground_volume(mask, spacing)
-            reports[name] = evaluate(mask, truth, spacing) if truth is not None else None
+        names = [name for name, _, _ in variants]
+        fg = {name: foreground_volume(mask, spacing) for name, mask in zip(names, masks)}
+        scored = (CaseScorer(gt, spacing).evaluate(masks) if gt is not None
+                  else [None] * len(masks))
+        reports = dict(zip(names, scored))
     with clock("write_s"):
         for (name, _, _), mask in zip(variants, masks):
             if name in mask_dirs:

@@ -173,6 +173,21 @@ class TestDistanceTransform:
         with pytest.raises(DimensionMismatch, match=r"seed mask must be 3D, got shape \(4, 5\)"):
             distance_transform(np.zeros((4, 5), dtype=bool), Spacing(1, 1, 1))
 
+    def test_batch_axis_holds_independent_volumes(self, rng):
+        # Each volume of a stack gets the bits of its own transform, a
+        # seedless one all inf, whatever the pass blocks.
+        shape = (9, 7, 6)
+        spacing = Spacing(0.7, 1.3, 2.2)
+        stack = rng.random(shape + (4,)) < [0.05, 0.3, 0.0, 0.01]
+        stack[0, 0, 0, 3] = True
+        alone = [distance_transform(stack[..., i], spacing) for i in range(4)]
+        for blocks in (7, 2 ** 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(segtta.metrics, "_PASS_VOXELS", blocks)
+                together = distance_transform(stack, spacing)
+            for i, want in enumerate(alone):
+                assert np.array_equal(together[..., i], want)
+
     def test_seedless_volume_is_all_inf(self):
         d = distance_transform(np.zeros((4, 5, 3), dtype=bool), Spacing(1, 2, 3))
         assert np.isposinf(d).all()
@@ -379,6 +394,47 @@ class TestCaseScorer:
         assert len(crops["beside"]) > 1 and crops["beside"][-1] != dims
         assert len(crops["far"]) > 1 and crops["far"][-1] == dims
 
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(st.data())
+    def test_rows_scored_together_equal_each_row_alone(self, data):
+        # One call scores the rows of a case: empty and full rows, and rows
+        # whose crops certify at different margins (near, beside and far
+        # from a ground truth in one corner), in any order. Small pass
+        # blocks split the rows into several stacks, or one row per stack.
+        dims = (20, 16, 12)
+        spacing = Spacing(*(data.draw(st.floats(0.3, 3.0)) for _ in range(3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        speckle = np.zeros(dims, dtype=np.uint8)
+        speckle[:, :, 6:] = rng.random((20, 16, 6)) < 0.01
+        pool = {
+            "near": box_mask(dims, (2, 3, 2), (8, 8, 6)),
+            "beside": box_mask(dims, (11, 3, 2), (14, 8, 6)),
+            "far": box_mask(dims, (18, 14, 10), (20, 16, 12)),
+            "empty": mask(np.zeros(dims)),
+            "full": mask(np.ones(dims)),
+            "speckle": mask(speckle),
+        }
+        gt = data.draw(st.sampled_from([
+            box_mask(dims, (2, 3, 2), (7, 8, 6)), mask(np.zeros(dims)),
+            box_mask(dims, (8, 5, 4), (13, 11, 9)),
+        ]))
+        names = data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=8))
+        rows = [pool[name] for name in names]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segtta.metrics, "_PASS_VOXELS",
+                          data.draw(st.sampled_from([1, 7, 40, 2000, 2 ** 16])))
+            got = CaseScorer(gt, spacing).evaluate(rows)
+        assert len(got) == len(rows)
+        wants = {}
+        for name, pred, report in zip(names, rows, got):
+            assert report == evaluate(pred, gt, spacing)
+            if name not in wants:
+                wants[name] = brute_force_hd95(pred, gt, spacing)
+            if wants[name] is None:
+                assert report.hd95_mm is None
+            else:
+                assert abs(report.hd95_mm - wants[name]) < 1e-9
+
     def test_ground_truth_transform_runs_once(self, rng, monkeypatch):
         # Once per scorer, on the ground truth's box; and no transform of
         # the whole volume, although the speckle lies all over it.
@@ -463,6 +519,16 @@ class TestCaseScorer:
         with pytest.raises(DimensionMismatch):
             hd95(box_mask((4, 4, 5), (1, 1, 1), (3, 3, 3)), scorer,
                  Spacing(1, 1, 1))
+
+
+def test_percentile_is_numpys_bit_for_bit(rng):
+    # Every length up to 3000, each with ties (few distinct values) and
+    # with values rounded to one or three decimals.
+    for n in range(1, 3001):
+        for values in (rng.integers(0, 4, n) * 0.7, np.round(rng.random(n) * 30, 1),
+                       np.round(rng.exponential(5.0, n), 3)):
+            want = np.percentile(values, 95)
+            assert segtta.metrics._percentile95(values.copy()) == want, n
 
 
 def test_import_does_not_load_scipy():

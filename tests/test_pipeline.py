@@ -606,7 +606,8 @@ class TestRunSegtta:
     def test_traced_scoring_spans_per_row(self, tmp_path, monkeypatch):
         # The benchmark tracer wraps these names where the program looks
         # them up. One case's rows share one ground-truth transform, and
-        # each row runs one transform of its own surface.
+        # their surfaces' crops go through one stacked transform; the
+        # pipeline calls neither one-row function.
         calls = {"evaluate": 0, "hd95": 0, "distance_transform": 0}
 
         def counted(owner, name):
@@ -626,8 +627,7 @@ class TestRunSegtta:
         result = run_segtta(noisy_config(jobs=1), manifest)
         rows = len(result.variants)
         assert rows == 6 and len(result.per_case) == 1
-        assert calls == {"evaluate": rows, "hd95": rows,
-                         "distance_transform": 1 + rows}
+        assert calls == {"evaluate": 0, "hd95": 0, "distance_transform": 2}
 
 
 class TestViewsBuilt:
@@ -865,8 +865,13 @@ class TestAblation:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(segtta.pipeline, "evaluate",
-                            counted("evaluate", segtta.pipeline.evaluate))
+        evaluate = segtta.metrics.CaseScorer.evaluate
+
+        def rows_scored(scorer, masks):
+            calls["evaluate"] += len(masks)
+            return evaluate(scorer, masks)
+
+        monkeypatch.setattr(segtta.metrics.CaseScorer, "evaluate", rows_scored)
         monkeypatch.setattr(segtta.augment, "apply",
                             counted("apply", segtta.augment.apply))
         config = noisy_config()
