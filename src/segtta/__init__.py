@@ -26,7 +26,6 @@ from .core import (
     normalize_intensity,
 )
 from .augment import (
-    GaussianKernel1D,
     apply,
     contrast_enhancement,
     gamma_correction,
@@ -77,7 +76,6 @@ __all__ = [
     "CaseScorer",
     "DatasetManifest",
     "FusionInput",
-    "GaussianKernel1D",
     "LabelMask",
     "ManifestEntry",
     "MetricReport",

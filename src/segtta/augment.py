@@ -14,7 +14,6 @@ smoothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -24,28 +23,18 @@ from .errors import InvalidVolume
 from .rng import SeededRng
 
 
-@dataclass(frozen=True)
-class GaussianKernel1D:
-    """Discrete Gaussian sampled at integer offsets, truncated at 3 sigma.
+def _kernel(sigma: float) -> np.ndarray:
+    """Discrete Gaussian weights at integer offsets, truncated at 3 sigma.
 
     Truncation keeps |i| <= ceil(3*sigma), which bounds the discarded mass
     below 0.3%, and the remaining weights are renormalized to sum to 1 so
-    convolution preserves constants exactly.
+    convolution preserves constants exactly. ``sigma`` is a valid blur
+    sigma (see ``AugmentationSpec``).
     """
-
-    sigma: float
-    radius: int
-    weights: np.ndarray
-
-    @classmethod
-    def from_sigma(cls, sigma: float) -> "GaussianKernel1D":
-        AugmentationSpec("gaussian_blur", sigma=sigma)
-        radius = math.ceil(3.0 * sigma)
-        x = np.arange(-radius, radius + 1, dtype=np.float64)
-        w = np.exp(-0.5 * (x / sigma) ** 2)
-        w /= w.sum()
-        w.setflags(write=False)
-        return cls(float(sigma), radius, w)
+    radius = math.ceil(3.0 * sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    w = np.exp(-0.5 * (x / sigma) ** 2)
+    return w / w.sum()
 
 
 def _correlate1d(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
@@ -72,11 +61,11 @@ def gaussian_blur(v: Volume, sigma: float, slice_axis: int | None = 2) -> Volume
     forms convex combinations, so this guards float round-off only).
     """
     AugmentationSpec("gaussian_blur", sigma=sigma, slice_axis=slice_axis)
-    kernel = GaussianKernel1D.from_sigma(sigma)
+    weights = _kernel(sigma)
     axes = (0, 1, 2) if slice_axis is None else tuple(a for a in (0, 1, 2) if a != slice_axis)
     out = v.data
     for axis in axes:
-        out = _correlate1d(out, kernel.weights, axis)
+        out = _correlate1d(out, weights, axis)
     return v.with_data(_freeze(np.clip(out, v.data.min(), v.data.max())))
 
 

@@ -300,7 +300,9 @@ def load_manifest(path) -> DatasetManifest:
     """Load a manifest: a JSON list of {id, image, label?, classes}.
 
     Relative image/label paths are resolved against the manifest's
-    directory. The dataset name is the manifest file's stem.
+    directory. The dataset name is the manifest file's stem. A case
+    without a label omits ``label`` or sets it to null; an empty ``image``
+    or ``label`` raises ConfigError naming the case and the field.
     """
     path = Path(path)
     base = path.parent
@@ -315,6 +317,9 @@ def load_manifest(path) -> DatasetManifest:
             raise ConfigError(f"{where} field 'id' {item['id']!r} is not a plain file name")
         label = _check_json(item.get("label"), "string or null",
                             f"{where} field 'label'")
+        for name in ("image", "label"):
+            if item.get(name) == "":
+                raise ConfigError(f"{where} ({item['id']!r}) field {name!r} is an empty path")
         entries.append(ManifestEntry(
             case_id=item["id"], image=str(base / item["image"]),
             num_classes=item["classes"], label=str(base / label) if label else None,

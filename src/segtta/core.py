@@ -303,10 +303,12 @@ def temp_dir() -> str:
 
 @contextlib.contextmanager
 def writing(path):
-    """The one way the package writes a file: ``path`` opened for writing
-    bytes, its directory made first. An OSError while it is made, opened
-    or written raises IoFailure naming the path. Callers write text as
-    UTF-8."""
+    """The one way the package writes a named file: ``path`` opened for
+    writing bytes, its directory made first. An OSError while it is made,
+    opened or written raises IoFailure naming the path. Callers write text
+    as UTF-8. The one exception is a map file, which
+    :class:`ProbabilityMap` makes with ``tempfile.mkstemp`` and whose
+    failures are MapFileFailure."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "wb") as f:

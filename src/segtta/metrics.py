@@ -319,13 +319,12 @@ class CaseScorer:
     """One case's ground truth, prepared once to score many predictions.
 
     :meth:`evaluate` scores a list of rows, the masks of one case, and
-    returns their reports in order. Pass a scorer as ``gt`` to the one-row
-    :func:`evaluate` or :func:`hd95`, with the same spacing; a plain
-    ``LabelMask`` there scores one row. All go through the same code. Once
-    a row has needed it, a scorer keeps the transform of the ground-truth
-    surface on that surface's box and the squared first-axis sweep of the
-    box's (y, z) columns, nx x box_y x box_z float64, and should die with
-    its case.
+    returns their reports in order; the one-row :func:`evaluate` and
+    :func:`hd95` build a scorer for their row and go through the same code.
+    Once a row has needed it, a scorer keeps the transform of the
+    ground-truth surface on that surface's box and the squared first-axis
+    sweep of the box's (y, z) columns, nx x box_y x box_z float64, and
+    should die with its case.
 
     Rows whose crops are transformed together form a stack: as many rows'
     crops, stacked on a trailing axis, as hold at most ``_PASS_VOXELS``
@@ -436,10 +435,6 @@ class CaseScorer:
             margin *= 2
         return dists
 
-    def to_surface(self, surface: np.ndarray) -> np.ndarray:
-        """:meth:`to_surfaces` of one surface."""
-        return self.to_surfaces([surface])[0]
-
     def _hd95s(self, masks: list[LabelMask]) -> list[float | None]:
         """:func:`hd95` of each of ``masks`` against the ground truth, in
         order, one stack of rows at a time."""
@@ -471,34 +466,21 @@ class CaseScorer:
         return reports
 
 
-def _scorer(gt: LabelMask | CaseScorer, spacing: Spacing) -> CaseScorer:
-    """``gt`` as a scorer; a scorer passed in must have this spacing."""
-    if not isinstance(gt, CaseScorer):
-        return CaseScorer(gt, spacing)
-    if gt.spacing != spacing:
-        raise DimensionMismatch(f"spacing {spacing} != scorer spacing {gt.spacing}")
-    return gt
-
-
-def hd95(pred: LabelMask, gt: LabelMask | CaseScorer,
-         spacing: Spacing) -> float | None:
+def hd95(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> float | None:
     """95th percentile of pooled symmetric surface distances, in mm.
 
     Both surfaces empty gives 0 (nothing disagrees); exactly one empty is
     undefined and returns None so aggregation can exclude and count it.
-    ``gt`` may be a :class:`CaseScorer`, which keeps the ground-truth side
-    across the rows of a case; the row goes through the code that
-    :meth:`CaseScorer.evaluate` runs on many.
+    This is :class:`CaseScorer`'s HD95 of one row; score the rows of a
+    case through one scorer's :meth:`CaseScorer.evaluate` instead.
     """
-    return _scorer(gt, spacing)._hd95s([pred])[0]
+    return CaseScorer(gt, spacing)._hd95s([pred])[0]
 
 
-def evaluate(pred: LabelMask, gt: LabelMask | CaseScorer,
-             spacing: Spacing) -> MetricReport:
+def evaluate(pred: LabelMask, gt: LabelMask, spacing: Spacing) -> MetricReport:
     """Full metric suite for one row: overlap metrics plus HD95.
 
-    ``gt`` is the ground-truth mask, or a :class:`CaseScorer` built from it
-    once to score every row of a case; this is its
-    :meth:`CaseScorer.evaluate` of one row.
+    This is :meth:`CaseScorer.evaluate` of one row, with a scorer built for
+    it; the rows of a case share one scorer there.
     """
-    return _scorer(gt, spacing).evaluate([pred])[0]
+    return CaseScorer(gt, spacing).evaluate([pred])[0]

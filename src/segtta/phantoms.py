@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelMask, Spacing, Volume, _freeze
+from .core import LabelMask, Spacing, Volume, _freeze, writing
 from . import nifti
 
 
@@ -78,9 +78,10 @@ def write_phantom_dataset(
     """Write phantom volumes (+ labels) as NIfTI files plus a manifest.
 
     Returns the manifest path. Case ids are ``case000``, ``case001``, ...
+    Every file goes through :func:`~segtta.core.writing`, which makes
+    ``directory`` and raises IoFailure naming a file it cannot write.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     cases = []
     for i in range(n_cases):
         case_id = f"case{i:03d}"
@@ -96,7 +97,6 @@ def write_phantom_dataset(
             entry["label"] = label_name
         cases.append(entry)
     manifest_path = directory / "manifest.json"
-    with open(manifest_path, "w") as f:
-        json.dump(cases, f, indent=2)
-        f.write("\n")
+    with writing(manifest_path) as f:
+        f.write((json.dumps(cases, indent=2) + "\n").encode())
     return manifest_path

@@ -39,6 +39,7 @@ import functools
 import hashlib
 import json
 import resource
+import sys
 import threading
 import time
 from pathlib import Path
@@ -262,14 +263,19 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        """Inverse of :meth:`to_dict`; a missing or mistyped field, or a
-        key that names no field, raises ConfigError naming it."""
+        """Inverse of :meth:`to_dict`; a missing or mistyped field, a key
+        that names no field, a failure that is not ``[case, reason]`` or a
+        ``reference`` that names no variant raises ConfigError naming it."""
         _check_fields(d, _RESULT_FIELDS, "result")
         for variant in d["variants"]:
             _check_json(variant, "string", "result variant")
+        if d["reference"] is not None and d["reference"] not in d["variants"]:
+            raise ConfigError(f"result field 'reference' {d['reference']!r}"
+                              f" names no variant of {d['variants']}")
         for failure in d["failures"]:
-            if len(_check_json(failure, "list", "result failure")) != 2:
-                raise ConfigError(f"result failure {failure!r} is not [case, reason]")
+            if (len(_check_json(failure, "list", "result failure")) != 2
+                    or not all(isinstance(part, str) for part in failure)):
+                raise ConfigError(f"result failure {failure!r} is not [case, reason] strings")
         for table, kind in (("fg_volume", "number"), ("aggregates", "number or null")):
             for key, row in d[table].items():
                 where = f"result {table}[{key!r}]"
@@ -527,9 +533,10 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
 
 def _peak_rss_mb() -> float:
     """The process's peak resident memory so far, in MB: ``VmHWM`` of
-    ``/proc/self/status`` where that file exists, else ``ru_maxrss`` (KiB
-    on Linux). ``ru_maxrss`` also counts, across exec, the peak of the
-    process that launched this one; ``VmHWM`` counts this process alone.
+    ``/proc/self/status`` where that file exists, else ``ru_maxrss``, which
+    is in bytes on macOS and in KiB elsewhere. ``ru_maxrss`` also counts,
+    across exec, the peak of the process that launched this one; ``VmHWM``
+    counts this process alone.
     """
     try:
         with open("/proc/self/status") as status:
@@ -538,7 +545,8 @@ def _peak_rss_mb() -> float:
                     return int(line.split()[1]) / 1024  # in kB
     except OSError:
         pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1024 ** (2 if sys.platform == "darwin" else 1)
 
 
 def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,

@@ -114,6 +114,17 @@ def brute_force_vote(maps, mode, tau=0.6):
     return out
 
 
+# --- independent blur kernel ----------------------------------------------------
+
+
+def gaussian_weights(sigma):
+    """The blur's 1D kernel, written out: ``exp(-x^2 / 2 sigma^2)`` at the
+    integers ``|x| <= ceil(3 sigma)``, normalized to sum to 1."""
+    x = np.arange(-math.ceil(3 * sigma), math.ceil(3 * sigma) + 1)
+    w = np.exp(-x * x / (2.0 * sigma * sigma))
+    return w / w.sum()
+
+
 # --- independent surface-distance oracle ---------------------------------------
 
 

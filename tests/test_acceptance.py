@@ -19,7 +19,6 @@ import numpy as np
 from segtta import (
     AugmentationSpec,
     BackendDescriptor,
-    GaussianKernel1D,
     PredictionCache,
     RunConfig,
     SeededRng,
@@ -53,6 +52,7 @@ from conftest import (
     brute_force_hd95,
     brute_force_vote,
     dyadic_prob_maps,
+    gaussian_weights,
     random_dims,
     random_mask,
 )
@@ -238,14 +238,14 @@ def test_criterion_6_augmentation_identities(rng):
         blurred = gaussian_blur(
             Volume(impulse, Spacing(1, 1, 1)), 1.0, slice_axis=2
         )
-        k = GaussianKernel1D.from_sigma(1.0)
+        k = gaussian_weights(1.0)
         expected = np.zeros((9, 9))
-        expected[1:8, 1:8] = np.outer(k.weights, k.weights)
+        expected[1:8, 1:8] = np.outer(k, k)
         assert np.abs(blurred.data[:, :, 0] - expected).max() < 1e-9
 
         import scipy.ndimage
 
-        kernel3 = np.einsum("i,j,k->ijk", k.weights, k.weights, k.weights)
+        kernel3 = np.einsum("i,j,k->ijk", k, k, k)
         dense = scipy.ndimage.correlate(v.data, kernel3, mode="nearest")
         fast = gaussian_blur(v, 1.0, slice_axis=None).data
         rel = np.abs(fast - dense) / np.maximum(np.abs(dense), 1e-12)

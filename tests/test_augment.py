@@ -4,7 +4,6 @@ import scipy.ndimage
 
 from segtta import (
     AugmentationSpec,
-    GaussianKernel1D,
     SeededRng,
     Spacing,
     Volume,
@@ -17,6 +16,8 @@ from segtta import (
 from segtta.core import MAX_BLUR_RADIUS
 from segtta.errors import InvalidAlpha, InvalidGamma, InvalidSigma
 
+from conftest import gaussian_weights
+
 
 def vol(values, spacing=(1, 1, 1), vol_id="t"):
     return Volume(np.asarray(values, dtype=float), Spacing(*spacing), vol_id=vol_id)
@@ -24,7 +25,7 @@ def vol(values, spacing=(1, 1, 1), vol_id="t"):
 
 def dense_blur_oracle(data, sigma, slice_axis):
     """Dense-kernel correlation with edge replication, via scipy."""
-    k = GaussianKernel1D.from_sigma(sigma).weights
+    k = gaussian_weights(sigma)
     if slice_axis is None:
         kernel = np.einsum("i,j,k->ijk", k, k, k)
         return scipy.ndimage.correlate(data, kernel, mode="nearest")
@@ -39,25 +40,34 @@ def dense_blur_oracle(data, sigma, slice_axis):
     return out
 
 
+def impulse_response(sigma, n=41):
+    """The blur's 1D kernel as it acts: one unit voxel mid-way along an
+    n-voxel first axis, blurred per z slice."""
+    data = np.zeros((n, 1, 1))
+    data[n // 2] = 1.0
+    return gaussian_blur(vol(data), sigma, slice_axis=2).data[:, 0, 0]
+
+
 class TestKernel:
     def test_radius_is_ceil_3_sigma(self):
-        assert GaussianKernel1D.from_sigma(1.0).radius == 3
-        assert GaussianKernel1D.from_sigma(1.1).radius == 4
+        assert np.count_nonzero(impulse_response(1.0)) == 2 * 3 + 1
+        assert np.count_nonzero(impulse_response(1.1)) == 2 * 4 + 1
 
     def test_weights_normalized_and_symmetric(self):
-        k = GaussianKernel1D.from_sigma(1.7)
-        assert abs(k.weights.sum() - 1.0) < 1e-12
-        np.testing.assert_array_equal(k.weights, k.weights[::-1])
+        k = impulse_response(1.7)
+        assert abs(k.sum() - 1.0) < 1e-12
+        np.testing.assert_array_equal(k, k[::-1])
 
     def test_invalid_sigma(self):
         with pytest.raises(InvalidSigma):
-            GaussianKernel1D.from_sigma(-1.0)
+            gaussian_blur(vol(np.zeros((2, 2, 2))), -1.0)
 
     @pytest.mark.parametrize("sigma", [MAX_BLUR_RADIUS / 3 + 1e-9, 1e9, 1e308])
     def test_sigma_too_large_for_a_kernel(self, sigma):
-        assert GaussianKernel1D.from_sigma(MAX_BLUR_RADIUS / 3).radius == MAX_BLUR_RADIUS
+        widest = impulse_response(MAX_BLUR_RADIUS / 3, n=2 * MAX_BLUR_RADIUS + 3)
+        assert np.count_nonzero(widest) == 2 * MAX_BLUR_RADIUS + 1
         with pytest.raises(InvalidSigma, match=f"above {MAX_BLUR_RADIUS} voxels"):
-            GaussianKernel1D.from_sigma(sigma)
+            gaussian_blur(vol(np.zeros((2, 2, 2))), sigma)
 
 
 class TestBlur:
@@ -70,9 +80,9 @@ class TestBlur:
         data = np.zeros((9, 9, 1))
         data[4, 4, 0] = 1.0
         blurred = gaussian_blur(vol(data), 1.0, slice_axis=2)
-        k = GaussianKernel1D.from_sigma(1.0)
+        k = gaussian_weights(1.0)
         expected = np.zeros((9, 9))
-        expected[1:8, 1:8] = np.outer(k.weights, k.weights)
+        expected[1:8, 1:8] = np.outer(k, k)
         assert np.abs(blurred.data[:, :, 0] - expected).max() < 1e-9
 
     @pytest.mark.parametrize("slice_axis", [2, 0, None])

@@ -27,7 +27,7 @@ from segtta import (
     write_phantom_dataset,
 )
 from segtta.cli import main
-from segtta.errors import SegTTAError
+from segtta.errors import ConfigError, SegTTAError
 
 
 def test_no_plain_value_error_is_raised():
@@ -185,3 +185,18 @@ class TestMutatedDocuments:
         _valid_or_named(RunResult.load, path, RunResult)
         _check_cli("report", "--result", path)
         _check_cli("report", "--result", path, "--format", "csv")
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("failures", [[1, {"a": 2}]], "failure [1, {'a': 2}] is not [case, reason]"),
+        ("failures", [["case", None]], "failure ['case', None] is not [case, reason]"),
+        ("reference", "no such row", "field 'reference' 'no such row' names no variant"),
+    ], ids=["failure-not-strings", "failure-reason-null", "reference-unknown"])
+    def test_result_field_that_loads_but_is_wrong(self, documents, field, value, named):
+        path = _write(documents, {**documents["result"], field: value})
+        with pytest.raises(ConfigError) as raised:
+            RunResult.load(path)
+        assert named in str(raised.value)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["report", "--result", str(path)]) == 1
+        assert err.getvalue() == f"error: {raised.value}\n"

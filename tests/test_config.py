@@ -323,3 +323,13 @@ class TestManifest:
         path.write_text(json.dumps([{"id": "a", "classes": 2}]))
         with pytest.raises(SegTTAError, match="image"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("field", ["image", "label"])
+    def test_empty_path_rejected(self, tmp_path, field):
+        # An empty label read as "no label" would unscore the case, and an
+        # empty image would read the manifest's directory.
+        case = {"id": "b", "image": "b.nii", "label": "b_label.nii", "classes": 2, field: ""}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{"id": "a", "image": "a.nii", "classes": 2}, case]))
+        with pytest.raises(ConfigError, match=re.escape(f"case 1 ('b') field {field!r} is an empty path")):
+            load_manifest(path)

@@ -155,6 +155,10 @@ GOLDEN_SLABS = {
         "masks/case000.nii.gz": "2b19e7d06276549bf32f008580629236199b88483c6e8cce14667851ffa69c61",
         "report.csv": "4043794b237dc74c2a11289618bf685840d88ba880b649075c1763b1a18c57cf",
     },
+    ("ablate", 2, "threshold_weighted", "external"): {
+        "masks/case000.nii.gz": "2b19e7d06276549bf32f008580629236199b88483c6e8cce14667851ffa69c61",
+        "report.csv": "8bb8b0470672d47b85d3bae3d8383721cfb7270d6603be1968cc63b79515f6c2",
+    },
 }
 
 

@@ -315,9 +315,9 @@ class TestCaseScorer:
     def check_rows(gt, preds, spacing):
         scorer = CaseScorer(gt, spacing)
         for pred in preds:
-            got = evaluate(pred, scorer, spacing)
+            [got] = scorer.evaluate([pred])
             assert got == evaluate(pred, gt, spacing)
-            assert hd95(pred, scorer, spacing) == got.hd95_mm
+            assert hd95(pred, gt, spacing) == got.hd95_mm
             want = brute_force_hd95(pred, gt, spacing)
             if want is None:
                 assert got.hd95_mm is None
@@ -366,8 +366,7 @@ class TestCaseScorer:
         self.check_rows(empty, [empty, full, mask(rng.random(dims) < 0.3)],
                         Spacing(1, 2, 3))
         self.check_rows(full, [empty, full], Spacing(1, 2, 3))
-        report = evaluate(full, CaseScorer(empty, Spacing(1, 1, 1)),
-                          Spacing(1, 1, 1))
+        [report] = CaseScorer(empty, Spacing(1, 1, 1)).evaluate([full])
         assert report.hd95_mm is None and "ground truth" in report.undefined_reason
 
     def test_crop_grows_until_certified(self, monkeypatch):
@@ -386,7 +385,7 @@ class TestCaseScorer:
         crops = {}
         for name, pred in (("near", near), ("beside", beside), ("far", far)):
             shapes.clear()
-            scorer.to_surface(segtta.metrics._surface(pred.labels > 0))
+            scorer.to_surfaces([segtta.metrics._surface(pred.labels > 0)])
             sizes = [int(np.prod(shape)) for shape in shapes]
             assert sizes == sorted(set(sizes))  # each crop strictly larger
             crops[name] = shapes[:]
@@ -447,7 +446,7 @@ class TestCaseScorer:
         for _ in range(rows):
             labels = np.array(gt.labels)
             labels ^= rng.random(dims) < 0.01
-            hd95(mask(labels), scorer, spacing)
+            scorer.evaluate([mask(labels)])
         box = (7, 6, 6)
         assert shapes[0] == box and shapes.count(box) == 1
         assert len(shapes) == 1 + rows
@@ -489,9 +488,8 @@ class TestCaseScorer:
         outside = np.array(labels, dtype=bool)
         outside[13:17, 5:8, 4:7] = False
         assert np.all(outside.any(axis=(1, 2)))
-        scorer = CaseScorer(gt, spacing)
-        got = hd95(pred, scorer, spacing)
-        assert got == evaluate(pred, gt, spacing).hd95_mm
+        got = CaseScorer(gt, spacing).evaluate([pred])[0].hd95_mm
+        assert got == hd95(pred, gt, spacing)
         assert abs(got - brute_force_hd95(pred, gt, spacing)) < 1e-9
 
     def test_scorer_holds_less_than_a_volume(self, rng):
@@ -505,20 +503,16 @@ class TestCaseScorer:
         try:
             before = tracemalloc.get_traced_memory()[0]
             scorer = CaseScorer(gt, spacing)
-            hd95(pred, scorer, spacing)
+            scorer.evaluate([pred])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert held < np.prod(dims) * 8
 
-    def test_spacing_must_match_the_scorer(self):
-        m = box_mask((4, 4, 4), (1, 1, 1), (3, 3, 3))
-        scorer = CaseScorer(m, Spacing(1, 1, 1))
-        with pytest.raises(ValueError, match="spacing"):
-            evaluate(m, scorer, Spacing(1, 1, 2))
+    def test_rows_must_match_the_ground_truth_dims(self):
+        scorer = CaseScorer(box_mask((4, 4, 4), (1, 1, 1), (3, 3, 3)), Spacing(1, 1, 1))
         with pytest.raises(DimensionMismatch):
-            hd95(box_mask((4, 4, 5), (1, 1, 1), (3, 3, 3)), scorer,
-                 Spacing(1, 1, 1))
+            scorer.evaluate([box_mask((4, 4, 5), (1, 1, 1), (3, 3, 3))])
 
 
 def test_percentile_is_numpys_bit_for_bit(rng):

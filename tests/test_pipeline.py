@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -553,6 +554,14 @@ class TestRunSegtta:
         result = run_segtta(noisy_config(1), replace(dataset, entries=dataset.entries[:1]))
         with pytest.raises(IoFailure, match=re.escape(f"cannot write {tmp_path}: ")):
             result.save(tmp_path)
+
+    @pytest.mark.parametrize("n_cases", [0, 1])
+    def test_phantom_dataset_below_a_file_is_an_io_failure(self, tmp_path, n_cases):
+        # With no case, the manifest is the first file written.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(IoFailure, match=re.escape(f"cannot write {blocker / 'data'}/")):
+            write_phantom_dataset(blocker / "data", n_cases=n_cases, dims=(6, 6, 4))
 
     def test_result_fields_are_the_dataclass_fields(self):
         # to_dict and from_dict read these tables, so a field missing from
@@ -1141,6 +1150,19 @@ class TestStreamingVotes:
 
 
 class TestObservability:
+    @pytest.mark.parametrize("platform, maxrss", [("darwin", 3 * 2 ** 30), ("linux", 3 * 2 ** 20)])
+    def test_peak_rss_without_proc_status(self, monkeypatch, platform, maxrss):
+        # Where /proc/self/status is missing, ru_maxrss is read in its
+        # platform's unit: bytes on macOS, KiB on Linux.
+        def no_status(*args, **kwargs):
+            raise FileNotFoundError(args[0])
+
+        monkeypatch.setattr(segtta.pipeline, "open", no_status, raising=False)
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(segtta.pipeline.resource, "getrusage",
+                            lambda who: types.SimpleNamespace(ru_maxrss=maxrss))
+        assert segtta.pipeline._peak_rss_mb() == 3072
+
     def test_stage_timings_reported_and_logged(self, dataset, tmp_path):
         path = tmp_path / "run.log.jsonl"
         log = EventLog(path)
