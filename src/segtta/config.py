@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .core import (
     MAX_CLASSES, AugmentationSpec, _check_field_types, _check_fields,
-    _check_json, _check_kind_fields, _check_known_fields, default_augmentations,
+    _check_json, _check_kind, default_augmentations,
 )
 from .errors import ConfigError, IoFailure
 from .fusion import DEFAULT_TAU, DEFAULT_VOTING, _check_mode, _check_tau
@@ -71,10 +71,7 @@ class BackendDescriptor:
     timeout: float = 60.0
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind {self.kind!r}")
-        _check_kind_fields(self, "backend", ("kind", "name", *_KIND_FIELDS[self.kind]))
+        _check_kind(self, "backend", _KIND_FIELDS, always=("name",))
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError(f"flip_prob={self.flip_prob!r} outside [0, 1]")
         if not (0.0 < self.confidence <= 1.0):
@@ -95,7 +92,8 @@ class BackendDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackendDescriptor":
-        return cls(**_check_known_fields(d, cls, "backend"))
+        return cls(**_check_fields(d, {"kind": "string"}, "backend",
+                                   optional=[f.name for f in fields(cls)]))
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,13 @@ class RunConfig:
     scores one case at a time. ``process_jobs`` bounds the external model processes running at
     once across those workers. Neither affects results. A config must
     predict something: it needs a view (the baseline or an augmentation),
-    and a ``subset``, when given, at least one pair.
+    and a ``subset``, when given, at least one pair. Each external
+    backend's ``command`` must hold ``{output}`` and no placeholder
+    ``backends`` does not fill: a ``{name}`` of letters, digits and
+    underscores, not after a ``$`` and not inside single quotes, other
+    than ``{input}``, ``{output}`` and ``{classes}``. Either is a
+    ConfigError naming the backend (unnamed ones are named ``b0``,
+    ``b1``, ... by position) and the placeholder.
     """
 
     backends: tuple[BackendDescriptor, ...]
@@ -133,6 +137,9 @@ class RunConfig:
         names = [b.name for b in named]
         if len(set(names)) != len(names):
             raise ConfigError(f"backend names must be unique, got {names}")
+        for b in named:
+            if b.kind == "external":
+                _check_placeholders(b)
         object.__setattr__(self, "backends", named)
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
         labels = [spec.label() for spec in self.augmentations]
@@ -150,15 +157,14 @@ class RunConfig:
         if self.subset is not None:
             if not (isinstance(self.subset, (list, tuple)) and all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)
                 for pair in self.subset
             )):
                 raise ConfigError(
                     f"config field 'subset' must be a list of [backend, view] "
-                    f"pairs, got {self.subset!r}"
+                    f"string pairs, got {self.subset!r}"
                 )
-            object.__setattr__(
-                self, "subset", tuple((str(b), str(v)) for b, v in self.subset)
-            )
+            object.__setattr__(self, "subset", tuple(map(tuple, self.subset)))
             if not self.subset:
                 raise ConfigError("config field 'subset' holds no pair; leave it "
                                   "out to predict every backend on every view")
@@ -185,25 +191,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """The config of a JSON document. Beyond what the constructor
-        checks, each external backend's ``command`` must hold ``{output}``
-        and no placeholder ``backends`` does not fill: a ``{name}`` of
-        letters, digits and underscores, not after a ``$`` and not inside
-        single quotes, other than ``{input}``, ``{output}`` and
-        ``{classes}``. Either is a ConfigError naming the backend and the
-        placeholder. A config built in Python is not checked so: its
-        command fails at run time, case by case, with no output file."""
-        kwargs = dict(_check_known_fields(d, cls, "config"))
+        """The config of a JSON document, whose ``augmentations`` are
+        :func:`default_augmentations` when it leaves them out. This checks
+        the document's keys, and that ``backends`` and ``augmentations``
+        are lists of objects; the constructors check every value."""
+        kwargs = dict(_check_fields(d, {"backends": "list"}, "config",
+                                    optional=[f.name for f in fields(cls)]))
         kwargs["backends"] = _objects(d, "backends", BackendDescriptor)
         kwargs["augmentations"] = (
             _objects(d, "augmentations", AugmentationSpec)
             if "augmentations" in d else default_augmentations()
         )
-        config = cls(**kwargs)
-        for b in config.backends:
-            if b.kind == "external":
-                _check_placeholders(b)
-        return config
+        return cls(**kwargs)
 
 
 #: The placeholders an external command may hold, which ``backends``
@@ -258,10 +257,24 @@ def load_config(path) -> RunConfig:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One case: its id, image path, class count and label path, if any.
+    The id names the case's mask file, so it must be a plain file name,
+    which keeps that file inside the run's output directory. An empty
+    ``image`` or ``label`` path is a ConfigError: an empty label read as
+    "no label" would leave the case unscored."""
+
     case_id: str
     image: str
     num_classes: int
     label: str | None = None
+
+    def __post_init__(self):
+        _check_field_types(self)
+        if self.case_id in ("", ".", "..") or any(c in self.case_id for c in "/\\\0"):
+            raise ConfigError(f"case {self.case_id!r} field 'id' is not a plain file name")
+        for name in ("image", "label"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"case {self.case_id!r} field {name!r} is an empty path")
 
 
 @dataclass(frozen=True)
@@ -301,8 +314,9 @@ def load_manifest(path) -> DatasetManifest:
 
     Relative image/label paths are resolved against the manifest's
     directory. The dataset name is the manifest file's stem. A case
-    without a label omits ``label`` or sets it to null; an empty ``image``
-    or ``label`` raises ConfigError naming the case and the field.
+    without a label omits ``label`` or sets it to null. This checks the
+    document's keys and JSON types; the constructors check the rules, and
+    their errors here also name the manifest and the case's index.
     """
     path = Path(path)
     base = path.parent
@@ -312,16 +326,13 @@ def load_manifest(path) -> DatasetManifest:
         if not isinstance(item, dict):
             raise ConfigError(f"{where} must be a JSON object, got {type(item).__name__}")
         _check_fields(item, _CASE_FIELDS, where, optional={"label"})
-        # The id names the case's mask file, so it must stay inside --out.
-        if item["id"] in ("", ".", "..") or any(c in item["id"] for c in "/\\\0"):
-            raise ConfigError(f"{where} field 'id' {item['id']!r} is not a plain file name")
         label = _check_json(item.get("label"), "string or null",
                             f"{where} field 'label'")
-        for name in ("image", "label"):
-            if item.get(name) == "":
-                raise ConfigError(f"{where} ({item['id']!r}) field {name!r} is an empty path")
-        entries.append(ManifestEntry(
-            case_id=item["id"], image=str(base / item["image"]),
-            num_classes=item["classes"], label=str(base / label) if label else None,
-        ))
+        # Built on the paths as written, so that an empty one is seen.
+        try:
+            entry = ManifestEntry(item["id"], item["image"], item["classes"], label)
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from e
+        entries.append(replace(entry, image=str(base / entry.image),
+                               label=entry.label and str(base / entry.label)))
     return DatasetManifest(name=path.stem, entries=tuple(entries))

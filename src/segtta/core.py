@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-from dataclasses import KW_ONLY, MISSING, InitVar, dataclass, fields
+from dataclasses import KW_ONLY, InitVar, dataclass, fields
 import math
 import numbers
 import os
@@ -101,23 +101,16 @@ _JSON_TYPES = {
 }
 
 
-def _check_known_fields(d: dict, cls, what: str) -> dict:
-    """``d``, after checking that it is a JSON object whose keys all name
-    fields of dataclass ``cls`` and that holds every field without a
-    default; else a ConfigError naming ``what`` and the fields."""
-    extra = set(_check_json(d, "object", what)) - {f.name for f in fields(cls)}
-    if extra:
-        raise ConfigError(f"unknown {what} fields {sorted(extra)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in d:
-            raise ConfigError(f"{what} has no {f.name!r} field")
-    return d
-
-
-def _check_kind_fields(obj, what: str, used) -> None:
-    """Raise ConfigError naming the fields of dataclass ``obj`` that its
-    kind does not use (those outside ``used``) but that are set away from
-    their defaults; ``what`` names the object in the message."""
+def _check_kind(obj, what: str, kinds: dict, always=()) -> None:
+    """Raise ConfigError unless dataclass ``obj`` has fields of their
+    scalar types (:func:`_check_field_types`) and a ``kind`` among
+    ``kinds``, and keeps at their defaults the fields that its kind does
+    not use: those outside ``kind``, ``always`` and ``kinds[obj.kind]``.
+    ``what`` names the object in the message."""
+    _check_field_types(obj)
+    if obj.kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {obj.kind!r}")
+    used = ("kind", *always, *kinds[obj.kind])
     unused = [f.name for f in fields(obj)
               if f.name not in used and getattr(obj, f.name) != f.default]
     if unused:
@@ -664,10 +657,7 @@ class AugmentationSpec:
     slice_axis: int | None = 2
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.kind not in AUGMENTATION_KINDS:
-            raise ConfigError(f"unknown augmentation kind {self.kind!r}")
-        _check_kind_fields(self, "augmentation", ("kind", *_KIND_PARAMS[self.kind]))
+        _check_kind(self, "augmentation", _KIND_PARAMS)
         if self.slice_axis is not None and self.slice_axis not in (0, 1, 2):
             raise ConfigError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
         if self.kind == "gaussian_blur":
@@ -705,7 +695,8 @@ class AugmentationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationSpec":
-        return cls(**_check_known_fields(d, cls, "augmentation"))
+        return cls(**_check_fields(d, {"kind": "string"}, "augmentation",
+                                   optional=[f.name for f in fields(cls)]))
 
 
 def default_augmentations() -> tuple[AugmentationSpec, ...]:

@@ -99,7 +99,7 @@ class EventLog:
       (``load_s``, ``predict_s``, ``fuse_s``, ``score_s``, ``write_s``);
     * ``stage``: ``stage``, ``seconds``, one per stage, summed over cases;
     * ``run_done``: ``dataset``, ``cases``, ``failures``, ``wall_s``,
-      ``peak_rss_mb``.
+      ``peak_rss_mb`` (the process's peak resident memory so far, in MiB).
 
     The log is in manifest order: ``run_start``, then each case's events
     in the order they happened, written together once that case and every
@@ -233,9 +233,15 @@ class RunResult:
     ``score_s`` the metrics and foreground volumes of every row;
     ``write_s`` writing the masks. It also holds ``wall_s``, the
     experiment's wall seconds, and ``peak_rss_mb``, the peak resident
-    memory in MB of the whole process so far at its end (``VmHWM`` where
-    the system has it, else ``ru_maxrss``), not of this experiment alone.
-    What a case holds while it runs is stated in :func:`_run_case`.
+    memory in MiB (2**20 bytes) of the whole process so far at its end
+    (``VmHWM`` where the system has it, else ``ru_maxrss``), not of this
+    experiment alone. What a case holds while it runs is stated in
+    :func:`_run_case`.
+
+    ``reference``, when not None, names a variant, and each failure is a
+    ``(case, reason)`` pair of strings. Every row of ``per_case``,
+    ``fg_volume`` and ``aggregates`` names a variant, and ``per_case`` and
+    ``fg_volume`` hold the same cases; else a ConfigError names the field.
     """
 
     dataset: str
@@ -248,6 +254,28 @@ class RunResult:
     failures: tuple
     config: dict
     timings: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "variants", tuple(self.variants))
+        if self.reference is not None and self.reference not in self.variants:
+            raise ConfigError(f"result field 'reference' {self.reference!r}"
+                              f" names no variant of {list(self.variants)}")
+        for failure in self.failures:
+            if not (isinstance(failure, (list, tuple)) and len(failure) == 2
+                    and all(isinstance(part, str) for part in failure)):
+                raise ConfigError(f"result failure {failure!r} is not [case, reason] strings")
+        object.__setattr__(self, "failures", tuple(map(tuple, self.failures)))
+        rows = {f"{table}[{case!r}]": row for table in ("per_case", "fg_volume")
+                for case, row in getattr(self, table).items()}
+        for where, row in {**rows, "aggregates": self.aggregates}.items():
+            unknown = [variant for variant in row if variant not in self.variants]
+            if unknown:
+                raise ConfigError(f"result {where} has rows {unknown} that name"
+                                  f" no variant of {list(self.variants)}")
+        if self.per_case.keys() != self.fg_volume.keys():
+            raise ConfigError(
+                f"result per_case and fg_volume hold different cases: "
+                f"{sorted(self.per_case.keys() ^ self.fg_volume.keys())}")
 
     def to_dict(self) -> dict:
         return {
@@ -263,19 +291,14 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        """Inverse of :meth:`to_dict`; a missing or mistyped field, a key
-        that names no field, a failure that is not ``[case, reason]`` or a
-        ``reference`` that names no variant raises ConfigError naming it."""
+        """Inverse of :meth:`to_dict`. This checks the document's JSON
+        shape: a missing or mistyped field, or a key that names no field,
+        raises ConfigError naming it. The constructor checks the rules."""
         _check_fields(d, _RESULT_FIELDS, "result")
         for variant in d["variants"]:
             _check_json(variant, "string", "result variant")
-        if d["reference"] is not None and d["reference"] not in d["variants"]:
-            raise ConfigError(f"result field 'reference' {d['reference']!r}"
-                              f" names no variant of {d['variants']}")
         for failure in d["failures"]:
-            if (len(_check_json(failure, "list", "result failure")) != 2
-                    or not all(isinstance(part, str) for part in failure)):
-                raise ConfigError(f"result failure {failure!r} is not [case, reason] strings")
+            _check_json(failure, "list", "result failure")
         for table, kind in (("fg_volume", "number"), ("aggregates", "number or null")):
             for key, row in d[table].items():
                 where = f"result {table}[{key!r}]"
@@ -289,12 +312,8 @@ class RunResult:
                     r, f"{where}[{variant!r}]")
                 for variant, r in _check_json(row, "object", where).items()
             }
-        return cls(**{
-            **{name: d[name] for name in _RESULT_FIELDS},
-            "variants": tuple(d["variants"]),
-            "per_case": per_case,
-            "failures": tuple(tuple(f) for f in d["failures"]),
-        })
+        return cls(**{**{name: d[name] for name in _RESULT_FIELDS},
+                      "per_case": per_case})
 
     def save(self, path):
         """Write the result as JSON, through :func:`~segtta.core.writing`."""
@@ -532,17 +551,17 @@ def _run_case(entry, *, config: RunConfig, pairs: dict, read_views: frozenset,
 
 
 def _peak_rss_mb() -> float:
-    """The process's peak resident memory so far, in MB: ``VmHWM`` of
-    ``/proc/self/status`` where that file exists, else ``ru_maxrss``, which
-    is in bytes on macOS and in KiB elsewhere. ``ru_maxrss`` also counts,
-    across exec, the peak of the process that launched this one; ``VmHWM``
-    counts this process alone.
+    """The process's peak resident memory so far, in MiB (2**20 bytes):
+    ``VmHWM`` of ``/proc/self/status`` where that file exists, else
+    ``ru_maxrss``, which is in bytes on macOS and in KiB elsewhere.
+    ``ru_maxrss`` also counts, across exec, the peak of the process that
+    launched this one; ``VmHWM`` counts this process alone.
     """
     try:
         with open("/proc/self/status") as status:
             for line in status:
                 if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024  # in kB
+                    return int(line.split()[1]) / 1024  # its "kB" are KiB
     except OSError:
         pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -617,12 +636,12 @@ def _run_variants(config: RunConfig, manifest: DatasetManifest, variants,
     return RunResult(
         dataset=manifest.name,
         num_classes=manifest.num_classes,
-        variants=tuple(names),
+        variants=names,
         reference=reference,
         per_case=per_case,
         fg_volume=fg_volume,
         aggregates=_aggregate(per_case, fg_volume, names),
-        failures=tuple(failures),
+        failures=failures,
         config=result_config,
         timings=timings,
     )

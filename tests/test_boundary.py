@@ -11,12 +11,14 @@ import copy
 import io
 import json
 from pathlib import Path
+import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 import segtta
 from segtta import (
+    BackendDescriptor,
     DatasetManifest,
     RunConfig,
     RunResult,
@@ -27,6 +29,7 @@ from segtta import (
     write_phantom_dataset,
 )
 from segtta.cli import main
+from segtta.config import ManifestEntry
 from segtta.errors import ConfigError, SegTTAError
 
 
@@ -200,3 +203,98 @@ class TestMutatedDocuments:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert main(["report", "--result", str(path)]) == 1
         assert err.getvalue() == f"error: {raised.value}\n"
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda d: {**d, "per_case": {case: {**row, "ghost": row["fused"]}
+                                      for case, row in d["per_case"].items()}},
+         "per_case['case000'] has rows ['ghost'] that name no variant"),
+        (lambda d: {**d, "fg_volume": {case: {**row, "ghost": row["fused"]}
+                                       for case, row in d["fg_volume"].items()}},
+         "fg_volume['case000'] has rows ['ghost'] that name no variant"),
+        (lambda d: {**d, "aggregates": {**d["aggregates"],
+                                        "ghost": d["aggregates"]["fused"]}},
+         "aggregates has rows ['ghost'] that name no variant"),
+        (lambda d: {**d, "fg_volume": {**d["fg_volume"],
+                                       "ghost": d["fg_volume"]["case000"]}},
+         "per_case and fg_volume hold different cases: ['ghost']"),
+        (lambda d: {**d, "reference": "no such row"},
+         "field 'reference' 'no such row' names no variant"),
+        (lambda d: {**d, "failures": [["case", None]]},
+         "failure ['case', None] is not [case, reason]"),
+    ], ids=["per-case-variant", "fg-volume-variant", "aggregates-variant",
+            "fg-volume-case", "reference-unknown", "failure-reason-null"])
+    def test_result_rows_are_checked_on_both_paths(self, documents, mutate, named):
+        # Once such rows loaded, and the report dropped them without a word.
+        path = _write(documents, mutate(documents["result"]))
+        with pytest.raises(ConfigError, match=re.escape(named)) as raised:
+            RunResult.load(path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["report", "--result", str(path)]) == 1
+        assert err.getvalue() == f"error: {raised.value}\n"
+        valid = RunResult.from_dict(documents["result"])
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunResult(**mutate(vars(valid)))
+
+
+def _external(command):
+    return {"kind": "external", "name": "m", "command": command}
+
+
+#: Bad records, each as a JSON document (a config for RunConfig.from_dict,
+#: or one manifest case for load_manifest) and as a constructor call, with
+#: the text both errors must hold.
+_BAD_RECORDS = {
+    "unknown-kind": ({"backends": [{"kind": "magic"}]},
+                     lambda: BackendDescriptor("magic"), "'magic'"),
+    "unused-field": ({"backends": [{"kind": "oracle", "jitter": 2}]},
+                     lambda: BackendDescriptor("oracle", jitter=2), "does not use ['jitter']"),
+    "no-output": ({"backends": [_external("model {input}")]},
+                  lambda: RunConfig(backends=(BackendDescriptor(
+                      **_external("model {input}")),)),
+                  "'m' command has no {output}"),
+    "unknown-placeholder": (
+        {"backends": [_external("model {input} {output} {classe}")]},
+        lambda: RunConfig(backends=(BackendDescriptor(
+            **_external("model {input} {output} {classe}")),)),
+        "'m' command has unknown placeholder {classe}"),
+    "subset-number": ({"backends": [{"kind": "oracle", "name": "1"}],
+                       "subset": [[1, "baseline"]]},
+                      lambda: RunConfig(backends=(BackendDescriptor("oracle", name="1"),),
+                                        subset=((1, "baseline"),)),
+                      "'subset'"),
+    "escaping-id": ([{"id": "../x", "image": "x.nii", "classes": 2}],
+                    lambda: ManifestEntry("../x", "x.nii", 2), "case '../x' field 'id'"),
+    "empty-label": ([{"id": "a", "image": "x.nii", "label": "", "classes": 2}],
+                    lambda: ManifestEntry("a", "x.nii", 2, ""),
+                    "case 'a' field 'label' is an empty path"),
+    "string-classes": ([{"id": "a", "image": "x.nii", "classes": "2"}],
+                       lambda: ManifestEntry("a", "x.nii", "2"), "classes'"),
+}
+
+
+@pytest.mark.parametrize("document, build, named", _BAD_RECORDS.values(),
+                         ids=_BAD_RECORDS)
+def test_bad_record_is_refused_alike_from_json_and_from_python(
+        tmp_path, document, build, named):
+    if isinstance(document, list):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SegTTAError) as from_json:
+            load_manifest(path)
+    else:
+        with pytest.raises(SegTTAError) as from_json:
+            RunConfig.from_dict(document)
+    with pytest.raises(SegTTAError) as from_python:
+        build()
+    assert type(from_json.value) is type(from_python.value)
+    assert named in str(from_json.value)
+    assert named in str(from_python.value)
+
+
+def test_unknown_key_is_refused_from_json_and_from_python():
+    # A constructor never sees an unknown keyword: Python refuses the call.
+    with pytest.raises(ConfigError, match=re.escape("config has unknown fields ['taus']")):
+        RunConfig.from_dict({"backends": [{"kind": "oracle"}], "taus": [1]})
+    with pytest.raises(TypeError, match="'taus'"):
+        RunConfig(backends=(BackendDescriptor("oracle"),), taus=[1])

@@ -221,7 +221,8 @@ class TestRun:
     @pytest.mark.parametrize("command, override, named", [
         ("run", {"subset": [["nbX", "baseline"]]}, '[["nbX", "baseline"]]'),
         ("run", {"subset": [["nb0", "baselin"]]}, '[["nb0", "baselin"]]'),
-        ("run", {"subset": [[1, 2]]}, '[["1", "2"]]'),
+        ("run", {"subset": [[1, 2]]},
+         "config field 'subset' must be a list of [backend, view] string pairs"),
         ("ablate", {"augmentations": [
             {"kind": "gamma_correction", "gamma": 0.8},
             {"kind": "gaussian_blur", "sigma": 1.0},
@@ -229,7 +230,7 @@ class TestRun:
          "augmentation labels must be unique, got ['gamma_correction(gamma=0.8)', "
          "'gaussian_blur(sigma=1.0,axis=2)', 'gamma_correction(gamma=0.8)']"),
         ("run", {"backends": [{"kind": "oracle", "ground_truth": "gt.nii"}]},
-         "unknown backend fields ['ground_truth']"),
+         "backend has unknown fields ['ground_truth']"),
     ], ids=["unknown-backend", "unknown-view", "numbers", "repeated-augmentation",
             "ground-truth-file"])
     def test_config_the_run_cannot_honour_is_diagnosed(

@@ -46,13 +46,13 @@ class TestRunConfig:
                 BackendDescriptor("constant", name="x"),
             ))
 
-    @pytest.mark.parametrize("subset, unknown", [
-        ((("nbX", "baseline"),), '[["nbX", "baseline"]]'),
-        ((("o", "baselin"), ("o", "baseline")), '[["o", "baselin"]]'),
-        (((1, 2),), '[["1", "2"]]'),
+    @pytest.mark.parametrize("subset, named", [
+        ((("nbX", "baseline"),), 'of the config: [["nbX", "baseline"]]'),
+        ((("o", "baselin"), ("o", "baseline")), 'of the config: [["o", "baselin"]]'),
+        (((1, 2),), "config field 'subset' must be a list of [backend, view] string pairs"),
     ], ids=["unknown-backend", "unknown-view", "numbers"])
-    def test_subset_must_name_a_backend_and_a_view(self, subset, unknown):
-        with pytest.raises(ConfigError, match=re.escape(f"of the config: {unknown}")):
+    def test_subset_must_name_a_backend_and_a_view(self, subset, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             RunConfig(backends=(oracle(),), subset=subset)
 
     def test_subset_views_follow_the_config(self):
@@ -158,7 +158,9 @@ class TestRunConfig:
          "backend fields ['ground_truth']"),
     ])
     def test_unknown_field_is_a_config_error(self, document, field):
-        with pytest.raises(ConfigError, match=re.escape(f"unknown {field}")) as info:
+        what, unknown = field.split(" fields ")
+        named = f"{what} has unknown fields {unknown}"
+        with pytest.raises(ConfigError, match=re.escape(named)) as info:
             RunConfig.from_dict(document)
         assert isinstance(info.value, SegTTAError)
         assert isinstance(info.value, ValueError)
@@ -307,6 +309,13 @@ class TestManifest:
                 ManifestEntry("b", "y.nii", 3),
             ))
 
+    @pytest.mark.parametrize("case_id", ["", ".", "..", "a/b", "../../escaped", "a\\b",
+                                         "a\0b"])
+    def test_case_id_built_in_python_must_be_a_plain_file_name(self, case_id):
+        # Once "../../escaped" wrote its mask two directories above --out.
+        with pytest.raises(ConfigError, match="field 'id' is not a plain file name"):
+            ManifestEntry(case_id, "x.nii", 2)
+
     @pytest.mark.parametrize("classes", [1, 257, 300])
     def test_class_count_outside_label_range(self, classes):
         with pytest.raises(ConfigError, match=f"num_classes={classes} outside"):
@@ -331,5 +340,5 @@ class TestManifest:
         case = {"id": "b", "image": "b.nii", "label": "b_label.nii", "classes": 2, field: ""}
         path = tmp_path / "m.json"
         path.write_text(json.dumps([{"id": "a", "image": "a.nii", "classes": 2}, case]))
-        with pytest.raises(ConfigError, match=re.escape(f"case 1 ('b') field {field!r} is an empty path")):
+        with pytest.raises(ConfigError, match=re.escape(f"case 1: case 'b' field {field!r} is an empty path")):
             load_manifest(path)

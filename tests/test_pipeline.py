@@ -203,7 +203,7 @@ class TestRunSegtta:
         script.write_text("import sys; sys.stderr.buffer.write(b'\\xff'); sys.exit(1)")
         config = RunConfig(
             backends=(BackendDescriptor(
-                "external", name="m", command=f"{sys.executable} {script}"),),
+                "external", name="m", command=f"{sys.executable} {script} {{output}}"),),
             augmentations=(),
         )
         manifest = replace(dataset, entries=dataset.entries[:2])
@@ -467,7 +467,7 @@ class TestRunSegtta:
         missing = tmp_path / "missing"
         monkeypatch.setenv("SEGTTA_TMPDIR", str(missing))
         config = RunConfig(
-            backends=(BackendDescriptor("external", name="m", command="true"),),
+            backends=(BackendDescriptor("external", name="m", command="true {output}"),),
             augmentations=(AugmentationSpec("gamma_correction", gamma=0.8),),
         )
         result = run_segtta(config, dataset)
