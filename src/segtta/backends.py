@@ -58,7 +58,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     GroundTruthMissing,
-    InvalidConfidence,
     InvalidLabels,
     IoFailure,
     MapFileFailure,
@@ -76,7 +75,7 @@ def _soften(num_classes: int, confidence: float) -> np.ndarray:
     class c gets ``confidence`` and the others share the remainder
     equally."""
     if not (1.0 / num_classes < confidence <= 1.0):
-        raise InvalidConfidence(
+        raise ConfigError(
             f"confidence={confidence!r} outside (1/{num_classes}, 1]; the "
             f"assigned class would not be the argmax"
         )

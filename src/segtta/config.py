@@ -128,11 +128,18 @@ class RunConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        backends = tuple(self.backends)
-        if not backends:
+        for field, cls in (("backends", BackendDescriptor),
+                           ("augmentations", AugmentationSpec)):
+            items = tuple(getattr(self, field))
+            for i, item in enumerate(items):
+                if not isinstance(item, cls):
+                    raise ConfigError(f"config field {field!r} item {i} must be "
+                                      f"{cls.__name__}, got {type(item).__name__}")
+            object.__setattr__(self, field, items)
+        if not self.backends:
             raise ConfigError("config needs at least one backend")
         named = tuple(
-            b if b.name else replace(b, name=f"b{i}") for i, b in enumerate(backends)
+            b if b.name else replace(b, name=f"b{i}") for i, b in enumerate(self.backends)
         )
         names = [b.name for b in named]
         if len(set(names)) != len(names):
@@ -141,7 +148,6 @@ class RunConfig:
             if b.kind == "external":
                 _check_placeholders(b)
         object.__setattr__(self, "backends", named)
-        object.__setattr__(self, "augmentations", tuple(self.augmentations))
         labels = [spec.label() for spec in self.augmentations]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"augmentation labels must be unique, got {labels}")
@@ -316,7 +322,8 @@ def load_manifest(path) -> DatasetManifest:
     directory. The dataset name is the manifest file's stem. A case
     without a label omits ``label`` or sets it to null. This checks the
     document's keys and JSON types; the constructors check the rules, and
-    their errors here also name the manifest and the case's index.
+    their errors here also name the manifest (and the case's index, for a
+    case's own rules).
     """
     path = Path(path)
     base = path.parent
@@ -335,4 +342,7 @@ def load_manifest(path) -> DatasetManifest:
             raise ConfigError(f"{where}: {e}") from e
         entries.append(replace(entry, image=str(base / entry.image),
                                label=entry.label and str(base / entry.label)))
-    return DatasetManifest(name=path.stem, entries=tuple(entries))
+    try:
+        return DatasetManifest(name=path.stem, entries=tuple(entries))
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e

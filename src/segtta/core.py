@@ -36,10 +36,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    InvalidAlpha,
-    InvalidGamma,
     InvalidLabels,
-    InvalidSigma,
     InvalidVolume,
     IoFailure,
     MapFileFailure,
@@ -662,19 +659,19 @@ class AugmentationSpec:
             raise ConfigError(f"slice_axis={self.slice_axis!r} not in (0, 1, 2) or None")
         if self.kind == "gaussian_blur":
             if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma > 0):
-                raise InvalidSigma(f"blur sigma={self.sigma!r} must be finite and > 0")
+                raise ConfigError(f"blur sigma={self.sigma!r} must be finite and > 0")
             if 3.0 * self.sigma > MAX_BLUR_RADIUS:
-                raise InvalidSigma(f"blur sigma={self.sigma!r} needs a kernel radius "
-                                   f"ceil(3*sigma) above {MAX_BLUR_RADIUS} voxels")
+                raise ConfigError(f"blur sigma={self.sigma!r} needs a kernel radius "
+                                  f"ceil(3*sigma) above {MAX_BLUR_RADIUS} voxels")
         elif self.kind == "gaussian_noise":
             if self.sigma is None or not (math.isfinite(self.sigma) and self.sigma >= 0):
-                raise InvalidSigma(f"noise sigma={self.sigma!r} must be finite and >= 0")
+                raise ConfigError(f"noise sigma={self.sigma!r} must be finite and >= 0")
         elif self.kind == "gamma_correction":
             if self.gamma is None or not (math.isfinite(self.gamma) and self.gamma > 0):
-                raise InvalidGamma(f"gamma={self.gamma!r} must be finite and > 0")
+                raise ConfigError(f"gamma={self.gamma!r} must be finite and > 0")
         elif self.kind == "contrast_enhancement":
             if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
-                raise InvalidAlpha(f"alpha={self.alpha!r} must be finite and > 0")
+                raise ConfigError(f"alpha={self.alpha!r} must be finite and > 0")
             if self.beta is None:
                 object.__setattr__(self, "beta", 0.0)
             elif not math.isfinite(self.beta):

@@ -6,6 +6,11 @@ raises a :class:`SegTTAError`, so catching it is the one test for bad
 input and any other exception is a bug. Errors for bad values keep
 ``ValueError`` as a base, so ``except ValueError`` still catches them.
 Every message names the offending field or parameter.
+
+One rule picks the class: a config or argument value the run cannot use
+is a :class:`ConfigError` naming the field, whatever the value and
+whichever field; a fault in data (files, maps, labels, volumes) keeps a
+class of its own.
 """
 
 
@@ -48,32 +53,17 @@ class InvalidVolume(SegTTAError, ValueError):
     """Non-finite voxels or spacing, or negative intensities for gamma."""
 
 
-# --- parameter errors -------------------------------------------------------
-
-class InvalidSigma(SegTTAError, ValueError):
-    """Blur or noise sigma outside its valid range."""
-
-
-class InvalidConfidence(SegTTAError, ValueError):
-    """A backend's confidence does not make its assigned class the argmax."""
-
-
-class InvalidGamma(SegTTAError, ValueError):
-    """Gamma exponent outside its valid range."""
-
-
-class InvalidAlpha(SegTTAError, ValueError):
-    """Contrast scale outside its valid range."""
-
-
-class InvalidTau(SegTTAError, ValueError):
-    """Voting threshold outside (0, 1]."""
-
+# --- config and argument errors ---------------------------------------------
 
 class ConfigError(SegTTAError, ValueError):
-    """A config, manifest or result document, or an object built from one,
-    has a field missing, mistyped or unknown, or a value the run cannot use
-    (an unknown kind, a class count, class, seed or format out of range)."""
+    """A config or argument value the run cannot use, named by its field.
+
+    The value comes from a config, manifest or result document, an object
+    built from one, or a function's argument. Its field is missing,
+    mistyped or unknown, or it is out of range: an unknown kind; a sigma,
+    gamma, alpha, tau or confidence; a class count, class, seed or format;
+    fewer than two augmentations to ablate. Whatever the value, the field
+    is refused with this one class."""
 
 
 # --- backend and pipeline errors --------------------------------------------
@@ -88,7 +78,3 @@ class ProcessFailure(SegTTAError, RuntimeError):
 
 class InconsistentMaps(SegTTAError, ValueError):
     """Probability maps being fused disagree in dims or class count."""
-
-
-class InsufficientAugmentations(SegTTAError, ValueError):
-    """The ablation protocol needs at least two augmentations."""

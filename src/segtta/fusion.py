@@ -65,7 +65,7 @@ import numbers
 import numpy as np
 
 from .core import LabelMask, Memo, ProbabilityMap, Spacing, _freeze, slabs
-from .errors import ConfigError, InconsistentMaps, InvalidTau
+from .errors import ConfigError, InconsistentMaps
 
 VOTING_MODES = ("majority", "confidence_weighted", "threshold_weighted")
 
@@ -78,10 +78,10 @@ DEFAULT_TAU = 0.6
 
 def _check_tau(tau) -> float:
     """``tau`` as a float: a real number, not a bool, finite and in (0, 1];
-    else InvalidTau."""
+    else ConfigError."""
     if not (isinstance(tau, numbers.Real) and not isinstance(tau, bool)
             and math.isfinite(tau) and 0 < tau <= 1):
-        raise InvalidTau(f"tau={tau!r} must be in (0, 1]")
+        raise ConfigError(f"tau={tau!r} must be in (0, 1]")
     return float(tau)
 
 

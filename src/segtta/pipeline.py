@@ -52,9 +52,7 @@ from .core import (
     ProbabilityMap, Volume, _check_fields, _check_json, _check_spacing,
     _check_writable, normalize_intensity, writing,
 )
-from .errors import (
-    ConfigError, DimensionMismatch, InsufficientAugmentations, SegTTAError,
-)
+from .errors import ConfigError, DimensionMismatch, SegTTAError
 from .fusion import DEFAULT_TAU, foreground_volume, fuse_groups, _check_tau
 # The benchmark's span tracer (bench/tracer.py) wraps these three names
 # here; the pipeline itself fuses through fuse_groups and scores a case's
@@ -678,7 +676,7 @@ def run_ablation(config: RunConfig, manifest: DatasetManifest, out_dir=None,
     masks are written under ``out_dir/masks``.
     """
     if len(config.augmentations) < 2:
-        raise InsufficientAugmentations(
+        raise ConfigError(
             f"ablation needs >= 2 augmentations, got {len(config.augmentations)}"
         )
     views = config.views

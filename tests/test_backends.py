@@ -29,7 +29,6 @@ from segtta.errors import (
     ConfigError,
     DimensionMismatch,
     GroundTruthMissing,
-    InvalidConfidence,
     InvalidLabels,
     IoFailure,
     NotProbabilistic,
@@ -88,7 +87,7 @@ class TestOracle:
     def test_confidence_bound_is_a_named_error(self, case):
         volume, gt = case
         backend = BackendDescriptor("oracle", name="o", confidence=0.5)
-        with pytest.raises(InvalidConfidence, match=r"confidence=0\.5 outside \(1/2, 1\]"):
+        with pytest.raises(ConfigError, match=r"confidence=0\.5 outside \(1/2, 1\]"):
             predict(backend, volume, 2, stream(), ground_truth=gt)
 
 

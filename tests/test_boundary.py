@@ -30,18 +30,31 @@ from segtta import (
 )
 from segtta.cli import main
 from segtta.config import ManifestEntry
+import segtta.errors
 from segtta.errors import ConfigError, SegTTAError
 
 
-def test_no_plain_value_error_is_raised():
-    plain = []
+def _raised():
+    """(``file:line``, class name) of each ``raise Name`` or ``raise
+    Name(...)`` in the package's modules."""
     for path in sorted(Path(segtta.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id == "ValueError":
-                    plain.append(f"{path.name}:{node.lineno}")
-    assert plain == []
+                if isinstance(exc, ast.Name):
+                    yield f"{path.name}:{node.lineno}", exc.id
+
+
+def test_no_plain_value_error_is_raised():
+    assert [where for where, name in _raised() if name == "ValueError"] == []
+
+
+def test_every_error_class_is_raised():
+    # A class that nothing raises is a second name for a refusal that
+    # another class already makes.
+    declared = {name for name, obj in vars(segtta.errors).items()
+                if isinstance(obj, type) and issubclass(obj, SegTTAError)}
+    assert declared - {name for _, name in _raised()} == {"SegTTAError"}
 
 
 # Strings drawn for values and keys. None of them can name the external

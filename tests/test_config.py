@@ -13,7 +13,7 @@ from segtta import (
     load_manifest,
 )
 from segtta.config import MAX_TIMEOUT, DatasetManifest, ManifestEntry
-from segtta.errors import ConfigError, InvalidTau, SegTTAError
+from segtta.errors import ConfigError, SegTTAError
 
 from conftest import IGNORED_FIELD_CASES
 
@@ -54,6 +54,17 @@ class TestRunConfig:
     def test_subset_must_name_a_backend_and_a_view(self, subset, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             RunConfig(backends=(oracle(),), subset=subset)
+
+    @pytest.mark.parametrize("field, items, named", [
+        ("backends", ({"kind": "oracle"},), "item 0 must be BackendDescriptor, got dict"),
+        ("backends", (oracle(), "oracle"), "item 1 must be BackendDescriptor, got str"),
+        ("augmentations", ({"kind": "identity"},),
+         "item 0 must be AugmentationSpec, got dict"),
+    ], ids=["backend-dict", "backend-string", "augmentation-dict"])
+    def test_items_of_the_wrong_type_are_named(self, field, items, named):
+        kwargs = {"backends": (oracle(),), field: items}
+        with pytest.raises(ConfigError, match=re.escape(f"config field {field!r} {named}")):
+            RunConfig(**kwargs)
 
     def test_subset_views_follow_the_config(self):
         gamma = AugmentationSpec("gamma_correction", gamma=0.8)
@@ -98,7 +109,7 @@ class TestRunConfig:
             load_config(path)
 
     def test_tau_validated(self):
-        with pytest.raises(InvalidTau):
+        with pytest.raises(ConfigError, match=r"^tau=0\.0 must be in \(0, 1\]$"):
             RunConfig(backends=(oracle(),), tau=0.0)
 
     def test_negative_seed_rejected(self):
@@ -320,6 +331,21 @@ class TestManifest:
     def test_class_count_outside_label_range(self, classes):
         with pytest.raises(ConfigError, match=f"num_classes={classes} outside"):
             DatasetManifest("d", (ManifestEntry("a", "x.nii", classes),))
+
+    @pytest.mark.parametrize("cases, message", [
+        ([], "manifest has no cases"),
+        ([{"id": "a", "image": "x.nii", "classes": 2}] * 2,
+         "duplicate case ids in manifest: ['a']"),
+        ([{"id": "a", "image": "x.nii", "classes": 2},
+          {"id": "b", "image": "y.nii", "classes": 3}],
+         "num_classes differs across entries: [2, 3]"),
+        ([{"id": "a", "image": "x.nii", "classes": 1}], "num_classes=1 outside [2, 256]"),
+    ], ids=["no-cases", "duplicate-ids", "class-counts-differ", "class-count-out-of-range"])
+    def test_errors_of_the_whole_manifest_name_its_path(self, tmp_path, cases, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cases))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_manifest(path)
 
     def test_not_a_list(self, tmp_path):
         path = tmp_path / "m.json"

@@ -19,10 +19,7 @@ from segtta import (
 from segtta.errors import (
     ConfigError,
     DimensionMismatch,
-    InvalidAlpha,
-    InvalidGamma,
     InvalidLabels,
-    InvalidSigma,
     IoFailure,
     NotProbabilistic,
 )
@@ -611,20 +608,20 @@ class TestHoldingRule:
 
 class TestAugmentationSpec:
     def test_blur_requires_positive_sigma(self):
-        with pytest.raises(InvalidSigma):
+        with pytest.raises(ConfigError, match=r"^blur sigma=0\.0 must be finite and > 0$"):
             AugmentationSpec("gaussian_blur", sigma=0.0)
 
     def test_noise_allows_zero_sigma(self):
         AugmentationSpec("gaussian_noise", sigma=0.0)
-        with pytest.raises(InvalidSigma):
+        with pytest.raises(ConfigError, match=r"^noise sigma=-0\.1 must be finite and >= 0$"):
             AugmentationSpec("gaussian_noise", sigma=-0.1)
 
     def test_gamma_positive(self):
-        with pytest.raises(InvalidGamma):
+        with pytest.raises(ConfigError, match=r"^gamma=-1\.0 must be finite and > 0$"):
             AugmentationSpec("gamma_correction", gamma=-1.0)
 
     def test_alpha_positive(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError, match=r"^alpha=0\.0 must be finite and > 0$"):
             AugmentationSpec("contrast_enhancement", alpha=0.0)
 
     def test_unknown_kind(self):

@@ -46,9 +46,7 @@ import segtta.core
 import segtta.fusion
 import segtta.metrics
 import segtta.nifti
-from segtta.errors import (
-    ConfigError, InsufficientAugmentations, InvalidTau, InvalidVolume, IoFailure,
-)
+from segtta.errors import ConfigError, InvalidVolume, IoFailure
 import segtta.pipeline
 from segtta.pipeline import EventLog
 
@@ -818,7 +816,7 @@ class TestAblation:
 
     def test_requires_two_augmentations(self, dataset):
         config = noisy_config(augmentations=(AugmentationSpec("identity"),))
-        with pytest.raises(InsufficientAugmentations):
+        with pytest.raises(ConfigError, match=r"^ablation needs >= 2 augmentations, got 1$"):
             run_ablation(config, dataset)
 
     def test_cache_transparency(self, dataset):
@@ -938,7 +936,7 @@ class TestSweep:
         assert result.reference == "tau=0.3"
 
     def test_invalid_tau(self, dataset):
-        with pytest.raises(InvalidTau):
+        with pytest.raises(ConfigError, match=r"^tau=1\.5 must be in \(0, 1\]$"):
             run_threshold_sweep(noisy_config(), dataset, [0.5, 1.5])
 
     def test_no_tau_is_a_config_error(self, dataset):
