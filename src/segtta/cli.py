@@ -9,6 +9,12 @@ Each pipeline stage is independently scriptable:
     segtta fuse    --output mask.nii.gz --mode threshold_weighted --tau 0.6 map1.nii map2.nii
     segtta metrics --pred mask.nii.gz --gt label.nii.gz --classes 2
     segtta report  --result runs/x/result.json --format csv --out runs/x/report.csv
+
+``segtta augment`` writes the view a run builds: the volume normalized to
+[0, 1], then transformed, its noise drawn from the stream of the case named
+by the input file's stem. Written as ``.nii``, it is byte for byte the
+input file a run hands an external member for that case and view; the
+``identity`` kind gives the baseline view.
 """
 
 from __future__ import annotations
@@ -38,16 +44,16 @@ from .pipeline import (
 from .report import FORMATS, emit_report, render
 
 
-def _add_run_options(p: argparse.ArgumentParser):
+def _add_run_options(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out", help="output directory (masks, report, result, log)")
-    p.add_argument("--tau", type=float, help="override the voting threshold")
     p.add_argument("--seed", type=int, help="override the random seed")
     p.add_argument("--jobs", type=int,
                    help="override the number of cases processed in parallel")
     p.add_argument("--format", choices=FORMATS, default="markdown",
                    help="report format (default markdown)")
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,14 +64,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_run_options(sub.add_parser("run", help="full pipeline over a manifest"))
-    _add_run_options(sub.add_parser("ablate", help="leave-one-augmentation-out"))
-    sweep = sub.add_parser("sweep", help="fuse at several voting thresholds")
-    _add_run_options(sweep)
+    for name, text in (("run", "full pipeline over a manifest"),
+                       ("ablate", "leave-one-augmentation-out")):
+        _add_run_options(sub.add_parser(name, help=text)).add_argument(
+            "--tau", type=float, help="override the voting threshold")
+    # A sweep's rows take their thresholds from --taus alone. It has no
+    # --tau, and no abbreviation, which would read --tau as --taus.
+    sweep = _add_run_options(sub.add_parser(
+        "sweep", help="fuse at several voting thresholds", allow_abbrev=False))
     sweep.add_argument("--taus", required=True,
                        help="comma-separated thresholds, e.g. 0.3,0.6,0.9")
 
-    aug = sub.add_parser("augment", help="apply one transform to a volume")
+    aug = sub.add_parser(
+        "augment", help="write the view a run builds: one transform of the "
+                        "volume normalized to [0, 1]")
     aug.add_argument("--input", required=True)
     aug.add_argument("--output", required=True)
     aug.add_argument("--kind", required=True, choices=AUGMENTATION_KINDS)
@@ -76,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     aug.add_argument("--slice-axis", default="2",
                      help="0, 1, 2, or 'none' for full 3D blur")
     aug.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    aug.add_argument("--normalize", action="store_true",
-                     help="normalize intensities to [0, 1] first")
 
     fz = sub.add_parser("fuse", help="fuse precomputed probability maps")
     fz.add_argument("maps", nargs="+", help="4D float32 NIfTI probability maps")
@@ -100,13 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    overrides = {}
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    # A sweep's parser defines no --tau.
+    overrides = {key: getattr(args, key) for key in ("tau", "seed", "jobs")
+                 if getattr(args, key, None) is not None}
     return replace(config, **overrides) if overrides else config
 
 
@@ -166,9 +172,8 @@ def _cmd_augment(args) -> int:
         alpha=args.alpha, beta=args.beta, slice_axis=axis,
     )
     _check_writable(args.output)
-    volume = nifti.read_volume(args.input)
-    if args.normalize:
-        volume = normalize_intensity(volume)
+    # As _run_case builds the view of the case named by the file's stem.
+    volume = normalize_intensity(nifti.read_volume(args.input))
     rng = augmentation_rng(args.seed, volume.vol_id, spec.label())
     out = augment.apply(spec, volume, rng)
     nifti.write_volume(out, args.output, datatype=16)

@@ -130,12 +130,15 @@ class RunConfig:
         _check_field_types(self)
         for field, cls in (("backends", BackendDescriptor),
                            ("augmentations", AugmentationSpec)):
-            items = tuple(getattr(self, field))
+            items = getattr(self, field)
+            if not isinstance(items, (list, tuple)):
+                raise ConfigError(f"config field {field!r} must be a tuple of "
+                                  f"{cls.__name__}, got {type(items).__name__}")
             for i, item in enumerate(items):
                 if not isinstance(item, cls):
                     raise ConfigError(f"config field {field!r} item {i} must be "
                                       f"{cls.__name__}, got {type(item).__name__}")
-            object.__setattr__(self, field, items)
+            object.__setattr__(self, field, tuple(items))
         if not self.backends:
             raise ConfigError("config needs at least one backend")
         named = tuple(

@@ -8,6 +8,7 @@ against themselves.
 
 import math
 import os
+import shlex
 import sys
 import tempfile
 
@@ -294,3 +295,29 @@ def talking_model(tmp_path, child_imports_segtta):
     script = tmp_path / "talking_model.py"
     script.write_text(_TALKING_MODEL)
     return f"{sys.executable} {script} {{input}} {{output}}"
+
+
+# An external model of the standard library alone, so a child costs an
+# interpreter's start and no import. It reads the float32 view it is
+# handed (a .nii whose data start at byte 352), votes 3/4 for class 1
+# where a voxel is above 0.5 and for class 0 elsewhere, spreads the rest
+# over the other classes, and writes the map under the view's header made
+# 4D (dim[0] = 4, dim[4] = the class count). Augmented views change its maps.
+_THRESHOLD_MODEL = (
+    "import array, sys; "
+    "raw = open(sys.argv[1], 'rb').read(); c = int(sys.argv[3]); "
+    "v = array.array('f', raw[352:]); "
+    "p = array.array('f', [0.75 if k == (x > 0.5) else 0.25 / (c - 1) "
+    "for k in range(c) for x in v]); "
+    "h = bytearray(raw[:352]); "
+    "h[40:42] = (4).to_bytes(2, 'little'); h[48:50] = c.to_bytes(2, 'little'); "
+    "open(sys.argv[2], 'wb').write(bytes(h) + p.tobytes())"
+)
+
+
+def threshold_model(before: str = "") -> str:
+    """Command template of an external backend that runs ``_THRESHOLD_MODEL``
+    in ``sys.executable -S`` (no site packages), after the shell commands
+    ``before``."""
+    return (f"{before}{shlex.quote(sys.executable)} -S -c "
+            f"{shlex.quote(_THRESHOLD_MODEL)} {{input}} {{output}} {{classes}}")

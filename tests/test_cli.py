@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import re
+import shlex
 import struct
 import tracemalloc
 
@@ -10,12 +11,15 @@ import numpy as np
 import pytest
 
 from segtta import (
+    AugmentationSpec,
     MetricReport,
     ProbabilityMap,
     RunResult,
     Spacing,
     Volume,
+    default_augmentations,
     make_phantom,
+    normalize_intensity,
     read_header,
     read_label_mask,
     read_volume,
@@ -31,7 +35,7 @@ from segtta.errors import IoFailure
 from segtta.fusion import DEFAULT_TAU, DEFAULT_VOTING, FusionInput, fuse
 from segtta.pipeline import EventLog
 
-from conftest import IGNORED_FIELD_CASES
+from conftest import IGNORED_FIELD_CASES, threshold_model
 
 
 @pytest.fixture
@@ -94,6 +98,27 @@ def test_every_default_is_its_constant():
     assert augment.seed == config.seed == DEFAULT_SEED
     assert fused.mode == config.voting == fusion.mode == DEFAULT_VOTING
     assert fused.tau == config.tau == fusion.tau == DEFAULT_TAU
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["augment", "--input", "i", "--output", "o", "--kind", "identity",
+      "--normalize"], "--normalize"),
+    (["sweep", "--config", "c", "--manifest", "m", "--taus", "0.3,0.6",
+      "--tau", "0.5", "--out", "d"], "--tau"),
+], ids=["augment-normalize", "sweep-tau"])
+def test_removed_switch_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, refused):
+    # segtta augment always normalizes, and a sweep's rows take their
+    # thresholds from --taus alone; run and ablate keep --tau.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        run_cli(*argv)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {refused}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    parser = _build_parser()
+    for command in ("run", "ablate"):
+        assert parser.parse_args([command, "--config", "c", "--manifest", "m",
+                                  "--tau", "0.5"]).tau == 0.5
 
 
 class TestRun:
@@ -587,13 +612,61 @@ class TestAugmentCommand:
         assert out.data.std() < volume.data.std()
 
     def test_identity_kind(self, tmp_path, rng):
+        # The baseline view: the volume normalized to [0, 1], as a run
+        # normalizes every scan.
         volume = Volume(rng.random((6, 6, 6)).astype(np.float32),
                         Spacing(1, 1, 1), vol_id="v")
         src = tmp_path / "v.nii"
         write_volume(volume, src, datatype=16)
         dst = tmp_path / "same.nii"
         run_cli("augment", "--input", src, "--output", dst, "--kind", "identity")
-        np.testing.assert_array_equal(read_volume(dst).data, volume.data)
+        np.testing.assert_array_equal(
+            read_volume(dst).data,
+            normalize_intensity(read_volume(src)).data.astype(np.float32))
+
+    def test_writes_the_view_a_run_hands_an_external_member(self, tmp_path):
+        # One run per view of one phantom case, each with one external
+        # member that copies the file it is handed aside; segtta augment
+        # of the case's image, at the run's seed, writes the same bytes.
+        # The identity kind stands for the baseline view.
+        manifest = write_phantom_dataset(tmp_path / "data", n_cases=1,
+                                         dims=(10, 9, 8), seed=4)
+        for i, spec in enumerate((AugmentationSpec("identity"),
+                                  *default_augmentations())):
+            baseline = spec.kind == "identity"
+            handed, config = tmp_path / f"handed-{i}.nii", tmp_path / f"config-{i}.json"
+            config.write_text(json.dumps({
+                "backends": [{"kind": "external", "name": "m", "command":
+                              threshold_model(f"cp {{input}} {shlex.quote(str(handed))} && ")}],
+                "include_baseline": baseline,
+                "augmentations": [] if baseline else [spec.to_dict()],
+                "seed": 11,
+            }))
+            assert run_cli("run", "--config", config, "--manifest", manifest,
+                           "--out", tmp_path / f"run-{i}") == 0
+            flags = [arg for key, value in spec.to_dict().items()
+                     for arg in (f"--{key.replace('_', '-')}", value)]
+            written = tmp_path / f"augment-{i}.nii"
+            assert run_cli("augment", "--input", tmp_path / "data" / "case000.nii.gz",
+                           "--output", written, "--seed", 11, *flags) == 0
+            assert written.read_bytes() == handed.read_bytes(), spec.label()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gaussian_noise", ["--sigma", "0.05"]),
+        ("gamma_correction", ["--gamma", "0.8"]),
+    ])
+    def test_ct_range_input_is_normalized_first(self, tmp_path, rng, kind, params):
+        # A scan in Hounsfield-like units: noise of sigma 0.05 is small
+        # against [0, 1], and gamma needs no negative intensity.
+        volume = Volume(rng.uniform(-1000, 1000, (8, 8, 6)), Spacing(1, 1, 1),
+                        vol_id="ct")
+        src, dst = tmp_path / "ct.nii", tmp_path / "out.nii"
+        write_volume(volume, src, datatype=16)
+        assert run_cli("augment", "--input", src, "--output", dst,
+                       "--kind", kind, *params) == 0
+        out = read_volume(dst).data
+        assert len(np.unique(out)) > 2
+        assert out.min() >= 0 and out.max() <= 1
 
     def test_flag_the_kind_does_not_use_is_rejected(self, tmp_path, rng, capsys):
         volume = Volume(rng.random((6, 6, 6)), Spacing(1, 1, 1), vol_id="v")

@@ -60,7 +60,10 @@ class TestRunConfig:
         ("backends", (oracle(), "oracle"), "item 1 must be BackendDescriptor, got str"),
         ("augmentations", ({"kind": "identity"},),
          "item 0 must be AugmentationSpec, got dict"),
-    ], ids=["backend-dict", "backend-string", "augmentation-dict"])
+        ("backends", None, "must be a tuple of BackendDescriptor, got NoneType"),
+        ("augmentations", None, "must be a tuple of AugmentationSpec, got NoneType"),
+    ], ids=["backend-dict", "backend-string", "augmentation-dict", "backends-none",
+            "augmentations-none"])
     def test_items_of_the_wrong_type_are_named(self, field, items, named):
         kwargs = {"backends": (oracle(),), field: items}
         with pytest.raises(ConfigError, match=re.escape(f"config field {field!r} {named}")):

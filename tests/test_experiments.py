@@ -16,7 +16,10 @@ For ``run``, ``ablate`` and ``sweep`` through the command line:
   oracle kind and the case has no label.
 
 Half the examples send every fusion down the value path, by allowing no
-interned chain.
+interned chain. The synthetic members read no voxel, so a second test
+adds an external member, a child interpreter that thresholds the voxels of
+each view it is handed: there the augmentations change its maps. Its
+children are kept few: 6 examples, each of 2 cases and at most 3 views.
 """
 
 from collections import Counter
@@ -44,6 +47,8 @@ from segtta.core import Memo
 from segtta.errors import InvalidVolume
 from segtta.fusion import VOTING_MODES
 from segtta.pipeline import FUSED_VARIANT, source_tag
+
+from conftest import threshold_model
 
 AUGMENTATIONS = (
     AugmentationSpec("gamma_correction", gamma=0.8),
@@ -80,10 +85,15 @@ def members(draw, num_classes: int):
 
 
 @st.composite
-def configs(draw, num_classes: int):
-    specs = draw(st.permutations(AUGMENTATIONS))[:draw(st.sampled_from([4, 3, 2, 1]))]
+def configs(draw, num_classes: int, external: bool):
+    """A drawn config; with ``external``, its members end in an external
+    one, and it has at most 3 views."""
+    counts = [2, 1] if external else [4, 3, 2, 1]
+    specs = draw(st.permutations(AUGMENTATIONS))[:draw(st.sampled_from(counts))]
+    extra = (BackendDescriptor("external", name="e", command=threshold_model()),)
     config = RunConfig(
-        backends=draw(members(num_classes)), augmentations=specs,
+        backends=draw(members(num_classes)) + (extra if external else ()),
+        augmentations=specs,
         include_baseline=draw(st.booleans()),
         voting=draw(st.sampled_from(VOTING_MODES[::-1])),
         tau=draw(st.sampled_from(TAUS)), seed=draw(st.integers(0, 99)),
@@ -94,11 +104,12 @@ def configs(draw, num_classes: int):
     return config if subset is None else replace(config, subset=tuple(subset))
 
 
-def write_manifest(root: Path, data, num_classes: int) -> Path:
-    """2-3 phantom cases of 3x3x2 to 8x8x6, some without a label. The
-    largest dims are the simplest draw: more voxels, more ties; so is a
-    labelled case, since every oracle member fails on an unlabelled one."""
-    n_cases = data.draw(st.integers(2, 3))
+def write_manifest(root: Path, data, num_classes: int, max_cases: int) -> Path:
+    """2 to ``max_cases`` phantom cases of 3x3x2 to 8x8x6, some without a
+    label. The largest dims are the simplest draw: more voxels, more ties;
+    so is a labelled case, since every oracle member fails on an unlabelled
+    one."""
+    n_cases = data.draw(st.integers(2, max_cases))
     dims = tuple(n - data.draw(st.integers(0, n - low))
                  for n, low in ((8, 3), (8, 3), (6, 2)))
     path = write_phantom_dataset(root, n_cases=n_cases, dims=dims,
@@ -163,8 +174,21 @@ def artifacts(out: Path) -> dict:
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_experiments_keep_their_contracts(data):
+    check_experiments(data, external=False)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(st.data())
+def test_experiments_keep_their_contracts_with_an_external_member(data):
+    check_experiments(data, external=True)
+
+
+def check_experiments(data, external: bool):
+    """Check the module's contracts on one drawn config and dataset; with
+    ``external``, the config has an external member and the dataset 2
+    cases."""
     num_classes = data.draw(st.integers(2, 3), label="num_classes")
-    config = data.draw(configs(num_classes), label="config")
+    config = data.draw(configs(num_classes, external), label="config")
     taus = data.draw(st.lists(st.sampled_from(TAUS), min_size=1, max_size=3,
                               unique=True), label="taus")
     value_path = data.draw(st.booleans(), label="value_path")
@@ -173,14 +197,16 @@ def test_experiments_keep_their_contracts(data):
              if config.subset is None or (b.name, view) in config.subset}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         root = Path(tmp)
-        manifest_path = write_manifest(root / "data", data, num_classes)
+        manifest_path = write_manifest(root / "data", data, num_classes,
+                                       2 if external else 3)
         manifest = load_manifest(manifest_path)
         refused = set(data.draw(st.lists(
             st.tuples(st.sampled_from([e.case_id for e in manifest.entries]),
                       st.sampled_from(sorted(pairs))),
             max_size=3, unique=True), label="refused"))
         oracle_tags = {source_tag(b.name, view) for view in config.views
-                       for b in config.backends if b.kind != "constant"} & pairs
+                       for b in config.backends
+                       if b.kind in ("oracle", "noisy_oracle")} & pairs
         failing = {entry.case_id: {tag for case, tag in refused if case == entry.case_id}
                    | (set() if entry.label else oracle_tags)
                    for entry in manifest.entries}
